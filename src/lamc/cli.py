@@ -7,28 +7,20 @@ import argparse
 import json
 import sys
 
-from .arith import EApp, eval_expr, expr_of_nat
-from .extract import (
-    extract_decidable,
-    extract_kamikaze,
-    extract_naive,
-    extract_sigma01,
-    make_decider_sigma01,
-    sigma01_refuter,
-)
 from .formulas import parse_hformula
 from .ha2 import print_hterm, read_witness
 from .negtrans import ReturnFormula, cps_process, cps_term, formula_bot, formula_nn
 from .script import (
-    EXIT_FUEL,
     EXIT_OK,
     EXIT_PARSE,
-    EXIT_UNVERIFIED,
+    EXTRACTION_MODES,
     ScriptRunner,
+    StatementOutput,
+    extract_statement,
     parse_script,
     run_script,
+    simulate_statement,
 )
-from .simulate import simulate_run
 from .syntax import LamcError, parse_process, parse_stack, parse_term
 
 
@@ -47,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json-like", action="store_true")
 
     p_ext = sub.add_parser("extract", help="run a witness extraction driver")
-    p_ext.add_argument("--mode", required=True, choices=["naive", "sigma01", "decidable", "kamikaze"])
+    p_ext.add_argument("--mode", required=True, choices=EXTRACTION_MODES)
     p_ext.add_argument("--realizer", required=True, help="file containing a lambda-c term")
     p_ext.add_argument("--f", required=True, help="unary predicate symbol (f(x) = 0)")
     p_ext.add_argument("--script", help="script whose definitions set up the environment")
@@ -98,39 +90,19 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
+def _emit(output: StatementOutput, json_like: bool) -> int:
+    lines, doc, code = output
+    print(json.dumps(doc, indent=2) if json_like else "\n".join(lines))
+    return code
+
+
 def _cmd_extract(args) -> int:
     cfg = _environment(args.script, args.fuel)
     with open(args.realizer, "r", encoding="utf-8") as handle:
         realizer = parse_term(handle.read(), instructions=cfg.instructions, strict=True)
     stack = parse_stack(args.stack, instructions=cfg.instructions, strict=True)
-
-    def oracle(n: int) -> bool:
-        return eval_expr(EApp(args.f, (expr_of_nat(n),)), {}, cfg.sig) == 0
-
-    if args.mode == "sigma01":
-        report = extract_sigma01(realizer, args.f, cfg, stack, args.trace_guesses)
-    elif args.mode == "naive":
-        report = extract_naive(realizer, cfg, stack, oracle)
-    elif args.mode == "decidable":
-        d = make_decider_sigma01(args.f, cfg)
-        report = extract_decidable(realizer, d, sigma01_refuter(), oracle, cfg, stack)
-    else:
-        report = extract_kamikaze(realizer, sigma01_refuter(), cfg, stack, oracle)
-    if args.json_like:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        verified = {True: "true", False: "false", None: "unknown"}[report.verified]
-        witness = "none" if report.witness is None else str(report.witness)
-        print(f"extract {report.mode}: witness {witness} verified {verified}")
-        if report.guesses:
-            print("guesses: " + " ".join(str(n) for n in report.guesses))
-        print(f"halt: {report.outcome.halt.kind}")
-        print(f"steps: {report.outcome.steps}")
-    if report.outcome.halt.kind == "fuel":
-        return EXIT_FUEL
-    if report.verified is not True:
-        return EXIT_UNVERIFIED
-    return EXIT_OK
+    output = extract_statement(args.mode, realizer, args.f, cfg, stack, args.trace_guesses)
+    return _emit(output, args.json_like)
 
 
 def _cmd_translate(args) -> int:
@@ -167,35 +139,12 @@ def _cmd_translate(args) -> int:
             else:
                 lines.append(f"witness: {found[0]}")
                 doc["witness"] = found[0]
-    if args.json_like:
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    return _emit((lines, doc, EXIT_OK), args.json_like)
 
 
 def _cmd_simulate(args) -> int:
     process = parse_process(args.process, strict=True)
-    report = simulate_run(process, fuel=args.fuel)
-    if args.json_like:
-        print(
-            json.dumps(
-                {
-                    "machine_steps": report.machine_steps,
-                    "verified": report.verified,
-                    "failed": report.failed,
-                    "inconclusive": report.inconclusive,
-                    "halt": report.halt_kind,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(
-            f"simulate: machine-steps {report.machine_steps} verified {report.verified} "
-            f"failed {report.failed} inconclusive {report.inconclusive} halt {report.halt_kind}"
-        )
-    return EXIT_UNVERIFIED if report.failed else EXIT_OK
+    return _emit(simulate_statement(process, args.fuel), args.json_like)
 
 
 def _cmd_stats(args) -> int:
@@ -239,11 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except LamcError as exc:
+    except (LamcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_PARSE
 
 

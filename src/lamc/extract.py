@@ -15,7 +15,7 @@ from typing import Callable
 
 from .arith import EApp, expr_of_nat, eval_expr
 from .machine import MachineConfig, RunOutcome, StopRun, run
-from .stdlib import IDENTITY, compile_primrec, _app, _lam
+from .stdlib import IDENTITY, compile_primrec
 from .syntax import (
     App,
     BOTTOM,
@@ -28,7 +28,9 @@ from .syntax import (
     Stack,
     Term,
     Var,
+    app,
     is_proof_like,
+    lam,
 )
 
 
@@ -57,29 +59,29 @@ class ExtractionReport:
 
 
 def naive_wrapper() -> Term:
-    return _lam("x y", App(Inst("stop"), Var("x")))
+    return lam("x y", App(Inst("stop"), Var("x")))
 
 
 def sigma01_wrapper(trace_guesses: bool = False) -> Term:
     if trace_guesses:
-        return _lam("x y", _app(Inst("print"), Var("x"), Var("y"), App(Inst("stop"), Var("x"))))
-    return _lam("x y", App(Var("y"), App(Inst("stop"), Var("x"))))
+        return lam("x y", app(Inst("print"), Var("x"), Var("y"), App(Inst("stop"), Var("x"))))
+    return lam("x y", App(Var("y"), App(Inst("stop"), Var("x"))))
 
 
 def decidable_wrapper(d: Term, r: Term) -> Term:
-    return _lam(
+    return lam(
         "x y",
-        _app(d, Var("x"), App(Inst("stop"), Var("x")), _app(r, Var("x"), Var("y"))),
+        app(d, Var("x"), App(Inst("stop"), Var("x")), app(r, Var("x"), Var("y"))),
     )
 
 
 def kamikaze_wrapper(r: Term) -> Term:
-    return _lam("x y", _app(Inst("print"), Var("x"), _app(r, Var("x"), Var("y"))))
+    return lam("x y", app(Inst("print"), Var("x"), app(r, Var("x"), Var("y"))))
 
 
 def sigma01_refuter() -> Term:
     """The conditional refuter for Sigma-0-1 predicates: \\_. \\z. z I."""
-    return _lam("w z", App(Var("z"), IDENTITY))
+    return lam("w z", App(Var("z"), IDENTITY))
 
 
 def _run_wrapper(t0: Term, wrapper: Term, cfg: MachineConfig, stack: Stack) -> RunOutcome:
@@ -186,8 +188,8 @@ def make_decider_sigma01(f: str, cfg: MachineConfig) -> Term:
     if cfg.sig.arity(f) != 1:
         raise ExtractionError(f"decider needs a unary symbol, got {f!r}")
     fhat = compile_primrec(f, cfg.sig)
-    dispatch = _app(Inst("rec"), Var("u"), _lam("p w", Var("v")), Var("m"))
-    return _lam("n u v", _app(fhat, Var("n"), Lam("m", dispatch)))
+    dispatch = app(Inst("rec"), Var("u"), lam("p w", Var("v")), Var("m"))
+    return lam("n u v", app(fhat, Var("n"), Lam("m", dispatch)))
 
 
 def check_decider_samples(

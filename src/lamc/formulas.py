@@ -586,10 +586,6 @@ def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool
     return normalize_formula_pa2(a, sig) == normalize_formula_pa2(b, sig)
 
 
-def formula_congruent_ha2(a: HFormula, b: HFormula, sig: PrimRecSignature) -> bool:
-    return normalize_formula_ha2(a, sig) == normalize_formula_ha2(b, sig)
-
-
 # ---------------------------------------------------------------------------
 # nat-relativization
 

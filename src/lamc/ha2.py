@@ -9,77 +9,45 @@ check for the inner-equivalence relation and the witness reader live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .syntax import LamcError, ParseError, _TokenStream, _lex, fresh_name
+from .syntax import (
+    HA2_CONSTANTS,
+    App,
+    HConst,
+    Lam,
+    LamcError,
+    Term,
+    Var,
+    _TermParser,
+    _TokenStream,
+    _finish,
+    _lex,
+    alpha_key,
+    app,
+    free_vars,
+    fresh_name,
+    print_term,
+    split_pair,
+    substitute,
+)
 
 
 class Ha2Error(LamcError):
     pass
 
 
-CONSTANTS = ("pair", "fst", "snd", "z0", "sc", "rec")
-
-
-class HTerm:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, HTerm) and hterm_key(self) == hterm_key(other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(hterm_key(self))
-
-    def __str__(self) -> str:
-        return print_hterm(self)
-
-
-_EMPTY = frozenset()
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HVar(HTerm):
-    name: str
-    fv: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fv", frozenset((self.name,)))
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HLam(HTerm):
-    binder: str
-    body: HTerm
-    fv: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fv", self.body.fv - {self.binder})
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HApp(HTerm):
-    fn: HTerm
-    arg: HTerm
-    fv: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fv", self.fn.fv | self.arg.fv)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HConst(HTerm):
-    kind: str
-    fv: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in CONSTANTS:
-            raise ValueError(f"unknown constant {self.kind!r}")
-        object.__setattr__(self, "fv", _EMPTY)
-
+# The HA2 term language is the lambda-c term classes plus the HConst leaf;
+# these are its historical names.
+HTerm = Term
+HVar = Var
+HLam = Lam
+HApp = App
+hterm_key = alpha_key
+hterm_free_vars = free_vars
+hsubstitute = substitute
+print_hterm = print_term
 
 PAIR_C = HConst("pair")
 FST = HConst("fst")
@@ -89,37 +57,24 @@ SC = HConst("sc")
 REC = HConst("rec")
 
 
-def happ(*terms: HTerm) -> HTerm:
-    t = terms[0]
-    for u in terms[1:]:
-        t = HApp(t, u)
-    return t
+def hpair(a: Term, b: Term) -> Term:
+    return app(PAIR_C, a, b)
 
 
-def hlam(binders: str, body: HTerm) -> HTerm:
-    for b in reversed(binders.split()):
-        body = HLam(b, body)
-    return body
-
-
-def hpair(a: HTerm, b: HTerm) -> HTerm:
-    return happ(PAIR_C, a, b)
-
-
-def hnumeral(n: int) -> HTerm:
+def hnumeral(n: int) -> Term:
     """The numeral spine sc (sc (... z0)) as genuine nested applications."""
-    t: HTerm = Z0
+    t: Term = Z0
     for _ in range(n):
-        t = HApp(SC, t)
+        t = App(SC, t)
     return t
 
 
-def hnumeral_value(t: HTerm) -> int | None:
+def hnumeral_value(t: Term) -> int | None:
     """Inverse of hnumeral on exact spines."""
     n = 0
     while True:
         match t:
-            case HApp(HConst("sc"), inner):
+            case App(HConst("sc"), inner):
                 n += 1
                 t = inner
             case HConst("z0"):
@@ -128,81 +83,27 @@ def hnumeral_value(t: HTerm) -> int | None:
                 return None
 
 
-def split_pair(t: HTerm) -> tuple[HTerm, HTerm] | None:
-    match t:
-        case HApp(HApp(HConst("pair"), a), b):
-            return a, b
-    return None
-
-
-# ---------------------------------------------------------------------------
-# alpha machinery
-
-
-def hterm_key(t: HTerm, env: dict | None = None, depth: int = 0):
-    env = env or {}
-    match t:
-        case HVar(name):
-            b = env.get(name)
-            return ("b", b) if b is not None else ("f", name)
-        case HLam(binder, body):
-            env2 = dict(env)
-            env2[binder] = depth
-            return ("l", hterm_key(body, env2, depth + 1))
-        case HApp(fn, arg):
-            return ("a", hterm_key(fn, env, depth), hterm_key(arg, env, depth))
-        case HConst(kind):
-            return ("c", kind)
-    raise TypeError(f"not an HA2 term: {t!r}")
-
-
-def hterm_free_vars(t: HTerm) -> frozenset[str]:
-    return t.fv
-
-
-def hterm_is_closed(t: HTerm) -> bool:
-    return not hterm_free_vars(t)
-
-
-def hsubstitute(t: HTerm, x: str, u: HTerm) -> HTerm:
-    if x not in t.fv:
-        return t
-    match t:
-        case HVar(_):
-            return u
-        case HLam(binder, body):
-            if binder in u.fv:
-                renamed = fresh_name(binder, u.fv | body.fv | {x})
-                body = hsubstitute(body, binder, HVar(renamed))
-                return HLam(renamed, hsubstitute(body, x, u))
-            return HLam(binder, hsubstitute(body, x, u))
-        case HApp(fn, arg):
-            return HApp(hsubstitute(fn, x, u), hsubstitute(arg, x, u))
-        case _:
-            return t
-
-
 # ---------------------------------------------------------------------------
 # weak reduction
 
 
-def contract_redex(t: HTerm) -> HTerm | None:
+def contract_redex(t: Term) -> Term | None:
     """Contract t when t itself is a beta, projection or rec redex."""
     match t:
-        case HApp(HLam(x, body), u):
-            return hsubstitute(body, x, u)
-        case HApp(HConst("fst"), p):
+        case App(Lam(x, body), u):
+            return substitute(body, x, u)
+        case App(HConst("fst"), p):
             ab = split_pair(p)
             return ab[0] if ab else None
-        case HApp(HConst("snd"), p):
+        case App(HConst("snd"), p):
             ab = split_pair(p)
             return ab[1] if ab else None
-        case HApp(HApp(HApp(HConst("rec"), u0), u1), v):
+        case App(App(App(HConst("rec"), u0), u1), v):
             if v == Z0:
                 return u0
             match v:
-                case HApp(HConst("sc"), w):
-                    return happ(u1, w, happ(REC, u0, u1, w))
+                case App(HConst("sc"), w):
+                    return app(u1, w, app(REC, u0, u1, w))
             return None
     return None
 
@@ -210,16 +111,22 @@ def contract_redex(t: HTerm) -> HTerm | None:
 Pos = tuple[int, ...]
 
 
-def _replace_at(t: HTerm, pos: Pos, new: HTerm) -> HTerm:
+def _replace_at_deep(t: Term, pos: Pos, new: Term) -> Term:
+    """Replace the subterm at pos: 0 and 1 step into the function and the
+    argument of an application, 2 into the body of an abstraction."""
     if not pos:
         return new
-    assert isinstance(t, HApp)
-    if pos[0] == 0:
-        return HApp(_replace_at(t.fn, pos[1:], new), t.arg)
-    return HApp(t.fn, _replace_at(t.arg, pos[1:], new))
+    head, rest = pos[0], pos[1:]
+    if head == 2:
+        assert isinstance(t, Lam)
+        return Lam(t.binder, _replace_at_deep(t.body, rest, new))
+    assert isinstance(t, App)
+    if head == 0:
+        return App(_replace_at_deep(t.fn, rest, new), t.arg)
+    return App(t.fn, _replace_at_deep(t.arg, rest, new))
 
 
-def weak_step(t: HTerm) -> tuple[HTerm, Pos] | None:
+def weak_step(t: Term) -> tuple[Term, Pos] | None:
     """Contract the leftmost-outermost weak redex; None when weak-normal.
 
     Weak reduction never goes below an abstraction.
@@ -228,14 +135,14 @@ def weak_step(t: HTerm) -> tuple[HTerm, Pos] | None:
     if found is None:
         return None
     pos, reduct = found
-    return _replace_at(t, pos, reduct), pos
+    return _replace_at_deep(t, pos, reduct), pos
 
 
-def _lo_weak(t: HTerm, pos: Pos) -> tuple[Pos, HTerm] | None:
+def _lo_weak(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
     r = contract_redex(t)
     if r is not None:
         return pos, r
-    if isinstance(t, HApp):
+    if isinstance(t, App):
         left = _lo_weak(t.fn, pos + (0,))
         if left is not None:
             return left
@@ -243,15 +150,15 @@ def _lo_weak(t: HTerm, pos: Pos) -> tuple[Pos, HTerm] | None:
     return None
 
 
-def enumerate_weak_redexes(t: HTerm) -> list[tuple[Pos, HTerm]]:
+def enumerate_weak_redexes(t: Term) -> list[tuple[Pos, Term]]:
     """All one-step weak reducts (full nondeterministic relation)."""
-    out: list[tuple[Pos, HTerm]] = []
+    out: list[tuple[Pos, Term]] = []
 
-    def go(u: HTerm, pos: Pos) -> None:
+    def go(u: Term, pos: Pos) -> None:
         r = contract_redex(u)
         if r is not None:
-            out.append((pos, _replace_at(t, pos, r)))
-        if isinstance(u, HApp):
+            out.append((pos, _replace_at_deep(t, pos, r)))
+        if isinstance(u, App):
             go(u.fn, pos + (0,))
             go(u.arg, pos + (1,))
 
@@ -259,7 +166,7 @@ def enumerate_weak_redexes(t: HTerm) -> list[tuple[Pos, HTerm]]:
     return out
 
 
-def weak_reduce(t: HTerm, fuel: int = 10_000) -> tuple[HTerm, int]:
+def weak_reduce(t: Term, fuel: int = 10_000) -> tuple[Term, int]:
     """Iterate leftmost-outermost weak steps to weak-normal form or fuel."""
     steps = 0
     while steps < fuel:
@@ -271,26 +178,22 @@ def weak_reduce(t: HTerm, fuel: int = 10_000) -> tuple[HTerm, int]:
     raise Ha2Error(f"weak_reduce: fuel exhausted after {fuel} steps")
 
 
-def is_weak_normal(t: HTerm) -> bool:
-    return _lo_weak(t, ()) is None
-
-
 # ---------------------------------------------------------------------------
 # inner reduction (weak steps under at least one lambda)
 
 
-def enumerate_inner_successors(t: HTerm) -> list[HTerm]:
-    out: list[HTerm] = []
+def enumerate_inner_successors(t: Term) -> list[Term]:
+    out: list[Term] = []
 
-    def go(u: HTerm, pos: Pos, under: bool) -> None:
+    def go(u: Term, pos: Pos, under: bool) -> None:
         if under:
             r = contract_redex(u)
             if r is not None:
                 out.append(_replace_at_deep(t, pos, r))
         match u:
-            case HLam(_, body):
+            case Lam(_, body):
                 go(body, pos + (2,), True)
-            case HApp(fn, arg):
+            case App(fn, arg):
                 go(fn, pos + (0,), under)
                 go(arg, pos + (1,), under)
             case _:
@@ -300,28 +203,14 @@ def enumerate_inner_successors(t: HTerm) -> list[HTerm]:
     return out
 
 
-def _replace_at_deep(t: HTerm, pos: Pos, new: HTerm) -> HTerm:
-    """Like _replace_at but the path may cross abstractions (index 2)."""
-    if not pos:
-        return new
-    head, rest = pos[0], pos[1:]
-    if head == 2:
-        assert isinstance(t, HLam)
-        return HLam(t.binder, _replace_at_deep(t.body, rest, new))
-    assert isinstance(t, HApp)
-    if head == 0:
-        return HApp(_replace_at_deep(t.fn, rest, new), t.arg)
-    return HApp(t.fn, _replace_at_deep(t.arg, rest, new))
-
-
-def full_step(t: HTerm) -> HTerm | None:
+def full_step(t: Term) -> Term | None:
     """One full (weak-or-inner) reduction step, projection-friendly order.
 
     Projection redexes whose argument is already a pair are contracted
     first (they are needed and never duplicate work); otherwise the
     leftmost-outermost redex, descending into abstraction bodies.
     """
-    proj = _find_proj(t, ())
+    proj = _find_proj(t, (), deep=True)
     if proj is not None:
         pos, r = proj
         return _replace_at_deep(t, pos, r)
@@ -332,31 +221,33 @@ def full_step(t: HTerm) -> HTerm | None:
     return _replace_at_deep(t, pos, r)
 
 
-def _find_proj(t: HTerm, pos: Pos) -> tuple[Pos, HTerm] | None:
+def _find_proj(t: Term, pos: Pos, deep: bool) -> tuple[Pos, Term] | None:
+    """The leftmost-outermost projection redex whose argument is already a
+    pair, with its reduct; below abstractions only when deep."""
     match t:
-        case HApp(HConst("fst" | "snd"), p) if split_pair(p) is not None:
+        case App(HConst("fst" | "snd"), p) if split_pair(p) is not None:
             return pos, contract_redex(t)
-        case HApp(fn, arg):
-            left = _find_proj(fn, pos + (0,))
+        case App(fn, arg):
+            left = _find_proj(fn, pos + (0,), deep)
             if left is not None:
                 return left
-            return _find_proj(arg, pos + (1,))
-        case HLam(_, body):
-            return _find_proj(body, pos + (2,))
+            return _find_proj(arg, pos + (1,), deep)
+        case Lam(_, body) if deep:
+            return _find_proj(body, pos + (2,), deep)
     return None
 
 
-def _lo_full(t: HTerm, pos: Pos) -> tuple[Pos, HTerm] | None:
+def _lo_full(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
     r = contract_redex(t)
     if r is not None:
         return pos, r
     match t:
-        case HApp(fn, arg):
+        case App(fn, arg):
             left = _lo_full(fn, pos + (0,))
             if left is not None:
                 return left
             return _lo_full(arg, pos + (1,))
-        case HLam(_, body):
+        case Lam(_, body):
             inner = _lo_full(body, pos + (2,))
             if inner is not None:
                 return inner
@@ -373,7 +264,7 @@ class EqResult(Enum):
     UNKNOWN = "unknown"
 
 
-def inner_equal(t: HTerm, u: HTerm, fuel: int = 10_000) -> EqResult:
+def inner_equal(t: Term, u: Term, fuel: int = 10_000) -> EqResult:
     """Bounded check of the inner-equivalence relation.
 
     Inner reduction never changes the top constructor of a term, so the
@@ -386,13 +277,13 @@ def inner_equal(t: HTerm, u: HTerm, fuel: int = 10_000) -> EqResult:
     return _ieq(t, u, budget)
 
 
-def _ieq(t: HTerm, u: HTerm, budget: list[int]) -> EqResult:
-    if hterm_key(t) == hterm_key(u):
+def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
+    if alpha_key(t) == alpha_key(u):
         return EqResult.EQUAL
     if budget[0] <= 0:
         return EqResult.UNKNOWN
     match t, u:
-        case (HApp(f1, a1), HApp(f2, a2)):
+        case (App(f1, a1), App(f2, a2)):
             left = _ieq(f1, f2, budget)
             if left is EqResult.NOT_EQUAL:
                 return left
@@ -402,10 +293,10 @@ def _ieq(t: HTerm, u: HTerm, budget: list[int]) -> EqResult:
             if left is EqResult.EQUAL and right is EqResult.EQUAL:
                 return EqResult.EQUAL
             return EqResult.UNKNOWN
-        case (HLam(x1, b1), HLam(x2, b2)):
-            z = fresh_name("v", hterm_free_vars(b1) | hterm_free_vars(b2) | {x1, x2})
-            b1 = hsubstitute(b1, x1, HVar(z))
-            b2 = hsubstitute(b2, x2, HVar(z))
+        case (Lam(x1, b1), Lam(x2, b2)):
+            z = fresh_name("v", free_vars(b1) | free_vars(b2) | {x1, x2})
+            b1 = substitute(b1, x1, Var(z))
+            b2 = substitute(b2, x2, Var(z))
             return _join_full(b1, b2, budget)
         case _:
             # inner reduction never changes the top constructor, so terms
@@ -414,19 +305,19 @@ def _ieq(t: HTerm, u: HTerm, budget: list[int]) -> EqResult:
             return EqResult.NOT_EQUAL
 
 
-def _join_full(a: HTerm, b: HTerm, budget: list[int]) -> EqResult:
+def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
     """Joinability under full reduction via two normalizing chains."""
-    seen_a = {hterm_key(a)}
-    seen_b = {hterm_key(b)}
+    seen_a = {alpha_key(a)}
+    seen_b = {alpha_key(b)}
     cur_a, cur_b = a, b
     done_a = done_b = False
     while budget[0] > 0:
-        if hterm_key(cur_a) in seen_b or hterm_key(cur_b) in seen_a:
+        if alpha_key(cur_a) in seen_b or alpha_key(cur_b) in seen_a:
             return EqResult.EQUAL
         if done_a and done_b:
             return (
                 EqResult.EQUAL
-                if hterm_key(cur_a) == hterm_key(cur_b)
+                if alpha_key(cur_a) == alpha_key(cur_b)
                 else EqResult.NOT_EQUAL
             )
         if not done_a:
@@ -436,7 +327,7 @@ def _join_full(a: HTerm, b: HTerm, budget: list[int]) -> EqResult:
                 done_a = True
             else:
                 cur_a = nxt
-                seen_a.add(hterm_key(cur_a))
+                seen_a.add(alpha_key(cur_a))
         if not done_b:
             budget[0] -= 1
             nxt = full_step(cur_b)
@@ -444,7 +335,7 @@ def _join_full(a: HTerm, b: HTerm, budget: list[int]) -> EqResult:
                 done_b = True
             else:
                 cur_b = nxt
-                seen_b.add(hterm_key(cur_b))
+                seen_b.add(alpha_key(cur_b))
     return EqResult.UNKNOWN
 
 
@@ -454,13 +345,13 @@ def _join_full(a: HTerm, b: HTerm, budget: list[int]) -> EqResult:
 
 @dataclass(frozen=True)
 class _HeadState:
-    focus: HTerm
+    focus: Term
     frames: tuple
     steps: int
     blocked: bool
 
 
-def _head_run(t: HTerm, fuel: int) -> _HeadState:
+def _head_run(t: Term, fuel: int) -> _HeadState:
     """Iterate head weak steps (the leftmost-outermost redex while one
     exists in head position), descending into strict argument positions of
     fst/snd/rec on demand.  Stops when head-blocked or out of fuel."""
@@ -469,14 +360,14 @@ def _head_run(t: HTerm, fuel: int) -> _HeadState:
     steps = 0
     while steps < fuel:
         match focus:
-            case HApp(fn, arg):
+            case App(fn, arg):
                 frames.append(("arg", arg))
                 focus = fn
                 continue
-            case HLam(x, body):
+            case Lam(x, body):
                 if frames and frames[-1][0] == "arg":
                     _, u = frames.pop()
-                    focus = hsubstitute(body, x, u)
+                    focus = substitute(body, x, u)
                     steps += 1
                     continue
                 break
@@ -520,7 +411,7 @@ def _head_run(t: HTerm, fuel: int) -> _HeadState:
             ):
                 _, w = frames.pop()
                 _, u0, u1 = frames.pop()
-                focus = happ(u1, w, happ(REC, u0, u1, w))
+                focus = app(u1, w, app(REC, u0, u1, w))
                 steps += 1
                 continue
             case _:
@@ -529,20 +420,20 @@ def _head_run(t: HTerm, fuel: int) -> _HeadState:
     return _HeadState(focus, tuple(frames), steps, steps < fuel)
 
 
-def _rebuild(state: _HeadState) -> HTerm:
+def _rebuild(state: _HeadState) -> Term:
     t = state.focus
     for frame in reversed(state.frames):
         if frame[0] == "arg":
-            t = HApp(t, frame[1])
+            t = App(t, frame[1])
         elif frame[0] in ("fst", "snd"):
-            t = HApp(HConst(frame[0]), t)
+            t = App(HConst(frame[0]), t)
         else:
             _, u0, u1 = frame
-            t = happ(REC, u0, u1, t)
+            t = app(REC, u0, u1, t)
     return t
 
 
-def weak_head_reduce(t: HTerm, fuel: int = 1_000_000) -> tuple[HTerm, int]:
+def weak_head_reduce(t: Term, fuel: int = 1_000_000) -> tuple[Term, int]:
     """Reduce to head-blocked form (head steps are leftmost-outermost)."""
     state = _head_run(t, fuel)
     if not state.blocked:
@@ -550,7 +441,7 @@ def weak_head_reduce(t: HTerm, fuel: int = 1_000_000) -> tuple[HTerm, int]:
     return _rebuild(state), state.steps
 
 
-def read_witness(t: HTerm, fuel: int = 2_000_000) -> tuple[int, HTerm] | None:
+def read_witness(t: Term, fuel: int = 2_000_000) -> tuple[int, Term] | None:
     """Weak-reduce a closed term toward a pair <s^n z0; u>; (n, u) on
     success, None when the head-normal form is not a pair.  Reduction
     stops as soon as the pair shape appears, so junk in the payload is
@@ -590,56 +481,18 @@ def read_witness(t: HTerm, fuel: int = 2_000_000) -> tuple[int, HTerm] | None:
 
 
 # ---------------------------------------------------------------------------
-# surface syntax
+# surface syntax: the lambda-c term grammar without numerals and
+# continuations, plus the constants and the pair sugar <t; u>
 
 
-def parse_hterm(text: str) -> HTerm:
-    ts = _TokenStream(_lex(text))
-    t = _HParser(ts).term(frozenset())
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return t
-
-
-class _HParser:
-    def __init__(self, ts: _TokenStream):
-        self.ts = ts
-
-    def term(self, bound: frozenset[str]) -> HTerm:
-        if self.ts.peek().text == "\\":
-            self.ts.next()
-            binders = []
-            while self.ts.peek().kind == "ident":
-                binders.append(self.ts.next().text)
-            if not binders:
-                raise self.ts.error("expected binders after '\\'")
-            self.ts.expect(".")
-            body = self.term(bound | frozenset(binders))
-            for b in reversed(binders):
-                body = HLam(b, body)
-            return body
-        t = self.atom(bound)
-        if t is None:
-            raise self.ts.error("expected a term")
-        while True:
-            u = self.atom(bound, optional=True)
-            if u is None:
-                return t
-            t = HApp(t, u)
-
-    def atom(self, bound: frozenset[str], optional: bool = False) -> HTerm | None:
+class _HTermParser(_TermParser):
+    def atom(self, bound: frozenset[str], optional: bool = False) -> Term | None:
         tok = self.ts.peek()
         if tok.kind == "ident":
             self.ts.next()
-            if tok.text in CONSTANTS and tok.text not in bound:
+            if tok.text in HA2_CONSTANTS and tok.text not in bound:
                 return HConst(tok.text)
-            return HVar(tok.text)
-        if tok.text == "(":
-            self.ts.next()
-            t = self.term(bound)
-            self.ts.expect(")")
-            return t
+            return Var(tok.text)
         if tok.text == "<":
             self.ts.next()
             a = self.term(bound)
@@ -647,42 +500,13 @@ class _HParser:
             b = self.term(bound)
             self.ts.expect(">")
             return hpair(a, b)
-        if tok.text == "\\":
-            return self.term(bound)
-        if optional:
-            return None
-        raise self.ts.error("expected a term")
+        if tok.kind == "numlit":
+            if optional:
+                return None
+            raise self.ts.error("expected a term")
+        return super().atom(bound, optional)
 
 
-def print_hterm(t: HTerm) -> str:
-    return _ph(t, top=True)
-
-
-def _ph(t: HTerm, top: bool) -> str:
-    ab = split_pair(t)
-    if ab is not None:
-        return f"<{_ph(ab[0], True)}; {_ph(ab[1], True)}>"
-    match t:
-        case HVar(name):
-            return name
-        case HConst(kind):
-            return kind
-        case HLam(_, _):
-            binders = []
-            body = t
-            while isinstance(body, HLam):
-                binders.append(body.binder)
-                body = body.body
-            s = "\\" + " ".join(binders) + ". " + _ph(body, True)
-            return s if top else "(" + s + ")"
-        case HApp(_, _):
-            parts = []
-            fn = t
-            while isinstance(fn, HApp) and split_pair(fn) is None:
-                parts.append(fn.arg)
-                fn = fn.fn
-            parts.append(fn)
-            parts.reverse()
-            s = " ".join(_ph(p, False) for p in parts)
-            return s if top else "(" + s + ")"
-    raise TypeError(f"not an HA2 term: {t!r}")
+def parse_hterm(text: str) -> Term:
+    p = _HTermParser(_TokenStream(_lex(text)), frozenset(), strict=False)
+    return _finish(p, p.term(frozenset()))

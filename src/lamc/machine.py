@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Union
 from .arith import ArithExpr, PrimRecSignature, default_signature, eval_expr, expr_free_vars
 from .syntax import (
     App,
-    BOTTOM,
     Inst,
     Kont,
     Lam,
@@ -490,7 +489,3 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
         trace=tuple(trace),
     )
 
-
-def run_term(t: Term, stack: Stack = BOTTOM, cfg: MachineConfig | None = None) -> RunOutcome:
-    """Convenience wrapper: run t * stack under cfg (default configuration)."""
-    return run(Process(t, stack), cfg if cfg is not None else MachineConfig())

@@ -35,23 +35,11 @@ from .formulas import (
     formula_all_names,
     formula_free_vars,
 )
-from .ha2 import (
-    FST,
-    HApp,
-    HConst,
-    HLam,
-    HTerm,
-    HVar,
-    REC,
-    SND,
-    Z0,
-    happ,
-    hnumeral,
-    hpair,
-)
+from .ha2 import FST, REC, SND, Z0, hnumeral, hpair
 from .syntax import (
     App,
     Bottom,
+    HConst,
     Inst,
     Kont,
     Lam,
@@ -62,6 +50,7 @@ from .syntax import (
     Stack,
     Term,
     Var,
+    app,
     free_vars,
     fresh_name,
 )
@@ -166,34 +155,34 @@ class _Fresh:
                 return name
 
 
-def _letp(x: str, y: str, u: HTerm, body: HTerm) -> HTerm:
+def _letp(x: str, y: str, u: Term, body: Term) -> Term:
     """The destructing let: (\\x y. body) (fst u) (snd u)."""
-    return happ(HLam(x, HLam(y, body)), HApp(FST, u), HApp(SND, u))
+    return app(Lam(x, Lam(y, body)), App(FST, u), App(SND, u))
 
 
-def cps_term(t: Term) -> HTerm:
+def cps_term(t: Term) -> Term:
     """CPS-translate a lambda-c term over the closed instruction set."""
     fresh = _Fresh(free_vars(t))
     return _cps(t, fresh)
 
 
-def _cps(t: Term, fresh: _Fresh) -> HTerm:
+def _cps(t: Term, fresh: _Fresh) -> Term:
     match t:
-        case Var(name):
-            return HVar(name)
+        case Var(_):
+            return t
         case App(fn, arg):
             k = fresh()
-            return HLam(k, HApp(_cps(fn, fresh), hpair(_cps(arg, fresh), HVar(k))))
+            return Lam(k, App(_cps(fn, fresh), hpair(_cps(arg, fresh), Var(k))))
         case Lam(x, body):
             k, k2 = fresh(), fresh()
-            return HLam(k, _letp(x, k2, HVar(k), HApp(_cps(body, fresh), HVar(k2))))
+            return Lam(k, _letp(x, k2, Var(k), App(_cps(body, fresh), Var(k2))))
         case Numeral(n):
             return hnumeral(n)
         case Kont(saved):
             k, w = fresh(), fresh()
-            return HLam(k, _letp("x", w, HVar(k), HApp(HVar("x"), _cps_stack(saved, fresh))))
+            return Lam(k, _letp("x", w, Var(k), App(Var("x"), _cps_stack(saved, fresh))))
         case Inst("stop"):
-            return HLam("z", HVar("z"))
+            return Lam("z", Var("z"))
         case Inst("cc"):
             return _cps_cc(fresh)
         case Inst("s"):
@@ -209,46 +198,46 @@ def _cps(t: Term, fresh: _Fresh) -> HTerm:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _cps_cc(fresh: _Fresh) -> HTerm:
+def _cps_cc(fresh: _Fresh) -> Term:
     k, k1, k2, w = fresh(), fresh(), fresh(), fresh()
-    resume = HLam(k2, _letp("y", w, HVar(k2), HApp(HVar("y"), HVar(k1))))
-    return HLam(k, _letp("x", k1, HVar(k), HApp(HVar("x"), hpair(resume, HVar(k1)))))
+    resume = Lam(k2, _letp("y", w, Var(k2), App(Var("y"), Var(k1))))
+    return Lam(k, _letp("x", k1, Var(k), App(Var("x"), hpair(resume, Var(k1)))))
 
 
-def _cps_succ(fresh: _Fresh) -> HTerm:
+def _cps_succ(fresh: _Fresh) -> Term:
     k, k1, k2 = fresh(), fresh(), fresh()
-    inner = _letp("y", k2, HVar(k1), HApp(HVar("y"), hpair(HApp(HConst("sc"), HVar("x")), HVar(k2))))
-    return HLam(k, _letp("x", k1, HVar(k), inner))
+    inner = _letp("y", k2, Var(k1), App(Var("y"), hpair(App(HConst("sc"), Var("x")), Var(k2))))
+    return Lam(k, _letp("x", k1, Var(k), inner))
 
 
-def _cps_rec(fresh: _Fresh) -> HTerm:
+def _cps_rec(fresh: _Fresh) -> Term:
     k, k1, k2, k3, k0, kk = fresh(), fresh(), fresh(), fresh(), fresh(), fresh()
-    step = HLam(
+    step = Lam(
         "xp",
-        HLam(
+        Lam(
             "y",
-            HLam(
+            Lam(
                 k0,
-                HApp(
-                    HVar("r1"),
-                    hpair(HVar("xp"), hpair(HLam(kk, HApp(HVar("y"), HVar(kk))), HVar(k0))),
+                App(
+                    Var("r1"),
+                    hpair(Var("xp"), hpair(Lam(kk, App(Var("y"), Var(kk))), Var(k0))),
                 ),
             ),
         ),
     )
-    body = happ(REC, HVar("r0"), step, HVar("x"), HVar(k3))
-    inner2 = _letp("x", k3, HVar(k2), body)
-    inner1 = _letp("r1", k2, HVar(k1), inner2)
-    return HLam(k, _letp("r0", k1, HVar(k), inner1))
+    body = app(REC, Var("r0"), step, Var("x"), Var(k3))
+    inner2 = _letp("x", k3, Var(k2), body)
+    inner1 = _letp("r1", k2, Var(k1), inner2)
+    return Lam(k, _letp("r0", k1, Var(k), inner1))
 
 
-def cps_stack(pi: Stack) -> HTerm:
+def cps_stack(pi: Stack) -> Term:
     """Stacks translate as finite lists: bottom to z0, consing to pairing."""
     fresh = _Fresh(frozenset())
     return _cps_stack(pi, fresh)
 
 
-def _cps_stack(pi: Stack, fresh: _Fresh) -> HTerm:
+def _cps_stack(pi: Stack, fresh: _Fresh) -> Term:
     match pi:
         case Bottom():
             return Z0
@@ -257,9 +246,9 @@ def _cps_stack(pi: Stack, fresh: _Fresh) -> HTerm:
     raise TypeError(f"not a stack: {pi!r}")
 
 
-def cps_process(p: Process) -> HTerm:
+def cps_process(p: Process) -> Term:
     """(t * pi) translates to the application t-star pi-star."""
-    return HApp(cps_term(p.head), cps_stack(p.stack))
+    return App(cps_term(p.head), cps_stack(p.stack))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import Equation, Pattern, _parse_expr, default_signature
+from .arith import EApp, Equation, Pattern, _parse_expr, default_signature, eval_expr, expr_of_nat
 from .extract import (
     extract_decidable,
     extract_kamikaze,
@@ -51,9 +51,11 @@ from .negtrans import ReturnFormula, cps_process, cps_term, formula_bot, formula
 from .simulate import simulate_run
 from .stdlib import catalog as stdlib_catalog
 from .syntax import (
+    BOTTOM,
     LamcError,
     ParseError,
     Process,
+    Stack,
     Term,
     _lex,
     _TermParser,
@@ -77,6 +79,8 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_UNVERIFIED = 2
 EXIT_FUEL = 3
+
+EXTRACTION_MODES = ("naive", "sigma01", "decidable", "kamikaze")
 
 # display alias for the statistics table: the machine counts the Call/cc
 # rule under the instruction name cc, the table prints it as callcc
@@ -405,7 +409,7 @@ class ScriptParser:
     def _stmt_extract(self) -> ExtractStmt:
         self.ts.expect("Extract")
         mode_tok = self.ts.next()
-        if mode_tok.text not in ("naive", "sigma01", "decidable", "kamikaze"):
+        if mode_tok.text not in EXTRACTION_MODES:
             raise ParseError(f"unknown extraction mode {mode_tok.text!r}", mode_tok.line, mode_tok.col)
         trace = False
         if self.ts.peek().text == "trace":
@@ -483,12 +487,16 @@ def _calls_table(outcome: RunOutcome) -> list[tuple[str, int]]:
     return rows
 
 
+def _halt_line(outcome: RunOutcome) -> str:
+    halt = outcome.halt
+    return f"halt: {halt.kind}" + (f" {halt.value}" if halt.value is not None else "")
+
+
 def _format_outcome(outcome: RunOutcome, lines: list[str]) -> None:
     for n in outcome.printed:
         lines.append(f"print: {n}")
     lines.append(f"final: {print_process(outcome.final)}")
-    halt = outcome.halt
-    lines.append(f"halt: {halt.kind}" + (f" {halt.value}" if halt.value is not None else ""))
+    lines.append(_halt_line(outcome))
     lines.append(f"steps: {outcome.steps}")
     lines.append("instruction calls:")
     for label, count in _calls_table(outcome):
@@ -497,6 +505,72 @@ def _format_outcome(outcome: RunOutcome, lines: list[str]) -> None:
 
 def _halt_doc(outcome: RunOutcome) -> dict:
     return {"kind": outcome.halt.kind, "value": outcome.halt.value}
+
+
+# A statement's output: its text lines, its document and its exit code.
+StatementOutput = tuple[list[str], dict, int]
+
+
+def extract_statement(
+    mode: str,
+    realizer: Term,
+    symbol: str,
+    cfg: MachineConfig,
+    stack: Stack = BOTTOM,
+    trace: bool = False,
+) -> StatementOutput:
+    """Run one extraction mode for 'exists x with symbol(x) = 0'; the
+    naive, decidable and kamikaze verdicts come from evaluating the symbol."""
+    arity = cfg.sig.arity(symbol)
+    if arity != 1:
+        raise ScriptError(
+            f"extraction needs a unary predicate symbol; {symbol!r} has arity {arity}"
+        )
+
+    def oracle(n: int) -> bool:
+        return eval_expr(EApp(symbol, (expr_of_nat(n),)), {}, cfg.sig) == 0
+
+    if mode == "sigma01":
+        report = extract_sigma01(realizer, symbol, cfg, stack, trace)
+    elif mode == "naive":
+        report = extract_naive(realizer, cfg, stack, oracle)
+    elif mode == "decidable":
+        d = make_decider_sigma01(symbol, cfg)
+        report = extract_decidable(realizer, d, sigma01_refuter(), oracle, cfg, stack)
+    else:
+        report = extract_kamikaze(realizer, sigma01_refuter(), cfg, stack, oracle)
+    verified = {True: "true", False: "false", None: "unknown"}[report.verified]
+    witness = "none" if report.witness is None else str(report.witness)
+    lines = [f"extract {report.mode}: witness {witness} verified {verified}"]
+    if report.guesses:
+        lines.append("guesses: " + " ".join(str(n) for n in report.guesses))
+    lines.append(_halt_line(report.outcome))
+    lines.append(f"steps: {report.outcome.steps}")
+    if report.verified is not True:
+        code = EXIT_UNVERIFIED
+    elif report.outcome.halt.kind == "fuel":
+        code = EXIT_FUEL
+    else:
+        code = EXIT_OK
+    return lines, {"kind": "extract", **report.to_dict()}, code
+
+
+def simulate_statement(process: Process, fuel: int) -> StatementOutput:
+    """Check the simulation along a closed-world run of at most fuel steps."""
+    report = simulate_run(process, fuel=fuel)
+    line = (
+        f"simulate: machine-steps {report.machine_steps} verified {report.verified} "
+        f"failed {report.failed} inconclusive {report.inconclusive} halt {report.halt_kind}"
+    )
+    doc = {
+        "kind": "simulate",
+        "machine_steps": report.machine_steps,
+        "verified": report.verified,
+        "failed": report.failed,
+        "inconclusive": report.inconclusive,
+        "halt": report.halt_kind,
+    }
+    return [line], doc, EXIT_UNVERIFIED if report.failed else EXIT_OK
 
 
 class ScriptRunner:
@@ -510,8 +584,7 @@ class ScriptRunner:
         self.catalog = stdlib_catalog()
         self.lines: list[str] = []
         self.doc: list[dict] = []
-        self.unverified = False
-        self.fuel_exhausted = False
+        self.codes: set[int] = set()
 
     # -- statement execution
 
@@ -519,12 +592,15 @@ class ScriptRunner:
         for stmt in script.statements:
             handler = "_run_" + type(stmt).__name__.removesuffix("Stmt").lower()
             getattr(self, handler)(stmt)
-        code = EXIT_OK
-        if self.unverified:
-            code = EXIT_UNVERIFIED
-        elif self.fuel_exhausted:
-            code = EXIT_FUEL
+        # an unverified result (2) takes precedence over fuel exhaustion (3)
+        code = next((c for c in (EXIT_UNVERIFIED, EXIT_FUEL) if c in self.codes), EXIT_OK)
         return ScriptResult(code, "\n".join(self.lines) + ("\n" if self.lines else ""), {"statements": self.doc})
+
+    def _emit(self, output: StatementOutput) -> None:
+        lines, doc, code = output
+        self.lines.extend(lines)
+        self.doc.append(doc)
+        self.codes.add(code)
 
     def _run_prim(self, stmt: PrimStmt) -> None:
         sig = self.cfg.sig.define(stmt.name, stmt.arity, list(stmt.equations))
@@ -552,99 +628,49 @@ class ScriptRunner:
     def _run_eval(self, stmt: EvalStmt) -> None:
         self._check_no_kont(stmt.process, "Eval")
         outcome = run(stmt.process, self.cfg)
-        self.lines.append(f"eval: {print_process(stmt.process)}")
+        lines = [f"eval: {print_process(stmt.process)}"]
         if self.cfg.trace:
-            self.lines.extend(outcome.trace)
-        _format_outcome(outcome, self.lines)
-        if outcome.halt.kind == "fuel":
-            self.fuel_exhausted = True
-        self.doc.append(
-            {
-                "kind": "eval",
-                "process": print_process(stmt.process),
-                "final": print_process(outcome.final),
-                "halt": _halt_doc(outcome),
-                "steps": outcome.steps,
-                "printed": list(outcome.printed),
-                "calls": dict(_calls_table(outcome)),
-            }
-        )
+            lines.extend(outcome.trace)
+        _format_outcome(outcome, lines)
+        doc = {
+            "kind": "eval",
+            "process": print_process(stmt.process),
+            "final": print_process(outcome.final),
+            "halt": _halt_doc(outcome),
+            "steps": outcome.steps,
+            "printed": list(outcome.printed),
+            "calls": dict(_calls_table(outcome)),
+        }
+        self._emit((lines, doc, EXIT_FUEL if outcome.halt.kind == "fuel" else EXIT_OK))
 
     def _run_extract(self, stmt: ExtractStmt) -> None:
         self._check_no_kont(stmt.realizer, "Extract")
-        from .arith import EApp, eval_expr, expr_of_nat
-
-        def oracle(n: int) -> bool:
-            return eval_expr(EApp(stmt.symbol, (expr_of_nat(n),)), {}, self.cfg.sig) == 0
-
-        if stmt.mode == "sigma01":
-            report = extract_sigma01(
-                stmt.realizer, stmt.symbol, self.cfg, trace_guesses=stmt.trace
-            )
-        elif stmt.mode == "naive":
-            report = extract_naive(stmt.realizer, self.cfg, oracle=oracle)
-        elif stmt.mode == "decidable":
-            d = make_decider_sigma01(stmt.symbol, self.cfg)
-            report = extract_decidable(stmt.realizer, d, sigma01_refuter(), oracle, self.cfg)
-        else:
-            report = extract_kamikaze(stmt.realizer, sigma01_refuter(), self.cfg, oracle=oracle)
-        verified = {True: "true", False: "false", None: "unknown"}[report.verified]
-        witness = "none" if report.witness is None else str(report.witness)
-        self.lines.append(f"extract {report.mode}: witness {witness} verified {verified}")
-        if report.guesses:
-            self.lines.append("guesses: " + " ".join(str(n) for n in report.guesses))
-        halt = report.outcome.halt
-        self.lines.append(
-            f"halt: {halt.kind}" + (f" {halt.value}" if halt.value is not None else "")
+        self._emit(
+            extract_statement(stmt.mode, stmt.realizer, stmt.symbol, self.cfg, trace=stmt.trace)
         )
-        self.lines.append(f"steps: {report.outcome.steps}")
-        if report.outcome.halt.kind == "fuel":
-            self.fuel_exhausted = True
-        if report.verified is not True:
-            self.unverified = True
-        self.doc.append({"kind": "extract", **report.to_dict()})
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
-        if stmt.kind == "term":
-            out = print_hterm(cps_term(stmt.term))
-            self.lines.append(f"translate term: {out}")
-            self.doc.append({"kind": "translate", "subject": "term", "output": out})
-        elif stmt.kind == "process":
-            self._check_no_kont(stmt.process, "Translate")
-            out = print_hterm(cps_process(stmt.process))
-            self.lines.append(f"translate process: {out}")
-            self.doc.append({"kind": "translate", "subject": "process", "output": out})
-        else:
+        if stmt.kind == "formula":
             from .formulas import HPredVar, print_hformula
 
             R = ReturnFormula(HPredVar("R"))
             bot = print_hformula(formula_bot(stmt.formula, R))
             nn = print_hformula(formula_nn(stmt.formula, R))
-            self.lines.append(f"translate formula bot: {bot}")
-            self.lines.append(f"translate formula nn: {nn}")
-            self.doc.append(
-                {"kind": "translate", "subject": "formula", "bot": bot, "nn": nn}
-            )
+            lines = [f"translate formula bot: {bot}", f"translate formula nn: {nn}"]
+            doc = {"kind": "translate", "subject": "formula", "bot": bot, "nn": nn}
+        else:
+            if stmt.kind == "process":
+                self._check_no_kont(stmt.process, "Translate")
+                out = print_hterm(cps_process(stmt.process))
+            else:
+                out = print_hterm(cps_term(stmt.term))
+            lines = [f"translate {stmt.kind}: {out}"]
+            doc = {"kind": "translate", "subject": stmt.kind, "output": out}
+        self._emit((lines, doc, EXIT_OK))
 
     def _run_simulate(self, stmt: SimulateStmt) -> None:
         self._check_no_kont(stmt.process, "Simulate")
-        report = simulate_run(stmt.process, fuel=stmt.fuel)
-        self.lines.append(
-            f"simulate: machine-steps {report.machine_steps} verified {report.verified} "
-            f"failed {report.failed} inconclusive {report.inconclusive} halt {report.halt_kind}"
-        )
-        if report.failed:
-            self.unverified = True
-        self.doc.append(
-            {
-                "kind": "simulate",
-                "machine_steps": report.machine_steps,
-                "verified": report.verified,
-                "failed": report.failed,
-                "inconclusive": report.inconclusive,
-                "halt": report.halt_kind,
-            }
-        )
+        self._emit(simulate_statement(stmt.process, stmt.fuel))
 
 
 def run_script_text(text: str, fuel: int | None = None, trace: bool = False) -> ScriptResult:

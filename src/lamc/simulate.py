@@ -15,19 +15,16 @@ from dataclasses import dataclass
 
 from .ha2 import (
     EqResult,
-    HApp,
-    HTerm,
-    contract_redex,
+    _find_proj,
+    _replace_at_deep,
     enumerate_weak_redexes,
     hterm_key,
     inner_equal,
-    split_pair,
     weak_step,
-    _replace_at,
 )
 from .machine import Halt, MachineConfig, Next, step
 from .negtrans import cps_process, cps_stack, cps_term
-from .syntax import LamcError, Process
+from .syntax import App, LamcError, Process, Term
 
 
 class SimulationError(LamcError):
@@ -80,35 +77,13 @@ def closed_config(fuel: int | None = None) -> MachineConfig:
     return MachineConfig() if fuel is None else MachineConfig(fuel=fuel)
 
 
-def _proj_first_step(t: HTerm) -> HTerm | None:
+def _proj_first_step(t: Term) -> Term | None:
     """One weak step, contracting pair projections before anything else."""
-    pos = _find_weak_proj(t, ())
-    if pos is not None:
-        sub = _at(t, pos)
-        return _replace_at(t, pos, contract_redex(sub))
+    proj = _find_proj(t, (), deep=False)
+    if proj is not None:
+        return _replace_at_deep(t, *proj)
     nxt = weak_step(t)
     return nxt[0] if nxt is not None else None
-
-
-def _find_weak_proj(t: HTerm, pos):
-    match t:
-        case HApp(fn, arg):
-            if (
-                getattr(fn, "kind", None) in ("fst", "snd")
-                and split_pair(arg) is not None
-            ):
-                return pos
-            left = _find_weak_proj(fn, pos + (0,))
-            if left is not None:
-                return left
-            return _find_weak_proj(arg, pos + (1,))
-    return None
-
-
-def _at(t: HTerm, pos) -> HTerm:
-    for i in pos:
-        t = t.fn if i == 0 else t.arg
-    return t
 
 
 def simulate_one_step(
@@ -131,9 +106,9 @@ def simulate_one_step(
     target_stack = cps_stack(p2.stack)
     target_stack_key = hterm_key(target_stack)
 
-    def classify(t: HTerm):
+    def classify(t: Term):
         """The residual u when t is (t2-star u), else None."""
-        if isinstance(t, HApp) and hterm_key(t.fn) == target_fn_key:
+        if isinstance(t, App) and hterm_key(t.fn) == target_fn_key:
             return t.arg
         return None
 
@@ -158,7 +133,7 @@ def simulate_one_step(
 
     # breadth-first fallback over all weak reducts
     seen = {hterm_key(start)}
-    frontier: deque[tuple[HTerm, int]] = deque([(start, 0)])
+    frontier: deque[tuple[Term, int]] = deque([(start, 0)])
     expanded = 0
     saw_unknown = False
     while frontier and expanded < bfs_cap:

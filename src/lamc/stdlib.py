@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import EApp, EVar, PrimRecSignature, default_signature, eval_expr, nat_of_expr
+from .arith import EApp, EVar, PrimRecSignature, default_signature, nat_of_expr
 from .machine import (
     BindNumeral,
     BindTerm,
@@ -21,22 +21,7 @@ from .machine import (
     RuleError,
     run,
 )
-from .syntax import App, Inst, Lam, Numeral, Process, Term, Var, stack_of
-
-
-def _app(*terms: Term) -> Term:
-    t = terms[0]
-    for u in terms[1:]:
-        t = App(t, u)
-    return t
-
-
-def _lam(binders: str, body: Term) -> Term:
-    t = body
-    for b in reversed(binders.split()):
-        t = Lam(b, t)
-    return t
-
+from .syntax import App, Inst, Lam, Numeral, Process, Term, Var, app, lam, stack_of
 
 IDENTITY = Lam("x", Var("x"))
 
@@ -50,7 +35,7 @@ def church(n: int) -> Term:
     body: Term = Var("x")
     for _ in range(n):
         body = App(Var("f"), body)
-    return _lam("x f", body)
+    return lam("x f", body)
 
 
 def lazy_numeral(n: int) -> Term:
@@ -60,25 +45,25 @@ def lazy_numeral(n: int) -> Term:
 
 def church_to_lazy() -> Term:
     """Sends a Church numeral to the corresponding lazy numeral."""
-    return Lam("z", _app(Var("z"), lazy_numeral(0), Lam("y", App(Var("y"), Inst("s")))))
+    return Lam("z", app(Var("z"), lazy_numeral(0), Lam("y", App(Var("y"), Inst("s")))))
 
 
 def lazy_to_church() -> Term:
     """Sends a lazy numeral to a term behaving as the Church numeral."""
-    step = _lam("w n x f", App(Var("f"), _app(Var("n"), Var("x"), Var("f"))))
-    return Lam("z", App(Var("z"), _app(Inst("rec"), _lam("x f", Var("x")), step)))
+    step = lam("w n x f", App(Var("f"), app(Var("n"), Var("x"), Var("f"))))
+    return Lam("z", App(Var("z"), app(Inst("rec"), lam("x f", Var("x")), step)))
 
 
 # ---------------------------------------------------------------------------
 # pairing and fixpoint
 
 
-PAIR = _lam("x y z", _app(Var("z"), Var("x"), Var("y")))
+PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
 
 
 def make_pair(a: Term, b: Term) -> Term:
     """The ordered pair <a; b> = \\z. z a b."""
-    return Lam("z", _app(Var("z"), a, b))
+    return Lam("z", app(Var("z"), a, b))
 
 
 def pair_encoding() -> dict:
@@ -86,8 +71,8 @@ def pair_encoding() -> dict:
     return {
         "pair": PAIR,
         "usage": {
-            "fst": _lam("x y", Var("x")),
-            "snd": _lam("x y", Var("y")),
+            "fst": lam("x y", Var("x")),
+            "snd": lam("x y", Var("y")),
             "note": "<a; b> * (\\x y. x) . pi evaluates to a * pi",
         },
     }
@@ -96,7 +81,7 @@ def pair_encoding() -> dict:
 def turing_fixpoint() -> Term:
     """Turing's fixpoint combinator: Y * F . pi evaluates in a few steps to
     F * (Y F) . pi, which makes it fit for call-by-name recursion."""
-    half = _lam("y z", App(Var("z"), _app(Var("y"), Var("y"), Var("z"))))
+    half = lam("y z", App(Var("z"), app(Var("y"), Var("y"), Var("z"))))
     return App(half, half)
 
 
@@ -162,12 +147,12 @@ def compile_primrec(
             return App(k, env[e.name])
         if e.symbol == "s":
             v = fresh("v")
-            return compile_rhs(e.args[0], env, Lam(v, _app(Inst("s"), Var(v), k)))
+            return compile_rhs(e.args[0], env, Lam(v, app(Inst("s"), Var(v), k)))
         fn = Var("self") if e.symbol == name else compile_primrec(e.symbol, sig, cache)
 
         def seq(args, values):
             if not args:
-                return App(_app(fn, *values), k)
+                return App(app(fn, *values), k)
             head, *rest = args
             if isinstance(head, EVar):
                 return seq(rest, values + [env[head.name]])
@@ -205,12 +190,12 @@ def compile_primrec(
         pv = f"p{split}"
         succ_branch = build(knowledge[:split] + [("succ", pv)] + knowledge[split + 1 :])
         dump = fresh("w")
-        return _app(
-            Inst("rec"), zero_branch, _lam(f"{pv} {dump}", succ_branch), Var(arg_names[split])
+        return app(
+            Inst("rec"), zero_branch, lam(f"{pv} {dump}", succ_branch), Var(arg_names[split])
         )
 
     tree = build([None] * sym.arity)
-    body = _lam(" ".join(arg_names + ["u"]), tree)
+    body = lam(" ".join(arg_names + ["u"]), tree)
     term = App(turing_fixpoint(), Lam("self", body)) if recursive else body
     cache[name] = term
     return term
@@ -246,14 +231,14 @@ def test_le_term(sig: PrimRecSignature | None = None) -> Term:
     minus = compile_primrec("minus", sig, cache)
     neg = compile_primrec("neg", sig, cache)
     # neg(minus(n, m)) is 1 iff n <= m; branch on that bit with rec
-    dispatch = _app(Inst("rec"), Var("v"), _lam("p w", Var("u")), Var("b"))
-    body = _app(
+    dispatch = app(Inst("rec"), Var("v"), lam("p w", Var("u")), Var("b"))
+    body = app(
         minus,
         Var("n"),
         Var("m"),
-        Lam("d", _app(neg, Var("d"), Lam("b", dispatch))),
+        Lam("d", app(neg, Var("d"), Lam("b", dispatch))),
     )
-    return _lam("n m u v", body)
+    return lam("n m u v", body)
 
 
 def test_le_rules() -> list[InstructionRule]:
@@ -282,25 +267,25 @@ def min_principle_realizers(test_le: Term | None = None) -> dict[str, Term]:
     test_le = test_le if test_le is not None else Inst("test_le")
     challenger = Lam(
         "m2",
-        _app(
+        app(
             test_le,
             Var("m"),
             Var("m2"),
             IDENTITY,
-            App(Var("k"), _app(Var("r"), Var("f"), Var("k"), Var("n2"), Var("m2"))),
+            App(Var("k"), app(Var("r"), Var("f"), Var("k"), Var("n2"), Var("m2"))),
         ),
     )
-    second = Lam("n2", _app(Var("f"), Var("n2"), challenger))
+    second = Lam("n2", app(Var("f"), Var("n2"), challenger))
     min_aux = App(
         turing_fixpoint(),
-        _lam("r f k n m", make_pair(Var("n"), second)),
+        lam("r f k n m", make_pair(Var("n"), second)),
     )
     min_princ = Lam(
         "f",
-        _app(
+        app(
             Var("f"),
             Numeral(0),
-            Lam("m", App(Inst("cc"), Lam("k", _app(min_aux, Var("f"), Var("k"), Numeral(0), Var("m"))))),
+            Lam("m", App(Inst("cc"), Lam("k", app(min_aux, Var("f"), Var("k"), Numeral(0), Var("m"))))),
         ),
     )
     return {"min_aux": min_aux, "min_princ": min_princ}
@@ -363,20 +348,3 @@ def computes_value(
         return out.halt.value
     return None
 
-
-def check_computes(
-    t: Term,
-    symbol: str,
-    sig: PrimRecSignature,
-    samples: list[tuple[int, ...]],
-    cfg: MachineConfig | None = None,
-) -> bool:
-    """Spot-check the operational function contract: t computes the symbol
-    when t * args . u . pi always reaches u * value . pi."""
-    from .arith import expr_of_nat
-
-    for args in samples:
-        expected = eval_expr(EApp(symbol, tuple(expr_of_nat(n) for n in args)), {}, sig)
-        if computes_value(t, args, cfg) != expected:
-            return False
-    return True

@@ -1,9 +1,11 @@
-"""Abstract syntax for the lambda-c calculus: terms, stacks, processes.
+"""Abstract syntax for the lambda-c calculus and the HA2 term language.
 
 Terms are pure lambda-terms enriched with named instructions, primitive
 numerals and continuation constants.  Stacks are lists of closed terms over
 a single bottom marker, and a process pairs a closed term with a stack.
-Term equality is alpha-equivalence; printing keeps the user's binder names.
+HA2 terms (the image of the CPS translation) are the same lambda-terms with
+the constants of ``HConst`` as their only other leaf.  Term equality is
+alpha-equivalence; printing keeps the user's binder names.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Iterable, Iterator, Union
 
 
 BUILTIN_INSTRUCTIONS = frozenset({"cc", "s", "rec", "stop", "print"})
+
+HA2_CONSTANTS = ("pair", "fst", "snd", "z0", "sc", "rec")
 
 # accepted spellings in source text for builtin instructions
 INSTRUCTION_ALIASES = {"callcc": "cc"}
@@ -119,6 +123,42 @@ class Kont(Term):
         object.__setattr__(self, "fv", _EMPTY_FV)
 
 
+@dataclass(frozen=True, eq=False, repr=True, slots=True)
+class HConst(Term):
+    """A constant of the HA2 term language (pair, fst, snd, z0, sc, rec)."""
+
+    kind: str
+    fv: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in HA2_CONSTANTS:
+            raise ValueError(f"unknown constant {self.kind!r}")
+        object.__setattr__(self, "fv", _EMPTY_FV)
+
+
+def app(*terms: Term) -> Term:
+    """The left-nested application t1 t2 ... tn."""
+    t = terms[0]
+    for u in terms[1:]:
+        t = App(t, u)
+    return t
+
+
+def lam(binders: str, body: Term) -> Term:
+    """The abstraction over the space-separated binders, outermost first."""
+    for b in reversed(binders.split()):
+        body = Lam(b, body)
+    return body
+
+
+def split_pair(t: Term) -> tuple[Term, Term] | None:
+    """(a, b) when t is the HA2 pair ``pair a b``, else None."""
+    match t:
+        case App(App(HConst("pair"), a), b):
+            return a, b
+    return None
+
+
 class Stack:
     __slots__ = ()
 
@@ -192,6 +232,8 @@ def _alpha_eq(t: Term, u: Term, env_t: dict, env_u: dict, depth: int) -> bool:
         return _alpha_eq(t.fn, u.fn, env_t, env_u, depth) and _alpha_eq(
             t.arg, u.arg, env_t, env_u, depth
         )
+    if isinstance(t, HConst):
+        return t.kind == u.kind
     if isinstance(t, Inst):
         return t.name == u.name
     if isinstance(t, Numeral):
@@ -222,6 +264,8 @@ def alpha_key(t: Term, env: dict | None = None, depth: int = 0):
             return ("l", alpha_key(body, env2, depth + 1))
         case App(fn, arg):
             return ("a", alpha_key(fn, env, depth), alpha_key(arg, env, depth))
+        case HConst(kind):
+            return ("c", kind)
         case Inst(name):
             return ("i", name)
         case Numeral(n):
@@ -298,7 +342,7 @@ def substitute(t: Term, x: str, u: Term) -> Term:
         case App(fn, arg):
             return App(substitute(fn, x, u), substitute(arg, x, u))
         case _:
-            # Inst, Numeral, Kont: no free variables inside
+            # Inst, Numeral, Kont, HConst: no free variables inside
             return t
 
 
@@ -599,7 +643,8 @@ def parse_process(
 
 def print_term(t: Term) -> str:
     """Render a term; application is left-associative, abstraction bodies
-    extend maximally to the right.
+    extend maximally to the right, and the HA2 pair ``pair a b`` prints as
+    ``<a; b>``.
 
     Free variables whose names collide with instruction names re-parse as
     instructions; parsed terms never contain such variables.
@@ -609,6 +654,8 @@ def print_term(t: Term) -> str:
 
 def _print(t: Term, top: bool) -> str:
     match t:
+        case App(App(HConst("pair"), a), b):
+            return f"<{_print(a, True)}; {_print(b, True)}>"
         case Lam(_, _):
             binders = []
             body = t
@@ -620,7 +667,7 @@ def _print(t: Term, top: bool) -> str:
         case App(_, _):
             parts = []
             fn = t
-            while isinstance(fn, App):
+            while isinstance(fn, App) and split_pair(fn) is None:
                 parts.append(fn.arg)
                 fn = fn.fn
             parts.append(fn)
@@ -639,6 +686,8 @@ def _print_atom(t: Term) -> str:
             return name
         case Inst(name):
             return name
+        case HConst(kind):
+            return kind
         case Numeral(n):
             return f"#{n}"
         case Kont(saved):

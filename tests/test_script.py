@@ -310,3 +310,69 @@ def test_shipped_demo_script(capsys):
     assert code == EXIT_OK
     assert "final: stop * #1023 . $" in out
     assert "callcc       1" in out
+
+
+class TestCliScriptAgreement:
+    """`lamc extract`/`lamc simulate` print the output of the matching
+    script statement: the same lines, the same document, the same exit code."""
+
+    DEFS = "Prim h(x, y) { h(x, y) = minus(x, y); }\nuse Y;\n"
+
+    def _files(self, tmp_path, realizer):
+        defs = tmp_path / "defs.lc"
+        defs.write_text(self.DEFS)
+        term = tmp_path / "realizer.lc"
+        term.write_text(realizer)
+        return str(defs), str(term)
+
+    @pytest.mark.parametrize("mode", ["naive", "sigma01", "decidable", "kamikaze"])
+    @pytest.mark.parametrize(
+        "realizer, symbol, trace, fuel",
+        [
+            (r"\u. u #0 (\z. z)", "pred", False, None),
+            (r"\u. u #3 (\z. z)", "pred", True, None),
+            (r"Y (\r u. r u)", "pred", False, 200),
+        ],
+    )
+    def test_extract(self, tmp_path, capsys, mode, realizer, symbol, trace, fuel):
+        stmt = f"Extract {mode}{' trace' if trace else ''} {realizer} with {symbol};"
+        script = run_script_text(self.DEFS + stmt, fuel=fuel)
+        defs, term = self._files(tmp_path, realizer)
+        argv = ["extract", "--mode", mode, "--realizer", term, "--f", symbol, "--script", defs]
+        argv += ["--trace-guesses"] if trace else []
+        argv += ["--fuel", str(fuel)] if fuel is not None else []
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--json-like"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert text == script.text
+        assert doc == script.doc["statements"][0]
+        assert code == script.exit_code
+
+    @pytest.mark.parametrize("mode", ["naive", "sigma01", "decidable", "kamikaze"])
+    def test_extract_rejects_a_binary_symbol(self, tmp_path, capsys, mode):
+        message = "extraction needs a unary predicate symbol; 'h' has arity 2"
+        with pytest.raises(ScriptError) as exc:
+            run_script_text(self.DEFS + rf"Extract {mode} (\u. u #0 (\z. z)) with h;")
+        assert str(exc.value) == message
+        defs, term = self._files(tmp_path, r"\u. u #0 (\z. z)")
+        code = main(["extract", "--mode", mode, "--realizer", term, "--f", "h", "--script", defs])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_simulate(self, capsys):
+        process = r"cc * (\k. k #3) . stop . $"
+        script = run_script_text(f"Simulate {process} fuel 10;")
+        code = main(["simulate", "--process", process, "--fuel", "10"])
+        text = capsys.readouterr().out
+        assert main(["simulate", "--process", process, "--fuel", "10", "--json-like"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert (text, doc, code) == (script.text, script.doc["statements"][0], script.exit_code)
+
+
+def test_deep_input_exits_without_traceback(capsys):
+    code = main(["translate", "--process", "stop * #100000 . $"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

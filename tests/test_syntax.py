@@ -257,3 +257,39 @@ class TestCorners:
     def test_numeral_rejects_negatives(self):
         with pytest.raises(ValueError):
             Numeral(-1)
+
+
+class TestSharedFrontEnd:
+    """lambda-c and HA2 terms share the node classes, lexer, grammar and
+    printer; each language keeps its own leaves."""
+
+    def test_hterm_rejects_numerals(self):
+        from lamc.ha2 import parse_hterm
+
+        with pytest.raises(ParseError) as exc:
+            parse_hterm("#3")
+        assert str(exc.value) == "1:1: expected a term"
+
+    def test_hterm_has_no_continuations(self):
+        from lamc.ha2 import parse_hterm
+
+        with pytest.raises(ParseError) as exc:
+            parse_hterm("k[$]")
+        assert str(exc.value) == "1:2: unexpected trailing input '['"
+
+    def test_lambda_c_rejects_pair_sugar(self):
+        with pytest.raises(ParseError) as exc:
+            parse_term("<a; b>")
+        assert str(exc.value) == "1:1: expected a term"
+
+    def test_print_parse_round_trips_both_languages(self):
+        from gen import random_hterm, random_process
+        from lamc.ha2 import parse_hterm, print_hterm
+
+        rng = random.Random(12)
+        for _ in range(300):
+            p = random_process(rng)
+            assert parse_process(print_process(p)) == p
+            t = random_hterm(rng, rng.randint(1, 6), closed=bool(rng.getrandbits(1)))
+            assert print_term(t) == print_hterm(t)
+            assert parse_hterm(print_term(t)) == t
