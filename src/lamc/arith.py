@@ -424,11 +424,7 @@ def expr_congruent(e1: ArithExpr, e2: ArithExpr, sig: PrimRecSignature) -> bool:
 
 def parse_expr(text: str, sig: PrimRecSignature) -> ArithExpr:
     ts = _TokenStream(_lex(text))
-    e = _parse_expr(ts, sig)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return e
+    return ts.finish(_parse_expr(ts, sig))
 
 
 def _parse_expr(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:

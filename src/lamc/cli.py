@@ -7,9 +7,8 @@ import argparse
 import json
 import sys
 
-from .formulas import parse_hformula
-from .ha2 import print_hterm, read_witness
-from .negtrans import ReturnFormula, cps_process, cps_term, formula_bot, formula_nn
+from .formulas import parse_formula, parse_hformula
+from .negtrans import ReturnFormula
 from .script import (
     EXIT_OK,
     EXIT_PARSE,
@@ -20,6 +19,7 @@ from .script import (
     parse_script,
     run_script,
     simulate_statement,
+    translate_statement,
 )
 from .syntax import LamcError, parse_process, parse_stack, parse_term
 
@@ -107,39 +107,15 @@ def _cmd_extract(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _environment(args.script, None)
-    doc: dict = {}
-    lines: list[str] = []
     if args.formula is not None:
-        from .formulas import HPredVar, parse_formula, print_hformula
-
-        R = ReturnFormula(
-            parse_hformula(args.R, cfg.sig) if args.R else HPredVar("R")
-        )
-        formula = parse_formula(args.formula, cfg.sig)
-        bot = print_hformula(formula_bot(formula, R))
-        nn = print_hformula(formula_nn(formula, R))
-        lines += [f"bot: {bot}", f"nn: {nn}"]
-        doc = {"subject": "formula", "bot": bot, "nn": nn}
+        subject = parse_formula(args.formula, cfg.sig)
     elif args.term is not None:
-        term = parse_term(args.term, instructions=cfg.instructions, strict=True)
-        out = print_hterm(cps_term(term))
-        lines.append(out)
-        doc = {"subject": "term", "output": out}
+        subject = parse_term(args.term, instructions=cfg.instructions, strict=True)
     else:
-        process = parse_process(args.process, instructions=cfg.instructions, strict=True)
-        image = cps_process(process)
-        out = print_hterm(image)
-        lines.append(out)
-        doc = {"subject": "process", "output": out}
-        if args.read_witness:
-            found = read_witness(image, fuel=args.fuel)
-            if found is None:
-                lines.append("witness: none")
-                doc["witness"] = None
-            else:
-                lines.append(f"witness: {found[0]}")
-                doc["witness"] = found[0]
-    return _emit((lines, doc, EXIT_OK), args.json_like)
+        subject = parse_process(args.process, instructions=cfg.instructions, strict=True)
+    R = ReturnFormula(parse_hformula(args.R or "R", cfg.sig))
+    output = translate_statement(subject, R, args.fuel if args.read_witness else None)
+    return _emit(output, args.json_like)
 
 
 def _cmd_simulate(args) -> int:
@@ -176,7 +152,6 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(20_000)
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -186,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "stats": _cmd_stats,
     }
+    # restored on every exit, for in-process callers such as the test suite
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
     try:
         return handlers[args.command](args)
     except (LamcError, OSError) as exc:
@@ -194,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

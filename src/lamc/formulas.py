@@ -4,7 +4,10 @@ PA2+ has null(e), predicate variables, implication, the data-implication
 {e} -> B and universal quantifiers; everything else (truth, falsity,
 negation, conjunction, disjunction, existentials, equality, nat) is a
 second-order encoding.  HA2 adds primitive nat(e), conjunction and
-existentials.  Congruence on both sides is decided by normal forms.
+existentials.  Both languages are built from one set of node classes, so
+every walk (alpha key, free variables, substitution, normal form, parser
+and printer) is written once.  Congruence on both sides is decided by
+normal forms.
 
 Convention: first-order variables start lowercase, second-order variables
 start uppercase.
@@ -26,7 +29,7 @@ from .arith import (
     print_expr,
     _parse_expr,
 )
-from .syntax import LamcError, ParseError, _TokenStream, _lex, fresh_name, pick_name
+from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name
 
 
 class FormulaError(LamcError):
@@ -34,17 +37,15 @@ class FormulaError(LamcError):
 
 
 # ---------------------------------------------------------------------------
-# PA2+ formulas
+# node classes: Null, PredVar, Imp, All1 and All2 belong to both languages,
+# Brace to PA2+ only, Nat, And, Ex1 and Ex2 to HA2 only
 
 
 class Formula:
     __slots__ = ()
 
     def __eq__(self, other):
-        return isinstance(other, Formula) and _feq(self, other, {}, {}, 0)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+        return isinstance(other, Formula) and _fkey(self, {}, 0) == _fkey(other, {}, 0)
 
     def __hash__(self):
         return hash(_fkey(self, {}, 0))
@@ -54,24 +55,35 @@ class Formula:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FNull(Formula):
+class Null(Formula):
     e: ArithExpr
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FPredVar(Formula):
+class Nat(Formula):
+    e: ArithExpr
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class PredVar(Formula):
     name: str
     args: tuple[ArithExpr, ...] = ()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FImp(Formula):
+class Imp(Formula):
     a: Formula
     b: Formula
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FBrace(Formula):
+class And(Formula):
+    a: Formula
+    b: Formula
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Brace(Formula):
     """The data implication {e} -> B of PA2+."""
 
     e: ArithExpr
@@ -79,98 +91,44 @@ class FBrace(Formula):
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FAll1(Formula):
+class All1(Formula):
     x: str
     body: Formula
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FAll2(Formula):
+class Ex1(Formula):
+    x: str
+    body: Formula
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class All2(Formula):
     x: str
     arity: int
     body: Formula
 
 
-# ---------------------------------------------------------------------------
-# HA2 formulas
-
-
-class HFormula:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, HFormula) and _feq(self, other, {}, {}, 0)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(_fkey(self, {}, 0))
-
-    def __str__(self) -> str:
-        return print_hformula(self)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class HNull(HFormula):
-    e: ArithExpr
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HNat(HFormula):
-    e: ArithExpr
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HPredVar(HFormula):
-    name: str
-    args: tuple[ArithExpr, ...] = ()
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HImp(HFormula):
-    a: HFormula
-    b: HFormula
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HAnd(HFormula):
-    a: HFormula
-    b: HFormula
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HAll1(HFormula):
-    x: str
-    body: HFormula
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HAll2(HFormula):
+class Ex2(Formula):
     x: str
     arity: int
-    body: HFormula
+    body: Formula
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class HEx1(HFormula):
-    x: str
-    body: HFormula
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class HEx2(HFormula):
-    x: str
-    arity: int
-    body: HFormula
-
-
-_BINDER1 = (FAll1, HAll1, HEx1)
-_BINDER2 = (FAll2, HAll2, HEx2)
+# the PA2+ (F) and HA2 (H) names of the shared classes
+HFormula = Formula
+FNull = HNull = Null
+FPredVar = HPredVar = PredVar
+FImp = HImp = Imp
+FAll1 = HAll1 = All1
+FAll2 = HAll2 = All2
+FBrace = Brace
+HNat, HAnd, HEx1, HEx2 = Nat, And, Ex1, Ex2
 
 
 # ---------------------------------------------------------------------------
-# alpha-equivalence (shared between the two languages)
+# alpha-equivalence
 
 
 def _expr_key(e: ArithExpr, env: dict):
@@ -181,46 +139,27 @@ def _expr_key(e: ArithExpr, env: dict):
 
 
 def _fkey(f, env: dict, depth: int):
+    tag = type(f).__name__
     match f:
-        case FNull(e) | HNull(e):
-            return ("null", _expr_key(e, env))
-        case HNat(e):
-            return ("nat", _expr_key(e, env))
-        case FPredVar(name, args) | HPredVar(name, args):
+        case Null(e) | Nat(e):
+            return (tag, _expr_key(e, env))
+        case PredVar(name, args):
             b = env.get(name)
             head = ("B", b) if b is not None else ("F", name)
-            return ("pv", head) + tuple(_expr_key(a, env) for a in args)
-        case FImp(a, b) | HImp(a, b):
-            return ("imp", _fkey(a, env, depth), _fkey(b, env, depth))
-        case HAnd(a, b):
-            return ("and", _fkey(a, env, depth), _fkey(b, env, depth))
-        case FBrace(e, b):
-            return ("brace", _expr_key(e, env), _fkey(b, env, depth))
-        case FAll1(x, body) | HAll1(x, body):
-            env2 = dict(env)
-            env2[x] = depth
-            return ("all1", _fkey(body, env2, depth + 1))
-        case HEx1(x, body):
-            env2 = dict(env)
-            env2[x] = depth
-            return ("ex1", _fkey(body, env2, depth + 1))
-        case FAll2(x, arity, body) | HAll2(x, arity, body):
-            env2 = dict(env)
-            env2[x] = depth
-            return ("all2", arity, _fkey(body, env2, depth + 1))
-        case HEx2(x, arity, body):
-            env2 = dict(env)
-            env2[x] = depth
-            return ("ex2", arity, _fkey(body, env2, depth + 1))
+            return (tag, head) + tuple(_expr_key(a, env) for a in args)
+        case Imp(a, b) | And(a, b):
+            return (tag, _fkey(a, env, depth), _fkey(b, env, depth))
+        case Brace(e, b):
+            return (tag, _expr_key(e, env), _fkey(b, env, depth))
+        case All1(x, body) | Ex1(x, body):
+            return (tag, _fkey(body, {**env, x: depth}, depth + 1))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return (tag, arity, _fkey(body, {**env, x: depth}, depth + 1))
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _feq(f, g, env_f: dict, env_g: dict, depth: int) -> bool:
-    return _fkey(f, env_f, depth) == _fkey(g, env_g, depth)
-
-
 # ---------------------------------------------------------------------------
-# free variables and substitution (generic over both languages)
+# free variables and substitution
 
 
 def formula_free_vars(f) -> frozenset[str]:
@@ -232,29 +171,23 @@ def formula_free_vars(f) -> frozenset[str]:
 
 def _ffv(f, bound: frozenset[str], acc: set[str]) -> None:
     match f:
-        case FNull(e) | HNull(e) | HNat(e):
+        case Null(e) | Nat(e):
             acc.update(expr_free_vars(e) - bound)
-        case FPredVar(name, args) | HPredVar(name, args):
+        case PredVar(name, args):
             if name not in bound:
                 acc.add(name)
             for a in args:
                 acc.update(expr_free_vars(a) - bound)
-        case FImp(a, b) | HImp(a, b) | HAnd(a, b):
+        case Imp(a, b) | And(a, b):
             _ffv(a, bound, acc)
             _ffv(b, bound, acc)
-        case FBrace(e, b):
+        case Brace(e, b):
             acc.update(expr_free_vars(e) - bound)
             _ffv(b, bound, acc)
-        case FAll1(x, body) | HAll1(x, body) | HEx1(x, body):
-            _ffv(body, bound | {x}, acc)
-        case FAll2(x, _, body) | HAll2(x, _, body) | HEx2(x, _, body):
+        case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
             _ffv(body, bound | {x}, acc)
         case _:
             raise TypeError(f"not a formula: {f!r}")
-
-
-def _rebuild(f, **kw):
-    return type(f)(**kw)
 
 
 def formula_all_names(f) -> frozenset[str]:
@@ -266,22 +199,19 @@ def formula_all_names(f) -> frozenset[str]:
 
 def _fan(f, acc: set[str]) -> None:
     match f:
-        case FNull(e) | HNull(e) | HNat(e):
+        case Null(e) | Nat(e):
             acc.update(expr_free_vars(e))
-        case FPredVar(name, args) | HPredVar(name, args):
+        case PredVar(name, args):
             acc.add(name)
             for a in args:
                 acc.update(expr_free_vars(a))
-        case FImp(a, b) | HImp(a, b) | HAnd(a, b):
+        case Imp(a, b) | And(a, b):
             _fan(a, acc)
             _fan(b, acc)
-        case FBrace(e, b):
+        case Brace(e, b):
             acc.update(expr_free_vars(e))
             _fan(b, acc)
-        case FAll1(x, body) | HAll1(x, body) | HEx1(x, body):
-            acc.add(x)
-            _fan(body, acc)
-        case FAll2(x, _, body) | HAll2(x, _, body) | HEx2(x, _, body):
+        case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
             acc.add(x)
             _fan(body, acc)
         case _:
@@ -290,46 +220,33 @@ def _fan(f, acc: set[str]) -> None:
 
 def subst_expr1(f, x: str, e: ArithExpr):
     """First-order substitution f{x:=e}, capture-avoiding."""
-    env = {x: e}
-    avoid = expr_free_vars(e) | {x}
-    return _subst1(f, env, avoid)
+    return _subst1(f, {x: e}, expr_free_vars(e) | {x})
 
 
 def _subst1(f, env: dict[str, ArithExpr], avoid: frozenset[str]):
+    """Simultaneous first-order substitution; avoid holds the names of env
+    and the free variables of its values, which binders must not capture."""
     se = lambda ex: expr_subst(ex, env)
     match f:
-        case FNull(e):
-            return FNull(se(e))
-        case HNull(e):
-            return HNull(se(e))
-        case HNat(e):
-            return HNat(se(e))
-        case FPredVar(name, args):
-            return FPredVar(name, tuple(se(a) for a in args))
-        case HPredVar(name, args):
-            return HPredVar(name, tuple(se(a) for a in args))
-        case FImp(a, b):
-            return FImp(_subst1(a, env, avoid), _subst1(b, env, avoid))
-        case HImp(a, b):
-            return HImp(_subst1(a, env, avoid), _subst1(b, env, avoid))
-        case HAnd(a, b):
-            return HAnd(_subst1(a, env, avoid), _subst1(b, env, avoid))
-        case FBrace(e, b):
-            return FBrace(se(e), _subst1(b, env, avoid))
-        case FAll1(x, body) | HAll1(x, body) | HEx1(x, body):
-            cls = type(f)
+        case Null(e) | Nat(e):
+            return type(f)(se(e))
+        case PredVar(name, args):
+            return PredVar(name, tuple(se(a) for a in args))
+        case Imp(a, b) | And(a, b):
+            return type(f)(_subst1(a, env, avoid), _subst1(b, env, avoid))
+        case Brace(e, b):
+            return Brace(se(e), _subst1(b, env, avoid))
+        case All1(x, _) | Ex1(x, _):
             if x in env:
                 env = {k: v for k, v in env.items() if k != x}
                 if not env:
                     return f
             if x in avoid:
-                x2 = fresh_name(x, avoid | formula_all_names(body))
-                body = _subst1(body, {x: EVar(x2)}, frozenset({x2}))
-                return cls(x2, _subst1(body, env, avoid))
-            return cls(x, _subst1(body, env, avoid))
-        case FAll2(x, arity, body) | HAll2(x, arity, body) | HEx2(x, arity, body):
+                f = _rebind(f, avoid)
+            return type(f)(f.x, _subst1(f.body, env, avoid))
+        case All2(x, arity, body) | Ex2(x, arity, body):
             # second-order binders cannot capture first-order variables
-            return _rebuild(f, x=x, arity=arity, body=_subst1(body, env, avoid))
+            return type(f)(x, arity, _subst1(body, env, avoid))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -341,9 +258,9 @@ def subst_pred(f, x: str, params: tuple[str, ...], b):
 
 def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
     match f:
-        case FNull(_) | HNull(_) | HNat(_):
+        case Null(_) | Nat(_):
             return f
-        case FPredVar(name, args) | HPredVar(name, args):
+        case PredVar(name, args):
             if name != x:
                 return f
             if len(args) != len(params):
@@ -351,59 +268,51 @@ def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
                     f"predicate variable {x!r} used with arity {len(args)}, "
                     f"substituted at arity {len(params)}"
                 )
-            out = b
-            for p, a in zip(params, args):
-                out = subst_expr1(out, p, a)
-            return out
-        case FImp(a, c):
-            return FImp(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
-        case HImp(a, c):
-            return HImp(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
-        case HAnd(a, c):
-            return HAnd(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
-        case FBrace(e, c):
-            return FBrace(e, _subst2(c, x, params, b, fv_b))
-        case FAll1(y, body) | HAll1(y, body) | HEx1(y, body):
-            cls = type(f)
+            avoid = frozenset(params).union(*map(expr_free_vars, args))
+            return _subst1(b, dict(zip(params, args)), avoid)
+        case Imp(a, c) | And(a, c):
+            return type(f)(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
+        case Brace(e, c):
+            return Brace(e, _subst2(c, x, params, b, fv_b))
+        case All1(y, _) | Ex1(y, _):
             if y in fv_b - frozenset(params):
-                y2 = fresh_name(y, fv_b | formula_all_names(body) | {x})
-                body = _subst1(body, {y: EVar(y2)}, frozenset({y2}))
-                y = y2
-            return cls(y, _subst2(body, x, params, b, fv_b))
-        case FAll2(y, arity, body) | HAll2(y, arity, body) | HEx2(y, arity, body):
+                f = _rebind(f, fv_b | {x})
+            return type(f)(f.x, _subst2(f.body, x, params, b, fv_b))
+        case All2(y, arity, _) | Ex2(y, arity, _):
             if y == x:
                 return f
             if y in fv_b:
-                y2 = fresh_name(y, fv_b | formula_all_names(body) | {x})
-                body = _rename_pred(body, y, y2)
-                y = y2
-            return _rebuild(f, x=y, arity=arity, body=_subst2(body, x, params, b, fv_b))
+                f = _rebind(f, fv_b | {x})
+            return type(f)(f.x, arity, _subst2(f.body, x, params, b, fv_b))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebind(q, avoid: frozenset[str]):
+    """The quantifier q with its bound variable renamed to a name that is
+    neither in avoid nor anywhere in q's body."""
+    x2 = fresh_name(q.x, avoid | formula_all_names(q.body))
+    if isinstance(q, (All1, Ex1)):
+        return type(q)(x2, _subst1(q.body, {q.x: EVar(x2)}, frozenset({x2})))
+    return type(q)(x2, q.arity, _rename_pred(q.body, q.x, x2))
 
 
 def _rename_pred(f, old: str, new: str):
     """Rename a free predicate variable (no clash checking)."""
     match f:
-        case FPredVar(name, args):
-            return FPredVar(new if name == old else name, args)
-        case HPredVar(name, args):
-            return HPredVar(new if name == old else name, args)
-        case FNull(_) | HNull(_) | HNat(_):
+        case PredVar(name, args):
+            return PredVar(new if name == old else name, args)
+        case Null(_) | Nat(_):
             return f
-        case FImp(a, b):
-            return FImp(_rename_pred(a, old, new), _rename_pred(b, old, new))
-        case HImp(a, b):
-            return HImp(_rename_pred(a, old, new), _rename_pred(b, old, new))
-        case HAnd(a, b):
-            return HAnd(_rename_pred(a, old, new), _rename_pred(b, old, new))
-        case FBrace(e, b):
-            return FBrace(e, _rename_pred(b, old, new))
-        case FAll1(x, body) | HAll1(x, body) | HEx1(x, body):
+        case Imp(a, b) | And(a, b):
+            return type(f)(_rename_pred(a, old, new), _rename_pred(b, old, new))
+        case Brace(e, b):
+            return Brace(e, _rename_pred(b, old, new))
+        case All1(x, body) | Ex1(x, body):
             return type(f)(x, _rename_pred(body, old, new))
-        case FAll2(x, arity, body) | HAll2(x, arity, body) | HEx2(x, arity, body):
+        case All2(x, arity, body) | Ex2(x, arity, body):
             if x == old:
                 return f
-            return _rebuild(f, x=x, arity=arity, body=_rename_pred(body, old, new))
+            return type(f)(x, arity, _rename_pred(body, old, new))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -412,63 +321,63 @@ def _rename_pred(f, old: str, new: str):
 
 
 def f_bot() -> Formula:
-    return FAll2("Z", 0, FPredVar("Z"))
+    return All2("Z", 0, PredVar("Z"))
 
 
 def f_top() -> Formula:
-    return FNull(ZERO)
+    return Null(ZERO)
 
 
 def f_not(a: Formula) -> Formula:
-    return FImp(a, f_bot())
+    return Imp(a, f_bot())
 
 
 def f_and(a: Formula, b: Formula) -> Formula:
     z = pick_name("Z", formula_free_vars(a) | formula_free_vars(b))
-    return FAll2(z, 0, FImp(FImp(a, FImp(b, FPredVar(z))), FPredVar(z)))
+    return All2(z, 0, Imp(Imp(a, Imp(b, PredVar(z))), PredVar(z)))
 
 
 def f_or(a: Formula, b: Formula) -> Formula:
     z = pick_name("Z", formula_free_vars(a) | formula_free_vars(b))
-    return FAll2(z, 0, FImp(FImp(a, FPredVar(z)), FImp(FImp(b, FPredVar(z)), FPredVar(z))))
+    return All2(z, 0, Imp(Imp(a, PredVar(z)), Imp(Imp(b, PredVar(z)), PredVar(z))))
 
 
 def f_exists1(x: str, a: Formula) -> Formula:
     z = pick_name("Z", formula_free_vars(a) | {x})
-    return FAll2(z, 0, FImp(FAll1(x, FImp(a, FPredVar(z))), FPredVar(z)))
+    return All2(z, 0, Imp(All1(x, Imp(a, PredVar(z))), PredVar(z)))
 
 
 def f_exists2(x: str, arity: int, a: Formula) -> Formula:
     z = pick_name("Z", formula_free_vars(a) | {x})
-    return FAll2(z, 0, FImp(FAll2(x, arity, FImp(a, FPredVar(z))), FPredVar(z)))
+    return All2(z, 0, Imp(All2(x, arity, Imp(a, PredVar(z))), PredVar(z)))
 
 
 def f_eq(e1: ArithExpr, e2: ArithExpr) -> Formula:
     z = pick_name("Z", expr_free_vars(e1) | expr_free_vars(e2))
-    return FAll2(z, 1, FImp(FPredVar(z, (e1,)), FPredVar(z, (e2,))))
+    return All2(z, 1, Imp(PredVar(z, (e1,)), PredVar(z, (e2,))))
 
 
 def f_nat(e: ArithExpr) -> Formula:
     avoid = expr_free_vars(e)
     z = pick_name("Z", avoid)
     y = pick_name("y", avoid)
-    step = FAll1(y, FImp(FPredVar(z, (EVar(y),)), FPredVar(z, (EApp("s", (EVar(y),)),))))
-    return FAll2(z, 1, FImp(FPredVar(z, (ZERO,)), FImp(step, FPredVar(z, (e,)))))
+    step = All1(y, Imp(PredVar(z, (EVar(y),)), PredVar(z, (EApp("s", (EVar(y),)),))))
+    return All2(z, 1, Imp(PredVar(z, (ZERO,)), Imp(step, PredVar(z, (e,)))))
 
 
 def f_natp(e: ArithExpr) -> Formula:
     """nat'(e): the lazy-numeral relativization predicate."""
     z = pick_name("Z", expr_free_vars(e))
-    return FAll2(z, 0, FImp(FBrace(e, FPredVar(z)), FPredVar(z)))
+    return All2(z, 0, Imp(Brace(e, PredVar(z)), PredVar(z)))
 
 
 def f_forallN(x: str, a: Formula) -> Formula:
-    return FAll1(x, FBrace(EVar(x), a))
+    return All1(x, Brace(EVar(x), a))
 
 
 def f_existsN(x: str, a: Formula) -> Formula:
     z = pick_name("Z", formula_free_vars(a) | {x})
-    return FAll2(z, 0, FImp(FAll1(x, FBrace(EVar(x), FImp(a, FPredVar(z)))), FPredVar(z)))
+    return All2(z, 0, Imp(All1(x, Brace(EVar(x), Imp(a, PredVar(z)))), PredVar(z)))
 
 
 _ABBREVIATIONS = {
@@ -498,17 +407,11 @@ def expand_abbreviation(name: str, args: list) -> Formula:
     return builder(*args)
 
 
-def h_bot() -> HFormula:
-    return HAll2("Z", 0, HPredVar("Z"))
+h_bot = f_bot  # falsity is the same formula in both languages
 
 
-def h_top() -> HFormula:
-    return HEx2("Z", 0, HPredVar("Z"))
-
-
-def h_eq(e1: ArithExpr, e2: ArithExpr) -> HFormula:
-    z = pick_name("Z", expr_free_vars(e1) | expr_free_vars(e2))
-    return HAll2(z, 1, HImp(HPredVar(z, (e1,)), HPredVar(z, (e2,))))
+def h_top() -> Formula:
+    return Ex2("Z", 0, PredVar("Z"))
 
 
 # ---------------------------------------------------------------------------
@@ -517,69 +420,50 @@ def h_eq(e1: ArithExpr, e2: ArithExpr) -> HFormula:
 
 def normalize_formula_pa2(f: Formula, sig: PrimRecSignature) -> Formula:
     """Normal form under expression rewriting plus null(s(e)) -> bot."""
-    match f:
-        case FNull(e):
-            ne = normalize_expr(e, sig)
-            if isinstance(ne, EApp) and ne.symbol == "s":
-                return f_bot()
-            return FNull(ne)
-        case FPredVar(name, args):
-            return FPredVar(name, tuple(normalize_expr(a, sig) for a in args))
-        case FImp(a, b):
-            return FImp(normalize_formula_pa2(a, sig), normalize_formula_pa2(b, sig))
-        case FBrace(e, b):
-            return FBrace(normalize_expr(e, sig), normalize_formula_pa2(b, sig))
-        case FAll1(x, body):
-            return FAll1(x, normalize_formula_pa2(body, sig))
-        case FAll2(x, arity, body):
-            return FAll2(x, arity, normalize_formula_pa2(body, sig))
-    raise TypeError(f"not a PA2 formula: {f!r}")
+    return _normalize(f, sig, f_top())
 
 
-def normalize_formula_ha2(f: HFormula, sig: PrimRecSignature) -> HFormula:
+def normalize_formula_ha2(f: Formula, sig: PrimRecSignature) -> Formula:
     """Normal form under expression rewriting, null(0) -> top,
     null(s(e)) -> bot, and the commutation (exists v A) -> B = forall v (A -> B)."""
+    return _normalize(f, sig, h_top())
+
+
+def _normalize(f, sig: PrimRecSignature, top: Formula):
+    # top is the dialect's truth: in PA2+ it is null(0) itself, and PA2+
+    # formulas have no existential to commute
     match f:
-        case HNull(e):
+        case Null(e):
             ne = normalize_expr(e, sig)
             if ne == ZERO:
-                return h_top()
+                return top
             if isinstance(ne, EApp) and ne.symbol == "s":
-                return h_bot()
-            return HNull(ne)
-        case HNat(e):
-            return HNat(normalize_expr(e, sig))
-        case HPredVar(name, args):
-            return HPredVar(name, tuple(normalize_expr(a, sig) for a in args))
-        case HAnd(a, b):
-            return HAnd(normalize_formula_ha2(a, sig), normalize_formula_ha2(b, sig))
-        case HAll1(x, body):
-            return HAll1(x, normalize_formula_ha2(body, sig))
-        case HAll2(x, arity, body):
-            return HAll2(x, arity, normalize_formula_ha2(body, sig))
-        case HEx1(x, body):
-            return HEx1(x, normalize_formula_ha2(body, sig))
-        case HEx2(x, arity, body):
-            return HEx2(x, arity, normalize_formula_ha2(body, sig))
-        case HImp(a, b):
-            na = normalize_formula_ha2(a, sig)
-            nb = normalize_formula_ha2(b, sig)
-            if isinstance(na, HEx1):
-                x, body = na.x, na.body
-                if x in formula_free_vars(nb):
-                    x2 = fresh_name(x, formula_all_names(body) | formula_free_vars(nb))
-                    body = _subst1(body, {x: EVar(x2)}, frozenset({x2}))
-                    x = x2
-                return normalize_formula_ha2(HAll1(x, HImp(body, nb)), sig)
-            if isinstance(na, HEx2):
-                x, arity, body = na.x, na.arity, na.body
-                if x in formula_free_vars(nb):
-                    x2 = fresh_name(x, formula_all_names(body) | formula_free_vars(nb))
-                    body = _rename_pred(body, x, x2)
-                    x = x2
-                return normalize_formula_ha2(HAll2(x, arity, HImp(body, nb)), sig)
-            return HImp(na, nb)
-    raise TypeError(f"not an HA2 formula: {f!r}")
+                return f_bot()
+            return Null(ne)
+        case Nat(e):
+            return Nat(normalize_expr(e, sig))
+        case PredVar(name, args):
+            return PredVar(name, tuple(normalize_expr(a, sig) for a in args))
+        case And(a, b):
+            return And(_normalize(a, sig, top), _normalize(b, sig, top))
+        case Brace(e, b):
+            return Brace(normalize_expr(e, sig), _normalize(b, sig, top))
+        case All1(x, body) | Ex1(x, body):
+            return type(f)(x, _normalize(body, sig, top))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return type(f)(x, arity, _normalize(body, sig, top))
+        case Imp(a, b):
+            na = _normalize(a, sig, top)
+            nb = _normalize(b, sig, top)
+            if not isinstance(na, (Ex1, Ex2)):
+                return Imp(na, nb)
+            fv = formula_free_vars(nb)
+            if na.x in fv:
+                na = _rebind(na, fv)
+            if isinstance(na, Ex1):
+                return _normalize(All1(na.x, Imp(na.body, nb)), sig, top)
+            return _normalize(All2(na.x, na.arity, Imp(na.body, nb)), sig, top)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool:
@@ -593,15 +477,15 @@ def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool
 def relativize_nat(f: Formula) -> Formula:
     """Relativize all first-order quantifications with the nat predicate."""
     match f:
-        case FNull(_) | FPredVar(_, _):
+        case Null(_) | PredVar(_, _):
             return f
-        case FImp(a, b):
-            return FImp(relativize_nat(a), relativize_nat(b))
-        case FAll1(x, body):
-            return FAll1(x, FImp(f_nat(EVar(x)), relativize_nat(body)))
-        case FAll2(x, arity, body):
-            return FAll2(x, arity, relativize_nat(body))
-        case FBrace(_, _):
+        case Imp(a, b):
+            return Imp(relativize_nat(a), relativize_nat(b))
+        case All1(x, body):
+            return All1(x, Imp(f_nat(EVar(x)), relativize_nat(body)))
+        case All2(x, arity, body):
+            return All2(x, arity, relativize_nat(body))
+        case Brace(_, _):
             raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
     raise TypeError(f"not a PA2 formula: {f!r}")
 
@@ -609,43 +493,37 @@ def relativize_nat(f: Formula) -> Formula:
 def is_fully_relativized(f: Formula) -> bool:
     """True when every first-order quantifier is nat-guarded (shape check)."""
     match f:
-        case FNull(_) | FPredVar(_, _):
+        case Null(_) | PredVar(_, _):
             return True
-        case FImp(a, b):
+        case Imp(a, b):
             return is_fully_relativized(a) and is_fully_relativized(b)
-        case FBrace(_, b):
+        case Brace(_, b):
             return is_fully_relativized(b)
-        case FAll1(x, FImp(guard, body)):
+        case All1(x, Imp(guard, body)):
             return guard == f_nat(EVar(x)) and is_fully_relativized(body)
-        case FAll1(_, _):
+        case All1(_, _):
             return False
-        case FAll2(_, _, body):
+        case All2(_, _, body):
             return is_fully_relativized(body)
     raise TypeError(f"not a PA2 formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
-# parsing (shared token machinery; the dialect flag selects PA2+ or HA2)
+# parsing (one grammar; the dialect selects sugar or primitive where the
+# two languages differ: exists, /\, nat, top, and the PA2+-only \/, natp
+# and {e} -> B)
 
 
 def parse_formula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse a PA2+ formula; sugar expands to second-order encodings."""
     ts = _TokenStream(_lex(text))
-    f = _formula(ts, sig, "pa2")
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return f
+    return ts.finish(_formula(ts, sig, "pa2"))
 
 
-def parse_hformula(text: str, sig: PrimRecSignature) -> HFormula:
+def parse_hformula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse an HA2 formula (primitive /\\, exists, nat)."""
     ts = _TokenStream(_lex(text))
-    f = _formula(ts, sig, "ha2")
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return f
+    return ts.finish(_formula(ts, sig, "ha2"))
 
 
 def _formula(ts, sig, dialect):
@@ -663,17 +541,26 @@ def _formula(ts, sig, dialect):
             second = b[0].isupper()
             arity = _pred_arity(body, b) if second else 0
             if tok.text == "forall":
-                if dialect == "pa2":
-                    body = FAll2(b, arity, body) if second else FAll1(b, body)
-                else:
-                    body = HAll2(b, arity, body) if second else HAll1(b, body)
+                body = All2(b, arity, body) if second else All1(b, body)
+            elif dialect == "pa2":
+                body = f_exists2(b, arity, body) if second else f_exists1(b, body)
             else:
-                if dialect == "pa2":
-                    body = f_exists2(b, arity, body) if second else f_exists1(b, body)
-                else:
-                    body = HEx2(b, arity, body) if second else HEx1(b, body)
+                body = Ex2(b, arity, body) if second else Ex1(b, body)
         return body
-    return _implication(ts, sig, dialect)
+    if tok.text == "{":
+        ts.next()
+        e = _parse_expr(ts, sig)
+        ts.expect("}")
+        ts.expect("->")
+        b = _formula(ts, sig, dialect)
+        if dialect == "ha2":
+            raise ts.error("{e} -> B is a PA2+ construct")
+        return Brace(e, b)
+    a = _disjunction(ts, sig, dialect)
+    if ts.peek().text == "->":
+        ts.next()
+        return Imp(a, _formula(ts, sig, dialect))
+    return a
 
 
 def _pred_arity(f, name: str) -> int:
@@ -684,41 +571,19 @@ def _pred_arity(f, name: str) -> int:
         if found:
             return
         match g:
-            case FPredVar(n, args) | HPredVar(n, args):
+            case PredVar(n, args):
                 if n == name and n not in bound:
                     found.append(len(args))
-            case FImp(a, b) | HImp(a, b) | HAnd(a, b):
+            case Imp(a, b) | And(a, b):
                 walk(a, bound)
                 walk(b, bound)
-            case FBrace(_, b):
-                walk(b, bound)
-            case FAll1(x, body) | HAll1(x, body) | HEx1(x, body):
+            case Brace(_, body) | All1(_, body) | Ex1(_, body):
                 walk(body, bound)
-            case FAll2(x, _, body) | HAll2(x, _, body) | HEx2(x, _, body):
+            case All2(x, _, body) | Ex2(x, _, body):
                 walk(body, bound | {x})
-            case _:
-                pass
 
     walk(f, frozenset())
     return found[0] if found else 0
-
-
-def _implication(ts, sig, dialect):
-    if ts.peek().text == "{":
-        ts.next()
-        e = _parse_expr(ts, sig)
-        ts.expect("}")
-        ts.expect("->")
-        b = _implication(ts, sig, dialect)
-        if dialect == "ha2":
-            raise ts.error("{e} -> B is a PA2+ construct")
-        return FBrace(e, b)
-    a = _disjunction(ts, sig, dialect)
-    if ts.peek().text == "->":
-        ts.next()
-        b = _implication(ts, sig, dialect)
-        return FImp(a, b) if dialect == "pa2" else HImp(a, b)
-    return a
 
 
 def _disjunction(ts, sig, dialect):
@@ -732,22 +597,20 @@ def _disjunction(ts, sig, dialect):
 
 
 def _conjunction(ts, sig, dialect):
+    # right-associative, like ->, so that a printed a /\ b /\ c reads back
     a = _unary(ts, sig, dialect)
-    while ts.peek().text == "/\\":
-        ts.next()
-        b = _unary(ts, sig, dialect)
-        a = f_and(a, b) if dialect == "pa2" else HAnd(a, b)
-    return a
+    if ts.peek().text != "/\\":
+        return a
+    ts.next()
+    b = _conjunction(ts, sig, dialect)
+    return f_and(a, b) if dialect == "pa2" else And(a, b)
 
 
 def _unary(ts, sig, dialect):
     tok = ts.peek()
     if tok.kind == "ident" and tok.text == "not":
         ts.next()
-        a = _unary(ts, sig, dialect)
-        if dialect == "pa2":
-            return f_not(a)
-        return HImp(a, h_bot())
+        return f_not(_unary(ts, sig, dialect))
     return _atom_formula(ts, sig, dialect)
 
 
@@ -758,32 +621,25 @@ def _atom_formula(ts, sig, dialect):
         f = _formula(ts, sig, dialect)
         ts.expect(")")
         return f
+    pa2 = dialect == "pa2"
     if tok.kind == "ident":
         word = tok.text
-        if word == "null":
+        if word in ("null", "nat") or (word == "natp" and pa2):
             ts.next()
             ts.expect("(")
             e = _parse_expr(ts, sig)
             ts.expect(")")
-            return FNull(e) if dialect == "pa2" else HNull(e)
-        if word == "nat":
-            ts.next()
-            ts.expect("(")
-            e = _parse_expr(ts, sig)
-            ts.expect(")")
-            return f_nat(e) if dialect == "pa2" else HNat(e)
-        if word == "natp" and dialect == "pa2":
-            ts.next()
-            ts.expect("(")
-            e = _parse_expr(ts, sig)
-            ts.expect(")")
-            return f_natp(e)
+            if word == "null":
+                return Null(e)
+            if word == "natp":
+                return f_natp(e)
+            return f_nat(e) if pa2 else Nat(e)
         if word == "top":
             ts.next()
-            return f_top() if dialect == "pa2" else h_top()
+            return f_top() if pa2 else h_top()
         if word == "bot":
             ts.next()
-            return f_bot() if dialect == "pa2" else h_bot()
+            return f_bot()
         if word[0].isupper():
             ts.next()
             args: tuple = ()
@@ -795,12 +651,12 @@ def _atom_formula(ts, sig, dialect):
                     lst.append(_parse_expr(ts, sig))
                 ts.expect(")")
                 args = tuple(lst)
-            return FPredVar(word, args) if dialect == "pa2" else HPredVar(word, args)
+            return PredVar(word, args)
     # equality between arithmetic expressions
     e1 = _parse_expr(ts, sig)
     ts.expect("=")
     e2 = _parse_expr(ts, sig)
-    return f_eq(e1, e2) if dialect == "pa2" else h_eq(e1, e2)
+    return f_eq(e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -808,64 +664,42 @@ def _atom_formula(ts, sig, dialect):
 
 
 def print_formula(f: Formula) -> str:
-    return _pf(f, top=True)
+    """Print a formula of either language; the text parses back to f in
+    the formula's own dialect."""
+    return _print(f, 0)
 
 
-def _pf(f, top: bool) -> str:
-    match f:
-        case FNull(e):
-            return f"null({print_expr(e)})"
-        case FPredVar(name, ()):
-            return name
-        case FPredVar(name, args):
-            return name + "(" + ", ".join(print_expr(a) for a in args) + ")"
-        case FImp(a, b):
-            s = f"{_pf(a, False)} -> {_pf(b, True)}"
-            return s if top else "(" + s + ")"
-        case FBrace(e, b):
-            s = f"{{{print_expr(e)}}} -> {_pf(b, True)}"
-            return s if top else "(" + s + ")"
-        case FAll1(_, _) | FAll2(_, _, _):
-            binders = []
-            body = f
-            while isinstance(body, (FAll1, FAll2)):
-                binders.append(body.x)
-                body = body.body
-            s = "forall " + " ".join(binders) + ". " + _pf(body, True)
-            return s if top else "(" + s + ")"
-    raise TypeError(f"not a PA2 formula: {f!r}")
-
-
-def print_hformula(f: HFormula) -> str:
-    return _ph(f, 0)
+print_hformula = print_formula
 
 
 # precedence levels: 0 = top (quantifiers, ->), 1 = /\ operand, 2 = atom
-def _ph(f, level: int) -> str:
+def _print(f, level: int) -> str:
     match f:
-        case HNull(e):
+        case Null(e):
             return f"null({print_expr(e)})"
-        case HNat(e):
+        case Nat(e):
             return f"nat({print_expr(e)})"
-        case HPredVar(name, ()):
+        case PredVar(name, ()):
             return name
-        case HPredVar(name, args):
+        case PredVar(name, args):
             return name + "(" + ", ".join(print_expr(a) for a in args) + ")"
-        case HImp(a, b):
-            s = f"{_ph(a, 1)} -> {_ph(b, 0)}"
+        case Imp(a, b):
+            s = f"{_print(a, 1)} -> {_print(b, 0)}"
             return s if level == 0 else "(" + s + ")"
-        case HAnd(a, b):
-            s = f"{_ph(a, 2)} /\\ {_ph(b, 1)}"
+        case Brace(e, b):
+            s = f"{{{print_expr(e)}}} -> {_print(b, 0)}"
+            return s if level == 0 else "(" + s + ")"
+        case And(a, b):
+            s = f"{_print(a, 2)} /\\ {_print(b, 1)}"
             return s if level <= 1 else "(" + s + ")"
-        case HAll1(_, _) | HAll2(_, _, _) | HEx1(_, _) | HEx2(_, _, _):
-            kind = "forall" if isinstance(f, (HAll1, HAll2)) else "exists"
+        case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
+            forall = isinstance(f, (All1, All2))
+            group = (All1, All2) if forall else (Ex1, Ex2)
             binders = []
             body = f
-            while (isinstance(body, (HAll1, HAll2)) and kind == "forall") or (
-                isinstance(body, (HEx1, HEx2)) and kind == "exists"
-            ):
+            while isinstance(body, group):
                 binders.append(body.x)
                 body = body.body
-            s = kind + " " + " ".join(binders) + ". " + _ph(body, 0)
+            s = ("forall " if forall else "exists ") + " ".join(binders) + ". " + _print(body, 0)
             return s if level == 0 else "(" + s + ")"
-    raise TypeError(f"not an HA2 formula: {f!r}")
+    raise TypeError(f"not a formula: {f!r}")

@@ -22,7 +22,6 @@ from .syntax import (
     Var,
     _TermParser,
     _TokenStream,
-    _finish,
     _lex,
     alpha_key,
     app,
@@ -509,4 +508,4 @@ class _HTermParser(_TermParser):
 
 def parse_hterm(text: str) -> Term:
     p = _HTermParser(_TokenStream(_lex(text)), frozenset(), strict=False)
-    return _finish(p, p.term(frozenset()))
+    return p.ts.finish(p.term(frozenset()))

@@ -30,9 +30,7 @@ from .formulas import (
     HNat,
     HNull,
     HPredVar,
-    _rename_pred,
-    _subst1,
-    formula_all_names,
+    _rebind,
     formula_free_vars,
 )
 from .ha2 import FST, REC, SND, Z0, hnumeral, hpair
@@ -52,7 +50,6 @@ from .syntax import (
     Var,
     app,
     free_vars,
-    fresh_name,
 )
 
 
@@ -102,17 +99,11 @@ def _bot(a: Formula, R: HFormula, r_free: frozenset[str]) -> HFormula:
             return HAnd(HImp(_bot(x, R, r_free), R), _bot(b, R, r_free))
         case FBrace(e, b):
             return HAnd(HNat(e), _bot(b, R, r_free))
+        case FAll1(x, _) | FAll2(x, _, _) if x in r_free:
+            return _bot(_rebind(a, r_free), R, r_free)
         case FAll1(x, body):
-            if x in r_free:
-                x2 = fresh_name(x, r_free | formula_all_names(body))
-                body = _subst1(body, {x: EVar(x2)}, frozenset({x2}))
-                x = x2
             return HEx1(x, _bot(body, R, r_free))
         case FAll2(x, arity, body):
-            if x in r_free:
-                x2 = fresh_name(x, r_free | formula_all_names(body))
-                body = _rename_pred(body, x, x2)
-                x = x2
             return HEx2(x, arity, _bot(body, R, r_free))
     raise TypeError(f"not a PA2 formula: {a!r}")
 

@@ -31,8 +31,8 @@ from .extract import (
     make_decider_sigma01,
     sigma01_refuter,
 )
-from .formulas import Formula
-from .ha2 import print_hterm
+from .formulas import Formula, PredVar, print_formula
+from .ha2 import print_hterm, read_witness
 from .machine import (
     BindNumeral,
     BindTerm,
@@ -573,6 +573,31 @@ def simulate_statement(process: Process, fuel: int) -> StatementOutput:
     return [line], doc, EXIT_UNVERIFIED if report.failed else EXIT_OK
 
 
+def translate_statement(
+    subject: Term | Process | Formula,
+    R: ReturnFormula = ReturnFormula(PredVar("R")),
+    witness_fuel: int | None = None,
+) -> StatementOutput:
+    """Translate a term, a process or a PA2+ formula (against the return
+    formula R); with witness_fuel, also weak-reduce a process image and
+    read its witness."""
+    if isinstance(subject, Formula):
+        bot = print_formula(formula_bot(subject, R))
+        nn = print_formula(formula_nn(subject, R))
+        lines = [f"translate formula bot: {bot}", f"translate formula nn: {nn}"]
+        return lines, {"kind": "translate", "subject": "formula", "bot": bot, "nn": nn}, EXIT_OK
+    kind = "process" if isinstance(subject, Process) else "term"
+    image = cps_process(subject) if kind == "process" else cps_term(subject)
+    out = print_hterm(image)
+    lines = [f"translate {kind}: {out}"]
+    doc = {"kind": "translate", "subject": kind, "output": out}
+    if witness_fuel is not None and kind == "process":
+        found = read_witness(image, fuel=witness_fuel)
+        doc["witness"] = None if found is None else found[0]
+        lines.append(f"witness: {'none' if found is None else found[0]}")
+    return lines, doc, EXIT_OK
+
+
 class ScriptRunner:
     """Executes statements in order against a growing configuration."""
 
@@ -650,23 +675,10 @@ class ScriptRunner:
         )
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
-        if stmt.kind == "formula":
-            from .formulas import HPredVar, print_hformula
-
-            R = ReturnFormula(HPredVar("R"))
-            bot = print_hformula(formula_bot(stmt.formula, R))
-            nn = print_hformula(formula_nn(stmt.formula, R))
-            lines = [f"translate formula bot: {bot}", f"translate formula nn: {nn}"]
-            doc = {"kind": "translate", "subject": "formula", "bot": bot, "nn": nn}
-        else:
-            if stmt.kind == "process":
-                self._check_no_kont(stmt.process, "Translate")
-                out = print_hterm(cps_process(stmt.process))
-            else:
-                out = print_hterm(cps_term(stmt.term))
-            lines = [f"translate {stmt.kind}: {out}"]
-            doc = {"kind": "translate", "subject": stmt.kind, "output": out}
-        self._emit((lines, doc, EXIT_OK))
+        if stmt.kind == "process":
+            self._check_no_kont(stmt.process, "Translate")
+        subject = {"term": stmt.term, "process": stmt.process, "formula": stmt.formula}[stmt.kind]
+        self._emit(translate_statement(subject))
 
     def _run_simulate(self, stmt: SimulateStmt) -> None:
         self._check_no_kont(stmt.process, "Simulate")

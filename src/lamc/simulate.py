@@ -92,10 +92,13 @@ def simulate_one_step(
     inner_fuel: int = 10_000,
     guided_steps: int = GUIDED_STEPS,
     bfs_cap: int = BFS_NODE_CAP,
+    result: Next | Halt | None = None,
 ) -> OneStepReport:
-    """Verify the one-step simulation for the machine step out of p."""
+    """Verify the one-step simulation for the machine step out of p;
+    result is that step when the caller has already taken it."""
     cfg = cfg if cfg is not None else closed_config()
-    result = step(p, cfg)
+    if result is None:
+        result = step(p, cfg)
     if isinstance(result, Halt):
         raise SimulationError(f"process does not step (halt: {result.kind})")
     assert isinstance(result, Next)
@@ -179,7 +182,7 @@ def simulate_run(
         if isinstance(result, Halt):
             halt_kind = result.kind
             break
-        reports.append(simulate_one_step(p, cfg, inner_fuel=inner_fuel))
+        reports.append(simulate_one_step(p, cfg, inner_fuel=inner_fuel, result=result))
         p = result.process
         machine_steps += 1
     return RunSimulationReport(machine_steps, tuple(reports), halt_kind)

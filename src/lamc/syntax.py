@@ -488,6 +488,13 @@ class _TokenStream:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def finish(self, value):
+        """value, once the input is used up; trailing input is an error."""
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        return value
+
 
 # ---------------------------------------------------------------------------
 # term parser
@@ -601,13 +608,6 @@ def _parser_for(text: str, instructions: Iterable[str] | None, strict: bool) -> 
     return _TermParser(_TokenStream(_lex(text)), insts, strict)
 
 
-def _finish(parser: _TermParser, value):
-    tok = parser.ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return value
-
-
 def parse_term(
     text: str,
     instructions: Iterable[str] | None = None,
@@ -616,7 +616,7 @@ def parse_term(
     """Parse a term.  ``instructions`` extends the builtin instruction set;
     in strict mode unbound names are rejected."""
     p = _parser_for(text, instructions, strict)
-    return _finish(p, p.term(frozenset()))
+    return p.ts.finish(p.term(frozenset()))
 
 
 def parse_stack(
@@ -625,7 +625,7 @@ def parse_stack(
     strict: bool = False,
 ) -> Stack:
     p = _parser_for(text, instructions, strict)
-    return _finish(p, p.stack(frozenset()))
+    return p.ts.finish(p.stack(frozenset()))
 
 
 def parse_process(
@@ -634,7 +634,7 @@ def parse_process(
     strict: bool = False,
 ) -> Process:
     p = _parser_for(text, instructions, strict)
-    return _finish(p, p.process(frozenset()))
+    return p.ts.finish(p.process(frozenset()))
 
 
 # ---------------------------------------------------------------------------

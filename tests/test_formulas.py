@@ -186,5 +186,28 @@ class TestSubstitution:
         f = pf("forall X. X(x)", SIG)
         assert subst_pred(f, "X", ("v",), pf("null(v)", SIG)) == f
 
+    def test_second_order_parameters_substituted_simultaneously(self, SIG):
+        f = pf("X(v, u)", SIG)
+        out = subst_pred(f, "X", ("u", "v"), pf("A(u, v)", SIG))
+        assert out == pf("A(v, u)", SIG)
 
 
+class TestPrintParse:
+    @pytest.mark.parametrize(
+        "make, parse",
+        [(random_pa2_formula, parse_formula), (random_hformula, parse_hformula)],
+        ids=["pa2", "ha2"],
+    )
+    def test_printed_formulas_parse_back(self, SIG, make, parse):
+        rng = random.Random(3)
+        for _ in range(500):
+            f = make(rng, 4)
+            assert parse(str(f), SIG) == f, str(f)
+
+    def test_conjunction_is_right_associative(self, SIG):
+        assert hf("A /\\ B /\\ C", SIG) == hf("A /\\ (B /\\ C)", SIG)
+        assert pf("A /\\ B /\\ C", SIG) == pf("A /\\ (B /\\ C)", SIG)
+
+    def test_quantifier_after_implication(self, SIG):
+        assert pf("Y -> forall X. X(x)", SIG) == pf("Y -> (forall X. X(x))", SIG)
+        assert pf("{x} -> exists y. x = y", SIG) == pf("{x} -> (exists y. x = y)", SIG)

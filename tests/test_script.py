@@ -313,7 +313,7 @@ def test_shipped_demo_script(capsys):
 
 
 class TestCliScriptAgreement:
-    """`lamc extract`/`lamc simulate` print the output of the matching
+    """`lamc extract`/`lamc simulate`/`lamc translate` print the output of the matching
     script statement: the same lines, the same document, the same exit code."""
 
     DEFS = "Prim h(x, y) { h(x, y) = minus(x, y); }\nuse Y;\n"
@@ -368,6 +368,35 @@ class TestCliScriptAgreement:
         assert main(["simulate", "--process", process, "--fuel", "10", "--json-like"]) == code
         doc = json.loads(capsys.readouterr().out)
         assert (text, doc, code) == (script.text, script.doc["statements"][0], script.exit_code)
+
+    @pytest.mark.parametrize(
+        "kind, subject",
+        [
+            ("term", r"\x. cc (\k. k x)"),
+            ("process", r"(\u. u #4 (\z. z)) * (\x y. y (stop x)) . $"),
+            ("formula", "forall x. {x} -> exists y. x = y /\\ Y -> forall X. X(y)"),
+        ],
+    )
+    def test_translate(self, capsys, kind, subject):
+        script = run_script_text(f"Translate {kind} {subject};")
+        argv = ["translate", f"--{kind}", subject]
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--json-like"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert (text, doc, code) == (script.text, script.doc["statements"][0], script.exit_code)
+
+
+def test_main_restores_the_recursion_limit():
+    import sys
+
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(30_000)
+    try:
+        main(["translate", "--term", r"\x. x"])
+        assert sys.getrecursionlimit() == 30_000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_deep_input_exits_without_traceback(capsys):

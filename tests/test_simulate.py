@@ -96,6 +96,17 @@ class TestRunSimulation:
         assert total > 80
         assert inconclusive <= total * 0.05
 
+    def test_machine_stepped_once_per_step(self, monkeypatch):
+        import lamc.simulate as simulate_mod
+
+        calls = []
+        real_step = simulate_mod.step
+        monkeypatch.setattr(simulate_mod, "step", lambda p, cfg: calls.append(p) or real_step(p, cfg))
+        report = simulate_run(parse_process(r"(\x. x) (\y. y) * $"), fuel=10)
+        # two machine steps, then the halting check
+        assert report.machine_steps == 2 and report.ok
+        assert len(calls) == 3
+
     def test_inner_equality_only_on_rec_s(self):
         rng = random.Random(100)
         for _ in range(30):
