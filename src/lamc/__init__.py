@@ -11,6 +11,7 @@ evaluation by weak reduction.
 from .arith import (
     ArithExpr,
     EApp,
+    ENat,
     EVar,
     Equation,
     Pattern,

@@ -3,12 +3,31 @@
 Each symbol comes with oriented defining equations over the constructor
 patterns 0 and s(x).  Equation sets must be exhaustive, non-overlapping and
 structurally decreasing (lexicographically), which makes both evaluation and
-normalization total.  Numerals are arbitrary-precision naturals.
+normalization total.
+
+Numerals are arbitrary-precision naturals held in one constant-size leaf,
+``ENat``.  Every way of building a numeral gives that leaf: the parser,
+``expr_of_nat``, substitution, normalization, and the constructors
+themselves, since ``EApp("0")`` is ``ENat(0)`` and ``EApp("s", (ENat(n),))``
+is ``ENat(n + 1)``.  So each value has exactly one representation, and no
+walk (parsing, validation, printing, normalization, compilation to terms)
+ever meets a unary chain.
+
+``eval_expr`` computes over Python ints.  The symbols 0 s + * pred neg minus
+run natively when their definitions equal the default signature's (a
+signature may define ``+`` differently, so names alone never decide);
+every other symbol runs its own equations, compiled once per signature to
+postfix code, with calls kept on an explicit stack so that deep recursion
+needs no Python stack.  The test suite keeps the unary equational
+evaluator as the reference these must agree with.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .syntax import LamcError, ParseError, _TokenStream, _lex
@@ -39,38 +58,42 @@ class EVar(ArithExpr):
 
 
 @dataclass(frozen=True)
+class ENat(ArithExpr):
+    """The numeral n, one leaf whatever its size."""
+
+    n: int
+
+
+ZERO = ENat(0)
+
+
+@dataclass(frozen=True)
 class EApp(ArithExpr):
     symbol: str
     args: tuple[ArithExpr, ...] = ()
 
+    def __new__(cls, symbol: str | None = None, args: tuple = ()):
+        # constructor numerals are the numeral leaf: one representation per value
+        if symbol == "0" and not args:
+            return ZERO
+        if symbol == "s" and len(args) == 1 and type(args[0]) is ENat:
+            return ENat(args[0].n + 1)
+        return super().__new__(cls)
 
-ZERO = EApp("0")
 
 Valuation = Mapping[str, int]
 
 
 def expr_of_nat(n: int) -> ArithExpr:
-    """The constructor numeral s(s(...(0))) for n."""
+    """The numeral for n."""
     if n < 0:
         raise ValueError("naturals only")
-    e = ZERO
-    for _ in range(n):
-        e = EApp("s", (e,))
-    return e
+    return ENat(n)
 
 
 def nat_of_expr(e: ArithExpr) -> int | None:
-    """Inverse of expr_of_nat; None when e is not a constructor numeral."""
-    n = 0
-    while True:
-        match e:
-            case EApp("s", (inner,)):
-                n += 1
-                e = inner
-            case EApp("0", ()):
-                return n
-            case _:
-                return None
+    """The value of a numeral; None when e is not one."""
+    return e.n if type(e) is ENat else None
 
 
 def expr_free_vars(e: ArithExpr) -> frozenset[str]:
@@ -80,7 +103,7 @@ def expr_free_vars(e: ArithExpr) -> frozenset[str]:
         cur = todo.pop()
         if isinstance(cur, EVar):
             acc.add(cur.name)
-        else:
+        elif isinstance(cur, EApp):
             todo.extend(cur.args)
     return frozenset(acc)
 
@@ -91,8 +114,19 @@ def expr_is_ground(e: ArithExpr) -> bool:
         cur = todo.pop()
         if isinstance(cur, EVar):
             return False
-        todo.extend(cur.args)
+        if isinstance(cur, EApp):
+            todo.extend(cur.args)
     return True
+
+
+def expr_symbols(e: ArithExpr):
+    """The function symbols applied in e, with repetitions."""
+    todo = [e]
+    while todo:
+        cur = todo.pop()
+        if isinstance(cur, EApp):
+            yield cur.symbol
+            todo.extend(cur.args)
 
 
 def expr_subst(e: ArithExpr, env: Mapping[str, ArithExpr]) -> ArithExpr:
@@ -147,6 +181,7 @@ class PrimRecSignature:
             for name, arity in (("0", 0), ("s", 1)):
                 symbols[name] = SymbolDef(name, arity, ())
         self.symbols = symbols
+        self._code: dict | None = None  # what eval_expr runs, built on first use
 
     def __contains__(self, name: str) -> bool:
         return name in self.symbols
@@ -191,6 +226,8 @@ def _validate_rhs(sym: SymbolDef, eq: Equation, bound: set[str], sig: PrimRecSig
         if isinstance(e, EVar):
             if e.name not in bound:
                 raise SignatureError(f"{sym.name}: unbound variable {e.name!r} in equation")
+            continue
+        if isinstance(e, ENat):
             continue
         if e.symbol != sym.name and e.symbol not in sig:
             raise SignatureError(f"{sym.name}: unknown symbol {e.symbol!r} in equation")
@@ -305,63 +342,148 @@ def default_signature() -> PrimRecSignature:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (explicit stack: numerals can be large)
+# evaluation over Python ints
+
+# the default signature's symbols, as Python functions
+_NATIVE = {
+    "0": lambda: 0,
+    "s": lambda a: a + 1,
+    "+": operator.add,
+    "*": operator.mul,
+    "pred": lambda a: a - 1 if a else 0,
+    "neg": lambda a: 0 if a else 1,
+    "minus": lambda a, b: a - b if a > b else 0,
+}
+
+# postfix instructions: (_CONST, n) and (_VAR, name) push a value,
+# (_CALL, symbol, argc) replaces the top argc values by the symbol's value
+_CONST, _VAR, _CALL = range(3)
+
+
+@cache
+def _default_symbols() -> Mapping[str, SymbolDef]:
+    return MappingProxyType(default_signature().symbols)
+
+
+def _signature_code(sig: PrimRecSignature) -> dict:
+    """Per symbol, its native function, or its equations as (patterns,
+    postfix code) pairs.  Cached on the signature, so it lives exactly as
+    long; nothing in it refers back to the signature or to itself."""
+    if sig._code is None:
+        defaults = _default_symbols()
+        code: dict = {}
+        for name, sym in sig.symbols.items():
+            # native only if the callees are native too: a signature may
+            # define + its own way and * with the default equations
+            if (
+                name in _NATIVE
+                and sym == defaults[name]
+                and all(
+                    c == name or code.get(c) is _NATIVE[c]
+                    for eq in sym.equations
+                    for c in expr_symbols(eq.rhs)
+                )
+            ):
+                code[name] = _NATIVE[name]
+            else:
+                code[name] = tuple(
+                    (eq.patterns, _compile(eq.rhs, sig)) for eq in sym.equations
+                )
+        sig._code = code
+    return sig._code
+
+
+def _compile(e: ArithExpr, sig: PrimRecSignature, bound: Valuation | None = None) -> tuple:
+    """The postfix code of e.  With bound, a variable outside it is an
+    error.  Errors are raised in the order of a right-to-left pre-order
+    walk, the order the equational reference evaluator meets them in
+    (define rules them out in equations)."""
+    code: list = []
+    todo = [e]
+    while todo:
+        cur = todo.pop()
+        if type(cur) is ENat:
+            code.append((_CONST, cur.n))
+        elif type(cur) is EVar:
+            if bound is not None and cur.name not in bound:
+                raise EvalError(f"unbound variable {cur.name!r}")
+            code.append((_VAR, cur.name))
+        else:
+            sym = sig.symbols.get(cur.symbol)
+            if sym is None:
+                raise EvalError(f"unknown function symbol {cur.symbol!r}")
+            if len(cur.args) != sym.arity:
+                raise EvalError(
+                    f"{cur.symbol!r} applied to {len(cur.args)} arguments, expects {sym.arity}"
+                )
+            code.append((_CALL, cur.symbol, sym.arity))
+            todo.extend(cur.args)
+    code.reverse()  # right-to-left pre-order, reversed: left-to-right post-order
+    return tuple(code)
 
 
 def eval_expr(e: ArithExpr, rho: Valuation, sig: PrimRecSignature) -> int:
-    """The standard value of e under rho, computed through the equations."""
+    """The standard value of e under rho."""
+    if type(e) is ENat:
+        return e.n
+    if type(e) is EVar:
+        try:
+            return rho[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+    return _run(_compile(e, sig, rho), rho, _signature_code(sig))
+
+
+def _run(code: tuple, env: Valuation, table: dict) -> int:
+    """Run postfix code.  A call of a native symbol is one Python call; a
+    call of a symbol with equations runs the matching equation's code in a
+    new frame on an explicit stack (a call in tail position reuses the
+    frame), so recursion depth costs list entries, not Python frames."""
     values: list[int] = []
-    # tasks: ("eval", expr, env) or ("apply", symbol name, env-for-error)
-    tasks: list[tuple] = [("eval", e, rho)]
-    while tasks:
-        task = tasks.pop()
-        if task[0] == "eval":
-            _, cur, env = task
-            if isinstance(cur, EVar):
-                try:
-                    values.append(env[cur.name])
-                except KeyError:
-                    raise EvalError(f"unbound variable {cur.name!r}") from None
-                continue
-            if cur.symbol not in sig:
-                raise EvalError(f"unknown function symbol {cur.symbol!r}")
-            tasks.append(("apply", cur))
-            for a in cur.args:
-                tasks.append(("eval", a, env))
-        else:
-            _, cur = task
-            argc = len(cur.args)
-            args = values[len(values) - argc :] if argc else []
-            del values[len(values) - argc :]
-            args.reverse()
-            sym = sig.symbols[cur.symbol]
-            if sym.name == "0":
-                values.append(0)
-            elif sym.name == "s":
-                values.append(args[0] + 1)
-            else:
-                eq, env = _match_values(sym, args)
-                tasks.append(("eval", eq.rhs, env))
-    assert len(values) == 1
-    return values.pop()
+    frames: list = []
+    pc = 0
+    while True:
+        if pc == len(code):
+            if not frames:
+                return values[-1]
+            code, env, pc = frames.pop()
+            continue
+        op = code[pc]
+        pc += 1
+        kind = op[0]
+        if kind == _CONST:
+            values.append(op[1])
+            continue
+        if kind == _VAR:
+            values.append(env[op[1]])
+            continue
+        _, name, argc = op
+        cut = len(values) - argc
+        args = values[cut:]
+        del values[cut:]
+        entry = table[name]
+        if type(entry) is not tuple:
+            values.append(entry(*args))
+            continue
+        if pc < len(code):
+            frames.append((code, env, pc))
+        code, env = _match(name, entry, args)
+        pc = 0
 
 
-def _match_values(sym: SymbolDef, args: list[int]) -> tuple[Equation, dict[str, int]]:
-    for eq in sym.equations:
+def _match(name: str, equations: tuple, args: list[int]) -> tuple[tuple, dict[str, int]]:
+    for patterns, body in equations:
         env: dict[str, int] = {}
-        for p, v in zip(eq.patterns, args):
+        for p, v in zip(patterns, args):
             if p.kind == "var":
                 env[p.var] = v
-            elif p.kind == "zero":
-                if v != 0:
-                    break
-            else:
-                if v == 0:
-                    break
+            elif (p.kind == "zero") != (v == 0):
+                break
+            elif p.kind == "succ":
                 env[p.var] = v - 1
         else:
-            return eq, env
-    raise EvalError(f"{sym.name}: no equation matches {args}")  # unreachable
+            return body, env
+    raise EvalError(f"{name}: no equation matches {args}")  # unreachable once validated
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +493,11 @@ def _match_values(sym: SymbolDef, args: list[int]) -> tuple[Equation, dict[str, 
 def normalize_expr(e: ArithExpr, sig: PrimRecSignature) -> ArithExpr:
     """The unique normal form of e under the oriented defining equations.
 
-    Ground expressions normalize to constructor numerals, so they are
-    evaluated directly; open expressions rewrite until a variable blocks.
+    Ground expressions normalize to numerals, so they are evaluated
+    directly; open expressions rewrite until a variable blocks.
     """
     if expr_is_ground(e):
-        return expr_of_nat(eval_expr(e, {}, sig))
+        return ENat(eval_expr(e, {}, sig))
     match e:
         case EVar(_):
             return e
@@ -405,10 +527,12 @@ def _match_structural(
             elif p.kind == "zero":
                 if a != ZERO:
                     break
-            else:
-                if not (isinstance(a, EApp) and a.symbol == "s"):
-                    break
+            elif isinstance(a, ENat) and a.n > 0:
+                env[p.var] = ENat(a.n - 1)
+            elif isinstance(a, EApp) and a.symbol == "s":
                 env[p.var] = a.args[0]
+            else:
+                break
         else:
             return eq, env
     return None
@@ -447,7 +571,7 @@ def _parse_factor(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
     tok = ts.peek()
     if tok.kind == "nat":
         ts.next()
-        return expr_of_nat(int(tok.text))
+        return ENat(int(tok.text))
     if tok.kind == "ident":
         ts.next()
         if ts.peek().text == "(":
@@ -478,10 +602,9 @@ def _parse_factor(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
 
 
 def print_expr(e: ArithExpr) -> str:
-    n = nat_of_expr(e)
-    if n is not None:
-        return str(n)
     match e:
+        case ENat(n):
+            return str(n)
         case EVar(name):
             return name
         case EApp("+", (a, b)):
@@ -496,12 +619,12 @@ def print_expr(e: ArithExpr) -> str:
 
 
 def _print_tight(e: ArithExpr) -> str:
-    if isinstance(e, EApp) and e.symbol == "+" and nat_of_expr(e) is None:
+    if isinstance(e, EApp) and e.symbol == "+":
         return "(" + print_expr(e) + ")"
     return print_expr(e)
 
 
 def _print_atom_expr(e: ArithExpr) -> str:
-    if isinstance(e, EApp) and e.symbol in ("+", "*") and nat_of_expr(e) is None:
+    if isinstance(e, EApp) and e.symbol in ("+", "*"):
         return "(" + print_expr(e) + ")"
     return print_expr(e)

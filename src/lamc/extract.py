@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .arith import EApp, expr_of_nat, eval_expr
+from .arith import EApp, EVar, eval_expr
 from .machine import MachineConfig, RunOutcome, StopRun, run
 from .stdlib import IDENTITY, compile_primrec
 from .syntax import (
@@ -130,7 +130,7 @@ def extract_sigma01(
     w = _witness(outcome)
     verified = None
     if w is not None:
-        verified = eval_expr(EApp(f, (expr_of_nat(w),)), {}, cfg.sig) == 0
+        verified = eval_expr(EApp(f, (EVar("x"),)), {"x": w}, cfg.sig) == 0
     return ExtractionReport("sigma01", w, verified, outcome.printed, outcome)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .arith import (
     ArithExpr,
     EApp,
+    ENat,
     EVar,
     PrimRecSignature,
     ZERO,
@@ -135,6 +136,8 @@ def _expr_key(e: ArithExpr, env: dict):
     if isinstance(e, EVar):
         b = env.get(e.name)
         return ("b", b) if b is not None else ("f", e.name)
+    if isinstance(e, ENat):
+        return e.n
     return (e.symbol,) + tuple(_expr_key(a, env) for a in e.args)
 
 
@@ -437,7 +440,7 @@ def _normalize(f, sig: PrimRecSignature, top: Formula):
             ne = normalize_expr(e, sig)
             if ne == ZERO:
                 return top
-            if isinstance(ne, EApp) and ne.symbol == "s":
+            if isinstance(ne, ENat) or isinstance(ne, EApp) and ne.symbol == "s":
                 return f_bot()
             return Null(ne)
         case Nat(e):

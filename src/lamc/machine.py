@@ -12,7 +12,14 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Union
 
-from .arith import ArithExpr, PrimRecSignature, default_signature, eval_expr, expr_free_vars
+from .arith import (
+    ArithExpr,
+    PrimRecSignature,
+    default_signature,
+    eval_expr,
+    expr_free_vars,
+    expr_symbols,
+)
 from .syntax import (
     App,
     Inst,
@@ -227,7 +234,7 @@ def _validate_template(
                 raise RuleError(
                     f"{name}: template expression mentions non-numeral variables {sorted(loose)}"
                 )
-            for sym in _expr_symbols(e):
+            for sym in expr_symbols(e):
                 if sym not in sig:
                     raise RuleError(f"{name}: unknown function symbol {sym!r} in template")
         case Lam(b, body):
@@ -244,15 +251,6 @@ def _validate_template(
             pass
         case _:
             raise TypeError(f"not a template term: {t!r}")
-
-
-def _expr_symbols(e: ArithExpr):
-    todo = [e]
-    while todo:
-        cur = todo.pop()
-        if hasattr(cur, "symbol"):
-            yield cur.symbol
-            todo.extend(cur.args)
 
 
 def _check_shadowing(name: str, rules: tuple[InstructionRule, ...]) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import EApp, Equation, Pattern, _parse_expr, default_signature, eval_expr, expr_of_nat
+from .arith import EApp, EVar, Equation, Pattern, _parse_expr, default_signature, eval_expr
 from .extract import (
     extract_decidable,
     extract_kamikaze,
@@ -528,7 +528,7 @@ def extract_statement(
         )
 
     def oracle(n: int) -> bool:
-        return eval_expr(EApp(symbol, (expr_of_nat(n),)), {}, cfg.sig) == 0
+        return eval_expr(EApp(symbol, (EVar("x"),)), {"x": n}, cfg.sig) == 0
 
     if mode == "sigma01":
         report = extract_sigma01(realizer, symbol, cfg, stack, trace)

@@ -10,6 +10,9 @@ stated next to each builder; the test suite checks them on the machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .arith import EApp, EVar, PrimRecSignature, default_signature, nat_of_expr
 from .machine import (
@@ -302,14 +305,18 @@ class NamedTerm:
     contract: str
 
 
-def catalog() -> dict[str, NamedTerm]:
-    """Named closed proof-like terms addressable from scripts (`use name;`)."""
+@cache
+def catalog() -> Mapping[str, NamedTerm]:
+    """Named closed proof-like terms addressable from scripts (`use name;`).
+
+    Built once, on first use, and shared read-only: terms are immutable."""
 
     def entry(name: str, term: Term, contract: str) -> tuple[str, NamedTerm]:
         return name, NamedTerm(name, term, contract)
 
-    minp = min_principle_realizers(test_le_term())
-    return dict(
+    test_le = test_le_term()
+    minp = min_principle_realizers(test_le)
+    return MappingProxyType(dict(
         [
             entry("I", IDENTITY, "I * t . pi  >  t * pi"),
             entry("pair", PAIR, "pair * x . y . z . pi  >*  z * x . y . pi"),
@@ -326,11 +333,11 @@ def catalog() -> dict[str, NamedTerm]:
                 lazy_to_church(),
                 "applied to a lazy numeral, behaves as the Church numeral",
             ),
-            entry("test_le", test_le_term(), "test_le * n . m . u . v . pi  >*  u|v * pi"),
+            entry("test_le", test_le, "test_le * n . m . u . v . pi  >*  u|v * pi"),
             entry("min_aux", minp["min_aux"], "see min_principle_realizers"),
             entry("min_princ", minp["min_princ"], "universal realizer of the minimum principle"),
         ]
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -653,31 +653,40 @@ def print_term(t: Term) -> str:
 
 
 def _print(t: Term, top: bool) -> str:
-    match t:
-        case App(App(HConst("pair"), a), b):
-            return f"<{_print(a, True)}; {_print(b, True)}>"
-        case Lam(_, _):
+    # explicit stack of pending work, popped last first: a string is
+    # emitted as is, a (term, top) pair is rendered
+    out: list[str] = []
+    todo: list = [(t, top)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, top = item
+        close = [] if top else [")"]
+        pair = split_pair(t)
+        if pair is not None:
+            todo += [">", (pair[1], True), "; ", (pair[0], True)]
+            out.append("<")
+        elif isinstance(t, Lam):
             binders = []
-            body = t
-            while isinstance(body, Lam):
-                binders.append(body.binder)
-                body = body.body
-            s = "\\" + " ".join(binders) + ". " + _print(body, top=True)
-            return s if top else "(" + s + ")"
-        case App(_, _):
+            while isinstance(t, Lam):
+                binders.append(t.binder)
+                t = t.body
+            todo += close + [(t, True)]
+            out.append(("\\" if top else "(\\") + " ".join(binders) + ". ")
+        elif isinstance(t, App):
             parts = []
-            fn = t
-            while isinstance(fn, App) and split_pair(fn) is None:
-                parts.append(fn.arg)
-                fn = fn.fn
-            parts.append(fn)
-            parts.reverse()
-            head = _print(parts[0], top=False)
-            args = [_print(u, top=False) for u in parts[1:]]
-            s = " ".join([head] + args)
-            return s if top else "(" + s + ")"
-        case _:
-            return _print_atom(t)
+            while isinstance(t, App) and split_pair(t) is None:
+                parts.append((t.arg, False))
+                parts.append(" ")
+                t = t.fn
+            todo += close + parts + [(t, False)]
+            if not top:
+                out.append("(")
+        else:
+            out.append(_print_atom(t))
+    return "".join(out)
 
 
 def _print_atom(t: Term) -> str:

@@ -400,8 +400,23 @@ def test_main_restores_the_recursion_limit():
 
 
 def test_deep_input_exits_without_traceback(capsys):
-    code = main(["translate", "--process", "stop * #100000 . $"])
+    depth = 100_000
+    code = main(["translate", "--process", "(" * depth + "stop" + ")" * depth + " * $"])
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_large_numeral_translates_at_the_default_recursion_limit(capsys):
+    import sys
+
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code = main(["translate", "--process", "stop * #30000 . $"])
+    finally:
+        sys.setrecursionlimit(before)
+    out = capsys.readouterr()
+    assert code == EXIT_OK and out.err == ""
+    assert out.out.startswith("translate process: ") and out.out.count("sc") == 30000
