@@ -180,7 +180,7 @@ class PrimRecSignature:
             symbols = {}
             for name, arity in (("0", 0), ("s", 1)):
                 symbols[name] = SymbolDef(name, arity, ())
-        self.symbols = symbols
+        self.symbols: Mapping[str, SymbolDef] = MappingProxyType(symbols)
         self._code: dict | None = None  # what eval_expr runs, built on first use
 
     def __contains__(self, name: str) -> bool:
@@ -306,8 +306,12 @@ def _compare(arg: ArithExpr, pat: Pattern) -> str:
     return "unknown"
 
 
+@cache
 def default_signature() -> PrimRecSignature:
-    """Constructors plus the standard symbols +, *, pred, neg, minus."""
+    """Constructors plus the standard symbols +, *, pred, neg, minus.
+
+    Built once and shared, with what ``eval_expr`` compiles for it:
+    signatures are immutable."""
     v = lambda n: Pattern("var", n)
     z = Pattern("zero")
     sc = lambda n: Pattern("succ", n)
@@ -360,17 +364,12 @@ _NATIVE = {
 _CONST, _VAR, _CALL = range(3)
 
 
-@cache
-def _default_symbols() -> Mapping[str, SymbolDef]:
-    return MappingProxyType(default_signature().symbols)
-
-
 def _signature_code(sig: PrimRecSignature) -> dict:
     """Per symbol, its native function, or its equations as (patterns,
     postfix code) pairs.  Cached on the signature, so it lives exactly as
     long; nothing in it refers back to the signature or to itself."""
     if sig._code is None:
-        defaults = _default_symbols()
+        defaults = default_signature().symbols
         code: dict = {}
         for name, sym in sig.symbols.items():
             # native only if the callees are native too: a signature may

@@ -2,13 +2,27 @@
 
 Deterministic small-step evaluation of processes under the base rules
 (Push, Grab, Call/cc, Resume), the primitive-numeral rules (Succ, Rec-0,
-Rec-S, Print) and user-registered instruction rules.  A run owns its
-counters and print sink; configurations are immutable and may be shared.
+Rec-S, Print) and user-registered instruction rules.  There are two
+machines:
+
+- ``step`` is the reference semantics: one step on processes, where Grab
+  substitutes the stack top into the body.  The simulation checker needs
+  a ``Process`` after every step and uses it.
+- ``run`` is the environment machine that ``step`` specifies (Krivine,
+  "A call-by-name lambda-calculus machine", 2007).  It compiles the
+  process and the rules it fires into nameless code once per run, and
+  Grab pushes the stack top onto an environment of closures instead of
+  rebuilding the body.  Closures are read back into terms only for the
+  final process, trace lines and continuations; the outcome, statistics
+  and trace are those of iterating ``step``.
+
+A run owns its counters and print sink; configurations are immutable and
+may be shared.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Union
 
@@ -21,6 +35,7 @@ from .arith import (
     expr_symbols,
 )
 from .syntax import (
+    BOTTOM,
     App,
     Inst,
     Kont,
@@ -436,54 +451,398 @@ class RunOutcome:
         return table
 
 
-def run(p: Process, cfg: MachineConfig) -> RunOutcome:
-    """Iterate ``step`` until halt or fuel exhaustion.
+# ---------------------------------------------------------------------------
+# the environment machine behind ``run``
+#
+# A term is compiled once per run into nameless code: tuples
+#     (tag, a, b, need, src)     and, for an application, a sixth field
+# where ``need`` is one more than the largest environment index the node
+# reaches outside itself (0 when the node is closed) and ``src`` is the
+# source term, which readback returns for every node that reaches no
+# environment entry (None for numerals and continuations built at run
+# time).  Per tag, ``a`` and ``b`` are:
+#     _APP    function code, argument code; field 5 is the argument's
+#             closure when the argument is closed, else None
+#     _LAM    body code
+#     _VAR    environment index (0 is the innermost binder)
+#     _NUM    the numeral
+#     _KONT   the saved stack
+#     _CC, _SUCC, _REC, _PRINT, _STOP, _USER    the instruction's name
+# A closure is a pair (code, env).  Environments and stacks are linked
+# lists (closure, rest) that end in None.  No stack or environment entry
+# is a variable closure: Push stores the closure a variable points to.
 
-    Identical inputs give identical outcomes, statistics included.  The
-    sink may raise StopRun to abort (halt kind "aborted").
+_APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER = range(11)
+
+_INST_TAGS = {"cc": _CC, "s": _SUCC, "rec": _REC, "print": _PRINT, "stop": _STOP}
+
+_BUILTIN_RULES = ("Push", "Grab", "Resume", "cc", "s", "rec-0", "rec-s", "print")
+
+_STUCK = Halt("stuck")
+
+
+def _compile(t: Term, scope: tuple, memo: dict) -> tuple:
+    """The code of ``t`` with the names in ``scope`` (outermost first) as its
+    environment.  A scope entry is a variable name, or ``id(e)`` for a
+    template's ``TExpr`` e.  ``memo`` maps ``id`` of closed terms to their
+    code, so a closed term shared in the input is compiled once; the terms
+    must outlive ``memo``.  Explicit-stack walk: terms may be deep."""
+    levels: dict = {}  # name -> depths of its binders, innermost last
+    for depth, key in enumerate(scope):
+        levels.setdefault(key, []).append(depth)
+    depth = len(scope)
+    out: list[tuple] = []
+    todo: list = [(t, True)]
+    while todo:
+        t, entering = todo.pop()
+        if entering:
+            node = memo.get(id(t))
+            if node is not None:
+                out.append(node)
+            elif isinstance(t, App):
+                todo += ((t, False), (t.arg, True), (t.fn, True))
+            elif isinstance(t, Lam):
+                levels.setdefault(t.binder, []).append(depth)
+                depth += 1
+                todo += ((t, False), (t.body, True))
+            elif isinstance(t, (Var, TExpr)):
+                bound = levels.get(t.name if isinstance(t, Var) else id(t))
+                if not bound:
+                    if isinstance(t, Var):
+                        raise RuleError(f"unbound variable {t.name!r} in rule right-hand side")
+                    raise TypeError(f"not a term: {t!r}")
+                i = depth - 1 - bound[-1]
+                out.append((_VAR, i, None, i + 1, t))
+            elif isinstance(t, Inst):
+                out.append((_INST_TAGS.get(t.name, _USER), t.name, None, 0, t))
+            elif isinstance(t, Numeral):
+                out.append((_NUM, t.n, None, 0, t))
+            elif isinstance(t, Kont):
+                saved = list(t.saved)
+                if any(u.fv for u in saved):
+                    raise MachineError("ill-formed process: stack is not closed")
+                todo.append((t, False))
+                todo += ((u, True) for u in reversed(saved))
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            continue
+        if isinstance(t, App):
+            arg = out.pop()
+            fn = out.pop()
+            node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
+        elif isinstance(t, Lam):
+            body = out.pop()
+            levels[t.binder].pop()
+            depth -= 1
+            node = (_LAM, body, None, max(body[3] - 1, 0), t)
+        else:  # Kont
+            saved = None
+            for _ in t.saved:
+                saved = ((out.pop(), None), saved)
+            node = (_KONT, saved, None, 0, t)
+        if not node[3]:
+            memo[id(t)] = node
+        out.append(node)
+    return out[0]
+
+
+# rec u0 u1 #(n-1), over the environment #(n-1) . u1 . u0
+_REC_AGAIN = _compile(
+    App(App(App(Inst("rec"), Var("u0")), Var("u1")), Var("n")), ("u0", "u1", "n"), {}
+)
+
+_BIND_TERM, _BIND_NUMERAL, _LIT_NUMERAL = range(3)
+
+
+def _compile_rule(rule: InstructionRule, memo: dict) -> tuple:
+    """(instruction name, patterns, guard, template expressions, right-hand
+    side code, right-hand stack codes in push order).  The templates' environment holds the pattern
+    variables in order, then one numeral per ``TExpr``, in the order in
+    which ``_instantiate`` evaluates them."""
+    patterns = []
+    scope = []
+    for pat in rule.patterns:
+        match pat:
+            case BindTerm(v):
+                patterns.append((_BIND_TERM, v))
+                scope.append(v)
+            case BindNumeral(v):
+                patterns.append((_BIND_NUMERAL, v))
+                scope.append(v)
+            case LitNumeral(n):
+                patterns.append((_LIT_NUMERAL, n))
+    templates = (rule.rhs_term, *reversed(rule.rhs_stack))
+    exprs = []
+    todo = list(reversed(templates))
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TExpr):
+            exprs.append(t)
+            scope.append(id(t))
+        elif isinstance(t, Lam):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            todo += (t.arg, t.fn)
+    head, *tail = (_compile(t, tuple(scope), memo) for t in templates)
+    return (rule.head, tuple(patterns), rule.guard, tuple(e.expr for e in exprs), head, tuple(tail))
+
+
+def _fire(compiled: tuple, stack, sig: PrimRecSignature) -> tuple | None:
+    """(code, env, stack) after the compiled rule, or None if it does not
+    match."""
+    _, patterns, guard, exprs, head, tail = compiled
+    env = None
+    nums: dict[str, int] = {}
+    for kind, x in patterns:
+        if stack is None:
+            return None
+        top, stack = stack
+        if kind == _BIND_TERM:
+            env = (top, env)
+            continue
+        code = top[0]
+        if code[0] != _NUM:
+            return None
+        if kind == _BIND_NUMERAL:
+            env = (top, env)
+            nums[x] = code[1]
+        elif code[1] != x:
+            return None
+    if guard is not None and not guard.holds(nums, sig):
+        return None
+    for expr in exprs:
+        env = (((_NUM, eval_expr(expr, nums, sig), None, 0, None), None), env)
+    for code in tail:
+        if code[0] == _VAR:
+            e, i = env, code[1]
+            while i:
+                e, i = e[1], i - 1
+            stack = (e[0], stack)
+        else:
+            stack = ((code, env if code[3] else None), stack)
+    return head, env if head[3] else None, stack
+
+
+_RB_CODE, _RB_CLOSURE, _RB_STACK, _RB_MEMO, _RB_LAM, _RB_APP, _RB_PUSH, _RB_KONT = range(8)
+
+
+def _read_back(code: tuple, env, stack) -> Process:
+    """The process a machine state stands for: each environment entry
+    substituted into its code.  Entries are closed, so no binder needs
+    renaming and the result is the process ``step`` reaches.  Each closure
+    and stack cell is read back once, so shared parts stay shared.
+    Explicit-stack walk."""
+    memo: dict[int, object] = {}  # id of a closure or stack cell -> its readback
+    out: list = []
+    todo: list = [(_RB_STACK, stack), (_RB_CODE, code, env, 0)]
+    while todo:
+        item = todo.pop()
+        op = item[0]
+        if op == _RB_CODE:
+            _, code, env, depth = item
+            if code[3] <= depth:  # reaches no environment entry
+                if code[4] is not None:
+                    out.append(code[4])
+                elif code[0] == _NUM:
+                    out.append(Numeral(code[1]))
+                else:
+                    todo += ((_RB_KONT,), (_RB_STACK, code[1]))
+            elif code[0] == _VAR:
+                e, i = env, code[1] - depth
+                while i:
+                    e, i = e[1], i - 1
+                todo.append((_RB_CLOSURE, e[0]))
+            elif code[0] == _LAM:
+                todo += ((_RB_LAM, code[4].binder), (_RB_CODE, code[1], env, depth + 1))
+            else:
+                todo += ((_RB_APP,), (_RB_CODE, code[2], env, depth), (_RB_CODE, code[1], env, depth))
+        elif op == _RB_CLOSURE or op == _RB_STACK:
+            cell = item[1]
+            done = memo.get(id(cell))
+            if done is not None:
+                out.append(done)
+            elif cell is None:
+                out.append(BOTTOM)
+            elif op == _RB_CLOSURE:
+                todo += ((_RB_MEMO, cell), (_RB_CODE, cell[0], cell[1], 0))
+            else:
+                todo += ((_RB_MEMO, cell), (_RB_PUSH,), (_RB_STACK, cell[1]), (_RB_CLOSURE, cell[0]))
+        elif op == _RB_MEMO:
+            memo[id(item[1])] = out[-1]
+        elif op == _RB_LAM:
+            out[-1] = Lam(item[1], out[-1])
+        elif op == _RB_APP:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif op == _RB_PUSH:
+            rest = out.pop()
+            out[-1] = Push(out[-1], rest)
+        else:  # _RB_KONT
+            out[-1] = Kont(out[-1])
+    return Process(out[0], out[1])
+
+
+def run(p: Process, cfg: MachineConfig) -> RunOutcome:
+    """Run the machine until halt or fuel exhaustion.
+
+    The rules are those of ``step``, executed on closures: the outcome,
+    statistics and trace lines are those of iterating ``step``.  Identical
+    inputs give identical outcomes.  The sink may raise StopRun to abort
+    (halt kind "aborted").
     """
     if free_vars(p.head):
         raise MachineError("ill-formed process: head is not closed")
-    stats: Counter[str] = Counter()
+    terms = list(p.stack)
+    if any(t.fv for t in terms):
+        raise MachineError("ill-formed process: stack is not closed")
+    memo: dict[int, tuple] = {}
+    code, env = _compile(p.head, (), memo), None
+    stack = None
+    for t in reversed(terms):
+        stack = ((_compile(t, (), memo), None), stack)
+    rules = cfg.rules
+    compiled_rules: dict[str, tuple] = {}
+    sig, user_sink, tracing = cfg.sig, cfg.sink, cfg.trace
+    limit = cfg.fuel if cfg.fuel is not None else math.inf
+    stats = dict.fromkeys(_BUILTIN_RULES, 0)
     printed: list[int] = []
     fired: list[str] = []
     trace: list[str] = []
-    sink_list = printed.append
-    user_sink = cfg.sink
-
-    def sink(n: int) -> None:
-        sink_list(n)
-        if user_sink is not None:
-            user_sink(n)
-
-    running = replace(cfg, sink=sink)
+    # the tags as locals, for the loop below: it is the machine's hot path
+    APP, LAM, VAR, NUM, KONT, CC, SUCC, REC, PRINT, STOP, USER = (
+        _APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER
+    )
     steps = 0
-    halt = None
     while True:
-        if cfg.fuel is not None and steps >= cfg.fuel:
+        if steps >= limit:
             halt = Halt("fuel")
             break
-        try:
-            result = step(p, running)
-        except StopRun:
-            halt = Halt("aborted")
+        tag = code[0]
+        if tag == APP:
+            arg = code[5]
+            if arg is None:
+                arg = code[2]
+                if arg[0] == VAR:
+                    e, i = env, arg[1]
+                    while i:
+                        e, i = e[1], i - 1
+                    arg = e[0]
+                else:
+                    arg = (arg, env)
+            stack = (arg, stack)
+            code = code[1]
+            rule = "Push"
+        elif tag == LAM:
+            if stack is None:
+                halt = _STUCK
+                break
+            env = (stack[0], env)
+            stack = stack[1]
+            code = code[1]
+            rule = "Grab"
+        elif tag == VAR:
+            # looking a variable up is no step: the substitution machine
+            # has the value in place already
+            e, i = env, code[1]
+            while i:
+                e, i = e[1], i - 1
+            code, env = e[0]
+            continue
+        elif tag == USER:
+            name = code[1]
+            compiled = compiled_rules.get(name)
+            if compiled is None:
+                compiled = compiled_rules[name] = tuple(
+                    _compile_rule(r, memo) for r in rules.get(name, ())
+                )
+                for c in compiled:
+                    stats.setdefault(c[0], 0)
+            for c in compiled:
+                state = _fire(c, stack, sig)
+                if state is not None:
+                    break
+            else:
+                halt = _STUCK
+                break
+            code, env, stack = state
+            rule = c[0]
+        elif tag == REC:
+            if stack is None or stack[1] is None or stack[1][1] is None:
+                halt = _STUCK
+                break
+            u0, (u1, (num, rest)) = stack
+            if num[0][0] != NUM:
+                halt = _STUCK
+                break
+            n = num[0][1]
+            if n == 0:
+                code, env = u0
+                stack = rest
+                rule = "rec-0"
+            else:
+                below = ((NUM, n - 1, None, 0, None), None)
+                again = (_REC_AGAIN, (below, (u1, (u0, None))))
+                code, env = u1
+                stack = (below, (again, rest))
+                rule = "rec-s"
+        elif tag == SUCC:
+            if stack is None or stack[0][0][0] != NUM or stack[1] is None:
+                halt = _STUCK
+                break
+            num, (u, rest) = stack
+            code, env = u
+            stack = (((NUM, num[0][1] + 1, None, 0, None), None), rest)
+            rule = "s"
+        elif tag == KONT:
+            if stack is None:
+                halt = _STUCK
+                break
+            saved = code[1]
+            code, env = stack[0]
+            stack = saved
+            rule = "Resume"
+        elif tag == CC:
+            if stack is None:
+                halt = _STUCK
+                break
+            (code, env), rest = stack
+            stack = (((KONT, rest, None, 0, None), None), rest)
+            rule = "cc"
+        elif tag == STOP:
+            if stack is None or stack[0][0][0] != NUM:
+                halt = _STUCK
+            else:
+                halt = Halt("final-stop", stack[0][0][1])
             break
-        if isinstance(result, Halt):
-            halt = result
+        elif tag == PRINT:
+            if stack is None or stack[0][0][0] != NUM or stack[1] is None:
+                halt = _STUCK
+                break
+            n = stack[0][0][1]
+            printed.append(n)
+            if user_sink is not None:
+                try:
+                    user_sink(n)
+                except StopRun:
+                    halt = Halt("aborted")
+                    break
+            code, env = stack[1][0]
+            stack = stack[1][1]
+            rule = "print"
+        else:  # a numeral in head position
+            halt = _STUCK
             break
         steps += 1
-        stats[result.rule] += 1
-        p = result.process
-        if cfg.trace:
-            fired.append(result.rule)
-            trace.append(f"step {steps}: {result.rule} | {print_process(p)}")
+        stats[rule] += 1
+        if tracing:
+            fired.append(rule)
+            trace.append(f"step {steps}: {rule} | {print_process(_read_back(code, env, stack))}")
     return RunOutcome(
-        final=p,
+        final=_read_back(code, env, stack),
         halt=halt,
         steps=steps,
-        stats=dict(stats),
+        stats={k: v for k, v in stats.items() if v},
         printed=tuple(printed),
         fired=tuple(fired),
         trace=tuple(trace),
     )
-

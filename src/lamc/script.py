@@ -187,8 +187,9 @@ class ScriptParser:
     def __init__(self, text: str):
         self.ts = _TokenStream(_lex(text))
         self.inst_names: set[str] = set(RESERVED_INSTRUCTIONS)
+        self.base_sig = default_signature()  # the signature scripts start from
         self.sym_arities: dict[str, int] = {
-            name: d.arity for name, d in default_signature().symbols.items()
+            name: d.arity for name, d in self.base_sig.symbols.items()
         }
         self.catalog = stdlib_catalog()
 

@@ -133,48 +133,64 @@ def compile_primrec(
         cache[name] = Inst("s")
         return Inst("s")
 
-    arg_names = [f"x{i + 1}" for i in range(sym.arity)]
-    counter = [0]
-
-    def fresh(prefix: str) -> str:
-        counter[0] += 1
-        return f"{prefix}{counter[0]}"
-
+    compiler = _PrimRecCompiler(name, sym, sig, cache)
+    tree = compiler.build([None] * sym.arity)
+    body = lam(" ".join(compiler.arg_names + ["u"]), tree)
     recursive = any(True for eq in sym.equations for _ in _self_calls(eq.rhs, name))
+    term = App(turing_fixpoint(), Lam("self", body)) if recursive else body
+    cache[name] = term
+    return term
 
-    def compile_rhs(e, env: dict[str, Term], k: Term) -> Term:
+
+class _PrimRecCompiler:
+    """The compilation of one symbol.  Methods rather than nested
+    functions, so that compiling leaves no reference cycle behind."""
+
+    def __init__(self, name: str, sym, sig: PrimRecSignature, cache: dict[str, Term]):
+        self.name = name
+        self.sym = sym
+        self.sig = sig
+        self.cache = cache
+        self.arg_names = [f"x{i + 1}" for i in range(sym.arity)]
+        self.counter = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def compile_rhs(self, e, env: dict[str, Term], k: Term) -> Term:
         lit = nat_of_expr(e)
         if lit is not None:
             return App(k, Numeral(lit))
         if isinstance(e, EVar):
             return App(k, env[e.name])
         if e.symbol == "s":
-            v = fresh("v")
-            return compile_rhs(e.args[0], env, Lam(v, app(Inst("s"), Var(v), k)))
-        fn = Var("self") if e.symbol == name else compile_primrec(e.symbol, sig, cache)
+            v = self.fresh("v")
+            return self.compile_rhs(e.args[0], env, Lam(v, app(Inst("s"), Var(v), k)))
+        fn = Var("self") if e.symbol == self.name else compile_primrec(e.symbol, self.sig, self.cache)
+        return self.seq(fn, list(e.args), [], env, k)
 
-        def seq(args, values):
-            if not args:
-                return App(app(fn, *values), k)
-            head, *rest = args
-            if isinstance(head, EVar):
-                return seq(rest, values + [env[head.name]])
-            lit = nat_of_expr(head)
-            if lit is not None:
-                return seq(rest, values + [Numeral(lit)])
-            v = fresh("v")
-            return compile_rhs(head, env, Lam(v, seq(rest, values + [Var(v)])))
+    def seq(self, fn: Term, args: list, values: list[Term], env: dict[str, Term], k: Term) -> Term:
+        """fn applied to the values of args, then to k, evaluating args in turn."""
+        if not args:
+            return App(app(fn, *values), k)
+        head, *rest = args
+        if isinstance(head, EVar):
+            return self.seq(fn, rest, values + [env[head.name]], env, k)
+        lit = nat_of_expr(head)
+        if lit is not None:
+            return self.seq(fn, rest, values + [Numeral(lit)], env, k)
+        v = self.fresh("v")
+        return self.compile_rhs(head, env, Lam(v, self.seq(fn, rest, values + [Var(v)], env, k)))
 
-        return seq(list(e.args), [])
-
-    def build(knowledge: list) -> Term:
+    def build(self, knowledge: list) -> Term:
         cands = [
             eq
-            for eq in sym.equations
+            for eq in self.sym.equations
             if all(_pat_consistent(p, know) for p, know in zip(eq.patterns, knowledge))
         ]
         if not cands:  # unreachable: equations are exhaustive
-            raise RuleError(f"{name}: no equation matches")
+            raise RuleError(f"{self.name}: no equation matches")
         split = None
         for i, know in enumerate(knowledge):
             if know is None and any(eq.patterns[i].kind != "var" for eq in cands):
@@ -185,23 +201,17 @@ def compile_primrec(
             env: dict[str, Term] = {}
             for i, p in enumerate(eq.patterns):
                 if p.kind == "var":
-                    env[p.var] = Var(arg_names[i])
+                    env[p.var] = Var(self.arg_names[i])
                 elif p.kind == "succ":
                     env[p.var] = Var(knowledge[i][1])
-            return compile_rhs(eq.rhs, env, Var("u"))
-        zero_branch = build(knowledge[:split] + ["zero"] + knowledge[split + 1 :])
+            return self.compile_rhs(eq.rhs, env, Var("u"))
+        zero_branch = self.build(knowledge[:split] + ["zero"] + knowledge[split + 1 :])
         pv = f"p{split}"
-        succ_branch = build(knowledge[:split] + [("succ", pv)] + knowledge[split + 1 :])
-        dump = fresh("w")
+        succ_branch = self.build(knowledge[:split] + [("succ", pv)] + knowledge[split + 1 :])
+        dump = self.fresh("w")
         return app(
-            Inst("rec"), zero_branch, lam(f"{pv} {dump}", succ_branch), Var(arg_names[split])
+            Inst("rec"), zero_branch, lam(f"{pv} {dump}", succ_branch), Var(self.arg_names[split])
         )
-
-    tree = build([None] * sym.arity)
-    body = lam(" ".join(arg_names + ["u"]), tree)
-    term = App(turing_fixpoint(), Lam("self", body)) if recursive else body
-    cache[name] = term
-    return term
 
 
 def _pat_consistent(pat, know) -> bool:

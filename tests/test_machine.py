@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -34,6 +35,7 @@ from lamc.syntax import (
     Var,
     extend_stack_bottom,
     parse_process,
+    print_process,
     stack_of,
 )
 
@@ -101,6 +103,15 @@ class TestBaseRules:
     def test_open_head_is_an_error(self, cfg):
         with pytest.raises(MachineError):
             run(Process(Var("x"), BOTTOM), cfg)
+
+    def test_open_stack_is_an_error(self, cfg):
+        # substituting y under \y would rename the binder: \y'. y * $
+        p = Process(Lam("x", Lam("y", Var("x"))), stack_of(Var("y")))
+        with pytest.raises(MachineError, match="ill-formed process: stack is not closed"):
+            run(p, cfg)
+        inside = parse_process(r"(\x. x) * k[y . $] . $")
+        with pytest.raises(MachineError, match="ill-formed process: stack is not closed"):
+            run(inside, cfg)
 
 
 class TestRun:
@@ -291,3 +302,35 @@ class TestNumeralConversions:
     def test_lazy_numeral_two_steps(self, cfg):
         out = run(Process(lazy_numeral(7), stack_of(Inst("stop"))), cfg)
         assert out.steps == 2 and out.halt == Halt("final-stop", 7)
+
+
+class TestDeepInput:
+    """Compiling, running and reading back walk no Python stack: checked at
+    Python's default recursion limit, which conftest raises."""
+
+    def run_at_default_limit(self, p):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            out = run(p, MachineConfig())
+            return out, print_process(out.final)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_deep_head(self):
+        # 10^5 nested (\x. x) applications around stop #0
+        t = App(Inst("stop"), Numeral(0))
+        for _ in range(100_000):
+            t = App(Lam("x", Var("x")), t)
+        out, final = self.run_at_default_limit(Process(t, BOTTOM))
+        assert final == "stop * #0 . $"
+        assert out.steps == 200_001 and out.halt == Halt("final-stop", 0)
+
+    def test_deep_final_process(self):
+        # \x y ... y. x applied to stop: 10^5 binders read back
+        t = Var("x")
+        for _ in range(100_000):
+            t = Lam("y", t)
+        out, final = self.run_at_default_limit(Process(App(Lam("x", t), Inst("stop")), BOTTOM))
+        assert out.halt == Halt("stuck") and out.steps == 2
+        assert final == "\\" + " ".join(["y"] * 100_000) + ". stop * $"

@@ -1,0 +1,289 @@
+"""``run``, the environment machine, against the loop over the substitution
+``step`` (tests/machine_reference.py): the same halt, steps, statistics,
+printed numerals, rule log, trace lines and final process, byte for byte."""
+
+import random
+import re
+from dataclasses import replace
+
+import pytest
+
+from lamc.arith import EApp, EVar, Equation, Pattern, parse_expr
+from lamc.demo import closed_realizer, instruction_config
+from lamc.extract import sigma01_wrapper
+from lamc.machine import (
+    BindNumeral,
+    BindTerm,
+    Guard,
+    InstructionRule,
+    LitNumeral,
+    MachineConfig,
+    StopRun,
+    TExpr,
+    register_batch,
+    run,
+)
+from lamc.stdlib import compile_primrec
+from lamc.stdlib import test_le_rules as le_rules
+from lamc.syntax import (
+    App,
+    Inst,
+    Lam,
+    LamcError,
+    Numeral,
+    Process,
+    Var,
+    app,
+    parse_process,
+    print_process,
+    stack_of,
+)
+
+from gen import random_closed_term, random_expr, random_process, random_stack
+from machine_reference import run_by_steps
+
+
+def view(out):
+    return (
+        out.halt,
+        out.steps,
+        out.stats,
+        out.printed,
+        out.fired,
+        out.trace,
+        print_process(out.final),
+        out.instruction_calls(),
+    )
+
+
+def assert_same(p: Process, make_cfg) -> tuple:
+    """Run both machines, each on a fresh configuration from ``make_cfg``
+    (sinks keep state); an error must be the same error."""
+    try:
+        expected = view(run_by_steps(p, make_cfg()))
+    except LamcError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            run(p, make_cfg())
+        return ()
+    assert view(run(p, make_cfg())) == expected
+    return expected
+
+
+def stop_after(k: int):
+    """A configuration factory whose sink aborts the run at the k-th print."""
+
+    def make(base: MachineConfig):
+        seen = []
+
+        def sink(n):
+            seen.append(n)
+            if len(seen) >= k:
+                raise StopRun
+
+        return replace(base, sink=sink)
+
+    return make
+
+
+def _sig_rule(sig, text):
+    return TExpr(parse_expr(text, sig))
+
+
+def rule_config(fuel: int = 400, trace: bool = True) -> MachineConfig:
+    """Guards, literal patterns, #(...) templates (in head, stack and under
+    binders), template binders that shadow pattern variables, and a
+    mutually recursive pair."""
+    base = MachineConfig(fuel=fuel, trace=trace)
+    sig = base.sig
+    definitions = {
+        "test_le": le_rules(),
+        "double": [
+            InstructionRule("double", (BindNumeral("n"), BindTerm("u")), Var("u"), (_sig_rule(sig, "2 * n"),)),
+        ],
+        "isz": [
+            InstructionRule("isz", (LitNumeral(0), BindTerm("u"), BindTerm("v")), Var("u")),
+            InstructionRule("isz", (BindNumeral("n"), BindTerm("u"), BindTerm("v")), App(Var("v"), _sig_rule(sig, "pred(n)"))),
+        ],
+        # \u. shadows the pattern u; #(n + 1) sits under it
+        "shadow": [
+            InstructionRule(
+                "shadow",
+                (BindTerm("u"), BindNumeral("n")),
+                App(Lam("u", App(Var("u"), _sig_rule(sig, "n + 1"))), Var("u")),
+            ),
+        ],
+        # \n. shadows the numeral pattern n; the stack gets #(3 * n) and n
+        "tri": [
+            InstructionRule(
+                "tri",
+                (BindNumeral("n"), BindTerm("u")),
+                Lam("n", App(Var("u"), Var("n"))),
+                (_sig_rule(sig, "3 * n"), Var("n"), Lam("w", _sig_rule(sig, "n * n"))),
+                Guard("<", EVar("n"), parse_expr("5", sig)),
+            ),
+            InstructionRule("tri", (BindNumeral("n"), BindTerm("u")), App(Var("u"), Var("n"))),
+        ],
+        "ping": [InstructionRule("ping", (BindTerm("u"),), App(Inst("pong"), App(Inst("s"), Var("u"))))],
+        "pong": [InstructionRule("pong", (BindTerm("u"), BindTerm("v")), App(Var("v"), Var("u")))],
+    }
+    return register_batch(base, definitions)
+
+
+RULE_INSTRUCTIONS = ("cc", "s", "rec", "stop", "print", "test_le", "double", "isz", "shadow", "tri", "ping", "pong")
+
+
+class TestRandomProcesses:
+    def test_builtin_instructions(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for i in range(1200):
+            p = random_process(rng)
+            kinds.add(assert_same(p, lambda: MachineConfig(fuel=120, trace=i % 2 == 0))[0].kind)
+        assert kinds == {"final-stop", "stuck", "fuel"}
+
+    def test_with_print_and_user_rules(self):
+        rng = random.Random(2025)
+        base = rule_config(fuel=120)
+        aborting = stop_after(2)
+        kinds = set()
+        rules_fired = set()
+        for i in range(1000):
+            p = random_process(rng, instructions=RULE_INSTRUCTIONS)
+            make = (lambda: aborting(base)) if i % 3 == 0 else (lambda: base)
+            out = assert_same(p, make)
+            kinds.add(out[0].kind)
+            rules_fired |= set(out[2])
+            # an instruction applied to numerals and terms fires rules more often
+            p = Process(app(Inst(rng.choice(RULE_INSTRUCTIONS)), *(_rule_arg(rng) for _ in range(rng.randint(1, 4)))),
+                        random_stack(rng, 3, instructions=RULE_INSTRUCTIONS))
+            out = assert_same(p, make)
+            kinds.add(out[0].kind)
+            rules_fired |= set(out[2])
+        assert {"final-stop", "stuck"} <= kinds  # fuel and aborts: TestRuleCorpus
+        assert {"test_le", "double", "isz", "shadow", "tri", "ping", "pong", "print", "cc", "s"} <= rules_fired
+
+
+def _rule_arg(rng: random.Random):
+    if rng.random() < 0.5:
+        return Numeral(rng.randint(0, 6))
+    return random_closed_term(rng, 3, instructions=RULE_INSTRUCTIONS)
+
+
+class TestDemoFamily:
+    @pytest.mark.parametrize("c", [10, 1000])
+    @pytest.mark.parametrize("wrapper", [r"(\x y. print x y (stop x))", r"(\x y. y (stop x))"])
+    def test_instruction_build(self, c, wrapper):
+        cfg = instruction_config(c, trace=True)
+        p = parse_process(f"realizer * {wrapper} . $", instructions=cfg.instructions, strict=True)
+        halt = assert_same(p, lambda: cfg)[0]
+        assert halt.kind == "final-stop"
+
+    def test_demo_stack_independence(self):
+        cfg = instruction_config(100, trace=True)
+        p = parse_process(r"realizer * (\x y. y (stop x)) . #7 . I . $", instructions=cfg.instructions)
+        assert assert_same(p, lambda: cfg)[0].kind == "final-stop"
+
+    @pytest.mark.parametrize("c", range(2, 13))
+    def test_closed_realizer_sigma01(self, c):
+        t0, sig = closed_realizer(c)
+        p = Process(t0, stack_of(sigma01_wrapper()))
+        cfg = MachineConfig(sig=sig, trace=c == 2)  # the trace lines are long
+        assert assert_same(p, lambda: cfg)[0].kind == "final-stop"
+
+    def test_closed_realizer_print_guesses(self):
+        t0, sig = closed_realizer(9)
+        p = Process(t0, stack_of(sigma01_wrapper(trace_guesses=True)))
+        assert assert_same(p, lambda: MachineConfig(sig=sig))[3] == (0, 1, 3, 7)
+
+
+def _stop_k():
+    return Lam("r", App(Inst("stop"), Var("r")))
+
+
+class TestCompiledPrimrec:
+    @pytest.mark.parametrize("name", ["+", "minus", "*", "pred", "neg"])
+    def test_default_symbols(self, sig, name):
+        t = compile_primrec(name, sig)
+        arity = sig.arity(name)
+        for args in [(0, 0), (1, 0), (0, 3), (3, 2), (4, 5), (2, 7)]:
+            p = Process(t, stack_of(*[Numeral(a) for a in args[:arity]], _stop_k()))
+            assert assert_same(p, lambda: MachineConfig(fuel=50_000))[0].kind == "final-stop"
+
+    def test_traced_small_product(self, sig):
+        t = compile_primrec("*", sig)
+        p = Process(t, stack_of(Numeral(2), Numeral(3), _stop_k()))
+        assert assert_same(p, lambda: MachineConfig(trace=True))[0].value == 6
+
+    def test_random_compositions(self, sig):
+        rng = random.Random(77)
+        for _ in range(25):
+            e = random_expr(rng, 3)
+            sig2 = sig.define("comp", 2, [Equation((Pattern("var", "x"), Pattern("var", "y")), e)])
+            t = compile_primrec("comp", sig2)
+            for x, y in [(0, 0), (2, 1), (3, 4)]:
+                p = Process(t, stack_of(Numeral(x), Numeral(y), _stop_k()))
+                assert_same(p, lambda: MachineConfig(fuel=20_000))
+
+
+class TestRuleCorpus:
+    CASES = [
+        "test_le #2 #5 (stop #1) (stop #0) * $",
+        "test_le #5 #2 (stop #1) (stop #0) * $",
+        r"double #21 (\x. stop x) * $",
+        "double #21 stop * $",
+        "double stop stop * $",
+        "isz #0 (stop #1) stop * $",
+        "isz #9 (stop #1) stop * $",
+        r"shadow (\v. stop v) #4 * $",
+        r"shadow (\v. isz v (stop #0) (\w. shadow stop w)) #0 * $",
+        r"tri #3 (\a b c d. d #0 (c (stop a))) * $",
+        r"tri #3 (\a b c d. b (stop c)) * $",
+        r"tri #7 (\a. stop a) * $",
+        r"tri #4 (\a b c. c) * $",
+        r"ping #3 * (\x y. print x (stop y)) . #9 . $",
+        r"ping * (\x. stop x) . $",
+        r"cc (\k. k #3 (\x y. stop x)) * $",
+        r"cc (\k. double #4 (\n. k n)) * (\x. stop x) . $",
+        r"rec (stop #0) (\p r. cc (\k. r)) #4 * $",
+        r"(\x y. y x) #2 * k[(\z. print z (stop z)) . $] . $",
+        r"k[(\z. stop z) . $] * #4 . $",
+        r"k[$] * $",
+        r"(\x. x) * k[#1 . k[stop . $] . $] . $",
+        r"print #1 (print #2 (print #3 (stop #4))) * $",
+        r"print stop stop * $",
+        r"ghost #1 * $",
+        r"s #1 (\x. s x stop) * $",
+        r"s #1 * $",
+        r"rec * #1 . #2 . stop . $",
+        r"#3 * #4 . $",
+        r"(\x. x x) (\x. x x) * $",
+        r"(\f. f f) (\g. double #1 (g g)) * $",
+    ]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_case(self, text):
+        cfg = rule_config()
+        p = parse_process(text, instructions=cfg.instructions | {"ghost"})
+        assert_same(p, lambda: cfg)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sink_raises_stoprun(self, k):
+        cfg = rule_config()
+        p = parse_process(r"print #1 (print #2 (print #3 (stop #4))) * $", instructions=cfg.instructions)
+        out = assert_same(p, lambda: stop_after(k)(cfg))
+        assert out[0].kind == "aborted" and out[3] == tuple(range(1, k + 1))
+
+    @pytest.mark.parametrize("fuel", [0, 1, 2, 7, 57])
+    def test_fuel_exhaustion(self, fuel):
+        cfg = rule_config(fuel=fuel)
+        p = parse_process(r"(\f. f f) (\g. double #1 (g g)) * $", instructions=cfg.instructions)
+        out = assert_same(p, lambda: cfg)
+        assert out[0].kind == "fuel" and out[1] == fuel
+
+    def test_evaluation_error_is_the_same_error(self):
+        # the guard names a symbol the signature lacks: eval_expr raises
+        bad = InstructionRule(
+            "bad", (BindNumeral("n"),), Inst("stop"), (), Guard("=", EApp("nosuch", (EVar("n"),)), EVar("n"))
+        )
+        cfg = replace(MachineConfig(), rules={"bad": (bad,)})
+        assert assert_same(parse_process("bad #1 * $", instructions={"bad"}), lambda: cfg) == ()

@@ -420,3 +420,16 @@ def test_large_numeral_translates_at_the_default_recursion_limit(capsys):
     out = capsys.readouterr()
     assert code == EXIT_OK and out.err == ""
     assert out.out.startswith("translate process: ") and out.out.count("sc") == 30000
+
+
+def test_script_jobs_share_the_default_signature():
+    # built once per process: the parser's arities, the runner's and a
+    # default configuration's signature are one instance, with one compiled
+    # evaluator
+    from lamc.machine import MachineConfig
+    from lamc.script import ScriptParser, ScriptRunner
+
+    parser = ScriptParser("Eval stop * #1 . $;")
+    assert parser.base_sig is MachineConfig().sig is ScriptRunner().cfg.sig
+    with pytest.raises(TypeError):
+        parser.base_sig.symbols["+"] = None

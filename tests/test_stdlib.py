@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 from lamc.arith import EApp, eval_expr, expr_of_nat, parse_expr
@@ -221,3 +222,15 @@ class TestCatalog:
     def test_expected_names(self):
         names = set(catalog())
         assert {"I", "pair", "Y", "peano3", "peano4", "test_le", "min_aux", "min_princ"} <= names
+
+
+def test_compile_primrec_leaves_no_cycles(sig):
+    # everything a compilation builds is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("minus", "*"):
+            assert compile_primrec(name, sig) is not None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
