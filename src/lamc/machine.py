@@ -37,6 +37,7 @@ from .arith import (
 from .syntax import (
     BOTTOM,
     App,
+    HConst,
     Inst,
     Kont,
     Lam,
@@ -468,13 +469,19 @@ class RunOutcome:
 #     _NUM    the numeral
 #     _KONT   the saved stack
 #     _CC, _SUCC, _REC, _PRINT, _STOP, _USER    the instruction's name
+#     _PAIR, _FST, _SND, _Z0, _SC, _HREC        the HA2 constant's name
+#     _FREE   the name of a free variable of an open HA2 term (``ha2``
+#             binds each one to such a closure, so it is never compiled)
 # A closure is a pair (code, env).  Environments and stacks are linked
 # lists (closure, rest) that end in None.  No stack or environment entry
 # is a variable closure: Push stores the closure a variable points to.
 
-_APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER = range(11)
+(_APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER,
+ _PAIR, _FST, _SND, _Z0, _SC, _HREC, _FREE) = range(18)
 
 _INST_TAGS = {"cc": _CC, "s": _SUCC, "rec": _REC, "print": _PRINT, "stop": _STOP}
+
+_HCONST_TAGS = {"pair": _PAIR, "fst": _FST, "snd": _SND, "z0": _Z0, "sc": _SC, "rec": _HREC}
 
 _BUILTIN_RULES = ("Push", "Grab", "Resume", "cc", "s", "rec-0", "rec-s", "print")
 
@@ -517,6 +524,8 @@ def _compile(t: Term, scope: tuple, memo: dict) -> tuple:
                 out.append((_INST_TAGS.get(t.name, _USER), t.name, None, 0, t))
             elif isinstance(t, Numeral):
                 out.append((_NUM, t.n, None, 0, t))
+            elif isinstance(t, HConst):
+                out.append((_HCONST_TAGS[t.kind], t.kind, None, 0, t))
             elif isinstance(t, Kont):
                 saved = list(t.saved)
                 if any(u.fv for u in saved):
@@ -627,20 +636,34 @@ _RB_CODE, _RB_CLOSURE, _RB_STACK, _RB_MEMO, _RB_LAM, _RB_APP, _RB_PUSH, _RB_KONT
 
 
 def _read_back(code: tuple, env, stack) -> Process:
-    """The process a machine state stands for: each environment entry
-    substituted into its code.  Entries are closed, so no binder needs
-    renaming and the result is the process ``step`` reaches.  Each closure
-    and stack cell is read back once, so shared parts stay shared.
-    Explicit-stack walk."""
+    """The process a machine state stands for."""
+    head, rest = _read_back_items([(_RB_CODE, code, env, 0, None), (_RB_STACK, stack)])
+    return Process(head, rest)
+
+
+def _read_back_items(items: list, rename: dict | None = None) -> list:
+    """What each item stands for, in order: a term for ``(_RB_CODE, code,
+    env, 0, None)`` and ``(_RB_CLOSURE, closure)``, a stack for
+    ``(_RB_STACK, stack)``.  Each environment entry is substituted into its
+    code.  Each closure and stack cell is read back once, so shared parts
+    stay shared.  Explicit-stack walk.
+
+    With ``rename`` None the entries are closed, so no binder needs
+    renaming, and code that reaches no entry reads back as its source
+    term.  Open entries (an open HA2 term) need ``rename``: it maps each
+    binder name that is free in some entry to a name free in none and
+    bound nowhere in the input.  Then bound variables are read back by
+    name, and only closed code as its source term."""
     memo: dict[int, object] = {}  # id of a closure or stack cell -> its readback
     out: list = []
-    todo: list = [(_RB_STACK, stack), (_RB_CODE, code, env, 0)]
+    todo: list = list(reversed(items))
     while todo:
         item = todo.pop()
         op = item[0]
         if op == _RB_CODE:
-            _, code, env, depth = item
-            if code[3] <= depth:  # reaches no environment entry
+            _, code, env, depth, names = item
+            need = code[3]
+            if need <= depth and (rename is None or not need):  # reaches no entry
                 if code[4] is not None:
                     out.append(code[4])
                 elif code[0] == _NUM:
@@ -648,14 +671,28 @@ def _read_back(code: tuple, env, stack) -> Process:
                 else:
                     todo += ((_RB_KONT,), (_RB_STACK, code[1]))
             elif code[0] == _VAR:
-                e, i = env, code[1] - depth
+                i = code[1]
+                if i < depth:  # bound by a binder read back above, open entries only
+                    while i:
+                        names, i = names[1], i - 1
+                    out.append(Var(names[0]))
+                    continue
+                e, i = env, i - depth
                 while i:
                     e, i = e[1], i - 1
                 todo.append((_RB_CLOSURE, e[0]))
             elif code[0] == _LAM:
-                todo += ((_RB_LAM, code[4].binder), (_RB_CODE, code[1], env, depth + 1))
+                binder = code[4].binder
+                if rename is not None:
+                    binder = rename.get(binder, binder)
+                    names = (binder, names)
+                todo += ((_RB_LAM, binder), (_RB_CODE, code[1], env, depth + 1, names))
             else:
-                todo += ((_RB_APP,), (_RB_CODE, code[2], env, depth), (_RB_CODE, code[1], env, depth))
+                todo += (
+                    (_RB_APP,),
+                    (_RB_CODE, code[2], env, depth, names),
+                    (_RB_CODE, code[1], env, depth, names),
+                )
         elif op == _RB_CLOSURE or op == _RB_STACK:
             cell = item[1]
             done = memo.get(id(cell))
@@ -664,7 +701,7 @@ def _read_back(code: tuple, env, stack) -> Process:
             elif cell is None:
                 out.append(BOTTOM)
             elif op == _RB_CLOSURE:
-                todo += ((_RB_MEMO, cell), (_RB_CODE, cell[0], cell[1], 0))
+                todo += ((_RB_MEMO, cell), (_RB_CODE, cell[0], cell[1], 0, None))
             else:
                 todo += ((_RB_MEMO, cell), (_RB_PUSH,), (_RB_STACK, cell[1]), (_RB_CLOSURE, cell[0]))
         elif op == _RB_MEMO:
@@ -679,7 +716,7 @@ def _read_back(code: tuple, env, stack) -> Process:
             out[-1] = Push(out[-1], rest)
         else:  # _RB_KONT
             out[-1] = Kont(out[-1])
-    return Process(out[0], out[1])
+    return out
 
 
 def run(p: Process, cfg: MachineConfig) -> RunOutcome:

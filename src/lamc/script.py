@@ -594,8 +594,13 @@ def translate_statement(
     doc = {"kind": "translate", "subject": kind, "output": out}
     if witness_fuel is not None and kind == "process":
         found = read_witness(image, fuel=witness_fuel)
-        doc["witness"] = None if found is None else found[0]
-        lines.append(f"witness: {'none' if found is None else found[0]}")
+        if found is None:
+            doc["witness"] = doc["head_steps"] = None
+            lines.append("witness: none")
+        else:
+            doc["witness"] = found.n
+            doc["head_steps"] = found.head_steps
+            lines.append(f"witness: {found.n} head-steps {sum(found.head_steps.values())}")
     return lines, doc, EXIT_OK
 
 

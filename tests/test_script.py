@@ -20,7 +20,9 @@ from lamc.script import (
     parse_script,
     run_script_text,
 )
-from lamc.syntax import ParseError
+from lamc.ha2 import read_witness
+from lamc.negtrans import cps_process
+from lamc.syntax import ParseError, parse_process
 
 
 class TestParsing:
@@ -379,12 +381,31 @@ class TestCliScriptAgreement:
     )
     def test_translate(self, capsys, kind, subject):
         script = run_script_text(f"Translate {kind} {subject};")
+        expected = (script.text, script.doc["statements"][0], script.exit_code)
         argv = ["translate", f"--{kind}", subject]
         code = main(argv)
         text = capsys.readouterr().out
         assert main(argv + ["--json-like"]) == code
         doc = json.loads(capsys.readouterr().out)
-        assert (text, doc, code) == (script.text, script.doc["statements"][0], script.exit_code)
+        assert (text, doc, code) == expected
+        # --read-witness adds the witness line and keys to a process's output
+        # and leaves the others as they are
+        argv.append("--read-witness")
+        code = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--json-like"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        if kind == "process":
+            found = read_witness(cps_process(parse_process(subject)))
+            steps = found.head_steps
+            assert found.n == 4 and list(steps) == ["beta", "proj", "rec-0", "rec-s"]
+            text_, doc_, code_ = expected
+            expected = (
+                text_ + f"witness: 4 head-steps {sum(steps.values())}\n",
+                {**doc_, "witness": 4, "head_steps": steps},
+                code_,
+            )
+        assert (text, doc, code) == expected
 
 
 def test_main_restores_the_recursion_limit():
