@@ -1,17 +1,15 @@
 """Record a before/after benchmark comparison as BENCH_<n>.json.
 
-    python3 bench/record.py --parent REV --out BENCH_<n>.json \\
-        [--workload W ...] [--pairs 10] [--seconds 20] [--seed 1] \\
-        [--parent-dir DIR]
+    python3 bench/record.py --parent REV --out BENCH_<n>.json [--seed 1]
 
-Runs ``perfbench/run.py --trace 0`` in pairs: once in a checkout of the
-parent revision and once in this tree (the change), for each workload and
-each seed ``--seed``, ``--seed + 1``, ...  Which side goes first
-alternates from pair to pair, so a drift in host speed falls on both
-sides alike.  The parent is checked out with ``git worktree add`` into a
-temporary directory that is removed afterwards, unless ``--parent-dir``
-names an existing checkout of it.  The change is this tree as it is on
-disk; the file records whether it had uncommitted changes.
+Runs ``perfbench/run.py --seconds 20 --trace 0`` in ten pairs: once in a
+checkout of the parent revision and once in this tree (the change), for
+every workload of ``BENCHMARK.json`` and the seeds ``--seed``, ``--seed +
+1``, ...  Which side goes first alternates from pair to pair, so a drift
+in host speed falls on both sides alike.  The parent is checked out with
+``git worktree add`` into a temporary directory that is removed
+afterwards.  The change is this tree as it is on disk; the file records
+whether it had uncommitted changes.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file holds, per
 side, every run's value with its median and quartiles
@@ -36,17 +34,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+PAIRS = 10
+SECONDS = 20
 
-def git(*args: str, cwd: Path = ROOT) -> str:
+
+def git(*args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(tree: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py --trace 0`` run in ``tree``: its JSON result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
@@ -58,16 +59,16 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(workload: str, metrics: list[dict], parent: Path, args) -> dict:
+def compare(workload: str, metrics: list[dict], parent: Path, first_seed: int) -> dict:
     runs = {"parent": [], "change": []}
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [first_seed + i for i in range(PAIRS)]
     order = []
     for i, seed in enumerate(seeds):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         order.append(f"{sides[0]} first")
         for side in sides:
             tree = parent if side == "parent" else ROOT
-            result = perfbench(tree, workload, seed, args.seconds)
+            result = perfbench(tree, workload, seed)
             runs[side].append(result)
             print(f"{workload} seed {seed} {side}: "
                   f"{json.dumps({k: round(v['value'], 4) for k, v in result['metrics'].items()})}",
@@ -102,16 +103,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--parent-dir", help="an existing checkout of the parent")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [{k: m[k] for k in ("name", "unit", "better")} for m in declared["end_to_end"]]
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
     parent_sha = git("rev-parse", args.parent)
     record = {
         "about": "perfbench/run.py --trace 0 in alternating parent/change pairs, "
@@ -123,25 +119,19 @@ def main(argv=None) -> int:
         "change_uncommitted": bool(git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "host": {"machine": platform.machine(), "system": platform.system(), "nproc": os.cpu_count()},
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": SECONDS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
-        if args.parent_dir:
-            parent = Path(args.parent_dir).resolve()
-            found = git("rev-parse", "HEAD", cwd=parent)
-            if found != parent_sha:
-                raise SystemExit(f"error: {parent} is at {found}, not at {parent_sha}")
-        else:
-            parent = Path(scratch) / "parent"
-            git("worktree", "add", "--detach", str(parent), parent_sha)
+        parent = Path(scratch) / "parent"
+        git("worktree", "add", "--detach", str(parent), parent_sha)
         try:
-            for name in workloads:
-                record["workloads"][name] = compare(name, metrics, parent, args)
+            for workload in declared["workloads"]:
+                name = workload["name"]
+                record["workloads"][name] = compare(name, metrics, parent, args.seed)
         finally:
-            if not args.parent_dir:
-                git("worktree", "remove", "--force", str(parent))
+            git("worktree", "remove", "--force", str(parent))
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -11,22 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .machine import (
-    _APP,
-    _FREE,
-    _FST,
-    _HREC,
-    _LAM,
-    _PAIR,
-    _RB_CLOSURE,
-    _RB_CODE,
-    _SC,
-    _SND,
-    _VAR,
-    _Z0,
-    _compile,
-    _read_back_items,
-)
+from .machine import HEAD_RULES, HeadMachine
 from .syntax import (
     HA2_CONSTANTS,
     App,
@@ -354,195 +339,39 @@ def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
 
 
 # ---------------------------------------------------------------------------
-# weak-head evaluation: an environment machine, used by the witness reader
-#
-# A term is compiled once into the nameless code of ``machine`` (the layout
-# is described there), with each free variable of an open term bound to a
-# _FREE closure.  The state is the closure (code, env) in focus and a list
-# of frames, innermost last:
-#     an argument frame is the argument's closure (code, env);
-#     _FST_FRAME and _SND_FRAME wait for a pair to project;
-#     (None, u0, u1) waits for the numeral that rec u0 u1 recurses on.
-# Only an argument frame has a first field that is not None, and only a
-# recursor frame has three fields.  A variable argument is pushed as the
-# closure it points to.
-
-_FST_FRAME = (None, "fst")
-_SND_FRAME = (None, "snd")
-
-HEAD_RULES = ("beta", "proj", "rec-0", "rec-s")
-
-# u1 w (rec u0 u1 w), over the environment w . u1 . u0
-_REC_AGAIN = _compile(
-    app(Var("u1"), Var("w"), app(REC, Var("u0"), Var("u1"), Var("w"))), ("u0", "u1", "w"), {}
-)
-
-
-def _load(t: Term) -> tuple:
-    """(code, env) for ``t`` and the readback's rename map: None for a
-    closed term, else a name for each binder name that is free in ``t``,
-    free nowhere and bound nowhere in ``t``."""
-    free = sorted(t.fv)
-    code = _compile(t, tuple(free), {})
-    env = None
-    for name in free:
-        env = (((_FREE, name, None, 0, Var(name)), None), env)
-    if not free:
-        return code, env, None
-    binders: set[str] = set()
-    seen: set[int] = set()
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if id(u) in seen:
-            continue
-        seen.add(id(u))
-        if isinstance(u, Lam):
-            binders.add(u.binder)
-            todo.append(u.body)
-        elif isinstance(u, App):
-            todo += (u.fn, u.arg)
-    avoid = binders | t.fv
-    rename = {}
-    for name in sorted(t.fv & binders):
-        rename[name] = fresh_name(name, avoid)
-        avoid.add(rename[name])
-    return code, env, rename
-
-
-def _head_run(code: tuple, env, frames: list, fuel: int, counts: list) -> tuple:
-    """Head weak steps from the closure (code, env) over ``frames``: the
-    leftmost-outermost redex while one is in head position, descending into
-    the strict argument of fst/snd/rec on demand.  Stops when head-blocked
-    or after ``fuel`` steps.  Returns (code, env, steps, blocked); updates
-    ``frames`` in place and adds the steps per rule (HEAD_RULES) to
-    ``counts``."""
-    APP, LAM, VAR, PAIR, FST, SND, Z0, SC, HREC = _APP, _LAM, _VAR, _PAIR, _FST, _SND, _Z0, _SC, _HREC
-    steps = proj = rec0 = recs = 0
-    while steps < fuel:
-        tag = code[0]
-        if tag == APP:
-            arg = code[5]
-            if arg is None:
-                arg = code[2]
-                if arg[0] == VAR:
-                    e, i = env, arg[1]
-                    while i:
-                        e, i = e[1], i - 1
-                    arg = e[0]
-                else:
-                    arg = (arg, env)
-            frames.append(arg)
-            code = code[1]
-        elif tag == VAR:
-            e, i = env, code[1]
-            while i:
-                e, i = e[1], i - 1
-            code, env = e[0]
-        elif tag == LAM:
-            if not frames or frames[-1][0] is None:
-                break
-            env = (frames.pop(), env)
-            code = code[1]
-            steps += 1
-        elif tag == FST or tag == SND:
-            if not frames or frames[-1][0] is None:
-                break
-            code, env = frames.pop()
-            frames.append(_FST_FRAME if tag == FST else _SND_FRAME)
-        elif tag == PAIR:
-            if (
-                len(frames) < 3
-                or frames[-1][0] is None
-                or frames[-2][0] is None
-                or (frames[-3] is not _FST_FRAME and frames[-3] is not _SND_FRAME)
-            ):
-                break
-            a = frames.pop()
-            b = frames.pop()
-            code, env = a if frames.pop() is _FST_FRAME else b
-            steps += 1
-            proj += 1
-        elif tag == HREC:
-            if (
-                len(frames) < 3
-                or frames[-1][0] is None
-                or frames[-2][0] is None
-                or frames[-3][0] is None
-            ):
-                break
-            u0 = frames.pop()
-            u1 = frames.pop()
-            code, env = frames.pop()
-            frames.append((None, u0, u1))
-        elif tag == Z0:
-            if not frames or len(frames[-1]) != 3:
-                break
-            code, env = frames.pop()[1]
-            steps += 1
-            rec0 += 1
-        elif tag == SC:
-            if len(frames) < 2 or frames[-1][0] is None or len(frames[-2]) != 3:
-                break
-            w = frames.pop()
-            _, u0, u1 = frames.pop()
-            code, env = _REC_AGAIN, (w, (u1, (u0, None)))
-            steps += 1
-            recs += 1
-        else:  # a free variable, or a leaf that is not an HA2 term
-            break
-    counts[0] += steps - proj - rec0 - recs
-    counts[1] += proj
-    counts[2] += rec0
-    counts[3] += recs
-    return code, env, steps, steps < fuel
+# weak-head evaluation, on the environment machine of ``machine``
 
 
 def weak_head_reduce(t: Term, fuel: int = 1_000_000) -> tuple[Term, int]:
     """Reduce to head-blocked form (head steps are leftmost-outermost)."""
-    code, env, rename = _load(t)
-    frames: list = []
-    code, env, steps, blocked = _head_run(code, env, frames, fuel, [0] * len(HEAD_RULES))
-    if not blocked:
+    machine = HeadMachine(t)
+    stop = machine.run(machine.start, fuel)
+    if not stop.blocked:
         raise Ha2Error(f"weak head reduction: fuel exhausted after {fuel} steps")
-    items = [(_RB_CODE, code, env, 0, None)]
-    for frame in reversed(frames):
-        if frame[0] is not None:
-            items.append((_RB_CLOSURE, frame))
-        elif len(frame) == 3:
-            items += ((_RB_CLOSURE, frame[1]), (_RB_CLOSURE, frame[2]))
-    terms = iter(_read_back_items(items, rename))
-    head = next(terms)
-    for frame in reversed(frames):
-        if frame[0] is not None:
-            head = App(head, next(terms))
-        elif len(frame) == 3:
-            head = app(REC, next(terms), next(terms), head)
-        else:
-            head = App(FST if frame is _FST_FRAME else SND, head)
-    return head, steps
+    return machine.term(stop), stop.steps
 
 
 class Witness:
-    """The pair <s^n z0; u> that ``read_witness`` found.  It unpacks and
-    indexes as (n, payload).  ``head_steps`` counts the head steps per
-    rule (HEAD_RULES) over the whole read.  The payload is read back from
-    its closure on first access, then kept."""
+    """The pair <s^n z0; u> that ``read_witness`` found.  It unpacks,
+    indexes and compares as the tuple (n, payload).  ``head_steps`` counts
+    the head steps per rule (HEAD_RULES) over the whole read.  The payload
+    is read back from its closure on first access, then kept; comparing or
+    hashing a Witness reads it back too."""
 
-    __slots__ = ("n", "head_steps", "_payload", "_closure", "_rename")
+    __slots__ = ("n", "head_steps", "_payload", "_closure", "_machine")
 
-    def __init__(self, n: int, head_steps: dict[str, int], closure: tuple, rename: dict | None):
+    def __init__(self, n: int, head_steps: dict[str, int], closure: tuple, machine: HeadMachine):
         self.n = n
         self.head_steps = head_steps
         self._payload: Term | None = None
         self._closure: tuple | None = closure
-        self._rename = rename
+        self._machine: HeadMachine | None = machine
 
     @property
     def payload(self) -> Term:
         if self._closure is not None:
-            self._payload = _read_back_items([(_RB_CLOSURE, self._closure)], self._rename)[0]
-            self._closure = None
+            self._payload = self._machine.read_back(self._closure)
+            self._closure = self._machine = None
         return self._payload
 
     def __len__(self) -> int:
@@ -556,6 +385,14 @@ class Witness:
     def __iter__(self):
         yield self.n
         yield self.payload
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Witness, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"Witness(n={self.n}, head_steps={self.head_steps})"
@@ -571,28 +408,27 @@ def read_witness(t: Term, fuel: int = 2_000_000) -> Witness | None:
     binder that would capture a free variable of ``t`` is renamed.  The
     fuel bounds the head steps of the whole read, the numeral's included.
     """
-    code, env, rename = _load(t)
-    counts = [0] * len(HEAD_RULES)
-    frames: list = []
-    code, env, steps, blocked = _head_run(code, env, frames, fuel, counts)
-    if not blocked:
+    machine = HeadMachine(t)
+    stop = machine.run(machine.start, fuel)
+    if not stop.blocked:
         raise Ha2Error(f"read_witness: fuel exhausted after {fuel} steps")
-    if not (code[0] == _PAIR and len(frames) == 2 and frames[0][0] is not None and frames[1][0] is not None):
+    args = stop.args
+    if stop.head != "pair" or args is None or len(args) != 2:
         return None
-    (first_code, first_env), payload = frames[1], frames[0]
-    budget = fuel - steps
+    first, payload = args
+    budget = fuel - stop.steps
     n = 0
     while True:
-        frames = []
-        code, env, steps, blocked = _head_run(first_code, first_env, frames, budget, counts)
-        if not blocked:
+        stop = machine.run(first, budget)
+        if not stop.blocked:
             raise Ha2Error("read_witness: fuel exhausted while reading the numeral")
-        budget -= steps
-        if code[0] == _Z0 and not frames:
-            return Witness(n, dict(zip(HEAD_RULES, counts)), payload, rename)
-        if code[0] == _SC and len(frames) == 1 and frames[0][0] is not None:
+        budget -= stop.steps
+        args = stop.args
+        if stop.head == "z0" and args == ():
+            return Witness(n, machine.head_steps(), payload, machine)
+        if stop.head == "sc" and args is not None and len(args) == 1:
             n += 1
-            first_code, first_env = frames[0]
+            (first,) = args
             continue
         return None
 

@@ -49,6 +49,7 @@ from .syntax import (
     Term,
     Var,
     free_vars,
+    fresh_name,
     print_process,
     substitute,
 )
@@ -470,8 +471,9 @@ class RunOutcome:
 #     _KONT   the saved stack
 #     _CC, _SUCC, _REC, _PRINT, _STOP, _USER    the instruction's name
 #     _PAIR, _FST, _SND, _Z0, _SC, _HREC        the HA2 constant's name
-#     _FREE   the name of a free variable of an open HA2 term (``ha2``
-#             binds each one to such a closure, so it is never compiled)
+#     _FREE   the name of a free variable of an open HA2 term
+#             (``HeadMachine`` binds each one to such a closure, so it is
+#             never compiled)
 # A closure is a pair (code, env).  Environments and stacks are linked
 # lists (closure, rest) that end in None.  No stack or environment entry
 # is a variable closure: Push stores the closure a variable points to.
@@ -866,9 +868,11 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
             code, env = stack[1][0]
             stack = stack[1][1]
             rule = "print"
-        else:  # a numeral in head position
+        elif tag == NUM:
             halt = _STUCK
             break
+        else:  # an HA2 constant, which ``step`` does not take either
+            raise TypeError(f"not a term: {code[4]!r}")
         steps += 1
         stats[rule] += 1
         if tracing:
@@ -883,3 +887,216 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
         fired=tuple(fired),
         trace=tuple(trace),
     )
+
+
+# ---------------------------------------------------------------------------
+# weak-head reduction of HA2 terms on the same code, for ``ha2``
+#
+# An HA2 term is compiled once, with each free variable of an open term
+# bound to a _FREE closure.  The state is the closure (code, env) in focus
+# and a list of frames, innermost last:
+#     an argument frame is the argument's closure (code, env);
+#     _FST_FRAME and _SND_FRAME wait for a pair to project;
+#     (None, u0, u1) waits for the numeral that rec u0 u1 recurses on.
+# Only an argument frame has a first field that is not None, and only a
+# recursor frame has three fields.  A variable argument is pushed as the
+# closure it points to.
+
+HEAD_RULES = ("beta", "proj", "rec-0", "rec-s")
+
+_FST_FRAME = (None, "fst")
+_SND_FRAME = (None, "snd")
+
+_H_REC, _H_FST, _H_SND = HConst("rec"), HConst("fst"), HConst("snd")
+
+# u1 w (rec u0 u1 w), over the environment w . u1 . u0
+_HREC_AGAIN = _compile(
+    App(App(Var("u1"), Var("w")), App(App(App(_H_REC, Var("u0")), Var("u1")), Var("w"))),
+    ("u0", "u1", "w"),
+    {},
+)
+
+
+class HeadStop:
+    """Where a head run stopped.  ``head`` is the kind of the HA2 constant
+    in head position, None for anything else (an abstraction, a free
+    variable).  ``args`` are the closures of the arguments it is applied
+    to, first argument first, or None when it sits under a projection or a
+    recursor instead."""
+
+    __slots__ = ("code", "env", "frames", "steps", "blocked")
+
+    def __init__(self, code: tuple, env, frames: list, steps: int, blocked: bool):
+        self.code, self.env, self.frames = code, env, frames
+        self.steps, self.blocked = steps, blocked
+
+    @property
+    def head(self) -> str | None:
+        return self.code[1] if _PAIR <= self.code[0] <= _HREC else None
+
+    @property
+    def args(self) -> tuple | None:
+        if any(frame[0] is None for frame in self.frames):
+            return None
+        return tuple(reversed(self.frames))
+
+
+class HeadMachine:
+    """Head weak reduction of one HA2 term on closures (Krivine's machine
+    with the pair, projection and recursor rules).
+
+    ``start`` is the term's closure.  ``run`` reduces a closure, ``start``
+    or an argument closure of an earlier stop, and ``counts`` adds up the
+    head steps per rule (HEAD_RULES) over every run.  ``read_back`` and
+    ``term`` turn closures and stops back into terms; an open term is read
+    back capture-avoiding, a binder that would capture one of its free
+    variables renamed."""
+
+    def __init__(self, t: Term):
+        free = sorted(t.fv)
+        env = None
+        for name in free:
+            env = (((_FREE, name, None, 0, Var(name)), None), env)
+        self.start = (_compile(t, tuple(free), {}), env)
+        self.counts = [0] * len(HEAD_RULES)
+        self._rename = _capture_renaming(t) if free else None
+
+    def head_steps(self) -> dict[str, int]:
+        return dict(zip(HEAD_RULES, self.counts))
+
+    def run(self, closure: tuple, fuel: int) -> HeadStop:
+        """Head weak steps from ``closure``: the leftmost-outermost redex
+        while one is in head position, descending into the strict argument
+        of fst/snd/rec on demand, until head-blocked or after ``fuel``
+        steps."""
+        APP, LAM, VAR, PAIR, FST, SND, Z0, SC, HREC = _APP, _LAM, _VAR, _PAIR, _FST, _SND, _Z0, _SC, _HREC
+        code, env = closure
+        frames: list = []
+        steps = proj = rec0 = recs = 0
+        while steps < fuel:
+            tag = code[0]
+            if tag == APP:
+                arg = code[5]
+                if arg is None:
+                    arg = code[2]
+                    if arg[0] == VAR:
+                        e, i = env, arg[1]
+                        while i:
+                            e, i = e[1], i - 1
+                        arg = e[0]
+                    else:
+                        arg = (arg, env)
+                frames.append(arg)
+                code = code[1]
+            elif tag == VAR:
+                e, i = env, code[1]
+                while i:
+                    e, i = e[1], i - 1
+                code, env = e[0]
+            elif tag == LAM:
+                if not frames or frames[-1][0] is None:
+                    break
+                env = (frames.pop(), env)
+                code = code[1]
+                steps += 1
+            elif tag == FST or tag == SND:
+                if not frames or frames[-1][0] is None:
+                    break
+                code, env = frames.pop()
+                frames.append(_FST_FRAME if tag == FST else _SND_FRAME)
+            elif tag == PAIR:
+                if (
+                    len(frames) < 3
+                    or frames[-1][0] is None
+                    or frames[-2][0] is None
+                    or (frames[-3] is not _FST_FRAME and frames[-3] is not _SND_FRAME)
+                ):
+                    break
+                a = frames.pop()
+                b = frames.pop()
+                code, env = a if frames.pop() is _FST_FRAME else b
+                steps += 1
+                proj += 1
+            elif tag == HREC:
+                if (
+                    len(frames) < 3
+                    or frames[-1][0] is None
+                    or frames[-2][0] is None
+                    or frames[-3][0] is None
+                ):
+                    break
+                u0 = frames.pop()
+                u1 = frames.pop()
+                code, env = frames.pop()
+                frames.append((None, u0, u1))
+            elif tag == Z0:
+                if not frames or len(frames[-1]) != 3:
+                    break
+                code, env = frames.pop()[1]
+                steps += 1
+                rec0 += 1
+            elif tag == SC:
+                if len(frames) < 2 or frames[-1][0] is None or len(frames[-2]) != 3:
+                    break
+                w = frames.pop()
+                _, u0, u1 = frames.pop()
+                code, env = _HREC_AGAIN, (w, (u1, (u0, None)))
+                steps += 1
+                recs += 1
+            else:  # a free variable, or a leaf that is not an HA2 term
+                break
+        counts = self.counts
+        counts[0] += steps - proj - rec0 - recs
+        counts[1] += proj
+        counts[2] += rec0
+        counts[3] += recs
+        return HeadStop(code, env, frames, steps, steps < fuel)
+
+    def read_back(self, closure: tuple) -> Term:
+        return _read_back_items([(_RB_CLOSURE, closure)], self._rename)[0]
+
+    def term(self, stop: HeadStop) -> Term:
+        """The term ``stop`` stands for: its head applied to, projected by
+        or recursed on by its frames."""
+        frames = stop.frames
+        items = [(_RB_CODE, stop.code, stop.env, 0, None)]
+        for frame in reversed(frames):
+            if frame[0] is not None:
+                items.append((_RB_CLOSURE, frame))
+            elif len(frame) == 3:
+                items += ((_RB_CLOSURE, frame[1]), (_RB_CLOSURE, frame[2]))
+        terms = iter(_read_back_items(items, self._rename))
+        head = next(terms)
+        for frame in reversed(frames):
+            if frame[0] is not None:
+                head = App(head, next(terms))
+            elif len(frame) == 3:
+                u0 = next(terms)
+                head = App(App(App(_H_REC, u0), next(terms)), head)
+            else:
+                head = App(_H_FST if frame is _FST_FRAME else _H_SND, head)
+        return head
+
+
+def _capture_renaming(t: Term) -> dict[str, str]:
+    """A name for each binder name that is free in ``t``, free nowhere and
+    bound nowhere in ``t``: the rename map of ``_read_back_items``."""
+    binders: set[str] = set()
+    seen: set[int] = set()
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if isinstance(u, Lam):
+            binders.add(u.binder)
+            todo.append(u.body)
+        elif isinstance(u, App):
+            todo += (u.fn, u.arg)
+    avoid = binders | t.fv
+    rename = {}
+    for name in sorted(t.fv & binders):
+        rename[name] = fresh_name(name, avoid)
+        avoid.add(rename[name])
+    return rename

@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-import lamc.ha2
 from lamc import BOTTOM, Process, Push, cps_process
 from lamc.demo import closed_realizer
 from lamc.extract import sigma01_wrapper
@@ -30,6 +29,7 @@ from lamc.ha2 import (
     read_witness,
     weak_head_reduce,
 )
+from lamc.machine import HeadMachine
 from lamc.syntax import App, HConst, Lam, Var, app, lam
 
 import ha2_reference as ref
@@ -291,15 +291,24 @@ def test_witness_unpacks_and_indexes_as_a_pair():
     assert found.head_steps == dict.fromkeys(HEAD_RULES, 0)
 
 
+def test_witness_compares_and_hashes_as_the_pair():
+    found = read_witness(ht(r"(\y. <sc z0; \x. y x>) (\z. z)"))
+    pair = (1, ht(r"\x. (\z. z) x"))
+    assert found == pair and pair == found and found != (2, pair[1])
+    assert found == read_witness(hpair(hnumeral(1), pair[1]))
+    assert {pair: "found"}[found] == "found" and hash(found) == hash(pair)
+    assert found != [1, pair[1]]
+
+
 def test_payload_is_read_back_once_and_only_on_demand(monkeypatch):
     calls = []
-    real = lamc.ha2._read_back_items
+    real = HeadMachine.read_back
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(lamc.ha2, "_read_back_items", counting)
+    monkeypatch.setattr(HeadMachine, "read_back", counting)
     found = read_witness(ht(r"(\y. <sc z0; \x. y x>) (\z. z)"))
     assert found[0] == 1 and found.n == 1 and not calls
     payload = found.payload

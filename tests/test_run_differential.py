@@ -26,12 +26,15 @@ from lamc.machine import (
 from lamc.stdlib import compile_primrec
 from lamc.stdlib import test_le_rules as le_rules
 from lamc.syntax import (
+    BOTTOM,
     App,
+    HConst,
     Inst,
     Lam,
     LamcError,
     Numeral,
     Process,
+    Push,
     Var,
     app,
     parse_process,
@@ -287,3 +290,36 @@ class TestRuleCorpus:
         )
         cfg = replace(MachineConfig(), rules={"bad": (bad,)})
         assert assert_same(parse_process("bad #1 * $", instructions={"bad"}), lambda: cfg) == ()
+
+
+class TestHa2Constants:
+    """An HA2 constant is no lambda-c term: both machines carry it as data
+    and raise the same TypeError once it reaches head position."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Process(HConst("pair"), BOTTOM),
+            Process(app(Lam("x", Var("x")), HConst("z0")), Push(Numeral(1), BOTTOM)),
+            Process(app(Inst("cc"), Lam("k", HConst("rec"))), BOTTOM),
+        ],
+    )
+    def test_in_head_position(self, p):
+        with pytest.raises(TypeError) as expected:
+            run_by_steps(p, rule_config())
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            run(p, rule_config())
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Process(Lam("x", Inst("stop")), Push(HConst("sc"), Push(Numeral(3), BOTTOM))),
+            Process(app(Lam("x", Lam("y", Var("y"))), HConst("fst"), Inst("stop"), Numeral(2)), BOTTOM),
+            Process(
+                app(Inst("cc"), Lam("k", app(Var("k"), Numeral(4)))),
+                Push(Inst("stop"), Push(HConst("snd"), BOTTOM)),
+            ),
+        ],
+    )
+    def test_as_data(self, p):
+        assert assert_same(p, rule_config)
