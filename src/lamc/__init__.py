@@ -38,23 +38,19 @@ from .extract import (
 )
 from .formulas import (
     Formula,
-    HFormula,
     expand_abbreviation,
     normalize_formula_ha2,
     normalize_formula_pa2,
     parse_formula,
     parse_hformula,
     print_formula,
-    print_hformula,
     relativize_nat,
 )
 from .ha2 import (
     EqResult,
-    HTerm,
     enumerate_weak_redexes,
     inner_equal,
     parse_hterm,
-    print_hterm,
     read_witness,
     weak_reduce,
     weak_step,

@@ -117,17 +117,6 @@ class Ex2(Formula):
     body: Formula
 
 
-# the PA2+ (F) and HA2 (H) names of the shared classes
-HFormula = Formula
-FNull = HNull = Null
-FPredVar = HPredVar = PredVar
-FImp = HImp = Imp
-FAll1 = HAll1 = All1
-FAll2 = HAll2 = All2
-FBrace = Brace
-HNat, HAnd, HEx1, HEx2 = Nat, And, Ex1, Ex2
-
-
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
@@ -410,9 +399,6 @@ def expand_abbreviation(name: str, args: list) -> Formula:
     return builder(*args)
 
 
-h_bot = f_bot  # falsity is the same formula in both languages
-
-
 def h_top() -> Formula:
     return Ex2("Z", 0, PredVar("Z"))
 
@@ -670,9 +656,6 @@ def print_formula(f: Formula) -> str:
     """Print a formula of either language; the text parses back to f in
     the formula's own dialect."""
     return _print(f, 0)
-
-
-print_hformula = print_formula
 
 
 # precedence levels: 0 = top (quantifiers, ->), 1 = /\ operand, 2 = atom

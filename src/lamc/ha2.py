@@ -5,6 +5,11 @@ z0 (zero), sc (successor) and rec.  Weak reduction contracts beta, rec and
 projection redexes anywhere except under an abstraction; inner reduction
 is weak reduction under at least one abstraction.  The bounded equality
 check for the inner-equivalence relation and the witness reader live here.
+
+Every redex search is one explicit-stack walk in leftmost-outermost
+order that yields each subterm with its context, a zipper (Huet, JFP
+1997), in which ``plug`` puts the reduct back; the strategies differ only
+in going below abstractions or not and in what they contract.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from .syntax import (
     app,
     free_vars,
     fresh_name,
-    print_term,
-    split_pair,
     substitute,
 )
 
@@ -36,17 +39,6 @@ from .syntax import (
 class Ha2Error(LamcError):
     pass
 
-
-# The HA2 term language is the lambda-c term classes plus the HConst leaf;
-# these are its historical names.
-HTerm = Term
-HVar = Var
-HLam = Lam
-HApp = App
-hterm_key = alpha_key
-hterm_free_vars = free_vars
-hsubstitute = substitute
-print_hterm = print_term
 
 PAIR_C = HConst("pair")
 FST = HConst("fst")
@@ -91,38 +83,77 @@ def contract_redex(t: Term) -> Term | None:
     match t:
         case App(Lam(x, body), u):
             return substitute(body, x, u)
-        case App(HConst("fst"), p):
-            ab = split_pair(p)
-            return ab[0] if ab else None
-        case App(HConst("snd"), p):
-            ab = split_pair(p)
-            return ab[1] if ab else None
+        case App(HConst("fst"), App(App(HConst("pair"), a), _)):
+            return a
+        case App(HConst("snd"), App(App(HConst("pair"), _), b)):
+            return b
         case App(App(App(HConst("rec"), u0), u1), v):
-            if v == Z0:
-                return u0
             match v:
+                case HConst("z0"):
+                    return u0
                 case App(HConst("sc"), w):
                     return app(u1, w, app(REC, u0, u1, w))
-            return None
     return None
 
 
 Pos = tuple[int, ...]
 
 
-def _replace_at_deep(t: Term, pos: Pos, new: Term) -> Term:
-    """Replace the subterm at pos: 0 and 1 step into the function and the
-    argument of an application, 2 into the body of an abstraction."""
-    if not pos:
-        return new
-    head, rest = pos[0], pos[1:]
-    if head == 2:
-        assert isinstance(t, Lam)
-        return Lam(t.binder, _replace_at_deep(t.body, rest, new))
-    assert isinstance(t, App)
-    if head == 0:
-        return App(_replace_at_deep(t.fn, rest, new), t.arg)
-    return App(t.fn, _replace_at_deep(t.arg, rest, new))
+def _walk(t: Term, deep: bool):
+    """Every subterm of t in leftmost-outermost preorder (function before
+    argument), below abstractions only when deep, as (subterm, context,
+    under a lambda).  A context is None at the root, else the zipper frame
+    (i, parent, context of parent): the subterm is the function (i = 0),
+    the argument (1) or the abstraction body (2) of parent.  Explicit
+    stack, so the depth of t is bounded by memory only."""
+    todo = [(t, None, False)]
+    while todo:
+        u, ctx, under = todo.pop()
+        yield u, ctx, under
+        if isinstance(u, App):
+            todo.append((u.arg, (1, u, ctx), under))
+            todo.append((u.fn, (0, u, ctx), under))
+        elif deep and isinstance(u, Lam):
+            todo.append((u.body, (2, u, ctx), True))
+
+
+def plug(ctx, t: Term) -> Term:
+    """The whole term with t in the hole of the context ctx."""
+    while ctx is not None:
+        i, parent, ctx = ctx
+        if i == 0:
+            t = App(t, parent.arg)
+        elif i == 1:
+            t = App(parent.fn, t)
+        else:
+            t = Lam(parent.binder, t)
+    return t
+
+
+def _pos(ctx) -> Pos:
+    path = []
+    while ctx is not None:
+        path.append(ctx[0])
+        ctx = ctx[2]
+    return tuple(reversed(path))
+
+
+def first_redex(t: Term, deep: bool, contract):
+    """(context, reduct) of the first subterm in walk order that contract
+    reduces; None when there is none."""
+    for u, ctx, _ in _walk(t, deep):
+        r = contract(u)
+        if r is not None:
+            return ctx, r
+    return None
+
+
+def contract_projection(t: Term) -> Term | None:
+    """Contract t when t is a projection whose argument is already a pair."""
+    match t:
+        case App(HConst("fst" | "snd"), _):
+            return contract_redex(t)
+    return None
 
 
 def weak_step(t: Term) -> tuple[Term, Pos] | None:
@@ -130,39 +161,20 @@ def weak_step(t: Term) -> tuple[Term, Pos] | None:
 
     Weak reduction never goes below an abstraction.
     """
-    found = _lo_weak(t, ())
+    found = first_redex(t, False, contract_redex)
     if found is None:
         return None
-    pos, reduct = found
-    return _replace_at_deep(t, pos, reduct), pos
-
-
-def _lo_weak(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
-    r = contract_redex(t)
-    if r is not None:
-        return pos, r
-    if isinstance(t, App):
-        left = _lo_weak(t.fn, pos + (0,))
-        if left is not None:
-            return left
-        return _lo_weak(t.arg, pos + (1,))
-    return None
+    ctx, r = found
+    return plug(ctx, r), _pos(ctx)
 
 
 def enumerate_weak_redexes(t: Term) -> list[tuple[Pos, Term]]:
     """All one-step weak reducts (full nondeterministic relation)."""
-    out: list[tuple[Pos, Term]] = []
-
-    def go(u: Term, pos: Pos) -> None:
-        r = contract_redex(u)
-        if r is not None:
-            out.append((pos, _replace_at_deep(t, pos, r)))
-        if isinstance(u, App):
-            go(u.fn, pos + (0,))
-            go(u.arg, pos + (1,))
-
-    go(t, ())
-    return out
+    return [
+        (_pos(ctx), plug(ctx, r))
+        for u, ctx, _ in _walk(t, False)
+        if (r := contract_redex(u)) is not None
+    ]
 
 
 def weak_reduce(t: Term, fuel: int = 10_000) -> tuple[Term, int]:
@@ -182,24 +194,11 @@ def weak_reduce(t: Term, fuel: int = 10_000) -> tuple[Term, int]:
 
 
 def enumerate_inner_successors(t: Term) -> list[Term]:
-    out: list[Term] = []
-
-    def go(u: Term, pos: Pos, under: bool) -> None:
-        if under:
-            r = contract_redex(u)
-            if r is not None:
-                out.append(_replace_at_deep(t, pos, r))
-        match u:
-            case Lam(_, body):
-                go(body, pos + (2,), True)
-            case App(fn, arg):
-                go(fn, pos + (0,), under)
-                go(arg, pos + (1,), under)
-            case _:
-                pass
-
-    go(t, (), False)
-    return out
+    return [
+        plug(ctx, r)
+        for u, ctx, under in _walk(t, True)
+        if under and (r := contract_redex(u)) is not None
+    ]
 
 
 def full_step(t: Term) -> Term | None:
@@ -209,48 +208,8 @@ def full_step(t: Term) -> Term | None:
     first (they are needed and never duplicate work); otherwise the
     leftmost-outermost redex, descending into abstraction bodies.
     """
-    proj = _find_proj(t, (), deep=True)
-    if proj is not None:
-        pos, r = proj
-        return _replace_at_deep(t, pos, r)
-    found = _lo_full(t, ())
-    if found is None:
-        return None
-    pos, r = found
-    return _replace_at_deep(t, pos, r)
-
-
-def _find_proj(t: Term, pos: Pos, deep: bool) -> tuple[Pos, Term] | None:
-    """The leftmost-outermost projection redex whose argument is already a
-    pair, with its reduct; below abstractions only when deep."""
-    match t:
-        case App(HConst("fst" | "snd"), p) if split_pair(p) is not None:
-            return pos, contract_redex(t)
-        case App(fn, arg):
-            left = _find_proj(fn, pos + (0,), deep)
-            if left is not None:
-                return left
-            return _find_proj(arg, pos + (1,), deep)
-        case Lam(_, body) if deep:
-            return _find_proj(body, pos + (2,), deep)
-    return None
-
-
-def _lo_full(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
-    r = contract_redex(t)
-    if r is not None:
-        return pos, r
-    match t:
-        case App(fn, arg):
-            left = _lo_full(fn, pos + (0,))
-            if left is not None:
-                return left
-            return _lo_full(arg, pos + (1,))
-        case Lam(_, body):
-            inner = _lo_full(body, pos + (2,))
-            if inner is not None:
-                return inner
-    return None
+    found = first_redex(t, True, contract_projection) or first_redex(t, True, contract_redex)
+    return None if found is None else plug(*found)
 
 
 # ---------------------------------------------------------------------------

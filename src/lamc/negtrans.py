@@ -15,21 +15,17 @@ from dataclasses import dataclass
 
 from .arith import ArithExpr, EApp, EVar
 from .formulas import (
-    FAll1,
-    FAll2,
-    FBrace,
-    FImp,
-    FNull,
-    FPredVar,
+    All1,
+    All2,
+    And,
+    Brace,
+    Ex1,
+    Ex2,
     Formula,
-    HAnd,
-    HEx1,
-    HEx2,
-    HFormula,
-    HImp,
-    HNat,
-    HNull,
-    HPredVar,
+    Imp,
+    Nat,
+    Null,
+    PredVar,
     _rebind,
     formula_free_vars,
 )
@@ -68,43 +64,43 @@ TRANSLATABLE_INSTRUCTIONS = frozenset({"cc", "s", "rec", "stop"})
 class ReturnFormula:
     """The pole formula R, fixed for a translation session."""
 
-    formula: HFormula
+    formula: Formula
 
 
 def sigma01_return_formula(f: str, var: str = "x") -> ReturnFormula:
     """The Friedman-trick instantiation for the Sigma-0-1 pipeline:
     R = exists x (nat(x) /\\ null(f(x)))."""
     x = EVar(var)
-    return ReturnFormula(HEx1(var, HAnd(HNat(x), HNull(EApp(f, (x,))))))
+    return ReturnFormula(Ex1(var, And(Nat(x), Null(EApp(f, (x,))))))
 
 
-def formula_bot(a: Formula, R: ReturnFormula) -> HFormula:
+def formula_bot(a: Formula, R: ReturnFormula) -> Formula:
     """The stack type A-bot of the negative translation."""
     r_free = formula_free_vars(R.formula)
     return _bot(a, R.formula, r_free)
 
 
-def formula_nn(a: Formula, R: ReturnFormula) -> HFormula:
+def formula_nn(a: Formula, R: ReturnFormula) -> Formula:
     """The proof type A-notnot = A-bot => R."""
-    return HImp(formula_bot(a, R), R.formula)
+    return Imp(formula_bot(a, R), R.formula)
 
 
-def _bot(a: Formula, R: HFormula, r_free: frozenset[str]) -> HFormula:
+def _bot(a: Formula, R: Formula, r_free: frozenset[str]) -> Formula:
     match a:
-        case FPredVar(name, args):
-            return HPredVar(name, args)
-        case FNull(e):
-            return HNull(EApp("neg", (e,)))
-        case FImp(x, b):
-            return HAnd(HImp(_bot(x, R, r_free), R), _bot(b, R, r_free))
-        case FBrace(e, b):
-            return HAnd(HNat(e), _bot(b, R, r_free))
-        case FAll1(x, _) | FAll2(x, _, _) if x in r_free:
+        case PredVar():
+            return a
+        case Null(e):
+            return Null(EApp("neg", (e,)))
+        case Imp(x, b):
+            return And(Imp(_bot(x, R, r_free), R), _bot(b, R, r_free))
+        case Brace(e, b):
+            return And(Nat(e), _bot(b, R, r_free))
+        case All1(x, _) | All2(x, _, _) if x in r_free:
             return _bot(_rebind(a, r_free), R, r_free)
-        case FAll1(x, body):
-            return HEx1(x, _bot(body, R, r_free))
-        case FAll2(x, arity, body):
-            return HEx2(x, arity, _bot(body, R, r_free))
+        case All1(x, body):
+            return Ex1(x, _bot(body, R, r_free))
+        case All2(x, arity, body):
+            return Ex2(x, arity, _bot(body, R, r_free))
     raise TypeError(f"not a PA2 formula: {a!r}")
 
 
@@ -117,12 +113,12 @@ class BraceDecl:
 
 def translate_context(
     ctx: list[tuple[str, Formula | BraceDecl]], R: ReturnFormula
-) -> list[tuple[str, HFormula]]:
+) -> list[tuple[str, Formula]]:
     """Context translation: x:A becomes x:A-notnot, x:{e} becomes x:nat(e)."""
-    out: list[tuple[str, HFormula]] = []
+    out: list[tuple[str, Formula]] = []
     for name, decl in ctx:
         if isinstance(decl, BraceDecl):
-            out.append((name, HNat(decl.e)))
+            out.append((name, Nat(decl.e)))
         else:
             out.append((name, formula_nn(decl, R)))
     return out

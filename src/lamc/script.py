@@ -32,7 +32,7 @@ from .extract import (
     sigma01_refuter,
 )
 from .formulas import Formula, PredVar, print_formula
-from .ha2 import print_hterm, read_witness
+from .ha2 import Ha2Error, read_witness
 from .machine import (
     BindNumeral,
     BindTerm,
@@ -63,6 +63,7 @@ from .syntax import (
     free_vars,
     is_proof_like,
     print_process,
+    print_term,
 )
 
 
@@ -589,11 +590,18 @@ def translate_statement(
         return lines, {"kind": "translate", "subject": "formula", "bot": bot, "nn": nn}, EXIT_OK
     kind = "process" if isinstance(subject, Process) else "term"
     image = cps_process(subject) if kind == "process" else cps_term(subject)
-    out = print_hterm(image)
+    out = print_term(image)
     lines = [f"translate {kind}: {out}"]
     doc = {"kind": "translate", "subject": kind, "output": out}
     if witness_fuel is not None and kind == "process":
-        found = read_witness(image, fuel=witness_fuel)
+        try:
+            found = read_witness(image, fuel=witness_fuel)
+        except Ha2Error:
+            # the only error read_witness raises: its fuel ran out
+            doc["witness"] = doc["head_steps"] = None
+            doc["halt"] = "fuel"
+            lines.append("witness: unknown fuel")
+            return lines, doc, EXIT_FUEL
         if found is None:
             doc["witness"] = doc["head_steps"] = None
             lines.append("witness: none")

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 from .ha2 import (
     EqResult,
-    _find_proj,
-    _replace_at_deep,
+    contract_projection,
     enumerate_weak_redexes,
-    hterm_key,
+    first_redex,
     inner_equal,
+    plug,
     weak_step,
 )
 from .machine import Halt, MachineConfig, Next, step
 from .negtrans import cps_process, cps_stack, cps_term
-from .syntax import App, LamcError, Process, Term
+# the alpha key under the name through which perfbench traces it
+from .syntax import App, LamcError, Process, Term, alpha_key as hterm_key
 
 
 class SimulationError(LamcError):
@@ -72,16 +73,11 @@ class RunSimulationReport:
         return self.failed == 0
 
 
-def closed_config(fuel: int | None = None) -> MachineConfig:
-    """The closed-world configuration: builtin rules only."""
-    return MachineConfig() if fuel is None else MachineConfig(fuel=fuel)
-
-
 def _proj_first_step(t: Term) -> Term | None:
     """One weak step, contracting pair projections before anything else."""
-    proj = _find_proj(t, (), deep=False)
-    if proj is not None:
-        return _replace_at_deep(t, *proj)
+    found = first_redex(t, False, contract_projection)
+    if found is not None:
+        return plug(*found)
     nxt = weak_step(t)
     return nxt[0] if nxt is not None else None
 
@@ -96,7 +92,7 @@ def simulate_one_step(
 ) -> OneStepReport:
     """Verify the one-step simulation for the machine step out of p;
     result is that step when the caller has already taken it."""
-    cfg = cfg if cfg is not None else closed_config()
+    cfg = cfg if cfg is not None else MachineConfig()
     if result is None:
         result = step(p, cfg)
     if isinstance(result, Halt):
@@ -109,30 +105,31 @@ def simulate_one_step(
     target_stack = cps_stack(p2.stack)
     target_stack_key = hterm_key(target_stack)
 
-    def classify(t: Term):
-        """The residual u when t is (t2-star u), else None."""
-        if isinstance(t, App) and hterm_key(t.fn) == target_fn_key:
-            return t.arg
-        return None
-
-    # guided deterministic chain
-    current = start
-    for k in range(1, guided_steps + 1):
-        nxt = _proj_first_step(current)
-        if nxt is None:
-            break
-        current = nxt
-        residual = classify(current)
-        if residual is None:
-            continue
-        if hterm_key(residual) == target_stack_key:
+    def check(t: Term, k: int) -> OneStepReport | None:
+        """The report when t, reached in k weak steps, is t2-star applied to
+        a residual that is pi2-star or not known to differ from it; None
+        when t is not (t2-star u) or u is not inner-equal to pi2-star."""
+        if not (isinstance(t, App) and hterm_key(t.fn) == target_fn_key):
+            return None
+        if hterm_key(t.arg) == target_stack_key:
             return OneStepReport(rule, True, k, True, None)
-        verdict = inner_equal(residual, target_stack, inner_fuel)
+        verdict = inner_equal(t.arg, target_stack, inner_fuel)
         if verdict is EqResult.EQUAL:
             return OneStepReport(rule, True, k, False, verdict)
         if verdict is EqResult.UNKNOWN:
             return OneStepReport(rule, None, k, False, verdict, "inner equality ran out of fuel")
-        # NOT_EQUAL: a shape hit with the wrong residual; keep reducing
+        return None
+
+    # guided deterministic chain; a shape hit with the wrong residual
+    # keeps reducing
+    current = start
+    for k in range(1, guided_steps + 1):
+        current = _proj_first_step(current)
+        if current is None:
+            break
+        report = check(current, k)
+        if report is not None:
+            return report
 
     # breadth-first fallback over all weak reducts
     seen = {hterm_key(start)}
@@ -147,15 +144,11 @@ def simulate_one_step(
             if key in seen:
                 continue
             seen.add(key)
-            residual = classify(reduct)
-            if residual is not None:
-                if hterm_key(residual) == target_stack_key:
-                    return OneStepReport(rule, True, depth + 1, True, None)
-                verdict = inner_equal(residual, target_stack, inner_fuel)
-                if verdict is EqResult.EQUAL:
-                    return OneStepReport(rule, True, depth + 1, False, verdict)
-                if verdict is EqResult.UNKNOWN:
-                    saw_unknown = True
+            report = check(reduct, depth + 1)
+            if report is not None:
+                if report.verified:
+                    return report
+                saw_unknown = True
             frontier.append((reduct, depth + 1))
     if frontier or saw_unknown:
         return OneStepReport(
@@ -173,7 +166,7 @@ def simulate_run(
     inner_fuel: int = 10_000,
 ) -> RunSimulationReport:
     """Chain one-step simulation along a machine run of at most fuel steps."""
-    cfg = cfg if cfg is not None else closed_config()
+    cfg = cfg if cfg is not None else MachineConfig()
     reports: list[OneStepReport] = []
     machine_steps = 0
     halt_kind = "fuel"

@@ -16,3 +16,15 @@ def sig():
 @pytest.fixture()
 def cfg():
     return MachineConfig()
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    """Python's default recursion limit for the test, in place of the
+    raised one above."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)

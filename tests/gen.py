@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 
-from lamc.ha2 import FST, HApp, HConst, HLam, HTerm, HVar, PAIR_C, REC, SC, SND, Z0
-from lamc.syntax import App, BOTTOM, Inst, Lam, Numeral, Process, Push, Stack, Term, Var
+from lamc.ha2 import FST, PAIR_C, REC, SC, SND, Z0, hnumeral, hpair
+from lamc.syntax import App, BOTTOM, HConst, Inst, Lam, Numeral, Process, Push, Stack, Term, Var, app, lam
 
 VARS = ("a", "b", "c", "d", "e")
 
@@ -73,7 +73,7 @@ def random_hterm(
     depth: int,
     bound: tuple[str, ...] = (),
     closed: bool = False,
-) -> HTerm:
+) -> Term:
     leaves = ["const", "const"]
     if bound:
         leaves += ["var", "var"]
@@ -84,23 +84,66 @@ def random_hterm(
     else:
         kind = rng.choice(leaves + ["lam", "lam", "app", "app", "app", "pair"])
     if kind == "var":
-        return HVar(rng.choice(bound))
+        return Var(rng.choice(bound))
     if kind == "freevar":
-        return HVar(rng.choice(VARS))
+        return Var(rng.choice(VARS))
     if kind == "const":
         return HConst(rng.choice(HCONSTS).kind)
     if kind == "lam":
         binder = rng.choice(VARS + ("x", "y"))
-        return HLam(binder, random_hterm(rng, depth - 1, bound + (binder,), closed))
+        return Lam(binder, random_hterm(rng, depth - 1, bound + (binder,), closed))
     if kind == "pair":
-        return HApp(
-            HApp(PAIR_C, random_hterm(rng, depth - 1, bound, closed)),
+        return App(
+            App(PAIR_C, random_hterm(rng, depth - 1, bound, closed)),
             random_hterm(rng, depth - 1, bound, closed),
         )
-    return HApp(
+    return App(
         random_hterm(rng, depth - 1, bound, closed),
         random_hterm(rng, depth - 1, bound, closed),
     )
+
+
+def numeral_program(rng, depth):
+    """A closed term that computes a numeral through rec, projections and
+    beta redexes."""
+    if depth <= 0:
+        return hnumeral(rng.randint(0, 3))
+    kind = rng.choice(("plus", "times", "pred", "fst", "snd", "beta", "sc"))
+    a = numeral_program(rng, depth - 1)
+    b = numeral_program(rng, depth - 1)
+    if kind == "plus":
+        return app(REC, a, lam("x y", App(SC, Var("y"))), b)
+    if kind == "times":
+        plus_a = lam("y", app(REC, Var("y"), lam("x z", App(SC, Var("z"))), a))
+        return app(REC, Z0, lam("x y", App(plus_a, Var("y"))), b)
+    if kind == "pred":
+        return app(REC, Z0, lam("x y", Var("x")), a)
+    if kind == "fst":
+        return App(FST, hpair(a, b))
+    if kind == "snd":
+        return App(SND, app(FST, hpair(hpair(b, a), b)))
+    if kind == "beta":
+        return App(Lam("v", App(Lam("w", Var("v")), b)), a)
+    return App(SC, a)
+
+
+def projection_program(rng, depth):
+    """Nested pairs taken apart by fst/snd chains, under beta redexes."""
+    if depth <= 0:
+        return rng.choice((Z0, hnumeral(2), lam("x", Var("x"))))
+    kind = rng.choice(("pair", "fst", "snd", "beta", "swap"))
+    a = projection_program(rng, depth - 1)
+    b = projection_program(rng, depth - 1)
+    if kind == "pair":
+        return hpair(a, b)
+    if kind == "fst":
+        return App(FST, hpair(a, b))
+    if kind == "snd":
+        return App(SND, hpair(a, b))
+    if kind == "beta":
+        return App(Lam("p", App(FST, Var("p"))), hpair(a, b))
+    swap = lam("p", hpair(App(SND, Var("p")), App(FST, Var("p"))))
+    return App(FST, App(swap, hpair(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +151,7 @@ def random_hterm(
 
 
 from lamc.arith import EApp, EVar, expr_of_nat  # noqa: E402
-from lamc.formulas import (  # noqa: E402
-    FAll1,
-    FAll2,
-    FBrace,
-    FImp,
-    FNull,
-    FPredVar,
-    HAll1,
-    HAll2,
-    HAnd,
-    HEx1,
-    HEx2,
-    HImp,
-    HNat,
-    HNull,
-    HPredVar,
-)
+from lamc.formulas import All1, All2, And, Brace, Ex1, Ex2, Imp, Nat, Null, PredVar  # noqa: E402
 
 EXPR_VARS = ("x", "y")
 PRED_VARS = ("X", "Y")
@@ -153,25 +180,25 @@ def random_pa2_formula(rng: random.Random, depth: int, quantifiers=True, brace=T
             kinds += ["all1", "all2"]
     kind = rng.choice(kinds)
     if kind == "null":
-        return FNull(random_expr(rng, min(depth, 2)))
+        return Null(random_expr(rng, min(depth, 2)))
     if kind == "pred":
         name = rng.choice(PRED_VARS)
         args = tuple(random_expr(rng, 1) for _ in range(PRED_ARITIES[name]))
-        return FPredVar(name, args)
+        return PredVar(name, args)
     if kind == "imp":
-        return FImp(
+        return Imp(
             random_pa2_formula(rng, depth - 1, quantifiers, brace),
             random_pa2_formula(rng, depth - 1, quantifiers, brace),
         )
     if kind == "brace":
-        return FBrace(random_expr(rng, 1), random_pa2_formula(rng, depth - 1, quantifiers, brace))
+        return Brace(random_expr(rng, 1), random_pa2_formula(rng, depth - 1, quantifiers, brace))
     if kind == "all1":
-        return FAll1(rng.choice(EXPR_VARS), random_pa2_formula(rng, depth - 1, quantifiers, brace))
+        return All1(rng.choice(EXPR_VARS), random_pa2_formula(rng, depth - 1, quantifiers, brace))
     body = random_pa2_formula(rng, depth - 1, quantifiers, brace)
     name = rng.choice(PRED_VARS)
     from lamc.formulas import _pred_arity
 
-    return FAll2(name, _pred_arity(body, name), body)
+    return All2(name, _pred_arity(body, name), body)
 
 
 def random_hformula(rng: random.Random, depth: int):
@@ -180,21 +207,21 @@ def random_hformula(rng: random.Random, depth: int):
         kinds += ["imp", "imp", "and", "all1", "ex1", "all2", "ex2"]
     kind = rng.choice(kinds)
     if kind == "null":
-        return HNull(random_expr(rng, min(depth, 2)))
+        return Null(random_expr(rng, min(depth, 2)))
     if kind == "nat":
-        return HNat(random_expr(rng, min(depth, 2)))
+        return Nat(random_expr(rng, min(depth, 2)))
     if kind == "pred":
         name = rng.choice(PRED_VARS)
         args = tuple(random_expr(rng, 1) for _ in range(PRED_ARITIES[name]))
-        return HPredVar(name, args)
+        return PredVar(name, args)
     if kind == "imp":
-        return HImp(random_hformula(rng, depth - 1), random_hformula(rng, depth - 1))
+        return Imp(random_hformula(rng, depth - 1), random_hformula(rng, depth - 1))
     if kind == "and":
-        return HAnd(random_hformula(rng, depth - 1), random_hformula(rng, depth - 1))
+        return And(random_hformula(rng, depth - 1), random_hformula(rng, depth - 1))
     if kind in ("all1", "ex1"):
-        cls = HAll1 if kind == "all1" else HEx1
+        cls = All1 if kind == "all1" else Ex1
         return cls(rng.choice(EXPR_VARS), random_hformula(rng, depth - 1))
-    cls = HAll2 if kind == "all2" else HEx2
+    cls = All2 if kind == "all2" else Ex2
     body = random_hformula(rng, depth - 1)
     name = rng.choice(PRED_VARS)
     from lamc.formulas import _pred_arity

@@ -1,18 +1,24 @@
-"""Substitution head reduction: the reference semantics of the head engine
-in lamc.ha2.
+"""Reference semantics for lamc.ha2, slow on purpose: the oracles the
+fast code is compared with.
 
-It contracts the head redex by substituting into the term at every step,
-and it reports what ``weak_head_reduce`` and ``read_witness`` report,
-with the head steps counted per rule.  It is slow on purpose and serves
-only as the oracle the environment machine is compared with.
+Substitution head reduction is the reference of the head engine.  It
+contracts the head redex by substituting into the term at every step, and
+it reports what ``weak_head_reduce`` and ``read_witness`` report, with the
+head steps counted per rule.
+
+The recursive redex searches are the reference of the one walk of
+``lamc.ha2``: each strategy has its own search, each extends the position
+at every node, and ``_replace_at_deep`` rebuilds the term path by path.
+Their ``contract_redex`` takes terms apart with ``split_pair`` and ``==``
+where ``lamc.ha2`` matches shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lamc.ha2 import HEAD_RULES, REC, Ha2Error
-from lamc.syntax import App, HConst, Lam, Term, app, substitute
+from lamc.ha2 import HEAD_RULES, REC, Z0, Ha2Error
+from lamc.syntax import App, HConst, Lam, Term, app, split_pair, substitute
 
 
 @dataclass(frozen=True)
@@ -145,3 +151,149 @@ def read_witness(t: Term, fuel: int = 2_000_000) -> tuple[int, Term, dict] | Non
             first = st.frames[0][1]
             continue
         return None
+
+
+# ---------------------------------------------------------------------------
+# recursive redex searches
+
+Pos = tuple[int, ...]
+
+
+def contract_redex(t: Term) -> Term | None:
+    match t:
+        case App(Lam(x, body), u):
+            return substitute(body, x, u)
+        case App(HConst("fst"), p):
+            ab = split_pair(p)
+            return ab[0] if ab else None
+        case App(HConst("snd"), p):
+            ab = split_pair(p)
+            return ab[1] if ab else None
+        case App(App(App(HConst("rec"), u0), u1), v):
+            if v == Z0:
+                return u0
+            match v:
+                case App(HConst("sc"), w):
+                    return app(u1, w, app(REC, u0, u1, w))
+            return None
+    return None
+
+
+def _replace_at_deep(t: Term, pos: Pos, new: Term) -> Term:
+    """Replace the subterm at pos: 0 and 1 step into the function and the
+    argument of an application, 2 into the body of an abstraction."""
+    if not pos:
+        return new
+    head, rest = pos[0], pos[1:]
+    if head == 2:
+        assert isinstance(t, Lam)
+        return Lam(t.binder, _replace_at_deep(t.body, rest, new))
+    assert isinstance(t, App)
+    if head == 0:
+        return App(_replace_at_deep(t.fn, rest, new), t.arg)
+    return App(t.fn, _replace_at_deep(t.arg, rest, new))
+
+
+def weak_step(t: Term) -> tuple[Term, Pos] | None:
+    found = _lo_weak(t, ())
+    if found is None:
+        return None
+    pos, reduct = found
+    return _replace_at_deep(t, pos, reduct), pos
+
+
+def _lo_weak(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
+    r = contract_redex(t)
+    if r is not None:
+        return pos, r
+    if isinstance(t, App):
+        left = _lo_weak(t.fn, pos + (0,))
+        if left is not None:
+            return left
+        return _lo_weak(t.arg, pos + (1,))
+    return None
+
+
+def enumerate_weak_redexes(t: Term) -> list[tuple[Pos, Term]]:
+    out: list[tuple[Pos, Term]] = []
+
+    def go(u: Term, pos: Pos) -> None:
+        r = contract_redex(u)
+        if r is not None:
+            out.append((pos, _replace_at_deep(t, pos, r)))
+        if isinstance(u, App):
+            go(u.fn, pos + (0,))
+            go(u.arg, pos + (1,))
+
+    go(t, ())
+    return out
+
+
+def enumerate_inner_successors(t: Term) -> list[Term]:
+    out: list[Term] = []
+
+    def go(u: Term, pos: Pos, under: bool) -> None:
+        if under:
+            r = contract_redex(u)
+            if r is not None:
+                out.append(_replace_at_deep(t, pos, r))
+        match u:
+            case Lam(_, body):
+                go(body, pos + (2,), True)
+            case App(fn, arg):
+                go(fn, pos + (0,), under)
+                go(arg, pos + (1,), under)
+
+    go(t, (), False)
+    return out
+
+
+def full_step(t: Term) -> Term | None:
+    proj = _find_proj(t, (), deep=True)
+    if proj is not None:
+        return _replace_at_deep(t, *proj)
+    found = _lo_full(t, ())
+    if found is None:
+        return None
+    return _replace_at_deep(t, *found)
+
+
+def _find_proj(t: Term, pos: Pos, deep: bool) -> tuple[Pos, Term] | None:
+    match t:
+        case App(HConst("fst" | "snd"), p) if split_pair(p) is not None:
+            return pos, contract_redex(t)
+        case App(fn, arg):
+            left = _find_proj(fn, pos + (0,), deep)
+            if left is not None:
+                return left
+            return _find_proj(arg, pos + (1,), deep)
+        case Lam(_, body) if deep:
+            return _find_proj(body, pos + (2,), deep)
+    return None
+
+
+def _lo_full(t: Term, pos: Pos) -> tuple[Pos, Term] | None:
+    r = contract_redex(t)
+    if r is not None:
+        return pos, r
+    match t:
+        case App(fn, arg):
+            left = _lo_full(fn, pos + (0,))
+            if left is not None:
+                return left
+            return _lo_full(arg, pos + (1,))
+        case Lam(_, body):
+            inner = _lo_full(body, pos + (2,))
+            if inner is not None:
+                return inner
+    return None
+
+
+def proj_first_step(t: Term) -> Term | None:
+    """The simulator's guided step: one weak step, contracting pair
+    projections before anything else."""
+    proj = _find_proj(t, (), deep=False)
+    if proj is not None:
+        return _replace_at_deep(t, *proj)
+    nxt = weak_step(t)
+    return nxt[0] if nxt is not None else None

@@ -20,9 +20,8 @@ from lamc.extract import (
     sigma01_wrapper,
 )
 from lamc.formulas import (
-    FAll1,
-    HAll1,
-    HPredVar,
+    All1,
+    PredVar,
     normalize_formula_ha2,
     subst_expr1,
     subst_pred,
@@ -31,8 +30,6 @@ from lamc.ha2 import (
     EqResult,
     enumerate_inner_successors,
     enumerate_weak_redexes,
-    hsubstitute,
-    hterm_key,
     inner_equal,
     read_witness,
     weak_reduce,
@@ -43,7 +40,17 @@ from lamc.negtrans import ReturnFormula, cps_process, formula_bot, formula_nn
 from lamc.script import run_script
 from lamc.simulate import simulate_run
 from lamc.stdlib import compile_primrec, computes_value
-from lamc.syntax import Inst, Numeral, Process, Push, parse_stack, parse_term, stack_of
+from lamc.syntax import (
+    Inst,
+    Numeral,
+    Process,
+    Push,
+    alpha_key,
+    parse_stack,
+    parse_term,
+    stack_of,
+    substitute,
+)
 
 from gen import (
     random_expr,
@@ -233,8 +240,8 @@ def test_criterion_08_reduction_theory_properties():
             continue
         _, t2 = rng.choice(redexes)
         checked += 1
-        reducts = {hterm_key(r) for _, r in enumerate_weak_redexes(hsubstitute(t, "a", u))}
-        assert hterm_key(hsubstitute(t2, "a", u)) in reducts
+        reducts = {alpha_key(r) for _, r in enumerate_weak_redexes(substitute(t, "a", u))}
+        assert alpha_key(substitute(t2, "a", u)) in reducts
     # postponement
     rng = random.Random(82)
     post_checked = post_unknown = 0
@@ -290,7 +297,7 @@ def test_criterion_08_reduction_theory_properties():
 
 def test_criterion_09_translation_algebra():
     sig = default_signature()
-    R = ReturnFormula(HPredVar("R"))
+    R = ReturnFormula(PredVar("R"))
     rng = random.Random(91)
     for _ in range(300):
         a = random_pa2_formula(rng, 3)
@@ -310,8 +317,8 @@ def test_criterion_09_translation_algebra():
     rng = random.Random(93)
     for _ in range(300):
         a = random_pa2_formula(rng, 3)
-        lhs = normalize_formula_ha2(formula_nn(FAll1("x", a), R), sig)
-        rhs = normalize_formula_ha2(HAll1("x", formula_nn(a, R)), sig)
+        lhs = normalize_formula_ha2(formula_nn(All1("x", a), R), sig)
+        rhs = normalize_formula_ha2(All1("x", formula_nn(a, R)), sig)
         assert lhs == rhs
     note("criterion 9: PASS - 300-case substitutivity (1st and 2nd order), congruence preservation and the forall-commutation identity")
 

@@ -1,6 +1,5 @@
 import gc
 import random
-import sys
 import weakref
 
 import pytest
@@ -402,16 +401,6 @@ class TestNativeAgainstReference:
 
 # ---------------------------------------------------------------------------
 # scale, at Python's default recursion limit
-
-
-@pytest.fixture()
-def default_recursion_limit():
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(before)
 
 
 def _size(e) -> int:

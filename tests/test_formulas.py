@@ -6,23 +6,18 @@ from lamc.arith import EVar, default_signature, parse_expr
 from gen import random_hformula, random_pa2_formula
 
 from lamc.formulas import (
-    FAll1,
-    FAll2,
-    FBrace,
-    FImp,
-    FPredVar,
+    All1,
+    All2,
+    Brace,
     FormulaError,
-    HAll1,
-    HAll2,
-    HImp,
-    HPredVar,
+    Imp,
+    PredVar,
     expand_abbreviation,
     f_bot,
     f_nat,
     f_natp,
     formula_congruent_pa2,
     formula_free_vars,
-    h_bot,
     h_top,
     is_fully_relativized,
     normalize_formula_ha2,
@@ -73,16 +68,16 @@ class TestNormalizeHA2:
         assert normalize_formula_ha2(hf("null(0)", SIG), SIG) == h_top()
 
     def test_null_succ_is_bot(self, SIG):
-        assert normalize_formula_ha2(hf("null(s(y))", SIG), SIG) == h_bot()
+        assert normalize_formula_ha2(hf("null(s(y))", SIG), SIG) == f_bot()
 
     def test_commutation_renames_on_capture(self, SIG):
         out = normalize_formula_ha2(hf("(exists x. A(x)) -> B(x)", SIG), SIG)
         # the bound x must be renamed away from the free x of B
-        assert out == HAll1("w", HImp(HPredVar("A", (EVar("w"),)), HPredVar("B", (EVar("x"),))))
+        assert out == All1("w", Imp(PredVar("A", (EVar("w"),)), PredVar("B", (EVar("x"),))))
 
     def test_second_order_commutation(self, SIG):
         out = normalize_formula_ha2(hf("(exists X. X) -> R", SIG), SIG)
-        assert out == HAll2("X", 0, HImp(HPredVar("X"), HPredVar("R")))
+        assert out == All2("X", 0, Imp(PredVar("X"), PredVar("R")))
 
     def test_nested_commutation(self, SIG):
         out = normalize_formula_ha2(hf("(exists x. exists y. A(x, y)) -> R", SIG), SIG)
@@ -106,7 +101,7 @@ class TestNormalizeHA2:
 class TestRelativize:
     def test_first_order_quantifier_guarded(self, SIG):
         out = relativize_nat(pf("forall x. X(x)", SIG))
-        assert out == FAll1("x", FImp(f_nat(EVar("x")), FPredVar("X", (EVar("x"),))))
+        assert out == All1("x", Imp(f_nat(EVar("x")), PredVar("X", (EVar("x"),))))
 
     def test_null_unchanged(self, SIG):
         f = pf("null(y)", SIG)
@@ -136,16 +131,16 @@ class TestAbbreviations:
     def test_equality(self, SIG):
         e1, e2 = parse_expr("x", SIG), parse_expr("y", SIG)
         out = expand_abbreviation("eq", [e1, e2])
-        assert out == FAll2("Z", 1, FImp(FPredVar("Z", (e1,)), FPredVar("Z", (e2,))))
+        assert out == All2("Z", 1, Imp(PredVar("Z", (e1,)), PredVar("Z", (e2,))))
 
     def test_existsN(self, SIG):
-        out = expand_abbreviation("existsN", ["x", FPredVar("A", (EVar("x"),))])
-        expected = FAll2(
+        out = expand_abbreviation("existsN", ["x", PredVar("A", (EVar("x"),))])
+        expected = All2(
             "Z",
             0,
-            FImp(
-                FAll1("x", FBrace(EVar("x"), FImp(FPredVar("A", (EVar("x"),)), FPredVar("Z")))),
-                FPredVar("Z"),
+            Imp(
+                All1("x", Brace(EVar("x"), Imp(PredVar("A", (EVar("x"),)), PredVar("Z")))),
+                PredVar("Z"),
             ),
         )
         assert out == expected
@@ -155,7 +150,7 @@ class TestAbbreviations:
 
     def test_natp_shape(self, SIG):
         out = f_natp(EVar("e"))
-        assert out == FAll2("Z", 0, FImp(FBrace(EVar("e"), FPredVar("Z")), FPredVar("Z")))
+        assert out == All2("Z", 0, Imp(Brace(EVar("e"), PredVar("Z")), PredVar("Z")))
 
     def test_unknown_abbreviation(self):
         with pytest.raises(FormulaError):
@@ -163,7 +158,7 @@ class TestAbbreviations:
 
     def test_fresh_binder_avoids_args(self, SIG):
         f = expand_abbreviation("and", [pf("Z", SIG), pf("Z2", SIG)])
-        assert isinstance(f, FAll2) and f.x not in ("Z", "Z2")
+        assert isinstance(f, All2) and f.x not in ("Z", "Z2")
 
 
 class TestSubstitution:
@@ -173,9 +168,9 @@ class TestSubstitution:
         assert out == pf("forall y. A(s(0), y)", SIG)
 
     def test_capture_renames(self, SIG):
-        f = FAll1("y", FPredVar("A", (EVar("x"), EVar("y"))))
+        f = All1("y", PredVar("A", (EVar("x"), EVar("y"))))
         out = subst_expr1(f, "x", EVar("y"))
-        assert out == FAll1("w", FPredVar("A", (EVar("y"), EVar("w"))))
+        assert out == All1("w", PredVar("A", (EVar("y"), EVar("w"))))
 
     def test_second_order(self, SIG):
         f = pf("forall x. X(x)", SIG)

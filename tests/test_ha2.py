@@ -4,23 +4,19 @@ import pytest
 
 from lamc.ha2 import (
     EqResult,
-    HApp,
-    HVar,
     Ha2Error,
     enumerate_inner_successors,
     enumerate_weak_redexes,
     hnumeral,
     hpair,
-    hsubstitute,
-    hterm_key,
     inner_equal,
     parse_hterm,
-    print_hterm,
     read_witness,
     weak_head_reduce,
     weak_reduce,
     weak_step,
 )
+from lamc.syntax import App, Var, alpha_key, print_term, substitute
 
 from gen import random_hterm
 
@@ -106,8 +102,8 @@ class TestInnerEqual:
         assert inner_equal(ht(r"(\x. x) a"), ht("a")) is EqResult.NOT_EQUAL
 
     def test_componentwise_application(self):
-        t = HApp(ht(r"\x. (\y. y) x"), ht("z0"))
-        u = HApp(ht(r"\x. x"), ht("z0"))
+        t = App(ht(r"\x. (\y. y) x"), ht("z0"))
+        u = App(ht(r"\x. x"), ht("z0"))
         assert inner_equal(t, u) is EqResult.EQUAL
 
     def test_unknown_on_divergent_bodies(self):
@@ -132,11 +128,11 @@ class TestInnerEqual:
 
 class TestReadWitness:
     def test_literal_pair(self):
-        n, payload = read_witness(hpair(hnumeral(2), HVar("w")))
-        assert n == 2 and payload == HVar("w")
+        n, payload = read_witness(hpair(hnumeral(2), Var("w")))
+        assert n == 2 and payload == Var("w")
 
     def test_one_weak_step_first(self):
-        t = HApp(ht(r"\x. x"), hpair(hnumeral(1), HVar("w")))
+        t = App(ht(r"\x. x"), hpair(hnumeral(1), Var("w")))
         assert read_witness(t)[0] == 1
 
     def test_non_pair_returns_none(self):
@@ -159,16 +155,16 @@ class TestReadWitness:
 
 class TestPrinting:
     def test_pair_sugar(self):
-        assert print_hterm(hpair(HVar("a"), HVar("b"))) == "<a; b>"
+        assert print_term(hpair(Var("a"), Var("b"))) == "<a; b>"
 
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(200):
             t = random_hterm(rng, 5)
-            assert parse_hterm(print_hterm(t)) == t
+            assert parse_hterm(print_term(t)) == t
 
     def test_constants(self):
-        assert print_hterm(ht("rec z0 sc")) == "rec z0 sc"
+        assert print_term(ht("rec z0 sc")) == "rec z0 sc"
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +183,29 @@ def test_substitutivity_of_weak_reduction():
             continue
         _, t2 = rng.choice(redexes)
         checked += 1
-        lhs = hsubstitute(t, "a", u)
-        rhs = hsubstitute(t2, "a", u)
-        reducts = {hterm_key(r) for _, r in enumerate_weak_redexes(lhs)}
-        assert hterm_key(rhs) in reducts
+        lhs = substitute(t, "a", u)
+        rhs = substitute(t2, "a", u)
+        reducts = {alpha_key(r) for _, r in enumerate_weak_redexes(lhs)}
+        assert alpha_key(rhs) in reducts
     assert checked > 100
 
 
 def _postponement_witness(t, target, weak_cap=8, inner_cap=8, width_cap=4000):
     """Search for a weak* then inner* path from t to target."""
-    target_key = hterm_key(target)
-    weak_layer = {hterm_key(t): t}
+    target_key = alpha_key(target)
+    weak_layer = {alpha_key(t): t}
     seen_weak = set(weak_layer)
     for _ in range(weak_cap + 1):
         # inner closure from every weak-reachable point
         for start in weak_layer.values():
             frontier = [start]
-            seen_inner = {hterm_key(start)}
+            seen_inner = {alpha_key(start)}
             while frontier and len(seen_inner) < width_cap:
                 cur = frontier.pop()
-                if hterm_key(cur) == target_key:
+                if alpha_key(cur) == target_key:
                     return True
                 for nxt in enumerate_inner_successors(cur):
-                    k = hterm_key(nxt)
+                    k = alpha_key(nxt)
                     if k not in seen_inner:
                         seen_inner.add(k)
                         frontier.append(nxt)
@@ -218,7 +214,7 @@ def _postponement_witness(t, target, weak_cap=8, inner_cap=8, width_cap=4000):
         nxt_layer = {}
         for cur in weak_layer.values():
             for _, r in enumerate_weak_redexes(cur):
-                k = hterm_key(r)
+                k = alpha_key(r)
                 if k not in seen_weak:
                     seen_weak.add(k)
                     nxt_layer[k] = r
@@ -279,7 +275,7 @@ def test_confluence_of_weak_modulo_inner():
         if verdict is EqResult.UNKNOWN:
             unknown += 1
         else:
-            assert verdict is EqResult.EQUAL, f"{print_hterm(a)} vs {print_hterm(b)}"
+            assert verdict is EqResult.EQUAL, f"{print_term(a)} vs {print_term(b)}"
     assert checked > 150
 
 
@@ -287,16 +283,17 @@ def test_read_witness_agrees_with_full_weak_normalization():
     # the early-exit head strategy and full leftmost-outermost reduction
     # read the same witness whenever the latter terminates on a pair
     rng = random.Random(55)
-    from lamc.ha2 import HApp, HLam, HVar, SC, hnumeral, hnumeral_value, hpair, split_pair
+    from lamc.ha2 import SC, hnumeral, hnumeral_value, hpair
+    from lamc.syntax import Lam, split_pair
 
     def constructed(rng):
         # a pair whose first component computes a numeral through redexes
         n, j = rng.randint(0, 4), rng.randint(0, 3)
-        first = HApp(HLam("v", HVar("v")), hnumeral(n))
+        first = App(Lam("v", Var("v")), hnumeral(n))
         for _ in range(j):
-            first = HApp(SC, first)
+            first = App(SC, first)
         junk = random_hterm(rng, 3, closed=True)
-        return HApp(HLam("w", hpair(first, junk)), hnumeral(0))
+        return App(Lam("w", hpair(first, junk)), hnumeral(0))
 
     checked = 0
     for i in range(400):

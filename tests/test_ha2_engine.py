@@ -8,7 +8,6 @@ nodes, far more as trees, so they are compared with a walk that visits a
 pair of shared nodes once, and never printed or compared with ``==``."""
 
 import random
-import sys
 
 import pytest
 
@@ -17,8 +16,6 @@ from lamc.demo import closed_realizer
 from lamc.extract import sigma01_wrapper
 from lamc.ha2 import (
     FST,
-    REC,
-    SC,
     SND,
     Z0,
     HEAD_RULES,
@@ -33,7 +30,7 @@ from lamc.machine import HeadMachine
 from lamc.syntax import App, HConst, Lam, Var, app, lam
 
 import ha2_reference as ref
-from gen import random_hterm
+from gen import numeral_program, projection_program, random_hterm
 
 
 def same_term(a, b, alpha: bool = False) -> bool:
@@ -164,54 +161,11 @@ def test_random_hterms():
         assert_same_witness(App(Lam("v", hpair(Var("v"), t)), t), fuel)
 
 
-def _numeral_program(rng, depth):
-    """A closed term that computes a numeral through rec, projections and
-    beta redexes."""
-    if depth <= 0:
-        return hnumeral(rng.randint(0, 3))
-    kind = rng.choice(("plus", "times", "pred", "fst", "snd", "beta", "sc"))
-    a = _numeral_program(rng, depth - 1)
-    b = _numeral_program(rng, depth - 1)
-    if kind == "plus":
-        return app(REC, a, lam("x y", App(SC, Var("y"))), b)
-    if kind == "times":
-        plus_a = lam("y", app(REC, Var("y"), lam("x z", App(SC, Var("z"))), a))
-        return app(REC, Z0, lam("x y", App(plus_a, Var("y"))), b)
-    if kind == "pred":
-        return app(REC, Z0, lam("x y", Var("x")), a)
-    if kind == "fst":
-        return App(FST, hpair(a, b))
-    if kind == "snd":
-        return App(SND, app(FST, hpair(hpair(b, a), b)))
-    if kind == "beta":
-        return App(Lam("v", App(Lam("w", Var("v")), b)), a)
-    return App(SC, a)
-
-
-def _projection_program(rng, depth):
-    """Nested pairs taken apart by fst/snd chains, under beta redexes."""
-    if depth <= 0:
-        return rng.choice((Z0, hnumeral(2), lam("x", Var("x"))))
-    kind = rng.choice(("pair", "fst", "snd", "beta", "swap"))
-    a = _projection_program(rng, depth - 1)
-    b = _projection_program(rng, depth - 1)
-    if kind == "pair":
-        return hpair(a, b)
-    if kind == "fst":
-        return App(FST, hpair(a, b))
-    if kind == "snd":
-        return App(SND, hpair(a, b))
-    if kind == "beta":
-        return App(Lam("p", App(FST, Var("p"))), hpair(a, b))
-    swap = lam("p", hpair(App(SND, Var("p")), App(FST, Var("p"))))
-    return App(FST, App(swap, hpair(a, b)))
-
-
 def test_rec_heavy_terms():
     rng = random.Random(607)
     for _ in range(150):
-        first = _numeral_program(rng, rng.randint(1, 4))
-        junk = _numeral_program(rng, 2)
+        first = numeral_program(rng, rng.randint(1, 4))
+        junk = numeral_program(rng, 2)
         for fuel in (10, 200, 100_000):
             assert_same_witness(hpair(first, junk), fuel)
             assert_same_witness(app(lam("q", Var("q")), hpair(first, junk)), fuel)
@@ -221,7 +175,7 @@ def test_rec_heavy_terms():
 def test_projection_heavy_terms():
     rng = random.Random(608)
     for _ in range(150):
-        t = _projection_program(rng, rng.randint(1, 5))
+        t = projection_program(rng, rng.randint(1, 5))
         for fuel in (5, 100, 100_000):
             assert_same_head_form(t, fuel)
             assert_same_witness(hpair(App(FST, hpair(hnumeral(1), t)), t), fuel)
@@ -319,16 +273,6 @@ def test_payload_is_read_back_once_and_only_on_demand(monkeypatch):
 # deep input at Python's default recursion limit
 
 DEEP = 100_000
-
-
-@pytest.fixture()
-def default_recursion_limit():
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(before)
 
 
 def _lambda_depth(t):

@@ -4,19 +4,22 @@ import pytest
 
 from lamc.arith import EVar, default_signature
 from lamc.formulas import (
-    FAll1,
-    HAnd,
-    HEx1,
-    HImp,
-    HNat,
-    HPredVar,
+    All1,
+    All2,
+    And,
+    Brace,
+    Ex1,
+    Imp,
+    Nat,
+    Null,
+    PredVar,
     normalize_formula_ha2,
     parse_formula,
     parse_hformula,
     subst_expr1,
     subst_pred,
 )
-from lamc.ha2 import hnumeral, hterm_free_vars, parse_hterm, print_hterm
+from lamc.ha2 import hnumeral, parse_hterm
 from lamc.negtrans import (
     BraceDecl,
     ReturnFormula,
@@ -40,12 +43,13 @@ from lamc.syntax import (
     free_vars,
     parse_process,
     parse_term,
+    print_term,
     stack_of,
 )
 
 from gen import random_expr, random_pa2_formula, random_congruent_expr
 
-R = ReturnFormula(HPredVar("R"))
+R = ReturnFormula(PredVar("R"))
 
 
 @pytest.fixture(scope="module")
@@ -65,24 +69,24 @@ class TestFormulaTranslation:
         assert bot("null(y)", SIG) == parse_hformula("null(neg(y))", SIG)
 
     def test_brace(self, SIG):
-        assert bot("{y} -> B", SIG) == HAnd(HNat(EVar("y")), HPredVar("B"))
+        assert bot("{y} -> B", SIG) == And(Nat(EVar("y")), PredVar("B"))
 
     def test_implication(self, SIG):
         out = bot("A -> B", SIG)
-        assert out == HAnd(HImp(HPredVar("A"), HPredVar("R")), HPredVar("B"))
+        assert out == And(Imp(PredVar("A"), PredVar("R")), PredVar("B"))
 
     def test_forall_second_order(self, SIG):
         assert bot("forall X. X", SIG) == parse_hformula("exists X. X", SIG)
 
     def test_nn_is_bot_imp_r(self, SIG):
         f = parse_formula("X", SIG)
-        assert formula_nn(f, R) == HImp(HPredVar("X"), HPredVar("R"))
+        assert formula_nn(f, R) == Imp(PredVar("X"), PredVar("R"))
 
     def test_pole_variable_not_captured(self, SIG):
         pole = ReturnFormula(parse_hformula("null(x)", SIG))
         out = formula_bot(parse_formula("forall x. A(x) -> A(x)", SIG), pole)
         # the bound x must have been renamed away from FV(R)
-        assert isinstance(out, HEx1) and out.x != "x"
+        assert isinstance(out, Ex1) and out.x != "x"
 
     def test_sigma01_return_formula(self, SIG):
         out = sigma01_return_formula("pred")
@@ -91,8 +95,8 @@ class TestFormulaTranslation:
     def test_context_translation(self, SIG):
         ctx = [("x", BraceDecl(EVar("e"))), ("y", parse_formula("A", SIG))]
         out = translate_context(ctx, R)
-        assert out[0] == ("x", HNat(EVar("e")))
-        assert out[1] == ("y", HImp(HPredVar("A"), HPredVar("R")))
+        assert out[0] == ("x", Nat(EVar("e")))
+        assert out[1] == ("y", Imp(PredVar("A"), PredVar("R")))
 
 
 class TestTransSubstProperty:
@@ -134,32 +138,23 @@ class TestConvSoundProperty:
 
 def _mutate_exprs(rng, f):
     """Replace each arithmetic expression by a random congruent one."""
-    from lamc.formulas import (
-        FAll1 as A1,
-        FAll2 as A2,
-        FBrace as Br,
-        FImp as Im,
-        FNull as Nu,
-        FPredVar as Pv,
-    )
-
     def m(e):
         return random_congruent_expr(rng, e, moves=rng.randint(0, 3))
 
     def go(g):
         match g:
-            case Nu(e):
-                return Nu(m(e))
-            case Pv(name, args):
-                return Pv(name, tuple(m(a) for a in args))
-            case Im(a, b):
-                return Im(go(a), go(b))
-            case Br(e, b):
-                return Br(m(e), go(b))
-            case A1(x, body):
-                return A1(x, go(body))
-            case A2(x, arity, body):
-                return A2(x, arity, go(body))
+            case Null(e):
+                return Null(m(e))
+            case PredVar(name, args):
+                return PredVar(name, tuple(m(a) for a in args))
+            case Imp(a, b):
+                return Imp(go(a), go(b))
+            case Brace(e, b):
+                return Brace(m(e), go(b))
+            case All1(x, body):
+                return All1(x, go(body))
+            case All2(x, arity, body):
+                return All2(x, arity, go(body))
 
     return go(f)
 
@@ -169,10 +164,8 @@ class TestConvForall:
         rng = random.Random(34)
         for _ in range(100):
             a = random_pa2_formula(rng, 3)
-            lhs = normalize_formula_ha2(formula_nn(FAll1("x", a), R), SIG)
-            rhs = normalize_formula_ha2(
-                __import__("lamc.formulas", fromlist=["HAll1"]).HAll1("x", formula_nn(a, R)), SIG
-            )
+            lhs = normalize_formula_ha2(formula_nn(All1("x", a), R), SIG)
+            rhs = normalize_formula_ha2(All1("x", formula_nn(a, R)), SIG)
             assert lhs == rhs
 
 
@@ -220,19 +213,18 @@ class TestCpsTerm:
         for _ in range(150):
             t = random_term(rng, 4, closed=bool(rng.getrandbits(1)))
             image = cps_term(t)
-            assert hterm_free_vars(image) == free_vars(t)
+            assert free_vars(image) == free_vars(t)
 
     def test_substitution_commutes_with_translation(self):
         rng = random.Random(36)
         from gen import random_term
-        from lamc.ha2 import hsubstitute
         from lamc.syntax import substitute
 
         for _ in range(150):
             t = random_term(rng, 4, closed=False)
             u = random_term(rng, 3, closed=True)
             lhs = cps_term(substitute(t, "a", u))
-            rhs = hsubstitute(cps_term(t), "a", cps_term(u))
+            rhs = substitute(cps_term(t), "a", cps_term(u))
             assert lhs == rhs
 
 
@@ -247,7 +239,7 @@ class TestCpsStackProcess:
     def test_wrapper_stack(self):
         u = parse_term(r"\x y. y (stop x)")
         out = cps_stack(stack_of(u))
-        assert print_hterm(out).startswith("<")
+        assert print_term(out).startswith("<")
 
     def test_process(self):
         out = cps_process(parse_process("stop * #3 . $"))
@@ -260,7 +252,7 @@ class TestCpsStackProcess:
 
         t0, _ = closed_realizer(5)
         image = cps_process(Process(t0, stack_of(sigma01_wrapper())))
-        assert hterm_free_vars(image) == frozenset()
+        assert free_vars(image) == frozenset()
 
 
 class TestInlineInstructions:

@@ -237,6 +237,19 @@ class TestCli:
         assert code == EXIT_OK
         assert "witness: 4" in out
 
+    def test_translate_read_witness_out_of_fuel(self, capsys):
+        argv = ["translate", "--process", r"(\u. u #4 (\z. z)) * (\x y. y (stop x)) . $",
+                "--read-witness", "--fuel", "5"]
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == EXIT_FUEL and out.err == ""
+        lines = out.out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("translate process: ")
+        assert lines[1] == "witness: unknown fuel"
+        assert main(argv + ["--json-like"]) == EXIT_FUEL
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"] is None and doc["head_steps"] is None and doc["halt"] == "fuel"
+
     def test_translate_formula(self, capsys):
         code = main(["translate", "--formula", "forall x. null(pred(x))"])
         out = capsys.readouterr().out
