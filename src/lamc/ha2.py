@@ -265,35 +265,32 @@ def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
 
 def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
     """Joinability under full reduction via two normalizing chains."""
-    seen_a = {alpha_key(a)}
-    seen_b = {alpha_key(b)}
     cur_a, cur_b = a, b
+    key_a, key_b = alpha_key(a), alpha_key(b)
+    seen_a, seen_b = {key_a}, {key_b}
     done_a = done_b = False
     while budget[0] > 0:
-        if alpha_key(cur_a) in seen_b or alpha_key(cur_b) in seen_a:
+        if key_a in seen_b or key_b in seen_a:
             return EqResult.EQUAL
         if done_a and done_b:
-            return (
-                EqResult.EQUAL
-                if alpha_key(cur_a) == alpha_key(cur_b)
-                else EqResult.NOT_EQUAL
-            )
+            # key_b is in seen_b, so equal keys were caught just above
+            return EqResult.NOT_EQUAL
         if not done_a:
             budget[0] -= 1
             nxt = full_step(cur_a)
             if nxt is None:
                 done_a = True
             else:
-                cur_a = nxt
-                seen_a.add(alpha_key(cur_a))
+                cur_a, key_a = nxt, alpha_key(nxt)
+                seen_a.add(key_a)
         if not done_b:
             budget[0] -= 1
             nxt = full_step(cur_b)
             if nxt is None:
                 done_b = True
             else:
-                cur_b = nxt
-                seen_b.add(alpha_key(cur_b))
+                cur_b, key_b = nxt, alpha_key(nxt)
+                seen_b.add(key_b)
     return EqResult.UNKNOWN
 
 

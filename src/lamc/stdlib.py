@@ -14,7 +14,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import EApp, EVar, PrimRecSignature, default_signature, nat_of_expr
+from .arith import EVar, PrimRecSignature, _self_calls, default_signature, nat_of_expr
 from .machine import (
     BindNumeral,
     BindTerm,
@@ -220,16 +220,6 @@ def _pat_consistent(pat, know) -> bool:
     if know == "zero":
         return pat.kind == "zero"
     return pat.kind == "succ"
-
-
-def _self_calls(e, name):
-    todo = [e]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, EApp):
-            if cur.symbol == name:
-                yield cur
-            todo.extend(cur.args)
 
 
 # ---------------------------------------------------------------------------

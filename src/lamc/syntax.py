@@ -5,7 +5,9 @@ numerals and continuation constants.  Stacks are lists of closed terms over
 a single bottom marker, and a process pairs a closed term with a stack.
 HA2 terms (the image of the CPS translation) are the same lambda-terms with
 the constants of ``HConst`` as their only other leaf.  Term equality is
-alpha-equivalence; printing keeps the user's binder names.
+alpha-equivalence, decided by one nameless key (``alpha_key``) that
+``==``, ``hash`` and the reducers' seen-sets all use; printing keeps the
+user's binder names.
 """
 
 from __future__ import annotations
@@ -44,10 +46,7 @@ class Term:
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Term) and alpha_eq(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
+        return self is other or (isinstance(other, Term) and alpha_key(self) == alpha_key(other))
 
     def __hash__(self) -> int:
         return hash(alpha_key(self))
@@ -213,66 +212,48 @@ Subject = Union[Term, Stack, Process]
 # alpha-equivalence
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    return _alpha_eq(t, u, {}, {}, 0)
+def alpha_key(t: Term) -> tuple:
+    """The nameless image of ``t``: equal keys iff alpha-equivalent.
 
-
-def _alpha_eq(t: Term, u: Term, env_t: dict, env_u: dict, depth: int) -> bool:
-    if type(t) is not type(u):
-        return False
-    if isinstance(t, Var):
-        return env_t.get(t.name, t.name) == env_u.get(u.name, u.name)
-    if isinstance(t, Lam):
-        et = dict(env_t)
-        eu = dict(env_u)
-        et[t.binder] = depth
-        eu[u.binder] = depth
-        return _alpha_eq(t.body, u.body, et, eu, depth + 1)
-    if isinstance(t, App):
-        return _alpha_eq(t.fn, u.fn, env_t, env_u, depth) and _alpha_eq(
-            t.arg, u.arg, env_t, env_u, depth
-        )
-    if isinstance(t, HConst):
-        return t.kind == u.kind
-    if isinstance(t, Inst):
-        return t.name == u.name
-    if isinstance(t, Numeral):
-        return t.n == u.n
-    if isinstance(t, Kont):
-        return _stack_alpha_eq(t.saved, u.saved)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _stack_alpha_eq(p: Stack, q: Stack) -> bool:
-    while isinstance(p, Push) and isinstance(q, Push):
-        if not alpha_eq(p.top, q.top):
-            return False
-        p, q = p.rest, q.rest
-    return isinstance(p, Bottom) and isinstance(q, Bottom)
-
-
-def alpha_key(t: Term, env: dict | None = None, depth: int = 0):
-    """A hashable nameless image of ``t``; equal keys iff alpha-equivalent."""
-    env = env or {}
-    match t:
-        case Var(name):
-            b = env.get(name)
-            return ("b", b) if b is not None else ("f", name)
-        case Lam(binder, body):
-            env2 = dict(env)
-            env2[binder] = depth
-            return ("l", alpha_key(body, env2, depth + 1))
-        case App(fn, arg):
-            return ("a", alpha_key(fn, env, depth), alpha_key(arg, env, depth))
-        case HConst(kind):
-            return ("c", kind)
-        case Inst(name):
-            return ("i", name)
-        case Numeral(n):
-            return ("n", n)
-        case Kont(saved):
-            return ("k", tuple(alpha_key(e) for e in saved))
-    raise TypeError(f"not a term: {t!r}")
+    One token per node in preorder: ``"a"`` for an application, ``"l"``
+    for an abstraction, the depth of its binder for a bound variable (a de
+    Bruijn level), ``("f", name)`` for a free variable, and one tagged pair
+    per constant.  Every token has a fixed arity, so the key decodes back
+    to one term.  A continuation's saved terms are keyed in a fresh scope.
+    Explicit-stack walk: terms may be deep; it recurses only into nested
+    continuations."""
+    out: list = []
+    levels: dict[str, list[int]] = {}  # name -> depths of its binders, innermost last
+    depth = 0
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is App:
+            out.append("a")
+            todo += (t.arg, t.fn)
+        elif cls is Var:
+            bound = levels.get(t.name)
+            out.append(bound[-1] if bound else ("f", t.name))
+        elif cls is Lam:
+            out.append("l")
+            levels.setdefault(t.binder, []).append(depth)
+            depth += 1
+            todo += (t.binder, t.body)
+        elif cls is str:  # leaving the scope of this binder
+            levels[t].pop()
+            depth -= 1
+        elif cls is HConst:
+            out.append(("c", t.kind))
+        elif cls is Inst:
+            out.append(("i", t.name))
+        elif cls is Numeral:
+            out.append(("n", t.n))
+        elif cls is Kont:
+            out.append(("k", tuple(alpha_key(e) for e in t.saved)))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
