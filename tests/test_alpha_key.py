@@ -55,8 +55,8 @@ def _replace(t, left, new):
 
 
 def one_leaf_change(rng, t):
-    """t with one leaf replaced by a different leaf: a free variable, a
-    variable bound elsewhere, a constant or another numeral."""
+    """t with one leaf replaced by a free variable, a variable in scope,
+    a constant or another numeral; now and then that is the same leaf."""
     found = list(leaves(t))
     i = rng.randrange(len(found))
     leaf, scope = found[i]
