@@ -21,6 +21,7 @@ from .syntax import (
     HA2_CONSTANTS,
     App,
     HConst,
+    KeyCache,
     Lam,
     LamcError,
     Term,
@@ -28,7 +29,6 @@ from .syntax import (
     _TermParser,
     _TokenStream,
     _lex,
-    alpha_key,
     app,
     free_vars,
     fresh_name,
@@ -222,7 +222,9 @@ class EqResult(Enum):
     UNKNOWN = "unknown"
 
 
-def inner_equal(t: Term, u: Term, fuel: int = 10_000) -> EqResult:
+def inner_equal(
+    t: Term, u: Term, fuel: int = 10_000, keys: KeyCache | None = None
+) -> EqResult:
     """Bounded check of the inner-equivalence relation.
 
     Inner reduction never changes the top constructor of a term, so the
@@ -230,22 +232,23 @@ def inner_equal(t: Term, u: Term, fuel: int = 10_000) -> EqResult:
     abstraction bodies are related by full conversion, decided here by a
     bounded joinability search (projection-friendly normal order).  EQUAL
     verdicts always come from an exhibited join; UNKNOWN is first-class.
+    Terms are compared through ``keys``, a fresh cache when none is given.
     """
     budget = [fuel]
-    return _ieq(t, u, budget)
+    return _ieq(t, u, budget, keys if keys is not None else KeyCache())
 
 
-def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
-    if alpha_key(t) == alpha_key(u):
+def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
+    if keys.key(t) == keys.key(u):
         return EqResult.EQUAL
     if budget[0] <= 0:
         return EqResult.UNKNOWN
     match t, u:
         case (App(f1, a1), App(f2, a2)):
-            left = _ieq(f1, f2, budget)
+            left = _ieq(f1, f2, budget, keys)
             if left is EqResult.NOT_EQUAL:
                 return left
-            right = _ieq(a1, a2, budget)
+            right = _ieq(a1, a2, budget, keys)
             if right is EqResult.NOT_EQUAL:
                 return right
             if left is EqResult.EQUAL and right is EqResult.EQUAL:
@@ -255,7 +258,7 @@ def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
             z = fresh_name("v", free_vars(b1) | free_vars(b2) | {x1, x2})
             b1 = substitute(b1, x1, Var(z))
             b2 = substitute(b2, x2, Var(z))
-            return _join_full(b1, b2, budget)
+            return _join_full(b1, b2, budget, keys)
         case _:
             # inner reduction never changes the top constructor, so terms
             # with different shapes (or different constants/variables) are
@@ -263,10 +266,10 @@ def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
             return EqResult.NOT_EQUAL
 
 
-def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
+def _join_full(a: Term, b: Term, budget: list[int], keys: KeyCache) -> EqResult:
     """Joinability under full reduction via two normalizing chains."""
     cur_a, cur_b = a, b
-    key_a, key_b = alpha_key(a), alpha_key(b)
+    key_a, key_b = keys.key(a), keys.key(b)
     seen_a, seen_b = {key_a}, {key_b}
     done_a = done_b = False
     while budget[0] > 0:
@@ -281,7 +284,7 @@ def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
             if nxt is None:
                 done_a = True
             else:
-                cur_a, key_a = nxt, alpha_key(nxt)
+                cur_a, key_a = nxt, keys.key(nxt)
                 seen_a.add(key_a)
         if not done_b:
             budget[0] -= 1
@@ -289,7 +292,7 @@ def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
             if nxt is None:
                 done_b = True
             else:
-                cur_b, key_b = nxt, alpha_key(nxt)
+                cur_b, key_b = nxt, keys.key(nxt)
                 seen_b.add(key_b)
     return EqResult.UNKNOWN
 

@@ -45,8 +45,9 @@ from .syntax import (
     Term,
     Var,
     app,
-    free_vars,
 )
+
+_EMPTY: frozenset[str] = frozenset()
 
 
 class TranslationError(LamcError):
@@ -129,17 +130,47 @@ def translate_context(
 
 
 class _Fresh:
-    def __init__(self, avoid: frozenset[str]):
-        self.avoid = set(avoid)
+    """The names k1, k2, ... in turn; each call skips the names it must
+    avoid, so no two binders of one translation share a name."""
+
+    def __init__(self) -> None:
         self.counter = 0
 
-    def __call__(self) -> str:
+    def __call__(self, avoid: frozenset[str] = _EMPTY, binder: str | None = None) -> str:
         while True:
             self.counter += 1
             name = f"k{self.counter}"
-            if name not in self.avoid:
-                self.avoid.add(name)
+            if name not in avoid and name != binder:
                 return name
+
+
+class CpsMemo:
+    """CPS images by identity, of closed terms and of stack cells.  The
+    image of a closed term is closed, so it serves wherever the term
+    recurs.  A memo lives for one simulation check; ``CpsMemo(previous)``
+    reads through to the table of the check before, so that along a
+    machine run each process is translated once, as the target of one
+    step and then as the source of the next."""
+
+    __slots__ = ("table", "previous")
+
+    def __init__(self, previous: CpsMemo | None = None) -> None:
+        # id() of a term or cell -> (it, its image); holding it keeps its id() its own
+        self.table: dict[int, tuple] = {}
+        self.previous: dict[int, tuple] = previous.table if previous is not None else {}
+
+    def get(self, node) -> Term | None:
+        hit = self.table.get(id(node))
+        if hit is None:
+            hit = self.previous.get(id(node))
+            if hit is None:
+                return None
+            self.table[id(node)] = hit
+        return hit[1]
+
+    def put(self, node, image: Term) -> Term:
+        self.table[id(node)] = (node, image)
+        return image
 
 
 def _letp(x: str, y: str, u: Term, body: Term) -> Term:
@@ -147,42 +178,51 @@ def _letp(x: str, y: str, u: Term, body: Term) -> Term:
     return app(Lam(x, Lam(y, body)), App(FST, u), App(SND, u))
 
 
-def cps_term(t: Term) -> Term:
-    """CPS-translate a lambda-c term over the closed instruction set."""
-    fresh = _Fresh(free_vars(t))
-    return _cps(t, fresh)
+def cps_term(t: Term, memo: CpsMemo | None = None) -> Term:
+    """CPS-translate a lambda-c term over the closed instruction set.  With
+    a memo, closed subterms translated before are not translated again."""
+    return _cps(t, _Fresh(), memo)
 
 
-def _cps(t: Term, fresh: _Fresh) -> Term:
+def _cps(t: Term, fresh: _Fresh, memo: CpsMemo | None) -> Term:
+    closed = memo is not None and not t.fv
+    if closed:
+        image = memo.get(t)
+        if image is not None:
+            return image
+    # a fresh binder scopes over images whose free variables are among those
+    # of t and its binder, so it avoids exactly these
     match t:
         case Var(_):
             return t
         case App(fn, arg):
-            k = fresh()
-            return Lam(k, App(_cps(fn, fresh), hpair(_cps(arg, fresh), Var(k))))
+            k = fresh(t.fv)
+            image = Lam(k, App(_cps(fn, fresh, memo), hpair(_cps(arg, fresh, memo), Var(k))))
         case Lam(x, body):
-            k, k2 = fresh(), fresh()
-            return Lam(k, _letp(x, k2, Var(k), App(_cps(body, fresh), Var(k2))))
+            k, k2 = fresh(t.fv, x), fresh(t.fv, x)
+            image = Lam(k, _letp(x, k2, Var(k), App(_cps(body, fresh, memo), Var(k2))))
         case Numeral(n):
-            return hnumeral(n)
+            image = hnumeral(n)
         case Kont(saved):
             k, w = fresh(), fresh()
-            return Lam(k, _letp("x", w, Var(k), App(Var("x"), _cps_stack(saved, fresh))))
+            image = Lam(k, _letp("x", w, Var(k), App(Var("x"), _cps_stack(saved, fresh, memo))))
         case Inst("stop"):
-            return Lam("z", Var("z"))
+            image = Lam("z", Var("z"))
         case Inst("cc"):
-            return _cps_cc(fresh)
+            image = _cps_cc(fresh)
         case Inst("s"):
-            return _cps_succ(fresh)
+            image = _cps_succ(fresh)
         case Inst("rec"):
-            return _cps_rec(fresh)
+            image = _cps_rec(fresh)
         case Inst(name):
             raise TranslationError(
                 f"instruction {name!r} has no CPS translation; the closed "
                 f"instruction set is cc, s, rec, stop and the numerals"
                 + (" (kamikaze processes are untranslatable)" if name == "print" else "")
             )
-    raise TypeError(f"not a term: {t!r}")
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return memo.put(t, image) if closed else image
 
 
 def _cps_cc(fresh: _Fresh) -> Term:
@@ -218,24 +258,38 @@ def _cps_rec(fresh: _Fresh) -> Term:
     return Lam(k, _letp("r0", k1, Var(k), inner1))
 
 
-def cps_stack(pi: Stack) -> Term:
-    """Stacks translate as finite lists: bottom to z0, consing to pairing."""
-    fresh = _Fresh(frozenset())
-    return _cps_stack(pi, fresh)
+def cps_stack(pi: Stack, memo: CpsMemo | None = None) -> Term:
+    """Stacks translate as finite lists: bottom to z0, consing to pairing.
+    With a memo, cells translated before are not translated again."""
+    return _cps_stack(pi, _Fresh(), memo)
 
 
-def _cps_stack(pi: Stack, fresh: _Fresh) -> Term:
-    match pi:
-        case Bottom():
-            return Z0
-        case Push(top, rest):
-            return hpair(_cps(top, fresh), _cps_stack(rest, fresh))
-    raise TypeError(f"not a stack: {pi!r}")
+def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo | None) -> Term:
+    # the tops are translated top first, then the pairs are built bottom up
+    cells: list[Push] = []
+    tail = None
+    while isinstance(pi, Push):
+        if memo is not None:
+            tail = memo.get(pi)
+            if tail is not None:
+                break
+        cells.append(pi)
+        pi = pi.rest
+    else:
+        if not isinstance(pi, Bottom):
+            raise TypeError(f"not a stack: {pi!r}")
+        tail = Z0
+    tops = [_cps(cell.top, fresh, memo) for cell in cells]
+    for cell, top in zip(reversed(cells), reversed(tops)):
+        tail = hpair(top, tail)
+        if memo is not None:
+            memo.put(cell, tail)
+    return tail
 
 
-def cps_process(p: Process) -> Term:
+def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
     """(t * pi) translates to the application t-star pi-star."""
-    return App(cps_term(p.head), cps_stack(p.stack))
+    return App(cps_term(p.head, memo), cps_stack(p.stack, memo))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ steps) to t2-star applied to some u inner-equal to pi2-star; for every
 rule except Rec-S the residual u is even syntactically pi2-star.  The
 verifier exhibits such a reduction sequence: a guided deterministic chain
 (projection-friendly) first, then a bounded breadth-first fallback.
+
+A check memoises for its own duration only: one ``KeyCache`` keys every
+term it compares (the chain, the seen-set, inner equality), so a term that
+shares closed subterms with one keyed before costs only its new nodes, and
+one ``CpsMemo`` translates the source and target processes, which share
+most of their cells.  Along a run, each check's memo reads through to the
+one before, so each process is translated once.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ from .ha2 import (
     weak_step,
 )
 from .machine import Halt, MachineConfig, Next, step
-from .negtrans import cps_process, cps_stack, cps_term
-# the alpha key under the name through which perfbench traces it
-from .syntax import App, LamcError, Process, Term, alpha_key as hterm_key
+from .negtrans import CpsMemo, cps_process, cps_stack, cps_term
+from .syntax import App, KeyCache, LamcError, Process, Term
+
+# the cached key under the name through which perfbench traces it:
+# hterm_key(keys, t) is keys.key(t)
+hterm_key = KeyCache.key
 
 
 class SimulationError(LamcError):
@@ -89,9 +99,11 @@ def simulate_one_step(
     guided_steps: int = GUIDED_STEPS,
     bfs_cap: int = BFS_NODE_CAP,
     result: Next | Halt | None = None,
+    memo: CpsMemo | None = None,
 ) -> OneStepReport:
     """Verify the one-step simulation for the machine step out of p;
-    result is that step when the caller has already taken it."""
+    result is that step when the caller has already taken it, and memo
+    the CPS memo of this check when the caller hands one on."""
     cfg = cfg if cfg is not None else MachineConfig()
     if result is None:
         result = step(p, cfg)
@@ -100,24 +112,27 @@ def simulate_one_step(
     assert isinstance(result, Next)
     rule = result.rule
     p2 = result.process
-    start = cps_process(p)
-    target_fn_key = hterm_key(cps_term(p2.head))
-    target_stack = cps_stack(p2.stack)
-    target_stack_key = hterm_key(target_stack)
+    memo = memo if memo is not None else CpsMemo()
+    keys = KeyCache()
+    start = cps_process(p, memo)
+    target_fn_key = hterm_key(keys, cps_term(p2.head, memo))
+    target_stack = cps_stack(p2.stack, memo)
+    target_stack_key = hterm_key(keys, target_stack)
+    out_of_fuel = f"inner equality ran out of fuel (inner_fuel {inner_fuel})"
 
     def check(t: Term, k: int) -> OneStepReport | None:
         """The report when t, reached in k weak steps, is t2-star applied to
         a residual that is pi2-star or not known to differ from it; None
         when t is not (t2-star u) or u is not inner-equal to pi2-star."""
-        if not (isinstance(t, App) and hterm_key(t.fn) == target_fn_key):
+        if not (isinstance(t, App) and hterm_key(keys, t.fn) == target_fn_key):
             return None
-        if hterm_key(t.arg) == target_stack_key:
+        if hterm_key(keys, t.arg) == target_stack_key:
             return OneStepReport(rule, True, k, True, None)
-        verdict = inner_equal(t.arg, target_stack, inner_fuel)
+        verdict = inner_equal(t.arg, target_stack, inner_fuel, keys)
         if verdict is EqResult.EQUAL:
             return OneStepReport(rule, True, k, False, verdict)
         if verdict is EqResult.UNKNOWN:
-            return OneStepReport(rule, None, k, False, verdict, "inner equality ran out of fuel")
+            return OneStepReport(rule, None, k, False, verdict, out_of_fuel)
         return None
 
     # guided deterministic chain; a shape hit with the wrong residual
@@ -132,7 +147,7 @@ def simulate_one_step(
             return report
 
     # breadth-first fallback over all weak reducts
-    seen = {hterm_key(start)}
+    seen = {hterm_key(keys, start)}
     frontier: deque[tuple[Term, int]] = deque([(start, 0)])
     expanded = 0
     saw_unknown = False
@@ -140,7 +155,7 @@ def simulate_one_step(
         t, depth = frontier.popleft()
         expanded += 1
         for _, reduct in enumerate_weak_redexes(t):
-            key = hterm_key(reduct)
+            key = hterm_key(keys, reduct)
             if key in seen:
                 continue
             seen.add(key)
@@ -151,9 +166,14 @@ def simulate_one_step(
                 saw_unknown = True
             frontier.append((reduct, depth + 1))
     if frontier or saw_unknown:
-        return OneStepReport(
-            rule, None, 0, False, EqResult.UNKNOWN, "search budget exhausted"
-        )
+        spent = []
+        if frontier:
+            spent.append(
+                f"search budget exhausted (guided_steps {guided_steps}, bfs_cap {bfs_cap})"
+            )
+        if saw_unknown:
+            spent.append(out_of_fuel)
+        return OneStepReport(rule, None, 0, False, EqResult.UNKNOWN, "; ".join(spent))
     return OneStepReport(
         rule, False, 0, False, None, "no weak reduction reaches the translated target"
     )
@@ -170,12 +190,17 @@ def simulate_run(
     reports: list[OneStepReport] = []
     machine_steps = 0
     halt_kind = "fuel"
+    memo = None
     while machine_steps < fuel:
         result = step(p, cfg)
         if isinstance(result, Halt):
             halt_kind = result.kind
             break
-        reports.append(simulate_one_step(p, cfg, inner_fuel=inner_fuel, result=result))
+        # this step's source is the previous step's target
+        memo = CpsMemo(memo)
+        reports.append(
+            simulate_one_step(p, cfg, inner_fuel=inner_fuel, result=result, memo=memo)
+        )
         p = result.process
         machine_steps += 1
     return RunSimulationReport(machine_steps, tuple(reports), halt_kind)

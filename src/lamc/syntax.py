@@ -5,9 +5,9 @@ numerals and continuation constants.  Stacks are lists of closed terms over
 a single bottom marker, and a process pairs a closed term with a stack.
 HA2 terms (the image of the CPS translation) are the same lambda-terms with
 the constants of ``HConst`` as their only other leaf.  Term equality is
-alpha-equivalence, decided by one nameless key (``alpha_key``) that
-``==``, ``hash`` and the reducers' seen-sets all use; printing keeps the
-user's binder names.
+alpha-equivalence, decided by one nameless-key walk (``KeyCache``, whose
+uncached entry is ``alpha_key``) that ``==``, ``hash`` and the reducers'
+seen-sets all use; printing keeps the user's binder names.
 """
 
 from __future__ import annotations
@@ -46,7 +46,13 @@ class Term:
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Term) and alpha_key(self) == alpha_key(other))
+        if self is other:
+            return True
+        # alpha-equivalent terms have the same top constructor and free variables
+        if type(other) is not type(self) or other.fv != self.fv:
+            return False
+        keys = KeyCache()
+        return keys.key(self) == keys.key(other)
 
     def __hash__(self) -> int:
         return hash(alpha_key(self))
@@ -212,48 +218,98 @@ Subject = Union[Term, Stack, Process]
 # alpha-equivalence
 
 
-def alpha_key(t: Term) -> tuple:
-    """The nameless image of ``t``: equal keys iff alpha-equivalent.
+_DONE = object()  # KeyCache.key's marker: the node below it has its children keyed
 
-    One token per node in preorder: ``"a"`` for an application, ``"l"``
-    for an abstraction, the depth of its binder for a bound variable (a de
-    Bruijn level), ``("f", name)`` for a free variable, and one tagged pair
-    per constant.  Every token has a fixed arity, so the key decodes back
-    to one term.  A continuation's saved terms are keyed in a fresh scope.
-    Explicit-stack walk: terms may be deep; it recurses only into nested
-    continuations."""
-    out: list = []
-    levels: dict[str, list[int]] = {}  # name -> depths of its binders, innermost last
-    depth = 0
-    todo: list = [t]
-    while todo:
-        t = todo.pop()
-        cls = type(t)
-        if cls is App:
-            out.append("a")
-            todo += (t.arg, t.fn)
-        elif cls is Var:
-            bound = levels.get(t.name)
-            out.append(bound[-1] if bound else ("f", t.name))
-        elif cls is Lam:
-            out.append("l")
-            levels.setdefault(t.binder, []).append(depth)
-            depth += 1
-            todo += (t.binder, t.body)
-        elif cls is str:  # leaving the scope of this binder
-            levels[t].pop()
-            depth -= 1
-        elif cls is HConst:
-            out.append(("c", t.kind))
-        elif cls is Inst:
-            out.append(("i", t.name))
-        elif cls is Numeral:
-            out.append(("n", t.n))
-        elif cls is Kont:
-            out.append(("k", tuple(alpha_key(e) for e in t.saved)))
-        else:
-            raise TypeError(f"not a term: {t!r}")
-    return tuple(out)
+
+class KeyCache:
+    """Interned nameless keys: ``key(t)`` is an int, equal for two terms
+    keyed through one cache iff they are alpha-equivalent.
+
+    Each distinct nameless node gets one id, the index of its token in
+    ``tokens``: ``("a", fn id, arg id)`` for an application, ``("l", body
+    id)`` for an abstraction, the de Bruijn index of its binder for a bound
+    variable, ``("f", name)`` for a free variable, one tagged pair per
+    constant, and ``("k", ids of the saved terms)`` for a continuation,
+    whose saved terms are keyed in a fresh scope.  A token holds only ids
+    made before it.  De Bruijn indices make the key of a closed node the
+    same wherever it occurs, so closed nodes are also remembered by
+    identity (and kept alive while the cache is): keying a term that
+    shares closed subterms with one keyed before walks only its new
+    nodes.  Explicit-stack walk: terms may be deep; it recurses only into
+    nested continuations."""
+
+    __slots__ = ("tokens", "_ids", "_closed", "_alive")
+
+    def __init__(self) -> None:
+        self.tokens: list = []  # id -> token
+        self._ids: dict = {}  # token -> id
+        self._closed: dict[int, int] = {}  # id() of a closed node -> its key id
+        self._alive: list[Term] = []  # the nodes of _closed, so their id() stays theirs
+
+    def key(self, t: Term) -> int:
+        closed, ids, tokens, alive = self._closed, self._ids, self.tokens, self._alive
+        levels: dict[str, list[int]] = {}  # name -> depths of its binders, innermost last
+        depth = 0
+        out: list[int] = []  # ids of the finished children
+        todo: list = [t]  # a node to key, or _DONE above the node to finish
+        while todo:
+            t = todo.pop()
+            if t is _DONE:
+                t = todo.pop()
+                if type(t) is App:
+                    a = out.pop()
+                    token = ("a", out.pop(), a)
+                else:  # leaving the scope of this abstraction
+                    levels[t.binder].pop()
+                    depth -= 1
+                    token = ("l", out.pop())
+            else:
+                if not t.fv:
+                    i = closed.get(id(t))
+                    if i is not None:
+                        out.append(i)
+                        continue
+                cls = type(t)
+                if cls is App:
+                    todo += (t, _DONE, t.arg, t.fn)
+                    continue
+                if cls is Lam:
+                    levels.setdefault(t.binder, []).append(depth)
+                    depth += 1
+                    todo += (t, _DONE, t.body)
+                    continue
+                if cls is Var:
+                    bound = levels.get(t.name)
+                    token = depth - 1 - bound[-1] if bound else ("f", t.name)
+                elif cls is HConst:
+                    token = ("c", t.kind)
+                elif cls is Inst:
+                    token = ("i", t.name)
+                elif cls is Numeral:
+                    token = ("n", t.n)
+                elif cls is Kont:
+                    token = ("k", tuple(self.key(e) for e in t.saved))
+                else:
+                    raise TypeError(f"not a term: {t!r}")
+            i = ids.get(token)
+            if i is None:
+                i = ids[token] = len(tokens)
+                tokens.append(token)
+            if not t.fv:
+                closed[id(t)] = i
+                alive.append(t)
+            out.append(i)
+        return out[0]
+
+
+def alpha_key(t: Term) -> tuple:
+    """The nameless image of ``t``: equal keys iff alpha-equivalent.  It is
+    the token table of a fresh ``KeyCache`` after keying ``t``, so each
+    distinct subterm appears once, children before parents and ``t`` last,
+    and the key decodes back to one term."""
+    keys = KeyCache()
+    keys.key(t)
+    return tuple(keys.tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,29 @@
 """The one nameless key of lamc.syntax against the two recursive walks it
-replaced (tests/syntax_reference.py): ``alpha_key``, ``==`` and ``hash``
-agree with the reference ``alpha_eq`` and ``alpha_key`` on seeded terms of
-both languages and on continuation constants from machine runs.  Then the
-key, ``==`` and ``hash`` on terms 10^5 deep at Python's default recursion
-limit."""
+replaced (tests/syntax_reference.py): ``alpha_key``, ``==``, ``hash`` and
+the interned ids of one ``KeyCache`` agree with the reference ``alpha_eq``
+and ``alpha_key`` on seeded terms of both languages and on continuation
+constants from machine runs, and ``alpha_key`` decodes back to its term.
+Then the key, ``==`` and ``hash`` on terms 10^5 deep at Python's default
+recursion limit."""
 
 import random
 
 import pytest
 
 from lamc.machine import MachineConfig, run
-from lamc.syntax import App, HConst, Inst, Kont, Lam, Numeral, Var, alpha_key, is_proof_like, stack_of
+from lamc.syntax import (
+    App,
+    HConst,
+    Inst,
+    KeyCache,
+    Kont,
+    Lam,
+    Numeral,
+    Var,
+    alpha_key,
+    is_proof_like,
+    stack_of,
+)
 
 import syntax_reference as ref
 from gen import VARS, random_hterm, random_process, random_term
@@ -81,6 +94,51 @@ def kont_terms(rng, count):
     return out[:count]
 
 
+def decode(table):
+    """The term whose ``alpha_key`` is table: its last token, whose
+    children are earlier ids; bound variable i is the i-th binder out."""
+    terms = []
+    for token in table:
+        if isinstance(token, int):
+            terms.append(lambda names, i=token: Var(names[-1 - i]))
+        elif token[0] == "a":
+            fn, arg = terms[token[1]], terms[token[2]]
+            terms.append(lambda names, fn=fn, arg=arg: App(fn(names), arg(names)))
+        elif token[0] == "l":
+            body = terms[token[1]]
+            terms.append(lambda names, body=body: Lam(f"%{len(names)}", body(names + (f"%{len(names)}",))))
+        elif token[0] == "k":
+            saved = [terms[i] for i in token[1]]
+            terms.append(lambda names, saved=saved: Kont(stack_of(*(e(()) for e in saved))))
+        else:
+            leaf = {"f": Var, "c": HConst, "i": Inst, "n": Numeral}[token[0]](token[1])
+            terms.append(lambda names, leaf=leaf: leaf)
+    return terms[-1](())
+
+
+def subterms(t):
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        todo += [getattr(u, a) for a in ("fn", "arg", "body") if hasattr(u, a)]
+
+
+def shared_corpus(seed):
+    """Terms that hold one of their subterms, as the same object, once more
+    under a binder of one of its free variables and once at the top,
+    against their copies without the sharing and against a one-leaf
+    change: the key of an open node depends on where it is met."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 6), closed=False)
+        s = rng.choice(list(subterms(t)))
+        x = rng.choice(sorted(s.fv) or VARS)
+        both = App(Lam(x, App(s, t)), s)
+        yield both, renamed(both)
+        yield both, one_leaf_change(rng, both)
+
+
 def corpus(seed):
     rng = random.Random(seed)
     terms = (
@@ -109,6 +167,28 @@ class TestDifferential:
             verdicts[want] += 1
         assert sum(verdicts.values()) == 2000
         assert min(verdicts.values()) > 500
+
+    def test_one_cache_agrees_with_the_reference(self):
+        # one cache for the whole corpus, so later pairs meet closed
+        # subterms that earlier ones keyed, by identity and by token
+        keys = KeyCache()
+        for t, u in corpus(808):
+            assert (keys.key(t) == keys.key(u)) is ref.alpha_eq(t, u), (t, u)
+        assert len(set(keys.tokens)) == len(keys.tokens)
+
+    def test_one_cache_on_subterms_met_in_other_scopes(self):
+        keys = KeyCache()
+        verdicts = {True: 0, False: 0}
+        for t, u in shared_corpus(810):
+            want = ref.alpha_eq(t, u)
+            assert (keys.key(t) == keys.key(u)) is want, (t, u)
+            assert (alpha_key(t) == alpha_key(u)) is want and (t == u) is want, (t, u)
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_key_decodes_back_to_the_term(self):
+        for t, _ in corpus(809):
+            assert ref.alpha_eq(decode(alpha_key(t)), t), t
 
     def test_continuation_contents_are_keyed_in_a_fresh_scope(self):
         # the x under k[...] is free, whichever binder is outside

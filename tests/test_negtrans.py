@@ -22,6 +22,7 @@ from lamc.formulas import (
 from lamc.ha2 import hnumeral, parse_hterm
 from lamc.negtrans import (
     BraceDecl,
+    CpsMemo,
     ReturnFormula,
     TranslationError,
     cps_process,
@@ -47,7 +48,8 @@ from lamc.syntax import (
     stack_of,
 )
 
-from gen import random_expr, random_pa2_formula, random_congruent_expr
+import syntax_reference as ref
+from gen import random_expr, random_pa2_formula, random_congruent_expr, random_process
 
 R = ReturnFormula(PredVar("R"))
 
@@ -215,6 +217,16 @@ class TestCpsTerm:
             image = cps_term(t)
             assert free_vars(image) == free_vars(t)
 
+    def test_binders_named_like_fresh_names_are_not_captured(self):
+        for src, plain in ((r"\k2. k2 k2", r"\a. a a"), (r"\k1 k3. k3 (k1 k3)", r"\a b. b (a b)")):
+            assert cps_term(parse_term(src)) == cps_term(parse_term(plain)), src
+        assert cps_stack(stack_of(parse_term(r"\k1. k1"))) == cps_stack(stack_of(parse_term(r"\a. a")))
+        # a free k-name stays free
+        from lamc.syntax import substitute
+
+        image = cps_term(parse_term(r"\x. k1 x"))
+        assert image == substitute(cps_term(parse_term(r"\x. q x")), "q", Var("k1"))
+
     def test_substitution_commutes_with_translation(self):
         rng = random.Random(36)
         from gen import random_term
@@ -253,6 +265,59 @@ class TestCpsStackProcess:
         t0, _ = closed_realizer(5)
         image = cps_process(Process(t0, stack_of(sigma01_wrapper())))
         assert free_vars(image) == frozenset()
+
+
+def _steps(p, fuel):
+    """(process, successor) for at most fuel machine steps from p."""
+    from lamc.machine import MachineConfig, Next, step
+
+    cfg = MachineConfig()
+    for _ in range(fuel):
+        nxt = step(p, cfg)
+        if not isinstance(nxt, Next):
+            return
+        yield p, nxt.process
+        p = nxt.process
+
+
+class TestCpsMemo:
+    """Images through a memo chained along a run, as the simulator makes
+    them, against translations without one."""
+
+    def test_random_runs(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            memo = None
+            for p, p2 in _steps(random_process(rng), 25):
+                memo = CpsMemo(memo)
+                assert ref.alpha_eq(cps_process(p, memo), cps_process(p))
+                assert ref.alpha_eq(cps_term(p2.head, memo), cps_term(p2.head))
+                assert ref.alpha_eq(cps_stack(p2.stack, memo), cps_stack(p2.stack))
+
+    def test_demo_run(self):
+        from lamc.demo import closed_realizer
+        from lamc.extract import sigma01_wrapper
+        from lamc.syntax import Process
+
+        p = Process(closed_realizer(2)[0], stack_of(sigma01_wrapper()))
+        memo = None
+        for k, (p, p2) in enumerate(_steps(p, 10_000)):
+            memo = CpsMemo(memo)
+            source = cps_process(p, memo)
+            target = cps_process(p2, memo)
+            if k % 110 == 0:
+                assert source == cps_process(p) and target == cps_process(p2), k
+        assert k == 867
+
+    def test_images_are_shared(self):
+        t = parse_term(r"(\x. x) (\y. s y)")
+        first = CpsMemo()
+        image = cps_term(t, first)
+        assert cps_term(t, first) is image
+        # through the memo before, and then from its own table
+        second = CpsMemo(first)
+        assert cps_term(t, second) is image
+        assert cps_term(t, CpsMemo(second)) is image
 
 
 class TestInlineInstructions:

@@ -1,9 +1,12 @@
+import gc
 import random
+import sys
+from collections import deque
 
 import pytest
 
 from lamc.ha2 import EqResult
-from lamc.machine import MachineConfig
+from lamc.machine import MachineConfig, Next, step
 from lamc.negtrans import TranslationError
 from lamc.simulate import SimulationError, simulate_one_step, simulate_run
 from lamc.syntax import (
@@ -107,6 +110,12 @@ class TestRunSimulation:
         assert report.machine_steps == 2 and report.ok
         assert len(calls) == 3
 
+    def test_binder_named_like_a_fresh_name(self):
+        # the CPS translation once captured a user binder named k<n>
+        report = simulate_run(parse_process(r"(\k2. k2 k2) (\x. x) * #3 . $"), fuel=10)
+        assert report.failed == 0 and report.inconclusive == 0
+        assert report.verified == report.machine_steps == 5
+
     def test_inner_equality_only_on_rec_s(self):
         rng = random.Random(100)
         for _ in range(30):
@@ -131,3 +140,76 @@ class TestSearchFallbacks:
         )
         assert report.verified is None
         assert "budget" in report.message
+        assert "guided_steps 0" in report.message and "bfs_cap 2" in report.message
+
+    def test_exhausted_inner_fuel_is_named(self):
+        p = parse_process(r"rec * (\z. z) . (\a b. b) . #3 . $")
+        report = simulate_one_step(p, inner_fuel=3)
+        assert report.verified is None and report.inner is EqResult.UNKNOWN
+        assert report.message == "inner equality ran out of fuel (inner_fuel 3)"
+        # the breadth-first search meets the same residual
+        report = simulate_one_step(p, inner_fuel=3, guided_steps=0, bfs_cap=2000)
+        assert report.verified is None
+        assert "inner equality ran out of fuel (inner_fuel 3)" in report.message
+
+    def test_bfs_alone_verifies_what_the_chain_verifies(self):
+        rng = random.Random(101)
+        cfg = MachineConfig()
+        checked = 0
+        for _ in range(80):
+            p = random_process(rng, depth=5)
+            for _ in range(12):
+                result = step(p, cfg)
+                if not isinstance(result, Next):
+                    break
+                if simulate_one_step(p, cfg, result=result).verified:
+                    bfs = simulate_one_step(p, cfg, guided_steps=0, result=result)
+                    assert bfs.verified is True, (p, bfs)
+                    checked += 1
+                p = result.process
+        assert checked > 150
+
+
+def _module_containers():
+    """(module, name) -> size of every container held by a lamc module."""
+    sizes = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "lamc" and not mod_name.startswith("lamc."):
+            continue
+        for name, value in vars(mod).items():
+            if isinstance(value, (dict, list, set, deque)):
+                sizes[mod_name, name] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[mod_name, name] = value.cache_info().currsize
+    return sizes
+
+
+class TestNoLeaks:
+    PROCESSES = (
+        r"rec * (\z. z) . (\a b. b) . #3 . $",
+        r"(\n f. rec (f n) (\p r. r) #2) #4 (\m u. cc (\k. k (s m u))) * (\z. z) . $",
+    )
+
+    def test_no_reference_cycles(self):
+        # everything a check builds is freed by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            for src in self.PROCESSES:
+                assert simulate_one_step(parse_process(src)).verified is True
+                assert gc.collect() == 0
+                assert simulate_run(parse_process(src), fuel=40).ok
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_module_level_table_grows(self):
+        for src in self.PROCESSES:
+            simulate_run(parse_process(src), fuel=40)
+        before = _module_containers()
+        rng = random.Random(102)
+        for _ in range(10):
+            simulate_run(random_process(rng, depth=5), fuel=25)
+        for src in self.PROCESSES:
+            simulate_run(parse_process(src), fuel=40)
+        assert _module_containers() == before
