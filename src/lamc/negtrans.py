@@ -265,9 +265,9 @@ def cps_stack(pi: Stack, memo: CpsMemo | None = None) -> Term:
 
 
 def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo | None) -> Term:
-    # the tops are translated top first, then the pairs are built bottom up
+    # the tops are translated top first, which keeps the order of the fresh
+    # names in the printed image; then the pairs are built bottom up
     cells: list[Push] = []
-    tail = None
     while isinstance(pi, Push):
         if memo is not None:
             tail = memo.get(pi)
