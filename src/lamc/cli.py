@@ -13,14 +13,19 @@ from .script import (
     EXIT_OK,
     EXIT_PARSE,
     EXTRACTION_MODES,
+    DefineStmt,
+    PrimStmt,
+    Script,
     ScriptRunner,
     StatementOutput,
+    UseStmt,
     extract_statement,
     parse_script,
     run_script,
     simulate_statement,
     translate_statement,
 )
+from .simulate import SIMULATE_FUEL
 from .syntax import LamcError, parse_process, parse_stack, parse_term
 
 
@@ -62,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="check machine steps against weak reduction")
     p_sim.add_argument("--process", required=True)
-    p_sim.add_argument("--fuel", type=int, default=40)
+    p_sim.add_argument("--fuel", type=int, default=SIMULATE_FUEL)
     p_sim.add_argument("--json-like", action="store_true")
 
     p_st = sub.add_parser("stats", help="instruction-call statistics of script runs")
@@ -73,11 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _environment(script_path: str | None, fuel: int | None):
+    """The configuration that the definitions of a script set up; its
+    other statements are not run."""
     runner = ScriptRunner(fuel=fuel)
     if script_path:
         with open(script_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        runner.execute(parse_script(text))
+            statements = parse_script(handle.read()).statements
+        definitions = (PrimStmt, DefineStmt, UseStmt)
+        runner.execute(Script(tuple(s for s in statements if isinstance(s, definitions))))
     return runner.cfg
 
 

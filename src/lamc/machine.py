@@ -10,11 +10,12 @@ machines:
   a ``Process`` after every step and uses it.
 - ``run`` is the environment machine that ``step`` specifies (Krivine,
   "A call-by-name lambda-calculus machine", 2007).  It compiles the
-  process and the rules it fires into nameless code once per run, and
-  Grab pushes the stack top onto an environment of closures instead of
-  rebuilding the body.  Closures are read back into terms only for the
-  final process, trace lines and continuations; the outcome, statistics
-  and trace are those of iterating ``step``.
+  process into nameless code once per run and each rule once, when it is
+  registered (``InstructionRule.code``).  Grab pushes the stack top onto
+  an environment of closures instead of rebuilding the body.  Closures
+  are read back into terms only for the final process, trace lines and
+  continuations; the outcome, statistics and trace are those of
+  iterating ``step``.
 
 A run owns its counters and print sink; configurations are immutable and
 may be shared.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .arith import (
@@ -36,6 +38,8 @@ from .arith import (
 )
 from .syntax import (
     BOTTOM,
+    BUILTIN_INSTRUCTIONS,
+    INSTRUCTION_ALIASES,
     App,
     HConst,
     Inst,
@@ -55,7 +59,7 @@ from .syntax import (
 )
 
 
-RESERVED_INSTRUCTIONS = frozenset({"cc", "s", "rec", "print", "stop", "callcc"})
+RESERVED_INSTRUCTIONS = BUILTIN_INSTRUCTIONS | frozenset(INSTRUCTION_ALIASES)
 
 DEFAULT_FUEL = 10_000_000
 
@@ -144,6 +148,11 @@ class InstructionRule:
     rhs_stack: tuple[Term, ...] = ()
     guard: Guard | None = None
 
+    @cached_property
+    def code(self) -> tuple:
+        """The rule checked and compiled, on first use: ``_compile_rule``."""
+        return _compile_rule(self)
+
 
 def macro_rule(name: str, term: Term) -> InstructionRule:
     """A definitional rule: name * pi  >  term * pi."""
@@ -174,7 +183,8 @@ def register_instruction(
     batch: Iterable[str] = (),
 ) -> MachineConfig:
     """Extend a configuration with one instruction.  ``batch`` names
-    instructions being registered together (mutual recursion)."""
+    instructions being registered together (mutual recursion).  Each rule
+    is checked and compiled here, once (``InstructionRule.code``)."""
     rules = tuple(rules)
     if name in RESERVED_INSTRUCTIONS:
         raise RuleError(f"{name!r} is a reserved instruction name")
@@ -184,11 +194,18 @@ def register_instruction(
         raise RuleError(f"instruction {name!r} needs at least one rule")
     known = cfg.instructions | set(batch) | {name}
     for rule in rules:
-        _validate_rule(rule, name, known, cfg.sig)
+        if rule.head != name:
+            raise RuleError(f"rule head {rule.head!r} does not match instruction {name!r}")
+        *_, exprs, insts = rule.code
+        for iname in insts:
+            if iname not in known:
+                raise RuleError(f"{name}: unknown instruction {iname!r} in rule right-hand side")
+        for e in exprs:
+            for sym in expr_symbols(e):
+                if sym not in cfg.sig:
+                    raise RuleError(f"{name}: unknown function symbol {sym!r} in template")
     _check_shadowing(name, rules)
-    table = dict(cfg.rules)
-    table[name] = rules
-    return replace(cfg, rules=table)
+    return replace(cfg, rules={**cfg.rules, name: rules})
 
 
 def register_batch(
@@ -199,75 +216,6 @@ def register_batch(
     for name, rules in definitions.items():
         cfg = register_instruction(cfg, name, rules, batch=batch)
     return cfg
-
-
-def _validate_rule(
-    rule: InstructionRule, name: str, known: set[str] | frozenset[str], sig: PrimRecSignature
-) -> None:
-    if rule.head != name:
-        raise RuleError(f"rule head {rule.head!r} does not match instruction {name!r}")
-    term_vars: set[str] = set()
-    num_vars: set[str] = set()
-    for p in rule.patterns:
-        match p:
-            case BindTerm(v):
-                if v in term_vars | num_vars:
-                    raise RuleError(f"{name}: duplicate pattern variable {v!r}")
-                term_vars.add(v)
-            case BindNumeral(v):
-                if v in term_vars | num_vars:
-                    raise RuleError(f"{name}: duplicate pattern variable {v!r}")
-                num_vars.add(v)
-            case LitNumeral(n):
-                if n < 0:
-                    raise RuleError(f"{name}: negative numeral literal")
-    if rule.guard is not None:
-        for e in (rule.guard.left, rule.guard.right):
-            loose = expr_free_vars(e) - num_vars
-            if loose:
-                raise RuleError(
-                    f"{name}: guard mentions non-numeral variables {sorted(loose)}"
-                )
-    for tmpl in (rule.rhs_term, *rule.rhs_stack):
-        _validate_template(tmpl, name, term_vars | num_vars, num_vars, known, sig)
-
-
-def _validate_template(
-    t: Term,
-    name: str,
-    bound: set[str],
-    num_vars: set[str],
-    known: set[str] | frozenset[str],
-    sig: PrimRecSignature,
-    lam_bound: frozenset[str] = frozenset(),
-) -> None:
-    match t:
-        case Var(v):
-            if v not in bound and v not in lam_bound:
-                raise RuleError(f"{name}: unbound variable {v!r} in rule right-hand side")
-        case TExpr(e):
-            loose = expr_free_vars(e) - num_vars
-            if loose:
-                raise RuleError(
-                    f"{name}: template expression mentions non-numeral variables {sorted(loose)}"
-                )
-            for sym in expr_symbols(e):
-                if sym not in sig:
-                    raise RuleError(f"{name}: unknown function symbol {sym!r} in template")
-        case Lam(b, body):
-            _validate_template(body, name, bound, num_vars, known, sig, lam_bound | {b})
-        case App(fn, arg):
-            _validate_template(fn, name, bound, num_vars, known, sig, lam_bound)
-            _validate_template(arg, name, bound, num_vars, known, sig, lam_bound)
-        case Inst(iname):
-            if iname not in known:
-                raise RuleError(f"{name}: unknown instruction {iname!r} in rule right-hand side")
-        case Kont(_):
-            raise RuleError(f"{name}: continuation constants are not allowed in rules")
-        case Numeral(_):
-            pass
-        case _:
-            raise TypeError(f"not a template term: {t!r}")
 
 
 def _check_shadowing(name: str, rules: tuple[InstructionRule, ...]) -> None:
@@ -456,7 +404,7 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 # the environment machine behind ``run``
 #
-# A term is compiled once per run into nameless code: tuples
+# A term is compiled into nameless code: tuples
 #     (tag, a, b, need, src)     and, for an application, a sixth field
 # where ``need`` is one more than the largest environment index the node
 # reaches outside itself (0 when the node is closed) and ``src`` is the
@@ -565,43 +513,70 @@ _REC_AGAIN = _compile(
 _BIND_TERM, _BIND_NUMERAL, _LIT_NUMERAL = range(3)
 
 
-def _compile_rule(rule: InstructionRule, memo: dict) -> tuple:
-    """(instruction name, patterns, guard, template expressions, right-hand
-    side code, right-hand stack codes in push order).  The templates' environment holds the pattern
-    variables in order, then one numeral per ``TExpr``, in the order in
-    which ``_instantiate`` evaluates them."""
+def _compile_rule(rule: InstructionRule) -> tuple:
+    """The checked rule's code: (patterns, guard, right-hand side code,
+    right-hand stack codes in push order, template expressions, instruction
+    names).  One scan over the templates checks their leaves and collects
+    the expressions and names; ``_compile`` then rejects unbound variables.
+    The templates' environment holds the pattern variables in order, then
+    one numeral per ``TExpr``, in the order in which ``_instantiate``
+    evaluates them.  What depends on the configuration (the instruction
+    names, the expressions' function symbols) is checked by
+    ``register_instruction``; guard symbols when the guard is evaluated."""
+    name = rule.head
     patterns = []
-    scope = []
+    scope: list = []
     for pat in rule.patterns:
-        match pat:
-            case BindTerm(v):
-                patterns.append((_BIND_TERM, v))
-                scope.append(v)
-            case BindNumeral(v):
-                patterns.append((_BIND_NUMERAL, v))
-                scope.append(v)
-            case LitNumeral(n):
-                patterns.append((_LIT_NUMERAL, n))
+        if isinstance(pat, LitNumeral):
+            if pat.n < 0:
+                raise RuleError(f"{name}: negative numeral literal")
+            patterns.append((_LIT_NUMERAL, pat.n))
+        elif pat.var in scope:
+            raise RuleError(f"{name}: duplicate pattern variable {pat.var!r}")
+        else:
+            scope.append(pat.var)
+            patterns.append((_BIND_NUMERAL if isinstance(pat, BindNumeral) else _BIND_TERM, pat.var))
+    num_vars = {pat.var for pat in rule.patterns if isinstance(pat, BindNumeral)}
+    if rule.guard is not None:
+        for e in (rule.guard.left, rule.guard.right):
+            _check_numeral_only(e, num_vars, f"{name}: guard")
     templates = (rule.rhs_term, *reversed(rule.rhs_stack))
-    exprs = []
+    exprs, insts = [], []
     todo = list(reversed(templates))
     while todo:
         t = todo.pop()
-        if isinstance(t, TExpr):
-            exprs.append(t)
-            scope.append(id(t))
+        if isinstance(t, App):
+            todo += (t.arg, t.fn)
         elif isinstance(t, Lam):
             todo.append(t.body)
-        elif isinstance(t, App):
-            todo += (t.arg, t.fn)
-    head, *tail = (_compile(t, tuple(scope), memo) for t in templates)
-    return (rule.head, tuple(patterns), rule.guard, tuple(e.expr for e in exprs), head, tuple(tail))
+        elif isinstance(t, TExpr):
+            _check_numeral_only(t.expr, num_vars, f"{name}: template expression")
+            exprs.append(t.expr)
+            scope.append(id(t))
+        elif isinstance(t, Inst):
+            insts.append(t.name)
+        elif isinstance(t, Kont):
+            raise RuleError(f"{name}: continuation constants are not allowed in rules")
+        elif not isinstance(t, (Var, Numeral)):
+            raise TypeError(f"not a template term: {t!r}")
+    memo: dict = {}
+    try:
+        head, *tail = (_compile(t, tuple(scope), memo) for t in templates)
+    except RuleError as err:  # an unbound variable
+        raise RuleError(f"{name}: {err}") from None
+    return tuple(patterns), rule.guard, head, tuple(tail), tuple(exprs), tuple(insts)
+
+
+def _check_numeral_only(e: ArithExpr, num_vars: set[str], what: str) -> None:
+    loose = expr_free_vars(e) - num_vars
+    if loose:
+        raise RuleError(f"{what} mentions non-numeral variables {sorted(loose)}")
 
 
 def _fire(compiled: tuple, stack, sig: PrimRecSignature) -> tuple | None:
     """(code, env, stack) after the compiled rule, or None if it does not
     match."""
-    _, patterns, guard, exprs, head, tail = compiled
+    patterns, guard, head, tail, exprs, _ = compiled
     env = None
     nums: dict[str, int] = {}
     for kind, x in patterns:
@@ -740,7 +715,6 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     for t in reversed(terms):
         stack = ((_compile(t, (), memo), None), stack)
     rules = cfg.rules
-    compiled_rules: dict[str, tuple] = {}
     sig, user_sink, tracing = cfg.sig, cfg.sink, cfg.trace
     limit = cfg.fuel if cfg.fuel is not None else math.inf
     stats = dict.fromkeys(_BUILTIN_RULES, 0)
@@ -788,23 +762,17 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
             code, env = e[0]
             continue
         elif tag == USER:
-            name = code[1]
-            compiled = compiled_rules.get(name)
-            if compiled is None:
-                compiled = compiled_rules[name] = tuple(
-                    _compile_rule(r, memo) for r in rules.get(name, ())
-                )
-                for c in compiled:
-                    stats.setdefault(c[0], 0)
-            for c in compiled:
-                state = _fire(c, stack, sig)
+            for r in rules.get(code[1], ()):
+                state = _fire(r.code, stack, sig)
                 if state is not None:
                     break
             else:
                 halt = _STUCK
                 break
             code, env, stack = state
-            rule = c[0]
+            rule = r.head
+            if rule not in stats:
+                stats[rule] = 0
         elif tag == REC:
             if stack is None or stack[1] is None or stack[1][1] is None:
                 halt = _STUCK

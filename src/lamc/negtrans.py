@@ -54,9 +54,6 @@ class TranslationError(LamcError):
     pass
 
 
-TRANSLATABLE_INSTRUCTIONS = frozenset({"cc", "s", "rec", "stop"})
-
-
 # ---------------------------------------------------------------------------
 # formulas
 

@@ -48,7 +48,7 @@ from .machine import (
     run,
 )
 from .negtrans import ReturnFormula, cps_process, cps_term, formula_bot, formula_nn
-from .simulate import simulate_run
+from .simulate import SIMULATE_FUEL, simulate_run
 from .stdlib import catalog as stdlib_catalog
 from .syntax import (
     BOTTOM,
@@ -140,7 +140,7 @@ class TranslateStmt:
 @dataclass(frozen=True)
 class SimulateStmt:
     process: Process
-    fuel: int = 40
+    fuel: int = SIMULATE_FUEL
 
 
 Statement = PrimStmt | DefineStmt | UseStmt | EvalStmt | ExtractStmt | TranslateStmt | SimulateStmt
@@ -453,7 +453,7 @@ class ScriptParser:
     def _stmt_simulate(self) -> SimulateStmt:
         self.ts.expect("Simulate")
         process = self.term_parser().process(frozenset())
-        fuel = 40
+        fuel = SIMULATE_FUEL
         if self.ts.peek().text == "fuel":
             self.ts.next()
             tok = self.ts.next()

@@ -43,6 +43,7 @@ class SimulationError(LamcError):
 
 
 GUIDED_STEPS = 400
+SIMULATE_FUEL = 40  # machine steps a simulation run checks by default
 BFS_NODE_CAP = 20_000
 
 
@@ -181,7 +182,7 @@ def simulate_one_step(
 
 def simulate_run(
     p: Process,
-    fuel: int = 40,
+    fuel: int = SIMULATE_FUEL,
     cfg: MachineConfig | None = None,
     inner_fuel: int = 10_000,
 ) -> RunSimulationReport:

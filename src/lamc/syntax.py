@@ -596,7 +596,7 @@ class _TermParser:
             if tok.text == "k" and self.ts.peek(1).text == "[":
                 self.ts.next()
                 self.ts.expect("[")
-                saved = self.stack(bound)
+                saved = self.stack(frozenset())  # a saved stack is closed
                 self.ts.expect("]")
                 return Kont(saved)
             self.ts.next()

@@ -285,6 +285,60 @@ class TestRegistration:
         assert run(proc("isz #9 (stop #1) (stop #0) * $", instructions=insts), cfg).halt.value == 0
 
 
+class TestRuleCode:
+    """Each rule is checked and compiled once, and keeps its code: runs
+    that share a configuration compile nothing again."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        import lamc.machine as machine
+
+        seen = []
+        compile_rule = machine._compile_rule
+
+        def counting(rule):
+            seen.append(rule)
+            return compile_rule(rule)
+
+        monkeypatch.setattr(machine, "_compile_rule", counting)
+        return seen
+
+    def rules(self):
+        return TestRegistration().nat_guard_rules()
+
+    def test_registration_compiles_each_rule_once(self, compiled):
+        rules = self.rules()
+        cfg = register_instruction(MachineConfig(), "test_le", rules)
+        assert [id(r) for r in compiled] == [id(r) for r in rules]
+        for src in ("test_le #2 #5 (stop #1) (stop #0) * $", "test_le #5 #2 (stop #1) (stop #0) * $"):
+            p = proc(src, instructions=cfg.instructions)
+            first, second = run(p, cfg), run(p, cfg)
+            assert first == second and first.stats["test_le"] == 1
+        assert len(compiled) == len(rules)
+
+    def test_unregistered_rules_compile_when_first_tried(self, compiled):
+        from dataclasses import replace
+
+        rules = self.rules()
+        cfg = replace(MachineConfig(), rules={"test_le": tuple(rules)})
+        p = proc("test_le #2 #5 (stop #1) (stop #0) * $", instructions=cfg.instructions)
+        assert run(p, cfg).halt.value == 1 and run(p, cfg).halt.value == 1
+        assert [id(r) for r in compiled] == [id(rules[0])]
+        p = proc("test_le #5 #2 (stop #1) (stop #0) * $", instructions=cfg.instructions)
+        assert run(p, cfg).halt.value == 0 and run(p, cfg).halt.value == 0
+        assert [id(r) for r in compiled] == [id(r) for r in rules]
+
+    def test_script_jobs_compile_the_demo_rules_once(self, compiled):
+        from lamc.demo import build_script
+        from lamc.script import ScriptRunner, parse_script
+
+        runner = ScriptRunner()
+        result = runner.execute(parse_script(build_script(10) + "Extract sigma01 realizer with fleq;"))
+        assert [doc["kind"] for doc in result.doc["statements"]] == ["eval", "extract"]
+        registered = [r for rules in runner.cfg.rules.values() for r in rules]
+        assert sorted(map(id, compiled)) == sorted(map(id, registered))
+
+
 class TestNumeralConversions:
     def test_church_lazy_round_trip(self, cfg):
         c2l, l2c = church_to_lazy(), lazy_to_church()

@@ -420,6 +420,52 @@ class TestCliScriptAgreement:
             )
         assert (text, doc, code) == expected
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["translate", "--term", r"\x. x"],
+            ["extract", "--mode", "sigma01", "--f", "pred"],
+        ],
+        ids=["translate", "extract"],
+    )
+    def test_script_option_runs_only_definitions(self, tmp_path, capsys, argv):
+        # a continuation constant is rejected when an Eval runs; the option
+        # runs none, so its output is that of the definitions alone
+        if argv[0] == "extract":
+            _, term = self._files(tmp_path, r"\u. u #1 (\z. z)")
+            argv = argv + ["--realizer", term]
+        defs = tmp_path / "defs-only.lc"
+        defs.write_text(self.DEFS)
+        assert main(argv + ["--script", str(defs)]) == EXIT_OK
+        expected = capsys.readouterr()
+        script = tmp_path / "with-eval.lc"
+        script.write_text(self.DEFS + "Eval k[$] * $;\n")
+        assert main(argv + ["--script", str(script)]) == EXIT_OK
+        assert capsys.readouterr() == expected
+
+    def test_script_option_runs_no_job(self, tmp_path, capsys, monkeypatch):
+        from lamc.script import ScriptRunner
+
+        def refuse(self, stmt):
+            raise AssertionError(f"ran {type(stmt).__name__}")
+
+        for job in ("eval", "extract", "translate", "simulate"):
+            monkeypatch.setattr(ScriptRunner, f"_run_{job}", refuse)
+        script = tmp_path / "jobs.lc"
+        script.write_text(
+            self.DEFS
+            + "Eval (\\x. x x) (\\x. x x) * $;\nExtract sigma01 (\\u. u #0 (\\z. z)) with pred;\n"
+            + "Translate term \\x. x;\nSimulate (\\x. x) * #1 . $;\n"
+        )
+        assert main(["translate", "--term", r"\x. x", "--script", str(script)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("translate term: ")
+
+
+def test_open_saved_stack_exits_with_one_line(capsys):
+    code = main(["translate", "--term", r"\x. k[x . $]"])
+    out = capsys.readouterr()
+    assert code == EXIT_PARSE and out.out == ""
+    assert out.err == "error: 1:7: unbound name 'x'\n"
 
 def test_main_restores_the_recursion_limit():
     import sys

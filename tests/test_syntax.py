@@ -60,6 +60,17 @@ class TestParse:
     def test_continuation_literal(self):
         assert t("k[stop . $]") == Kont(Push(Inst("stop"), BOTTOM))
 
+    def test_saved_stack_is_closed(self):
+        # names inside k[...] do not see the enclosing binders
+        with pytest.raises(ParseError) as err:
+            parse_term(r"\x. k[x . $]", strict=True)
+        assert str(err.value) == "1:7: unbound name 'x'"
+        loose = parse_term(r"\x. k[x . $]")
+        assert loose == Lam("y", Kont(Push(Var("x"), BOTTOM)))
+        assert free_vars(loose.body.saved.top) == {"x"}
+        # a binder named like an instruction does not reach the saved stack
+        assert t(r"\s. k[s . $]") == Lam("y", Kont(Push(Inst("s"), BOTTOM)))
+
     def test_plain_k_is_a_name(self):
         assert t("k") == Var("k")
 
