@@ -310,8 +310,8 @@ class TestRuleCode:
         rules = self.rules()
         cfg = register_instruction(MachineConfig(), "test_le", rules)
         assert [id(r) for r in compiled] == [id(r) for r in rules]
-        for src in ("test_le #2 #5 (stop #1) (stop #0) * $", "test_le #5 #2 (stop #1) (stop #0) * $"):
-            p = proc(src, instructions=cfg.instructions)
+        for args in ("#2 #5", "#5 #2"):
+            p = proc(f"test_le {args} (stop #1) (stop #0) * $", instructions=cfg.instructions)
             first, second = run(p, cfg), run(p, cfg)
             assert first == second and first.stats["test_le"] == 1
         assert len(compiled) == len(rules)

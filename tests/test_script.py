@@ -467,6 +467,7 @@ def test_open_saved_stack_exits_with_one_line(capsys):
     assert code == EXIT_PARSE and out.out == ""
     assert out.err == "error: 1:7: unbound name 'x'\n"
 
+
 def test_main_restores_the_recursion_limit():
     import sys
 
