@@ -8,6 +8,7 @@ import json
 import sys
 
 from .formulas import parse_formula, parse_hformula
+from .ha2 import WITNESS_FUEL
 from .negtrans import ReturnFormula
 from .script import (
     EXIT_OK,
@@ -29,8 +30,32 @@ from .simulate import SIMULATE_FUEL
 from .syntax import LamcError, parse_process, parse_stack, parse_term
 
 
+class UsageError(LamcError):
+    """A command line that does not parse: a validation error (exit 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``UsageError``, which ``main`` prints as one
+    ``error:`` line, instead of a usage block and exit status 2.  The
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _budget(text: str) -> int:
+    """A ``--fuel`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lamc",
         description="Krivine machine, witness extraction and CPS translation "
         "for the lambda-c calculus",
@@ -39,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a .lc script")
     p_run.add_argument("script")
-    p_run.add_argument("--fuel", type=int, default=None)
+    p_run.add_argument("--fuel", type=_budget, default=None)
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--json-like", action="store_true")
 
@@ -49,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--f", required=True, help="unary predicate symbol (f(x) = 0)")
     p_ext.add_argument("--script", help="script whose definitions set up the environment")
     p_ext.add_argument("--trace-guesses", action="store_true")
-    p_ext.add_argument("--fuel", type=int, default=None)
+    p_ext.add_argument("--fuel", type=_budget, default=None)
     p_ext.add_argument("--stack", default="$", help="initial stack literal")
     p_ext.add_argument("--json-like", action="store_true")
 
@@ -62,17 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--script", help="script whose definitions set up the environment")
     p_tr.add_argument("--read-witness", action="store_true",
                       help="with --process: weak-reduce the image and read the witness pair")
-    p_tr.add_argument("--fuel", type=int, default=2_000_000)
+    p_tr.add_argument("--fuel", type=_budget, default=WITNESS_FUEL)
     p_tr.add_argument("--json-like", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="check machine steps against weak reduction")
     p_sim.add_argument("--process", required=True)
-    p_sim.add_argument("--fuel", type=int, default=SIMULATE_FUEL)
+    p_sim.add_argument("--fuel", type=_budget, default=SIMULATE_FUEL)
     p_sim.add_argument("--json-like", action="store_true")
 
     p_st = sub.add_parser("stats", help="instruction-call statistics of script runs")
     p_st.add_argument("scripts", nargs="+")
-    p_st.add_argument("--fuel", type=int, default=None)
+    p_st.add_argument("--fuel", type=_budget, default=None)
 
     return parser
 
@@ -160,8 +185,6 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "extract": _cmd_extract,
@@ -173,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20_000)
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (LamcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

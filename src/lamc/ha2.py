@@ -40,6 +40,10 @@ class Ha2Error(LamcError):
     pass
 
 
+INNER_FUEL = 10_000  # joinability steps of one inner-equality check, by default
+WITNESS_FUEL = 2_000_000  # head steps of one witness read, by default
+
+
 PAIR_C = HConst("pair")
 FST = HConst("fst")
 SND = HConst("snd")
@@ -223,7 +227,7 @@ class EqResult(Enum):
 
 
 def inner_equal(
-    t: Term, u: Term, fuel: int = 10_000, keys: KeyCache | None = None
+    t: Term, u: Term, fuel: int = INNER_FUEL, keys: KeyCache | None = None
 ) -> EqResult:
     """Bounded check of the inner-equivalence relation.
 
@@ -357,7 +361,7 @@ class Witness:
         return f"Witness(n={self.n}, head_steps={self.head_steps})"
 
 
-def read_witness(t: Term, fuel: int = 2_000_000) -> Witness | None:
+def read_witness(t: Term, fuel: int = WITNESS_FUEL) -> Witness | None:
     """Head-reduce ``t`` toward a pair <s^n z0; u>: its Witness on
     success, None when the head-normal form is not such a pair.
 

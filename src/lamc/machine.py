@@ -2,20 +2,20 @@
 
 Deterministic small-step evaluation of processes under the base rules
 (Push, Grab, Call/cc, Resume), the primitive-numeral rules (Succ, Rec-0,
-Rec-S, Print) and user-registered instruction rules.  There are two
-machines:
+Rec-S, Print) and user-registered instruction rules.
 
-- ``step`` is the reference semantics: one step on processes, where Grab
-  substitutes the stack top into the body.  The simulation checker needs
-  a ``Process`` after every step and uses it.
-- ``run`` is the environment machine that ``step`` specifies (Krivine,
-  "A call-by-name lambda-calculus machine", 2007).  It compiles the
-  process into nameless code once per run and each rule once, when it is
-  registered (``InstructionRule.code``).  Grab pushes the stack top onto
-  an environment of closures instead of rebuilding the body.  Closures
-  are read back into terms only for the final process, trace lines and
-  continuations; the outcome, statistics and trace are those of
-  iterating ``step``.
+- ``run`` is the environment machine (Krivine, "A call-by-name
+  lambda-calculus machine", 2007).  It compiles the process into nameless
+  code once per run and each rule once, when it is registered
+  (``InstructionRule.code``).  Grab pushes the stack top onto an
+  environment of closures instead of rebuilding the body.  Closures are
+  read back into terms only for the final process, trace lines and
+  continuations.  User rules are matched and instantiated here alone, by
+  ``_fire`` on the rule's compiled code.
+- ``step`` is one stateless step on a process, for the simulation checker,
+  which needs a ``Process`` after every step.  It applies the closed rule
+  set by substitution, rebuilding only the path to the changed subterms,
+  and hands a user instruction to ``run`` for one step.
 
 A run owns its counters and print sink; configurations are immutable and
 may be shared.
@@ -264,7 +264,11 @@ StepResult = Union[Next, Halt]
 
 
 def step(p: Process, cfg: MachineConfig) -> StepResult:
-    """One machine step; Halt(stuck) is a value, not an error."""
+    """One machine step; Halt(stuck) is a value, not an error.
+
+    A user instruction in head position takes one step of ``run``, so its
+    stack must be closed, as ``run`` requires: an open one raises
+    ``MachineError``."""
     head, stack = p.head, p.stack
     match head:
         case App(fn, arg):
@@ -317,60 +321,10 @@ def _step_inst(name: str, stack: Stack, cfg: MachineConfig) -> StepResult:
             case Push(Numeral(n), _):
                 return Halt("final-stop", n)
         return Halt("stuck")
-    for rule in cfg.rules.get(name, ()):
-        result = _try_rule(rule, stack, cfg)
-        if result is not None:
-            return result
-    return Halt("stuck")
-
-
-def _try_rule(rule: InstructionRule, stack: Stack, cfg: MachineConfig) -> Next | None:
-    binds: dict[str, Term] = {}
-    nums: dict[str, int] = {}
-    s = stack
-    for pat in rule.patterns:
-        if not isinstance(s, Push):
-            return None
-        top = s.top
-        match pat:
-            case BindTerm(v):
-                binds[v] = top
-            case BindNumeral(v):
-                if not isinstance(top, Numeral):
-                    return None
-                binds[v] = top
-                nums[v] = top.n
-            case LitNumeral(n):
-                if not (isinstance(top, Numeral) and top.n == n):
-                    return None
-        s = s.rest
-    if rule.guard is not None and not rule.guard.holds(nums, cfg.sig):
-        return None
-    new_head = _instantiate(rule.rhs_term, binds, nums, cfg.sig)
-    tail = s
-    for tmpl in reversed(rule.rhs_stack):
-        tail = Push(_instantiate(tmpl, binds, nums, cfg.sig), tail)
-    return Next(Process(new_head, tail), rule.head)
-
-
-def _instantiate(
-    t: Term, binds: dict[str, Term], nums: dict[str, int], sig: PrimRecSignature
-) -> Term:
-    match t:
-        case Var(v):
-            return binds.get(v, t)
-        case TExpr(e):
-            return Numeral(eval_expr(e, nums, sig))
-        case Lam(b, body):
-            if b in binds:
-                # template binder shadows the pattern variable
-                inner = {k: v for k, v in binds.items() if k != b}
-                return Lam(b, _instantiate(body, inner, nums, sig))
-            return Lam(b, _instantiate(body, binds, nums, sig))
-        case App(fn, arg):
-            return App(_instantiate(fn, binds, nums, sig), _instantiate(arg, binds, nums, sig))
-        case _:
-            return t
+    # a user instruction: one step of the environment machine, which fires
+    # the compiled rule (``_fire``)
+    outcome = run(Process(Inst(name), stack), replace(cfg, fuel=1, trace=False))
+    return Next(outcome.final, name) if outcome.steps else outcome.halt
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +430,9 @@ def _compile(t: Term, scope: tuple, memo: dict) -> tuple:
                 out.append((_NUM, t.n, None, 0, t))
             elif isinstance(t, HConst):
                 out.append((_HCONST_TAGS[t.kind], t.kind, None, 0, t))
-            elif isinstance(t, Kont):
-                saved = list(t.saved)
-                if any(u.fv for u in saved):
-                    raise MachineError("ill-formed process: stack is not closed")
+            elif isinstance(t, Kont):  # its saved stack is closed (``Kont``)
                 todo.append((t, False))
-                todo += ((u, True) for u in reversed(saved))
+                todo += ((u, True) for u in reversed(list(t.saved)))
             else:
                 raise TypeError(f"not a term: {t!r}")
             continue
@@ -519,10 +470,11 @@ def _compile_rule(rule: InstructionRule) -> tuple:
     names).  One scan over the templates checks their leaves and collects
     the expressions and names; ``_compile`` then rejects unbound variables.
     The templates' environment holds the pattern variables in order, then
-    one numeral per ``TExpr``, in the order in which ``_instantiate``
-    evaluates them.  What depends on the configuration (the instruction
-    names, the expressions' function symbols) is checked by
-    ``register_instruction``; guard symbols when the guard is evaluated."""
+    one numeral per ``TExpr``, in preorder over the head template and then
+    the stack templates, last first.  What depends on the configuration
+    (the instruction names, the expressions' function symbols) is checked
+    by ``register_instruction``; guard symbols when the guard is
+    evaluated."""
     name = rule.head
     patterns = []
     scope: list = []

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .ha2 import (
+    INNER_FUEL,
     EqResult,
     contract_projection,
     enumerate_weak_redexes,
@@ -96,7 +97,7 @@ def _proj_first_step(t: Term) -> Term | None:
 def simulate_one_step(
     p: Process,
     cfg: MachineConfig | None = None,
-    inner_fuel: int = 10_000,
+    inner_fuel: int = INNER_FUEL,
     guided_steps: int = GUIDED_STEPS,
     bfs_cap: int = BFS_NODE_CAP,
     result: Next | Halt | None = None,
@@ -184,7 +185,7 @@ def simulate_run(
     p: Process,
     fuel: int = SIMULATE_FUEL,
     cfg: MachineConfig | None = None,
-    inner_fuel: int = 10_000,
+    inner_fuel: int = INNER_FUEL,
 ) -> RunSimulationReport:
     """Chain one-step simulation along a machine run of at most fuel steps."""
     cfg = cfg if cfg is not None else MachineConfig()

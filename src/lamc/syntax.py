@@ -119,12 +119,16 @@ class Numeral(Term):
 
 @dataclass(frozen=True, eq=False, repr=True, slots=True)
 class Kont(Term):
-    """Continuation constant capturing a whole stack; runtime-only."""
+    """Continuation constant capturing a whole stack; runtime-only.  The
+    saved stack is closed, so the constant is closed too."""
 
     saved: "Stack"
     fv: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for t in self.saved:
+            if t.fv:
+                raise ValueError(f"saved stacks are closed: free variable {min(t.fv)!r}")
         object.__setattr__(self, "fv", _EMPTY_FV)
 
 
@@ -598,7 +602,10 @@ class _TermParser:
                 self.ts.expect("[")
                 saved = self.stack(frozenset())  # a saved stack is closed
                 self.ts.expect("]")
-                return Kont(saved)
+                try:
+                    return Kont(saved)
+                except ValueError as err:  # a free name, outside strict mode
+                    raise ParseError(str(err), tok.line, tok.col) from None
             self.ts.next()
             return self.resolve(tok, bound)
         if tok.text == "(":

@@ -1,17 +1,103 @@
-"""The substitution machine run: the reference semantics of lamc.machine.run.
+"""The substitution machine: the reference semantics of lamc.machine.run.
 
-It iterates ``step``, which substitutes into the body at every Grab, and
-records what ``run`` reports.  It is slow on purpose and serves only as the
-oracle the environment machine is compared with.
+``step`` fires user instruction rules by substitution, matching the
+patterns and instantiating the templates on terms, and defers to
+``lamc.machine.step`` for the closed rule set.  ``run_by_steps`` iterates
+it and records what ``run`` reports.  None of the rule firing here is code
+that ``lamc`` ships, which fires rules on compiled code (``_fire``).  It is
+slow on purpose and serves only as the oracle the environment machine is
+compared with.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import replace
 
-from lamc.machine import Halt, MachineConfig, RunOutcome, StopRun, step
-from lamc.syntax import Process, print_process
+from lamc import machine
+from lamc.arith import PrimRecSignature, eval_expr
+from lamc.machine import (
+    BindNumeral,
+    BindTerm,
+    Halt,
+    InstructionRule,
+    LitNumeral,
+    MachineConfig,
+    Next,
+    RunOutcome,
+    StepResult,
+    StopRun,
+    TExpr,
+)
+from lamc.syntax import App, Inst, Lam, Numeral, Process, Push, Stack, Term, Var, print_process
+
+_COMPARE = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
+
+
+def step(p: Process, cfg: MachineConfig) -> StepResult:
+    """One machine step: a user instruction's rules fire here, in
+    declaration order; every other step is ``lamc.machine.step``."""
+    if isinstance(p.head, Inst) and p.head.name in cfg.rules:
+        for rule in cfg.rules[p.head.name]:
+            result = _try_rule(rule, p.stack, cfg)
+            if result is not None:
+                return result
+        return Halt("stuck")
+    return machine.step(p, cfg)
+
+
+def _try_rule(rule: InstructionRule, stack: Stack, cfg: MachineConfig) -> Next | None:
+    binds: dict[str, Term] = {}
+    nums: dict[str, int] = {}
+    s = stack
+    for pat in rule.patterns:
+        if not isinstance(s, Push):
+            return None
+        top = s.top
+        match pat:
+            case BindTerm(v):
+                binds[v] = top
+            case BindNumeral(v):
+                if not isinstance(top, Numeral):
+                    return None
+                binds[v] = top
+                nums[v] = top.n
+            case LitNumeral(n):
+                if not (isinstance(top, Numeral) and top.n == n):
+                    return None
+        s = s.rest
+    guard = rule.guard
+    if guard is not None:
+        a = eval_expr(guard.left, nums, cfg.sig)
+        b = eval_expr(guard.right, nums, cfg.sig)
+        if not _COMPARE[guard.op](a, b):
+            return None
+    new_head = _instantiate(rule.rhs_term, binds, nums, cfg.sig)
+    tail = s
+    for tmpl in reversed(rule.rhs_stack):
+        tail = Push(_instantiate(tmpl, binds, nums, cfg.sig), tail)
+    return Next(Process(new_head, tail), rule.head)
+
+
+def _instantiate(
+    t: Term, binds: dict[str, Term], nums: dict[str, int], sig: PrimRecSignature
+) -> Term:
+    match t:
+        case Var(v):
+            return binds.get(v, t)
+        case TExpr(e):
+            return Numeral(eval_expr(e, nums, sig))
+        case Lam(b, body):
+            if b in binds:
+                # template binder shadows the pattern variable
+                inner = {k: v for k, v in binds.items() if k != b}
+                return Lam(b, _instantiate(body, inner, nums, sig))
+            return Lam(b, _instantiate(body, binds, nums, sig))
+        case App(fn, arg):
+            return App(_instantiate(fn, binds, nums, sig), _instantiate(arg, binds, nums, sig))
+        case _:
+            return t
 
 
 def run_by_steps(p: Process, cfg: MachineConfig) -> RunOutcome:

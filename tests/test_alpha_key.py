@@ -191,11 +191,14 @@ class TestDifferential:
             assert ref.alpha_eq(decode(alpha_key(t)), t), t
 
     def test_continuation_contents_are_keyed_in_a_fresh_scope(self):
-        # the x under k[...] is free, whichever binder is outside
-        t = Lam("x", Kont(stack_of(Var("x"))))
-        assert t == Lam("y", Kont(stack_of(Var("x"))))
-        assert t != Lam("y", Kont(stack_of(Var("y"))))
-        assert ref.alpha_eq(t, Lam("y", Kont(stack_of(Var("x")))))
+        # a saved stack is closed, so no binder outside k[...] reaches it
+        with pytest.raises(ValueError, match="free variable 'x'"):
+            Kont(stack_of(Var("x")))
+        t = Lam("x", Kont(stack_of(Lam("x", Var("x")), Numeral(1))))
+        same = Lam("y", Kont(stack_of(Lam("z", Var("z")), Numeral(1))))
+        other = Lam("y", Kont(stack_of(Lam("z", Lam("x", Var("z"))), Numeral(1))))
+        assert t == same and hash(t) == hash(same) and ref.alpha_eq(t, same)
+        assert t != other and not ref.alpha_eq(t, other)
 
     def test_constants_keep_distinct_tokens(self):
         assert HConst("rec") != Inst("rec")

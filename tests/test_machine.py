@@ -30,6 +30,7 @@ from lamc.syntax import (
     Kont,
     Lam,
     Numeral,
+    ParseError,
     Process,
     Push,
     Var,
@@ -109,9 +110,11 @@ class TestBaseRules:
         p = Process(Lam("x", Lam("y", Var("x"))), stack_of(Var("y")))
         with pytest.raises(MachineError, match="ill-formed process: stack is not closed"):
             run(p, cfg)
-        inside = parse_process(r"(\x. x) * k[y . $] . $")
-        with pytest.raises(MachineError, match="ill-formed process: stack is not closed"):
-            run(inside, cfg)
+        # a continuation's saved stack is closed by construction
+        with pytest.raises(ParseError, match="^1:11: saved stacks are closed: free variable 'y'$"):
+            parse_process(r"(\x. x) * k[y . $] . $")
+        with pytest.raises(ValueError, match="^saved stacks are closed: free variable 'y'$"):
+            Kont(stack_of(Var("y")))
 
 
 class TestRun:

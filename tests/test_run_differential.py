@@ -1,6 +1,8 @@
 """``run``, the environment machine, against the loop over the substitution
 ``step`` (tests/machine_reference.py): the same halt, steps, statistics,
-printed numerals, rule log, trace lines and final process, byte for byte."""
+printed numerals, rule log, trace lines and final process, byte for byte.
+Then ``lamc.step`` on user instructions, which fires the compiled rules,
+against the reference ``step``, which fires them by substitution."""
 
 import random
 import re
@@ -15,13 +17,16 @@ from lamc.machine import (
     BindNumeral,
     BindTerm,
     Guard,
+    Halt,
     InstructionRule,
     LitNumeral,
     MachineConfig,
+    MachineError,
     StopRun,
     TExpr,
     register_batch,
     run,
+    step,
 )
 from lamc.stdlib import compile_primrec
 from lamc.stdlib import test_le_rules as le_rules
@@ -43,6 +48,7 @@ from lamc.syntax import (
 )
 
 from gen import random_closed_term, random_expr, random_process, random_stack
+import machine_reference
 from machine_reference import run_by_steps
 
 
@@ -323,3 +329,56 @@ class TestHa2Constants:
     )
     def test_as_data(self, p):
         assert assert_same(p, rule_config)
+
+
+def assert_steps_agree(p: Process, cfg: MachineConfig, limit: int = 400) -> set:
+    """Step ``p`` with ``lamc.step`` and the reference ``step`` side by
+    side: at every step the same Halt, or the same rule and the same
+    printed next process.  What happened at user instructions: the rules
+    fired, and "stuck" when no rule matched."""
+    seen = set()
+    for _ in range(limit):
+        expected = machine_reference.step(p, cfg)
+        got = step(p, cfg)
+        at_user_rule = isinstance(p.head, Inst) and p.head.name in cfg.rules
+        if isinstance(expected, Halt):
+            assert got == expected, print_process(p)
+            if at_user_rule:
+                seen.add(expected.kind)
+            break
+        assert (got.rule, print_process(got.process)) == (expected.rule, print_process(expected.process))
+        if at_user_rule:
+            seen.add(expected.rule)
+        p = expected.process
+    return seen
+
+
+USER_RULES = {"test_le", "double", "isz", "shadow", "tri", "ping", "pong"}
+
+
+class TestStepOnUserRules:
+    """``lamc.step`` takes one step of ``run`` at a user instruction."""
+
+    def test_rule_corpus(self):
+        cfg = rule_config()
+        seen = set()
+        for text in TestRuleCorpus.CASES:
+            p = parse_process(text, instructions=cfg.instructions | {"ghost"})
+            seen |= assert_steps_agree(p, cfg)
+        assert seen == USER_RULES | {"stuck"}
+
+    def test_random_applications(self):
+        rng = random.Random(2026)
+        cfg = rule_config()
+        seen = set()
+        for _ in range(300):
+            head = app(Inst(rng.choice(RULE_INSTRUCTIONS)), *(_rule_arg(rng) for _ in range(rng.randint(1, 4))))
+            p = Process(head, random_stack(rng, 3, instructions=RULE_INSTRUCTIONS))
+            seen |= assert_steps_agree(p, cfg, limit=120)
+        assert seen == USER_RULES | {"stuck"}
+
+    def test_open_stack_is_an_error(self):
+        # the substitution reference would fire here; run takes closed stacks only
+        p = Process(Inst("double"), stack_of(Numeral(2), Var("y")))
+        with pytest.raises(MachineError, match="ill-formed process: stack is not closed"):
+            step(p, rule_config())

@@ -192,6 +192,44 @@ class TestCli:
         assert main(["run", str(path)]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--process", r"(\x. x) * #1 . $", "--fuel", "-3"],
+             "lamc simulate: argument --fuel: expected a non-negative integer, got '-3'"),
+            (["simulate", "--process", r"(\x. x) * #1 . $", "--fuel", "abc"],
+             "lamc simulate: argument --fuel: expected a non-negative integer, got 'abc'"),
+            (["run", "demo.lc", "--fuel", "-1"],
+             "lamc run: argument --fuel: expected a non-negative integer, got '-1'"),
+            (["extract", "--mode", "sigma01", "--realizer", "r.lc", "--f", "h", "--fuel", "-2"],
+             "lamc extract: argument --fuel: expected a non-negative integer, got '-2'"),
+            (["translate", "--term", r"\x. x", "--fuel", "-4"],
+             "lamc translate: argument --fuel: expected a non-negative integer, got '-4'"),
+            (["stats", "demo.lc", "--fuel", "-5"],
+             "lamc stats: argument --fuel: expected a non-negative integer, got '-5'"),
+            (["run"], "lamc run: the following arguments are required: script"),
+            ([], "lamc: the following arguments are required: command"),
+            (["frob"], "lamc: argument command: invalid choice: 'frob' "
+                       "(choose from 'run', 'extract', 'translate', 'simulate', 'stats')"),
+            (["translate", "--term", "x", "--bogus"], "lamc: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_is_one_line_exit_1(self, argv, message, capsys):
+        assert main(argv) == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["run", "-h"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lamc run ")
+
+    def test_zero_fuel_is_a_budget(self, capsys):
+        code = main(["simulate", "--process", r"(\x. x) * #1 . $", "--fuel", "0"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("simulate: machine-steps 0 ")
+
     def test_extract_subcommand(self, tmp_path, capsys):
         script = self.demo_path(tmp_path)
         realizer = tmp_path / "realizer.lc"

@@ -65,9 +65,12 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_term(r"\x. k[x . $]", strict=True)
         assert str(err.value) == "1:7: unbound name 'x'"
-        loose = parse_term(r"\x. k[x . $]")
-        assert loose == Lam("y", Kont(Push(Var("x"), BOTTOM)))
-        assert free_vars(loose.body.saved.top) == {"x"}
+        # outside strict mode too: a free name there is a one-line error
+        with pytest.raises(ParseError) as err:
+            parse_term(r"\x. k[x . $]")
+        assert str(err.value) == "1:5: saved stacks are closed: free variable 'x'"
+        with pytest.raises(ValueError, match="^saved stacks are closed: free variable 'x'$"):
+            Kont(Push(Var("x"), BOTTOM))
         # a binder named like an instruction does not reach the saved stack
         assert t(r"\s. k[s . $]") == Lam("y", Kont(Push(Inst("s"), BOTTOM)))
 
