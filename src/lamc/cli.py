@@ -36,7 +36,8 @@ class UsageError(LamcError):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ``UsageError``, which ``main`` prints as one
-    ``error:`` line, instead of a usage block and exit status 2.  The
+    ``error:`` line with exit status 1.  (argparse would print a usage
+    block and exit 2, the status of an unverified witness.)  The
     subcommand parsers are of this class too."""
 
     def error(self, message: str):
