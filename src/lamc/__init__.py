@@ -88,7 +88,6 @@ from .stdlib import (
     lazy_numeral,
     make_pair,
     min_principle_realizers,
-    pair_encoding,
     peano_axiom_terms,
     test_le_term,
     turing_fixpoint,

@@ -96,37 +96,28 @@ def nat_of_expr(e: ArithExpr) -> int | None:
     return e.n if type(e) is ENat else None
 
 
-def expr_free_vars(e: ArithExpr) -> frozenset[str]:
-    acc: set[str] = set()
+def _subexprs(e: ArithExpr):
+    """Every subexpression of e in preorder, the last argument first
+    (explicit stack: expressions can be deep)."""
     todo = [e]
     while todo:
         cur = todo.pop()
-        if isinstance(cur, EVar):
-            acc.add(cur.name)
-        elif isinstance(cur, EApp):
+        yield cur
+        if isinstance(cur, EApp):
             todo.extend(cur.args)
-    return frozenset(acc)
+
+
+def expr_free_vars(e: ArithExpr) -> frozenset[str]:
+    return frozenset(cur.name for cur in _subexprs(e) if isinstance(cur, EVar))
 
 
 def expr_is_ground(e: ArithExpr) -> bool:
-    todo = [e]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, EVar):
-            return False
-        if isinstance(cur, EApp):
-            todo.extend(cur.args)
-    return True
+    return not any(isinstance(cur, EVar) for cur in _subexprs(e))
 
 
 def expr_symbols(e: ArithExpr):
     """The function symbols applied in e, with repetitions."""
-    todo = [e]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, EApp):
-            yield cur.symbol
-            todo.extend(cur.args)
+    return (cur.symbol for cur in _subexprs(e) if isinstance(cur, EApp))
 
 
 def expr_subst(e: ArithExpr, env: Mapping[str, ArithExpr]) -> ArithExpr:
@@ -220,21 +211,16 @@ def _validate_symbol(sym: SymbolDef, sig: PrimRecSignature) -> None:
 
 
 def _validate_rhs(sym: SymbolDef, eq: Equation, bound: set[str], sig: PrimRecSignature) -> None:
-    todo = [eq.rhs]
-    while todo:
-        e = todo.pop()
+    for e in _subexprs(eq.rhs):
         if isinstance(e, EVar):
             if e.name not in bound:
                 raise SignatureError(f"{sym.name}: unbound variable {e.name!r} in equation")
-            continue
-        if isinstance(e, ENat):
-            continue
-        if e.symbol != sym.name and e.symbol not in sig:
-            raise SignatureError(f"{sym.name}: unknown symbol {e.symbol!r} in equation")
-        arity = sym.arity if e.symbol == sym.name else sig.arity(e.symbol)
-        if len(e.args) != arity:
-            raise SignatureError(f"{sym.name}: {e.symbol!r} applied to {len(e.args)} arguments")
-        todo.extend(e.args)
+        elif isinstance(e, EApp):
+            if e.symbol != sym.name and e.symbol not in sig:
+                raise SignatureError(f"{sym.name}: unknown symbol {e.symbol!r} in equation")
+            arity = sym.arity if e.symbol == sym.name else sig.arity(e.symbol)
+            if len(e.args) != arity:
+                raise SignatureError(f"{sym.name}: {e.symbol!r} applied to {len(e.args)} arguments")
 
 
 def _check_cases(sym: SymbolDef) -> None:
@@ -279,13 +265,7 @@ def _check_decrease(sym: SymbolDef) -> None:
 
 
 def _self_calls(e: ArithExpr, name: str):
-    todo = [e]
-    while todo:
-        cur = todo.pop()
-        if isinstance(cur, EApp):
-            if cur.symbol == name:
-                yield cur.args
-            todo.extend(cur.args)
+    return (cur.args for cur in _subexprs(e) if isinstance(cur, EApp) and cur.symbol == name)
 
 
 def _lex_smaller(args: tuple[ArithExpr, ...], patterns: tuple[Pattern, ...]) -> bool:

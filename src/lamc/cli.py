@@ -14,12 +14,9 @@ from .script import (
     EXIT_OK,
     EXIT_PARSE,
     EXTRACTION_MODES,
-    DefineStmt,
-    PrimStmt,
     Script,
-    ScriptRunner,
     StatementOutput,
-    UseStmt,
+    definitions_config,
     extract_statement,
     parse_script,
     run_script,
@@ -104,15 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _environment(script_path: str | None, fuel: int | None):
-    """The configuration that the definitions of a script set up; its
-    other statements are not run."""
-    runner = ScriptRunner(fuel=fuel)
+    """The configuration that the definitions of a script set up."""
+    script = Script(())
     if script_path:
         with open(script_path, "r", encoding="utf-8") as handle:
-            statements = parse_script(handle.read()).statements
-        definitions = (PrimStmt, DefineStmt, UseStmt)
-        runner.execute(Script(tuple(s for s in statements if isinstance(s, definitions))))
-    return runner.cfg
+            script = parse_script(handle.read())
+    return definitions_config(script, fuel)
 
 
 def _cmd_run(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .arith import Equation, Pattern, PrimRecSignature, default_signature, parse_expr
 from .machine import MachineConfig
-from .script import ScriptRunner, parse_script
+from .script import definitions_config, parse_script
 from .stdlib import compile_primrec, make_pair, min_principle_realizers, test_le_term
 from .syntax import App, Lam, Term, Var
 
@@ -79,11 +79,7 @@ def instruction_config(c: int, fuel: int | None = None, trace: bool = False) -> 
     """The machine configuration after running the demo script definitions:
     instructions f, g, pair, I, test_le, min_aux, min_snd, min_princ,
     realizer over the demo signature."""
-    text = build_script(c)
-    definitions = text[: text.index("Eval")]
-    runner = ScriptRunner(fuel=fuel, trace=trace)
-    runner.execute(parse_script(definitions))
-    return runner.cfg
+    return definitions_config(parse_script(build_script(c)), fuel, trace)
 
 
 def closed_realizer(c: int) -> tuple[Term, PrimRecSignature]:

@@ -154,60 +154,58 @@ def _fkey(f, env: dict, depth: int):
 # free variables and substitution
 
 
+def _subformulas(f):
+    """Every subformula of f in preorder, left to right, each with the names
+    bound around it (explicit stack: formulas can be deep)."""
+    todo = [(f, frozenset())]
+    while todo:
+        g, bound = todo.pop()
+        yield g, bound
+        match g:
+            case Imp(a, b) | And(a, b):
+                todo.append((b, bound))
+                todo.append((a, bound))
+            case Brace(_, b):
+                todo.append((b, bound))
+            case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
+                todo.append((body, bound | {x}))
+            case Null() | Nat() | PredVar():
+                pass
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+
+
+def _exprs(g) -> tuple[ArithExpr, ...]:
+    """The expressions written at the node g itself."""
+    match g:
+        case Null(e) | Nat(e) | Brace(e, _):
+            return (e,)
+        case PredVar(_, args):
+            return args
+    return ()
+
+
 def formula_free_vars(f) -> frozenset[str]:
     """Free first- and second-order variable names."""
     acc: set[str] = set()
-    _ffv(f, frozenset(), acc)
+    for g, bound in _subformulas(f):
+        if isinstance(g, PredVar) and g.name not in bound:
+            acc.add(g.name)
+        for e in _exprs(g):
+            acc.update(expr_free_vars(e) - bound)
     return frozenset(acc)
-
-
-def _ffv(f, bound: frozenset[str], acc: set[str]) -> None:
-    match f:
-        case Null(e) | Nat(e):
-            acc.update(expr_free_vars(e) - bound)
-        case PredVar(name, args):
-            if name not in bound:
-                acc.add(name)
-            for a in args:
-                acc.update(expr_free_vars(a) - bound)
-        case Imp(a, b) | And(a, b):
-            _ffv(a, bound, acc)
-            _ffv(b, bound, acc)
-        case Brace(e, b):
-            acc.update(expr_free_vars(e) - bound)
-            _ffv(b, bound, acc)
-        case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
-            _ffv(body, bound | {x}, acc)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_all_names(f) -> frozenset[str]:
     """Every variable name occurring in f, free or bound (for freshness)."""
     acc: set[str] = set()
-    _fan(f, acc)
+    for g, _ in _subformulas(f):
+        match g:
+            case PredVar(name) | All1(name) | Ex1(name) | All2(name) | Ex2(name):
+                acc.add(name)
+        for e in _exprs(g):
+            acc.update(expr_free_vars(e))
     return frozenset(acc)
-
-
-def _fan(f, acc: set[str]) -> None:
-    match f:
-        case Null(e) | Nat(e):
-            acc.update(expr_free_vars(e))
-        case PredVar(name, args):
-            acc.add(name)
-            for a in args:
-                acc.update(expr_free_vars(a))
-        case Imp(a, b) | And(a, b):
-            _fan(a, acc)
-            _fan(b, acc)
-        case Brace(e, b):
-            acc.update(expr_free_vars(e))
-            _fan(b, acc)
-        case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
-            acc.add(x)
-            _fan(body, acc)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
 
 
 def subst_expr1(f, x: str, e: ArithExpr):
@@ -554,25 +552,10 @@ def _formula(ts, sig, dialect):
 
 def _pred_arity(f, name: str) -> int:
     """Arity of a predicate variable from its first free occurrence."""
-    found: list[int] = []
-
-    def walk(g, bound):
-        if found:
-            return
-        match g:
-            case PredVar(n, args):
-                if n == name and n not in bound:
-                    found.append(len(args))
-            case Imp(a, b) | And(a, b):
-                walk(a, bound)
-                walk(b, bound)
-            case Brace(_, body) | All1(_, body) | Ex1(_, body):
-                walk(body, bound)
-            case All2(x, _, body) | Ex2(x, _, body):
-                walk(body, bound | {x})
-
-    walk(f, frozenset())
-    return found[0] if found else 0
+    for g, bound in _subformulas(f):
+        if isinstance(g, PredVar) and g.name == name and name not in bound:
+            return len(g.args)
+    return 0
 
 
 def _disjunction(ts, sig, dialect):

@@ -64,20 +64,6 @@ def hnumeral(n: int) -> Term:
     return t
 
 
-def hnumeral_value(t: Term) -> int | None:
-    """Inverse of hnumeral on exact spines."""
-    n = 0
-    while True:
-        match t:
-            case App(HConst("sc"), inner):
-                n += 1
-                t = inner
-            case HConst("z0"):
-                return n
-            case _:
-                return None
-
-
 # ---------------------------------------------------------------------------
 # weak reduction
 

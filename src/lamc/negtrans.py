@@ -6,7 +6,11 @@ for the pole; A-bot is the type of stacks against A and A-notnot is
 A-bot => R.  The term translation sends machine evaluation to weak
 reduction; the instruction set is closed to cc, s, rec, stop and the
 numerals, so user instructions must be inlined first and print has no
-translation at all.
+translation at all.  It translates a closed subterm once per ``CpsMemo``
+and shares the image wherever that object recurs, so a term built with
+shared subterms gets an image with the same sharing, alpha-equal to the
+unshared one; a parsed term shares no node, and its printed image does
+not depend on the memo.
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ class _Fresh:
 class CpsMemo:
     """CPS images by identity, of closed terms and of stack cells.  The
     image of a closed term is closed, so it serves wherever the term
-    recurs.  A memo lives for one simulation check; ``CpsMemo(previous)``
+    recurs.  Each translation makes a fresh memo unless the caller hands
+    one on.  The simulator keeps one for one check; ``CpsMemo(previous)``
     reads through to the table of the check before, so that along a
     machine run each process is translated once, as the target of one
     step and then as the source of the next."""
@@ -176,13 +181,14 @@ def _letp(x: str, y: str, u: Term, body: Term) -> Term:
 
 
 def cps_term(t: Term, memo: CpsMemo | None = None) -> Term:
-    """CPS-translate a lambda-c term over the closed instruction set.  With
-    a memo, closed subterms translated before are not translated again."""
-    return _cps(t, _Fresh(), memo)
+    """CPS-translate a lambda-c term over the closed instruction set.  A
+    closed subterm is translated once per memo, a fresh one unless given:
+    where it recurs as the same object, its image is the same object too."""
+    return _cps(t, _Fresh(), memo if memo is not None else CpsMemo())
 
 
-def _cps(t: Term, fresh: _Fresh, memo: CpsMemo | None) -> Term:
-    closed = memo is not None and not t.fv
+def _cps(t: Term, fresh: _Fresh, memo: CpsMemo) -> Term:
+    closed = not t.fv
     if closed:
         image = memo.get(t)
         if image is not None:
@@ -257,19 +263,18 @@ def _cps_rec(fresh: _Fresh) -> Term:
 
 def cps_stack(pi: Stack, memo: CpsMemo | None = None) -> Term:
     """Stacks translate as finite lists: bottom to z0, consing to pairing.
-    With a memo, cells translated before are not translated again."""
-    return _cps_stack(pi, _Fresh(), memo)
+    Cells and closed terms go through the memo, as in ``cps_term``."""
+    return _cps_stack(pi, _Fresh(), memo if memo is not None else CpsMemo())
 
 
-def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo | None) -> Term:
+def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo) -> Term:
     # the tops are translated top first, which keeps the order of the fresh
     # names in the printed image; then the pairs are built bottom up
     cells: list[Push] = []
     while isinstance(pi, Push):
-        if memo is not None:
-            tail = memo.get(pi)
-            if tail is not None:
-                break
+        tail = memo.get(pi)
+        if tail is not None:
+            break
         cells.append(pi)
         pi = pi.rest
     else:
@@ -278,14 +283,14 @@ def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo | None) -> Term:
         tail = Z0
     tops = [_cps(cell.top, fresh, memo) for cell in cells]
     for cell, top in zip(reversed(cells), reversed(tops)):
-        tail = hpair(top, tail)
-        if memo is not None:
-            memo.put(cell, tail)
+        tail = memo.put(cell, hpair(top, tail))
     return tail
 
 
 def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
-    """(t * pi) translates to the application t-star pi-star."""
+    """(t * pi) translates to the application t-star pi-star; the head and
+    the stack share one memo."""
+    memo = memo if memo is not None else CpsMemo()
     return App(cps_term(p.head, memo), cps_stack(p.stack, memo))
 
 

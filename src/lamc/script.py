@@ -689,14 +689,23 @@ class ScriptRunner:
         )
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
-        if stmt.kind == "process":
-            self._check_no_kont(stmt.process, "Translate")
         subject = {"term": stmt.term, "process": stmt.process, "formula": stmt.formula}[stmt.kind]
+        if stmt.kind != "formula":
+            self._check_no_kont(subject, "Translate")
         self._emit(translate_statement(subject))
 
     def _run_simulate(self, stmt: SimulateStmt) -> None:
         self._check_no_kont(stmt.process, "Simulate")
         self._emit(simulate_statement(stmt.process, stmt.fuel))
+
+
+def definitions_config(script: Script, fuel: int | None = None, trace: bool = False) -> MachineConfig:
+    """The configuration that the Prim, Define and use statements of a
+    script set up; its other statements are not run."""
+    runner = ScriptRunner(fuel=fuel, trace=trace)
+    definitions = (PrimStmt, DefineStmt, UseStmt)
+    runner.execute(Script(tuple(s for s in script.statements if isinstance(s, definitions))))
+    return runner.cfg
 
 
 def run_script_text(text: str, fuel: int | None = None, trace: bool = False) -> ScriptResult:

@@ -15,16 +15,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .arith import EVar, PrimRecSignature, _self_calls, default_signature, nat_of_expr
-from .machine import (
-    BindNumeral,
-    BindTerm,
-    Guard,
-    InstructionRule,
-    MachineConfig,
-    RuleError,
-    run,
-)
-from .syntax import App, Inst, Lam, Numeral, Process, Term, Var, app, lam, stack_of
+from .machine import RuleError
+from .syntax import App, Inst, Lam, Numeral, Term, Var, app, lam
 
 IDENTITY = Lam("x", Var("x"))
 
@@ -67,18 +59,6 @@ PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
 def make_pair(a: Term, b: Term) -> Term:
     """The ordered pair <a; b> = \\z. z a b."""
     return Lam("z", app(Var("z"), a, b))
-
-
-def pair_encoding() -> dict:
-    """The pairing combinator with its destructor conventions."""
-    return {
-        "pair": PAIR,
-        "usage": {
-            "fst": lam("x y", Var("x")),
-            "snd": lam("x y", Var("y")),
-            "note": "<a; b> * (\\x y. x) . pi evaluates to a * pi",
-        },
-    }
 
 
 def turing_fixpoint() -> Term:
@@ -244,15 +224,6 @@ def test_le_term(sig: PrimRecSignature | None = None) -> Term:
     return lam("n m u v", body)
 
 
-def test_le_rules() -> list[InstructionRule]:
-    """The builtin-instruction build of the comparison (guarded rules)."""
-    pats = (BindNumeral("n"), BindNumeral("m"), BindTerm("u"), BindTerm("v"))
-    return [
-        InstructionRule("test_le", pats, Var("u"), (), Guard("<=", EVar("n"), EVar("m"))),
-        InstructionRule("test_le", pats, Var("v"), ()),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # the minimum principle
 
@@ -338,20 +309,3 @@ def catalog() -> Mapping[str, NamedTerm]:
             entry("min_princ", minp["min_princ"], "universal realizer of the minimum principle"),
         ]
     ))
-
-
-# ---------------------------------------------------------------------------
-# operational contract checks
-
-
-def computes_value(
-    t: Term, args: tuple[int, ...], cfg: MachineConfig | None = None, fuel: int = 200_000
-) -> int | None:
-    """Run t * args... . stop . bottom; the computed value, or None."""
-    cfg = cfg if cfg is not None else MachineConfig(fuel=fuel)
-    stack = stack_of(*[Numeral(n) for n in args], Inst("stop"))
-    out = run(Process(t, stack), cfg)
-    if out.halt.kind == "final-stop":
-        return out.halt.value
-    return None
-

@@ -39,7 +39,7 @@ from lamc.machine import MachineConfig, run
 from lamc.negtrans import ReturnFormula, cps_process, formula_bot, formula_nn
 from lamc.script import run_script
 from lamc.simulate import simulate_run
-from lamc.stdlib import compile_primrec, computes_value
+from lamc.stdlib import compile_primrec
 from lamc.syntax import (
     Inst,
     Numeral,
@@ -58,6 +58,7 @@ from gen import (
     random_pa2_formula,
     random_process,
 )
+from helpers import computes_value
 from test_ha2 import _postponement_witness
 from test_negtrans import _mutate_exprs
 

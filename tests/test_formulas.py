@@ -206,3 +206,19 @@ class TestPrintParse:
     def test_quantifier_after_implication(self, SIG):
         assert pf("Y -> forall X. X(x)", SIG) == pf("Y -> (forall X. X(x))", SIG)
         assert pf("{x} -> exists y. x = y", SIG) == pf("{x} -> (exists y. x = y)", SIG)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepInput:
+    def test_read_only_walks_on_a_deep_implication(self):
+        from lamc.formulas import _pred_arity, formula_all_names
+
+        # A(y) -> A(y) -> ... -> forall X. X(y, z), 10^5 implications deep
+        x = EVar("y")
+        f = All2("X", 2, PredVar("X", (x, EVar("z"))))
+        for _ in range(100_000):
+            f = Imp(PredVar("A", (x,)), f)
+        assert formula_free_vars(f) == {"A", "y", "z"}
+        assert formula_all_names(f) == {"A", "X", "y", "z"}
+        assert _pred_arity(f, "A") == 1
+        assert _pred_arity(f, "X") == 0

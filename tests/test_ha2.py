@@ -19,6 +19,7 @@ from lamc.ha2 import (
 from lamc.syntax import App, Var, alpha_key, print_term, substitute
 
 from gen import random_hterm
+from helpers import hnumeral_value
 
 
 def ht(src):
@@ -283,7 +284,7 @@ def test_read_witness_agrees_with_full_weak_normalization():
     # the early-exit head strategy and full leftmost-outermost reduction
     # read the same witness whenever the latter terminates on a pair
     rng = random.Random(55)
-    from lamc.ha2 import SC, hnumeral, hnumeral_value, hpair
+    from lamc.ha2 import SC, hnumeral, hpair
     from lamc.syntax import Lam, split_pair
 
     def constructed(rng):

@@ -43,11 +43,14 @@ from lamc.syntax import (
     Var,
     free_vars,
     parse_process,
+    parse_process,
     parse_term,
+    print_process,
     print_term,
     stack_of,
 )
 
+import negtrans_reference as cps_ref
 import syntax_reference as ref
 from gen import random_expr, random_pa2_formula, random_congruent_expr, random_process
 
@@ -282,7 +285,7 @@ def _steps(p, fuel):
 
 class TestCpsMemo:
     """Images through a memo chained along a run, as the simulator makes
-    them, against translations without one."""
+    them, against the translation without a memo."""
 
     def test_random_runs(self):
         rng = random.Random(37)
@@ -290,9 +293,9 @@ class TestCpsMemo:
             memo = None
             for p, p2 in _steps(random_process(rng), 25):
                 memo = CpsMemo(memo)
-                assert ref.alpha_eq(cps_process(p, memo), cps_process(p))
-                assert ref.alpha_eq(cps_term(p2.head, memo), cps_term(p2.head))
-                assert ref.alpha_eq(cps_stack(p2.stack, memo), cps_stack(p2.stack))
+                assert ref.alpha_eq(cps_process(p, memo), cps_ref.cps_process(p))
+                assert ref.alpha_eq(cps_term(p2.head, memo), cps_ref.cps_term(p2.head))
+                assert ref.alpha_eq(cps_stack(p2.stack, memo), cps_ref.cps_stack(p2.stack))
 
     def test_demo_run(self):
         from lamc.demo import closed_realizer
@@ -306,7 +309,8 @@ class TestCpsMemo:
             source = cps_process(p, memo)
             target = cps_process(p2, memo)
             if k % 110 == 0:
-                assert source == cps_process(p) and target == cps_process(p2), k
+                assert ref.alpha_eq(source, cps_ref.cps_process(p)), k
+                assert ref.alpha_eq(target, cps_ref.cps_process(p2)), k
         assert k == 867
 
     def test_images_are_shared(self):
@@ -318,6 +322,38 @@ class TestCpsMemo:
         second = CpsMemo(first)
         assert cps_term(t, second) is image
         assert cps_term(t, CpsMemo(second)) is image
+
+    def test_parsed_input_prints_as_the_reference(self):
+        # a parsed process shares no node, so sharing changes no printed byte
+        rng = random.Random(38)
+        for i in range(3000):
+            p = parse_process(print_process(random_process(rng)))
+            assert print_term(cps_process(p)) == print_term(cps_ref.cps_process(p)), i
+
+    @pytest.mark.parametrize("c", [2, 3, 6])
+    def test_closed_realizer_image_is_shared(self, c):
+        from lamc.demo import closed_realizer
+        from lamc.extract import sigma01_wrapper
+        from lamc.ha2 import read_witness
+        from lamc.syntax import Process
+
+        p = Process(closed_realizer(c)[0], stack_of(sigma01_wrapper()))
+        image, reference = cps_process(p), cps_ref.cps_process(p)
+        assert ref.alpha_eq(image, reference)
+        assert _distinct_nodes(image) < _distinct_nodes(reference)
+        found, expected = read_witness(image), read_witness(reference)
+        assert found.n == expected.n
+        assert found.head_steps == expected.head_steps
+
+
+def _distinct_nodes(t) -> int:
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            todo.extend(getattr(u, a) for a in ("fn", "arg", "body") if hasattr(u, a))
+    return len(seen)
 
 
 class TestInlineInstructions:

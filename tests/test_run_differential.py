@@ -29,7 +29,6 @@ from lamc.machine import (
     step,
 )
 from lamc.stdlib import compile_primrec
-from lamc.stdlib import test_le_rules as le_rules
 from lamc.syntax import (
     BOTTOM,
     App,
@@ -48,6 +47,7 @@ from lamc.syntax import (
 )
 
 from gen import random_closed_term, random_expr, random_process, random_stack
+from helpers import test_le_rules as le_rules
 import machine_reference
 from machine_reference import run_by_steps
 

@@ -77,8 +77,9 @@ class TestParsing:
 
     def test_continuation_literals_rejected_at_run_time(self):
         result = parse_script("Eval k[$] * $;")
-        with pytest.raises(ScriptError, match="continuation"):
-            run_script_text("Eval k[$] * $;")
+        for text in ("Eval k[$] * $;", "Translate term k[$];", "Translate process k[$] * $;"):
+            with pytest.raises(ScriptError, match="continuation"):
+                run_script_text(text)
 
     def test_comments_and_whitespace(self):
         script = parse_script("-- nothing\n\n  Eval stop * #1 . $;  -- done\n")

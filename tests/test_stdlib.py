@@ -8,12 +8,9 @@ from lamc.stdlib import (
     catalog,
     church,
     compile_primrec,
-    computes_value,
     lazy_numeral,
     make_pair,
-    pair_encoding,
     peano_axiom_terms,
-    test_le_rules as build_test_le_rules,
     test_le_term as build_test_le_term,
     turing_fixpoint,
 )
@@ -31,6 +28,8 @@ from lamc.syntax import (
     print_term,
     stack_of,
 )
+
+from helpers import computes_value, test_le_rules as build_test_le_rules
 
 
 class TestNumeralBuilders:
@@ -65,7 +64,7 @@ class TestPairEncoding:
         assert run(p, cfg).halt.value == 2
 
     def test_printed_form(self):
-        assert print_term(pair_encoding()["pair"]) == r"\x y z. z x y"
+        assert print_term(catalog()["pair"].term) == r"\x y z. z x y"
 
 
 class TestTuringFixpoint:
