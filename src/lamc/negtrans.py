@@ -188,7 +188,7 @@ def cps_term(t: Term, memo: CpsMemo | None = None) -> Term:
 
 
 def _cps(t: Term, fresh: _Fresh, memo: CpsMemo) -> Term:
-    closed = not t.fv
+    closed = isinstance(t, Term) and not t.fv
     if closed:
         image = memo.get(t)
         if image is not None:
