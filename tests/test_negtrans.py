@@ -43,7 +43,6 @@ from lamc.syntax import (
     Var,
     free_vars,
     parse_process,
-    parse_process,
     parse_term,
     print_process,
     print_term,
@@ -210,6 +209,10 @@ class TestCpsTerm:
     def test_user_instruction_rejected(self):
         with pytest.raises(TranslationError, match="no CPS translation"):
             cps_term(Inst("mystery"))
+
+    def test_non_term_rejected(self):
+        with pytest.raises(TypeError, match="not a term"):
+            cps_term(BOTTOM)
 
     def test_closedness_preserved(self):
         rng = random.Random(35)
