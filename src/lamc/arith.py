@@ -30,7 +30,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .syntax import LamcError, ParseError, _TokenStream, _lex
+from .syntax import LamcError, ParseError, _TokenStream, _lex, _nat_value
 
 
 class SignatureError(LamcError):
@@ -550,7 +550,7 @@ def _parse_factor(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
     tok = ts.peek()
     if tok.kind == "nat":
         ts.next()
-        return ENat(int(tok.text))
+        return ENat(_nat_value(tok))
     if tok.kind == "ident":
         ts.next()
         if ts.peek().text == "(":

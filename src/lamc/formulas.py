@@ -156,19 +156,26 @@ def _fkey(f, env: dict, depth: int):
 
 def _subformulas(f):
     """Every subformula of f in preorder, left to right, each with the names
-    bound around it (explicit stack: formulas can be deep)."""
-    todo = [(f, frozenset())]
+    bound around it: one dict, name -> number of binders, that changes when
+    the walk resumes (explicit stack: formulas can be deep)."""
+    bound: dict[str, int] = {}
+    todo: list = [f]  # a formula, or the name of a binder whose scope ends
     while todo:
-        g, bound = todo.pop()
+        g = todo.pop()
+        if type(g) is str:
+            bound[g] -= 1
+            if not bound[g]:
+                del bound[g]
+            continue
         yield g, bound
         match g:
             case Imp(a, b) | And(a, b):
-                todo.append((b, bound))
-                todo.append((a, bound))
+                todo += (b, a)
             case Brace(_, b):
-                todo.append((b, bound))
+                todo.append(b)
             case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
-                todo.append((body, bound | {x}))
+                bound[x] = bound.get(x, 0) + 1
+                todo += (x, body)
             case Null() | Nat() | PredVar():
                 pass
             case _:
@@ -192,7 +199,7 @@ def formula_free_vars(f) -> frozenset[str]:
         if isinstance(g, PredVar) and g.name not in bound:
             acc.add(g.name)
         for e in _exprs(g):
-            acc.update(expr_free_vars(e) - bound)
+            acc.update(expr_free_vars(e).difference(bound))
     return frozenset(acc)
 
 

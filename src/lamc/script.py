@@ -60,6 +60,7 @@ from .syntax import (
     _lex,
     _TermParser,
     _TokenStream,
+    _nat_value,
     free_vars,
     is_proof_like,
     print_process,
@@ -329,10 +330,8 @@ class ScriptParser:
         expect_name = True
         i = self.ts.pos
         toks = self.ts.tokens
-        while i < len(toks):
+        while toks[i].kind != "eof":
             tok = toks[i]
-            if tok.kind == "eof":
-                break
             if tok.text in "({[":
                 depth += 1
             elif tok.text in ")}]":
@@ -361,7 +360,7 @@ class ScriptParser:
                 patterns.append(BindNumeral(v))
             elif tok.kind == "numlit":
                 self.ts.next()
-                patterns.append(LitNumeral(int(tok.text)))
+                patterns.append(LitNumeral(_nat_value(tok)))
             elif tok.kind == "ident" and tok.text not in ("when",):
                 self.ts.next()
                 patterns.append(BindTerm(tok.text))
@@ -459,7 +458,7 @@ class ScriptParser:
             tok = self.ts.next()
             if tok.kind != "nat":
                 raise ParseError("fuel expects a number", tok.line, tok.col)
-            fuel = int(tok.text)
+            fuel = _nat_value(tok)
         self._semi()
         return SimulateStmt(process, fuel)
 

@@ -12,8 +12,9 @@ seen-sets all use; printing keeps the user's binder names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
 BUILTIN_INSTRUCTIONS = frozenset({"cc", "s", "rec", "stop", "print"})
@@ -416,114 +417,56 @@ def extend_stack_bottom(subject: Subject, pi0: Stack) -> Subject:
 # lexer
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+# one named group per token kind, then layout, then any other character (an error)
+_TOKEN_RE = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)|#(?P<numlit>[0-9]+)"
+    r"|(?P<punct>#\(|\.\.\.|->|<=|==|/\\|\\/|[\\.*$()\[\]{};,=<>|+])"
+    r"|[ \t\r]+|--[^\n]*|(?P<newline>\n)|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, numlit, punct, eof
-    text: str
-    line: int
-    col: int
+# kind is ident, nat, numlit, punct or eof; line and col count from 1
+_Token = NamedTuple("_Token", [("kind", str), ("text", str), ("line", int), ("col", int)])
 
 
 def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text``, then an eof token at the end of the text."""
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "-" and text[i : i + 2] == "--":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == "#":
-            j = i + 1
-            if j < n and text[j] == "(":
-                tokens.append(_Token("punct", "#(", start_line, start_col))
-                i = j + 1
-                col += 2
-                continue
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after '#'", line, col)
-            tokens.append(_Token("numlit", text[i + 1 : j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 3] == "...":
-            tokens.append(_Token("punct", "...", start_line, start_col))
-            i += 3
-            col += 3
-            continue
-        two = text[i : i + 2]
-        if two in ("->", "<=", "==", "/\\", "\\/"):
-            tokens.append(_Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in "\\.*$()[]{};,=<>|":
-            tokens.append(_Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "+":
-            tokens.append(_Token("punct", "+", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            message = "expected digits after '#'" if m[0] == "#" else f"unexpected character {m[0]!r}"
+            raise ParseError(message, line, m.start() - line_start + 1)
+        elif kind is not None:
+            tokens.append(_Token(kind, m[kind], line, m.start() - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _TokenStream:
+    """A cursor over ``_lex`` output; ``next`` never moves past the eof token."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+        tok = self.next()
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
+        return tok
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -531,10 +474,19 @@ class _TokenStream:
 
     def finish(self, value):
         """value, once the input is used up; trailing input is an error."""
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        if self.peek().kind != "eof":
+            raise self.error(f"unexpected trailing input {self.peek().text!r}")
         return value
+
+
+def _nat_value(tok: _Token) -> int:
+    """The value of a ``nat`` or ``numlit`` token.  A literal longer than the
+    interpreter's int-string limit is a ParseError at the literal."""
+    digits = tok.text
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"numeral literal too long ({len(digits)} digits)", tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +547,9 @@ class _TermParser:
             raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
         if tok.kind == "numlit":
             self.ts.next()
-            return Numeral(int(tok.text))
+            return Numeral(_nat_value(tok))
         if tok.kind == "ident":
-            if tok.text == "k" and self.ts.peek(1).text == "[":
+            if tok.text == "k" and self.ts.tokens[self.ts.pos + 1].text == "[":
                 self.ts.next()
                 self.ts.expect("[")
                 saved = self.stack(frozenset())  # a saved stack is closed

@@ -222,3 +222,16 @@ class TestDeepInput:
         assert formula_all_names(f) == {"A", "X", "y", "z"}
         assert _pred_arity(f, "A") == 1
         assert _pred_arity(f, "X") == 0
+
+    def test_read_only_walks_under_deep_quantifiers(self):
+        from lamc.formulas import _pred_arity
+
+        # (forall x. forall v99998. ... forall v0. P(x, y, v0)) -> Q(x, v0),
+        # 10^5 binders deep: the walk keeps one count per bound name, so it
+        # takes linear time, and x and v0 are free again on the right
+        f = PredVar("P", (EVar("x"), EVar("y"), EVar("v0")))
+        for i in range(100_000):
+            f = All1("x" if i % 2 else f"v{i}", f)
+        f = Imp(f, PredVar("Q", (EVar("x"), EVar("v0"))))
+        assert formula_free_vars(f) == {"P", "Q", "x", "y", "v0"}
+        assert _pred_arity(f, "Q") == 2

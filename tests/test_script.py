@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -353,6 +354,84 @@ class TestRobustness:
                 run_script_text(mutated, fuel=10_000)
             except LamcError:
                 pass
+
+
+LONG_DIGITS = "9" * 10_000
+
+
+@pytest.mark.parametrize(
+    "argv, script, error",
+    [
+        (["translate", "--term", "#²"], None, "1:1: expected digits after '#'"),
+        (["translate", "--term", "stop #٣"], None, "1:6: expected digits after '#'"),
+        (["translate", "--formula", "x = 5²"], None, "1:6: unexpected character '²'"),
+        (["run"], "Eval stop * #²;", "1:13: expected digits after '#'"),
+        (["run"], "Prim f(x) {\n  f(x) = x + 5²; }", "2:15: unexpected character '²'"),
+        (["run"], "Eval stop * #٣ . $;", "1:13: expected digits after '#'"),
+        (["translate", "--term", "stop #" + LONG_DIGITS], None,
+         "1:6: numeral literal too long (10000 digits)"),
+        (["run"], "Prim f(x) { f(x) = x + " + LONG_DIGITS + "; }",
+         "1:24: numeral literal too long (10000 digits)"),
+        (["run"], "Simulate cc * $ fuel " + LONG_DIGITS + ";",
+         "1:22: numeral literal too long (10000 digits)"),
+    ],
+    ids=["term-superscript", "term-arabic-indic", "formula-superscript", "eval-superscript",
+         "prim-superscript", "eval-arabic-indic", "long-term", "long-prim", "long-fuel"],
+)
+def test_bad_literal_is_one_error_line(argv, script, error, tmp_path, capsys):
+    if script is not None:
+        path = tmp_path / "bad.lc"
+        path.write_text(script, encoding="utf-8")
+        argv = argv + [str(path)]
+    assert main(argv) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {error}\n"
+
+
+class TestCliFuzz:
+    """Seeded character-level mutants of a script with every statement kind
+    go through ``lamc run``: each ends in a documented exit code, no
+    exception escapes, and a failure prints exactly one ``error:`` line."""
+
+    SCRIPT = build_script(5) + (
+        "Extract sigma01 (\\u. u #0 (\\z. z)) with pred;\n"
+        "Translate term \\x y. x (y #2);\n"
+        "Translate formula forall X. X(0) -> exists y. X(y);\n"
+        "Translate process cc * (\\k. k #3) . stop . $;\n"
+        "Simulate cc * (\\k. k #3) . stop . $ fuel 10;\n"
+    )
+    INSERTS = list("\\.*$()[]{};,=<>|+#-/'_ \n") + [
+        "²", "٣", "#²", "#٣", "--", "#(", "->", "...", "k[", "12345678901234567890",
+        "9" * 5000, "#" + "9" * 5000,
+    ]
+
+    def _mutant(self, rng: random.Random) -> str:
+        text = self.SCRIPT
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            op = rng.randrange(3)
+            if op == 0:  # delete a few characters
+                text = text[:i] + text[i + rng.randint(1, 3):]
+            elif op == 1:  # insert
+                text = text[:i] + rng.choice(self.INSERTS) + text[i:]
+            else:  # replace one character
+                text = text[:i] + rng.choice(self.INSERTS) + text[i + 1:]
+        return text
+
+    def test_mutants_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(2026)
+        path = tmp_path / "mutant.lc"
+        codes = set()
+        for _ in range(300):
+            text = self._mutant(rng)
+            path.write_text(text, encoding="utf-8")
+            code = main(["run", str(path), "--fuel", "20000"])
+            out = capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNVERIFIED, EXIT_FUEL), text
+            if code == EXIT_PARSE:
+                assert out.err.startswith("error: ") and out.err.count("\n") == 1, text
+            codes.add(code)
+        assert {EXIT_OK, EXIT_PARSE} <= codes
 
 
 def test_shipped_demo_script(capsys):
