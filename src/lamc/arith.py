@@ -121,14 +121,24 @@ def expr_symbols(e: ArithExpr):
 
 
 def expr_subst(e: ArithExpr, env: Mapping[str, ArithExpr]) -> ArithExpr:
-    if not env or expr_is_ground(e):
-        return e
-    match e:
-        case EVar(name):
-            return env.get(name, e)
-        case EApp(symbol, args):
-            return EApp(symbol, tuple(expr_subst(a, env) for a in args))
-    raise TypeError(f"not an expression: {e!r}")
+    """e with each variable named in env replaced by its value.  A node
+    with no replaced variable below it is kept as it is (one pass on an
+    explicit stack: expressions can be deep)."""
+    done: list[ArithExpr] = []
+    todo: list = [e]  # an expression, or (node,) once its arguments are done
+    while todo:
+        cur = todo.pop()
+        if type(cur) is tuple:
+            node, k = cur[0], len(cur[0].args)
+            args = tuple(done[-k:])
+            del done[-k:]
+            same = all(map(operator.is_, args, node.args))
+            done.append(node if same else EApp(node.symbol, args))
+        elif isinstance(cur, EApp) and cur.args:
+            todo += ((cur,), *reversed(cur.args))
+        else:
+            done.append(env.get(cur.name, cur) if isinstance(cur, EVar) else cur)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .script import (
     translate_statement,
 )
 from .simulate import SIMULATE_FUEL
-from .syntax import LamcError, parse_process, parse_stack, parse_term
+from .syntax import LamcError, _decimal, parse_process, parse_stack, parse_term
 
 
 class UsageError(LamcError):
@@ -166,7 +166,7 @@ def _cmd_stats(args) -> int:
     for path, calls, printed in tables:
         print(f"script: {path}")
         if printed:
-            print("printed: " + " ".join(str(n) for n in printed))
+            print("printed: " + " ".join(map(_decimal, printed)))
         for name, count in sorted(calls.items(), key=lambda rc: (-rc[1], rc[0])):
             print(f"  {name:<12} {count}")
     if len(tables) == 2:

@@ -6,8 +6,13 @@ negation, conjunction, disjunction, existentials, equality, nat) is a
 second-order encoding.  HA2 adds primitive nat(e), conjunction and
 existentials.  Both languages are built from one set of node classes, so
 every walk (alpha key, free variables, substitution, normal form, parser
-and printer) is written once.  Congruence on both sides is decided by
-normal forms.
+and printer) is written once.  The walks that rebuild a formula
+(substitution, renaming, the normal form, relativization) treat only
+their own cases and send every other node through one child map,
+``_map``.  The read-only walks (free variables, names, arity, and the
+nameless preorder key behind ``==`` and ``hash``) share one
+explicit-stack generator, ``_subformulas``, so they work at any depth.
+Congruence on both sides is decided by normal forms.
 
 Convention: first-order variables start lowercase, second-order variables
 start uppercase.
@@ -29,6 +34,7 @@ from .arith import (
     normalize_expr,
     print_expr,
     _parse_expr,
+    _subexprs,
 )
 from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name
 
@@ -46,10 +52,10 @@ class Formula:
     __slots__ = ()
 
     def __eq__(self, other):
-        return isinstance(other, Formula) and _fkey(self, {}, 0) == _fkey(other, {}, 0)
+        return isinstance(other, Formula) and _fkey(self) == _fkey(other)
 
     def __hash__(self):
-        return hash(_fkey(self, {}, 0))
+        return hash(_fkey(self))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -118,52 +124,21 @@ class Ex2(Formula):
 
 
 # ---------------------------------------------------------------------------
-# alpha-equivalence
-
-
-def _expr_key(e: ArithExpr, env: dict):
-    if isinstance(e, EVar):
-        b = env.get(e.name)
-        return ("b", b) if b is not None else ("f", e.name)
-    if isinstance(e, ENat):
-        return e.n
-    return (e.symbol,) + tuple(_expr_key(a, env) for a in e.args)
-
-
-def _fkey(f, env: dict, depth: int):
-    tag = type(f).__name__
-    match f:
-        case Null(e) | Nat(e):
-            return (tag, _expr_key(e, env))
-        case PredVar(name, args):
-            b = env.get(name)
-            head = ("B", b) if b is not None else ("F", name)
-            return (tag, head) + tuple(_expr_key(a, env) for a in args)
-        case Imp(a, b) | And(a, b):
-            return (tag, _fkey(a, env, depth), _fkey(b, env, depth))
-        case Brace(e, b):
-            return (tag, _expr_key(e, env), _fkey(b, env, depth))
-        case All1(x, body) | Ex1(x, body):
-            return (tag, _fkey(body, {**env, x: depth}, depth + 1))
-        case All2(x, arity, body) | Ex2(x, arity, body):
-            return (tag, arity, _fkey(body, {**env, x: depth}, depth + 1))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# free variables and substitution
+# the shared walks: the subformula generator, the alpha key and the child map
 
 
 def _subformulas(f):
     """Every subformula of f in preorder, left to right, each with the names
-    bound around it: one dict, name -> number of binders, that changes when
-    the walk resumes (explicit stack: formulas can be deep)."""
-    bound: dict[str, int] = {}
+    bound around it: one dict, name -> the depths of its binders, innermost
+    last, that changes when the walk resumes (explicit stack: formulas can
+    be deep)."""
+    bound: dict[str, list[int]] = {}
     todo: list = [f]  # a formula, or the name of a binder whose scope ends
+    depth = 0
     while todo:
         g = todo.pop()
-        if type(g) is str:
-            bound[g] -= 1
+        if type(g) is str:  # the scope ends: back to the binder's own depth
+            depth = bound[g].pop()
             if not bound[g]:
                 del bound[g]
             continue
@@ -174,7 +149,8 @@ def _subformulas(f):
             case Brace(_, b):
                 todo.append(b)
             case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
-                bound[x] = bound.get(x, 0) + 1
+                bound.setdefault(x, []).append(depth)
+                depth += 1
                 todo += (x, body)
             case Null() | Nat() | PredVar():
                 pass
@@ -190,6 +166,61 @@ def _exprs(g) -> tuple[ArithExpr, ...]:
         case PredVar(_, args):
             return args
     return ()
+
+
+def _fkey(f) -> tuple:
+    """The alpha key of f: one token per subformula in preorder, with each
+    bound name written as the depth of its binder (a de Bruijn level), so
+    alpha-equivalent formulas, and only they, get equal keys.  A token is,
+    or starts with, its node's class, which fixes the number of children."""
+    key: list = []
+    for g, bound in _subformulas(f):
+        match g:
+            case Imp() | And() | All1() | Ex1():
+                key.append(type(g))
+            case All2(_, arity) | Ex2(_, arity):
+                key.append((type(g), arity))
+            case PredVar(name, args):
+                head = (bound[name][-1],) if name in bound else name
+                key.append((PredVar, head, *(_ekey(a, bound) for a in args)))
+            case Null(e) | Nat(e) | Brace(e):
+                key.append((type(g), _ekey(e, bound)))
+    return tuple(key)
+
+
+def _ekey(e: ArithExpr, bound: dict[str, list[int]]) -> tuple:
+    """The key of e: one token per subexpression, an application's with its arity."""
+    return tuple(
+        (c.symbol, len(c.args)) if isinstance(c, EApp)
+        else c.n if isinstance(c, ENat)
+        else (bound[c.name][-1],) if c.name in bound
+        else c.name
+        for c in _subexprs(e)
+    )
+
+
+def _map(f, walk, rest=(), fe=None):
+    """f rebuilt with the same shape from walk(g, *rest) for each immediate
+    subformula g and, when fe is given, fe(e) for each expression e at f
+    (walk is called directly: two frames per level of nesting, not three)."""
+    match f:
+        case Null(e) | Nat(e):
+            return f if fe is None else type(f)(fe(e))
+        case PredVar(name, args):
+            return f if fe is None else PredVar(name, tuple(map(fe, args)))
+        case Imp(a, b) | And(a, b):
+            return type(f)(walk(a, *rest), walk(b, *rest))
+        case Brace(e, b):
+            return Brace(e if fe is None else fe(e), walk(b, *rest))
+        case All1(x, body) | Ex1(x, body):
+            return type(f)(x, walk(body, *rest))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return type(f)(x, arity, walk(body, *rest))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# free variables and substitution
 
 
 def formula_free_vars(f) -> frozenset[str]:
@@ -222,44 +253,26 @@ def subst_expr1(f, x: str, e: ArithExpr):
 
 def _subst1(f, env: dict[str, ArithExpr], avoid: frozenset[str]):
     """Simultaneous first-order substitution; avoid holds the names of env
-    and the free variables of its values, which binders must not capture."""
-    se = lambda ex: expr_subst(ex, env)
-    match f:
-        case Null(e) | Nat(e):
-            return type(f)(se(e))
-        case PredVar(name, args):
-            return PredVar(name, tuple(se(a) for a in args))
-        case Imp(a, b) | And(a, b):
-            return type(f)(_subst1(a, env, avoid), _subst1(b, env, avoid))
-        case Brace(e, b):
-            return Brace(se(e), _subst1(b, env, avoid))
-        case All1(x, _) | Ex1(x, _):
-            if x in env:
-                env = {k: v for k, v in env.items() if k != x}
-                if not env:
-                    return f
-            if x in avoid:
-                f = _rebind(f, avoid)
-            return type(f)(f.x, _subst1(f.body, env, avoid))
-        case All2(x, arity, body) | Ex2(x, arity, body):
-            # second-order binders cannot capture first-order variables
-            return type(f)(x, arity, _subst1(body, env, avoid))
-    raise TypeError(f"not a formula: {f!r}")
+    and the free variables of its values, which binders must not capture.
+    Second-order binders cannot capture first-order variables."""
+    if isinstance(f, (All1, Ex1)):
+        if f.x in env:
+            env = {k: v for k, v in env.items() if k != f.x}
+            if not env:
+                return f
+        if f.x in avoid:
+            f = _rebind(f, avoid)
+    return _map(f, _subst1, (env, avoid), lambda e: expr_subst(e, env))
 
 
 def subst_pred(f, x: str, params: tuple[str, ...], b):
     """Second-order substitution f{x(params):=b}, capture-avoiding."""
-    fv_b = formula_free_vars(b)
-    return _subst2(f, x, params, b, fv_b)
+    return _subst2(f, x, params, b, formula_free_vars(b))
 
 
 def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
     match f:
-        case Null(_) | Nat(_):
-            return f
-        case PredVar(name, args):
-            if name != x:
-                return f
+        case PredVar(name, args) if name == x:
             if len(args) != len(params):
                 raise FormulaError(
                     f"predicate variable {x!r} used with arity {len(args)}, "
@@ -267,21 +280,13 @@ def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
                 )
             avoid = frozenset(params).union(*map(expr_free_vars, args))
             return _subst1(b, dict(zip(params, args)), avoid)
-        case Imp(a, c) | And(a, c):
-            return type(f)(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
-        case Brace(e, c):
-            return Brace(e, _subst2(c, x, params, b, fv_b))
-        case All1(y, _) | Ex1(y, _):
-            if y in fv_b - frozenset(params):
-                f = _rebind(f, fv_b | {x})
-            return type(f)(f.x, _subst2(f.body, x, params, b, fv_b))
-        case All2(y, arity, _) | Ex2(y, arity, _):
-            if y == x:
-                return f
-            if y in fv_b:
-                f = _rebind(f, fv_b | {x})
-            return type(f)(f.x, arity, _subst2(f.body, x, params, b, fv_b))
-    raise TypeError(f"not a formula: {f!r}")
+        case All1(y) | Ex1(y) if y in fv_b - frozenset(params):
+            f = _rebind(f, fv_b | {x})
+        case All2(y) | Ex2(y) if y == x:
+            return f
+        case All2(y) | Ex2(y) if y in fv_b:
+            f = _rebind(f, fv_b | {x})
+    return _map(f, _subst2, (x, params, b, fv_b))
 
 
 def _rebind(q, avoid: frozenset[str]):
@@ -296,21 +301,11 @@ def _rebind(q, avoid: frozenset[str]):
 def _rename_pred(f, old: str, new: str):
     """Rename a free predicate variable (no clash checking)."""
     match f:
-        case PredVar(name, args):
-            return PredVar(new if name == old else name, args)
-        case Null(_) | Nat(_):
+        case PredVar(name, args) if name == old:
+            return PredVar(new, args)
+        case All2(x) | Ex2(x) if x == old:
             return f
-        case Imp(a, b) | And(a, b):
-            return type(f)(_rename_pred(a, old, new), _rename_pred(b, old, new))
-        case Brace(e, b):
-            return Brace(e, _rename_pred(b, old, new))
-        case All1(x, body) | Ex1(x, body):
-            return type(f)(x, _rename_pred(body, old, new))
-        case All2(x, arity, body) | Ex2(x, arity, body):
-            if x == old:
-                return f
-            return type(f)(x, arity, _rename_pred(body, old, new))
-    raise TypeError(f"not a formula: {f!r}")
+    return _map(f, _rename_pred, (old, new))
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +429,6 @@ def _normalize(f, sig: PrimRecSignature, top: Formula):
             if isinstance(ne, ENat) or isinstance(ne, EApp) and ne.symbol == "s":
                 return f_bot()
             return Null(ne)
-        case Nat(e):
-            return Nat(normalize_expr(e, sig))
-        case PredVar(name, args):
-            return PredVar(name, tuple(normalize_expr(a, sig) for a in args))
-        case And(a, b):
-            return And(_normalize(a, sig, top), _normalize(b, sig, top))
-        case Brace(e, b):
-            return Brace(normalize_expr(e, sig), _normalize(b, sig, top))
-        case All1(x, body) | Ex1(x, body):
-            return type(f)(x, _normalize(body, sig, top))
-        case All2(x, arity, body) | Ex2(x, arity, body):
-            return type(f)(x, arity, _normalize(body, sig, top))
         case Imp(a, b):
             na = _normalize(a, sig, top)
             nb = _normalize(b, sig, top)
@@ -457,7 +440,7 @@ def _normalize(f, sig: PrimRecSignature, top: Formula):
             if isinstance(na, Ex1):
                 return _normalize(All1(na.x, Imp(na.body, nb)), sig, top)
             return _normalize(All2(na.x, na.arity, Imp(na.body, nb)), sig, top)
-    raise TypeError(f"not a formula: {f!r}")
+    return _map(f, _normalize, (sig, top), lambda e: normalize_expr(e, sig))
 
 
 def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool:
@@ -471,16 +454,12 @@ def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool
 def relativize_nat(f: Formula) -> Formula:
     """Relativize all first-order quantifications with the nat predicate."""
     match f:
-        case Null(_) | PredVar(_, _):
-            return f
-        case Imp(a, b):
-            return Imp(relativize_nat(a), relativize_nat(b))
         case All1(x, body):
             return All1(x, Imp(f_nat(EVar(x)), relativize_nat(body)))
-        case All2(x, arity, body):
-            return All2(x, arity, relativize_nat(body))
         case Brace(_, _):
             raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
+        case Null() | PredVar() | Imp() | All2():
+            return _map(f, relativize_nat)
     raise TypeError(f"not a PA2 formula: {f!r}")
 
 

@@ -60,6 +60,7 @@ from .syntax import (
     _lex,
     _TermParser,
     _TokenStream,
+    _decimal,
     _nat_value,
     free_vars,
     is_proof_like,
@@ -490,12 +491,12 @@ def _calls_table(outcome: RunOutcome) -> list[tuple[str, int]]:
 
 def _halt_line(outcome: RunOutcome) -> str:
     halt = outcome.halt
-    return f"halt: {halt.kind}" + (f" {halt.value}" if halt.value is not None else "")
+    return f"halt: {halt.kind}" + (f" {_decimal(halt.value)}" if halt.value is not None else "")
 
 
 def _format_outcome(outcome: RunOutcome, lines: list[str]) -> None:
     for n in outcome.printed:
-        lines.append(f"print: {n}")
+        lines.append(f"print: {_decimal(n)}")
     lines.append(f"final: {print_process(outcome.final)}")
     lines.append(_halt_line(outcome))
     lines.append(f"steps: {outcome.steps}")
@@ -541,10 +542,10 @@ def extract_statement(
     else:
         report = extract_kamikaze(realizer, sigma01_refuter(), cfg, stack, oracle)
     verified = {True: "true", False: "false", None: "unknown"}[report.verified]
-    witness = "none" if report.witness is None else str(report.witness)
+    witness = "none" if report.witness is None else _decimal(report.witness)
     lines = [f"extract {report.mode}: witness {witness} verified {verified}"]
     if report.guesses:
-        lines.append("guesses: " + " ".join(str(n) for n in report.guesses))
+        lines.append("guesses: " + " ".join(map(_decimal, report.guesses)))
     lines.append(_halt_line(report.outcome))
     lines.append(f"steps: {report.outcome.steps}")
     if report.verified is not True:
@@ -607,7 +608,7 @@ def translate_statement(
         else:
             doc["witness"] = found.n
             doc["head_steps"] = found.head_steps
-            lines.append(f"witness: {found.n} head-steps {sum(found.head_steps.values())}")
+            lines.append(f"witness: {_decimal(found.n)} head-steps {sum(found.head_steps.values())}")
     return lines, doc, EXIT_OK
 
 

@@ -694,10 +694,19 @@ def _print_atom(t: Term) -> str:
         case HConst(kind):
             return kind
         case Numeral(n):
-            return f"#{n}"
+            return "#" + _decimal(n)
         case Kont(saved):
             return "k[" + print_stack(saved) + "]"
     raise TypeError(f"not a term: {t!r}")
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of the machine numeral n.  A numeral past the
+    interpreter's int-string limit is an error that names its size."""
+    try:
+        return str(n)
+    except ValueError:
+        raise LamcError(f"numeral too large to print ({n.bit_length()} bits)") from None
 
 
 def print_stack(s: Stack) -> str:

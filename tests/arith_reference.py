@@ -1,4 +1,5 @@
-"""The equational evaluator: the reference semantics of lamc.arith.eval_expr.
+"""The equational evaluator: the reference semantics of lamc.arith.eval_expr,
+and the recursive substitution: the reference of lamc.arith.expr_subst.
 
 Every symbol except the constructors 0 and s is evaluated by rewriting
 with its defining equations, in unary: ``+`` recurses on its first
@@ -9,7 +10,7 @@ leaf is a constructor numeral, so its value is read off directly.
 
 from __future__ import annotations
 
-from lamc.arith import ENat, EVar, EvalError, PrimRecSignature, SymbolDef, Valuation
+from lamc.arith import EApp, ENat, EVar, EvalError, PrimRecSignature, SymbolDef, Valuation, expr_is_ground
 
 
 def eval_equational(e, rho: Valuation, sig: PrimRecSignature) -> int:
@@ -75,3 +76,16 @@ def _match_values(sym: SymbolDef, args: list[int]):
         else:
             return eq.rhs, env
     raise EvalError(f"{sym.name}: no equation matches {args}")
+
+
+def expr_subst(e, env):
+    """e with each variable named in env replaced by its value; a ground
+    subexpression is returned as it is."""
+    if not env or expr_is_ground(e):
+        return e
+    match e:
+        case EVar(name):
+            return env.get(name, e)
+        case EApp(symbol, args):
+            return EApp(symbol, tuple(expr_subst(a, env) for a in args))
+    raise TypeError(f"not an expression: {e!r}")

@@ -2,8 +2,6 @@ import sys
 
 import pytest
 
-sys.setrecursionlimit(50_000)
-
 from lamc.arith import default_signature
 from lamc.machine import MachineConfig
 
@@ -20,8 +18,8 @@ def cfg():
 
 @pytest.fixture()
 def default_recursion_limit():
-    """Python's default recursion limit for the test, in place of the
-    raised one above."""
+    """Python's default recursion limit (1000) for the test, restored
+    afterwards."""
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:

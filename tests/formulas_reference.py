@@ -1,0 +1,217 @@
+"""The recursive formula walks: the reference of lamc.formulas.
+
+Each rebuilding walk (substitution, renaming, the normal form and
+relativization) writes its own arm for every node shape, and the
+alpha key is a nested tuple with binders as de Bruijn levels, built by
+recursion.  ``lamc.formulas`` sends the shapes a walk only rebuilds
+through one child map and keys a formula with one flat preorder tuple;
+on every formula the two print the same bytes and decide the same
+equalities.  Only the reference's own renaming helper ``_rebind`` is
+copied here, so that the reference calls no rebuilding walk of ``lamc``.
+"""
+
+from __future__ import annotations
+
+from arith_reference import expr_subst
+from lamc.arith import ENat, EApp, EVar, ZERO, expr_free_vars, normalize_expr
+from lamc.formulas import (
+    All1,
+    All2,
+    And,
+    Brace,
+    Ex1,
+    Ex2,
+    FormulaError,
+    Imp,
+    Nat,
+    Null,
+    PredVar,
+    f_bot,
+    f_nat,
+    f_top,
+    formula_all_names,
+    formula_free_vars,
+    h_top,
+)
+from lamc.syntax import fresh_name
+
+
+def key(f):
+    """The alpha key of f: equal keys, alpha-equivalent formulas."""
+    return _fkey(f, {}, 0)
+
+
+def _expr_key(e, env: dict):
+    if isinstance(e, EVar):
+        b = env.get(e.name)
+        return ("b", b) if b is not None else ("f", e.name)
+    if isinstance(e, ENat):
+        return e.n
+    return (e.symbol,) + tuple(_expr_key(a, env) for a in e.args)
+
+
+def _fkey(f, env: dict, depth: int):
+    tag = type(f).__name__
+    match f:
+        case Null(e) | Nat(e):
+            return (tag, _expr_key(e, env))
+        case PredVar(name, args):
+            b = env.get(name)
+            head = ("B", b) if b is not None else ("F", name)
+            return (tag, head) + tuple(_expr_key(a, env) for a in args)
+        case Imp(a, b) | And(a, b):
+            return (tag, _fkey(a, env, depth), _fkey(b, env, depth))
+        case Brace(e, b):
+            return (tag, _expr_key(e, env), _fkey(b, env, depth))
+        case All1(x, body) | Ex1(x, body):
+            return (tag, _fkey(body, {**env, x: depth}, depth + 1))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return (tag, arity, _fkey(body, {**env, x: depth}, depth + 1))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subst_expr1(f, x: str, e):
+    return _subst1(f, {x: e}, expr_free_vars(e) | {x})
+
+
+def _subst1(f, env: dict, avoid: frozenset[str]):
+    se = lambda ex: expr_subst(ex, env)
+    match f:
+        case Null(e) | Nat(e):
+            return type(f)(se(e))
+        case PredVar(name, args):
+            return PredVar(name, tuple(se(a) for a in args))
+        case Imp(a, b) | And(a, b):
+            return type(f)(_subst1(a, env, avoid), _subst1(b, env, avoid))
+        case Brace(e, b):
+            return Brace(se(e), _subst1(b, env, avoid))
+        case All1(x, _) | Ex1(x, _):
+            if x in env:
+                env = {k: v for k, v in env.items() if k != x}
+                if not env:
+                    return f
+            if x in avoid:
+                f = _rebind(f, avoid)
+            return type(f)(f.x, _subst1(f.body, env, avoid))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return type(f)(x, arity, _subst1(body, env, avoid))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subst_pred(f, x: str, params: tuple[str, ...], b):
+    return _subst2(f, x, params, b, formula_free_vars(b))
+
+
+def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
+    match f:
+        case Null(_) | Nat(_):
+            return f
+        case PredVar(name, args):
+            if name != x:
+                return f
+            if len(args) != len(params):
+                raise FormulaError(
+                    f"predicate variable {x!r} used with arity {len(args)}, "
+                    f"substituted at arity {len(params)}"
+                )
+            avoid = frozenset(params).union(*map(expr_free_vars, args))
+            return _subst1(b, dict(zip(params, args)), avoid)
+        case Imp(a, c) | And(a, c):
+            return type(f)(_subst2(a, x, params, b, fv_b), _subst2(c, x, params, b, fv_b))
+        case Brace(e, c):
+            return Brace(e, _subst2(c, x, params, b, fv_b))
+        case All1(y, _) | Ex1(y, _):
+            if y in fv_b - frozenset(params):
+                f = _rebind(f, fv_b | {x})
+            return type(f)(f.x, _subst2(f.body, x, params, b, fv_b))
+        case All2(y, arity, _) | Ex2(y, arity, _):
+            if y == x:
+                return f
+            if y in fv_b:
+                f = _rebind(f, fv_b | {x})
+            return type(f)(f.x, arity, _subst2(f.body, x, params, b, fv_b))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebind(q, avoid: frozenset[str]):
+    x2 = fresh_name(q.x, avoid | formula_all_names(q.body))
+    if isinstance(q, (All1, Ex1)):
+        return type(q)(x2, _subst1(q.body, {q.x: EVar(x2)}, frozenset({x2})))
+    return type(q)(x2, q.arity, _rename_pred(q.body, q.x, x2))
+
+
+def _rename_pred(f, old: str, new: str):
+    match f:
+        case PredVar(name, args):
+            return PredVar(new if name == old else name, args)
+        case Null(_) | Nat(_):
+            return f
+        case Imp(a, b) | And(a, b):
+            return type(f)(_rename_pred(a, old, new), _rename_pred(b, old, new))
+        case Brace(e, b):
+            return Brace(e, _rename_pred(b, old, new))
+        case All1(x, body) | Ex1(x, body):
+            return type(f)(x, _rename_pred(body, old, new))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            if x == old:
+                return f
+            return type(f)(x, arity, _rename_pred(body, old, new))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def normalize_formula_pa2(f, sig):
+    return _normalize(f, sig, f_top())
+
+
+def normalize_formula_ha2(f, sig):
+    return _normalize(f, sig, h_top())
+
+
+def _normalize(f, sig, top):
+    match f:
+        case Null(e):
+            ne = normalize_expr(e, sig)
+            if ne == ZERO:
+                return top
+            if isinstance(ne, ENat) or isinstance(ne, EApp) and ne.symbol == "s":
+                return f_bot()
+            return Null(ne)
+        case Nat(e):
+            return Nat(normalize_expr(e, sig))
+        case PredVar(name, args):
+            return PredVar(name, tuple(normalize_expr(a, sig) for a in args))
+        case And(a, b):
+            return And(_normalize(a, sig, top), _normalize(b, sig, top))
+        case Brace(e, b):
+            return Brace(normalize_expr(e, sig), _normalize(b, sig, top))
+        case All1(x, body) | Ex1(x, body):
+            return type(f)(x, _normalize(body, sig, top))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return type(f)(x, arity, _normalize(body, sig, top))
+        case Imp(a, b):
+            na = _normalize(a, sig, top)
+            nb = _normalize(b, sig, top)
+            if not isinstance(na, (Ex1, Ex2)):
+                return Imp(na, nb)
+            fv = formula_free_vars(nb)
+            if na.x in fv:
+                na = _rebind(na, fv)
+            if isinstance(na, Ex1):
+                return _normalize(All1(na.x, Imp(na.body, nb)), sig, top)
+            return _normalize(All2(na.x, na.arity, Imp(na.body, nb)), sig, top)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def relativize_nat(f):
+    match f:
+        case Null(_) | PredVar(_, _):
+            return f
+        case Imp(a, b):
+            return Imp(relativize_nat(a), relativize_nat(b))
+        case All1(x, body):
+            return All1(x, Imp(f_nat(EVar(x)), relativize_nat(body)))
+        case All2(x, arity, body):
+            return All2(x, arity, relativize_nat(body))
+        case Brace(_, _):
+            raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
+    raise TypeError(f"not a PA2 formula: {f!r}")

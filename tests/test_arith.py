@@ -1,11 +1,13 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
+import arith_reference
 from arith_reference import eval_equational
 from lamc.arith import (
     EApp,
@@ -20,6 +22,7 @@ from lamc.arith import (
     default_signature,
     eval_expr,
     expr_congruent,
+    expr_subst,
     expr_of_nat,
     nat_of_expr,
     normalize_expr,
@@ -399,6 +402,22 @@ class TestNativeAgainstReference:
                 _agree(EApp(op, (EVar("x"), EVar("y"))), {"x": a, "y": b}, sig)
 
 
+class TestSubstAgainstReference:
+    def test_agrees_with_the_recursive_substitution(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            e = gen.random_expr(rng, rng.randint(0, 6))
+            names = rng.sample(["x", "y", "z"], rng.randint(0, 3))
+            env = {v: gen.random_expr(rng, 2, ("x", "z")) for v in names}
+            assert expr_subst(e, env) == arith_reference.expr_subst(e, env), (e, env)
+
+    def test_keeps_a_node_with_nothing_replaced(self):
+        e = EApp("+", (EVar("x"), EApp("s", (EVar("y"),))))
+        assert expr_subst(e, {"z": ZERO}) is e
+        assert expr_subst(e, {}) is e
+        assert expr_subst(e, {"x": ZERO}).args[1] is e.args[1]
+
+
 # ---------------------------------------------------------------------------
 # scale, at Python's default recursion limit
 
@@ -434,6 +453,20 @@ class TestScale:
         witness, guesses = oracle_guesses(c)
         assert ev["printed"] == guesses
         assert ev["halt"] == {"kind": "final-stop", "value": witness}
+
+    def test_substitution_on_a_deep_chain(self):
+        # s(s(...s(x + y))), 10^5 deep: one pass, simultaneous, no recursion
+        e = EApp("+", (EVar("x"), EVar("y")))
+        for _ in range(100_000):
+            e = EApp("s", (e,))
+        started = time.perf_counter()
+        out = expr_subst(e, {"x": EVar("y"), "y": ENat(3)})
+        elapsed = time.perf_counter() - started
+        for _ in range(100_000):
+            assert out.symbol == "s"
+            (out,) = out.args
+        assert out == EApp("+", (EVar("y"), ENat(3)))
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_fig5_run_unchanged(self):
         ev = run_script_text(build_script(1000)).doc["statements"][0]

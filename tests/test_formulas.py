@@ -2,16 +2,22 @@ import random
 
 import pytest
 
+import formulas_reference as ref
+from lamc import negtrans
 from lamc.arith import EVar, default_signature, parse_expr
-from gen import random_hformula, random_pa2_formula
+from gen import random_expr, random_hformula, random_pa2_formula
 
 from lamc.formulas import (
     All1,
     All2,
+    And,
     Brace,
+    Ex1,
+    Ex2,
     FormulaError,
     Imp,
     PredVar,
+    _map,
     expand_abbreviation,
     f_bot,
     f_nat,
@@ -28,6 +34,7 @@ from lamc.formulas import (
     subst_expr1,
     subst_pred,
 )
+from lamc.negtrans import ReturnFormula, formula_bot, formula_nn, sigma01_return_formula
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +215,115 @@ class TestPrintParse:
         assert pf("{x} -> exists y. x = y", SIG) == pf("{x} -> (exists y. x = y)", SIG)
 
 
+# ---------------------------------------------------------------------------
+# the child map and the flat key against the recursive walks of
+# tests/formulas_reference.py
+
+DIALECTS = pytest.mark.parametrize(
+    "make, seed", [(random_pa2_formula, 5), (random_hformula, 6)], ids=["pa2", "ha2"]
+)
+
+
+def _corpus(make, seed, n=2000):
+    rng = random.Random(seed)
+    return [make(rng, rng.randint(0, 5)) for _ in range(n)]
+
+
+def _printed(fn, *args):
+    """What fn prints, or the formula error it raises."""
+    try:
+        return str(fn(*args))
+    except FormulaError as exc:
+        return f"FormulaError: {exc}"
+
+
+def _alpha_variant(f):
+    """f with every binder renamed to a fresh name."""
+    if isinstance(f, (All1, Ex1, All2, Ex2)):
+        f = ref._rebind(f, frozenset({f.x}))
+    return _map(f, _alpha_variant)
+
+
+class TestAgainstReference:
+    @DIALECTS
+    def test_substitution(self, make, seed):
+        # the generators' variables x, y, X, Y are free and bound at once, so
+        # substituting an expression or formula over them renames binders
+        rng = random.Random(seed)
+        for f in _corpus(make, seed):
+            e = random_expr(rng, 2)
+            for x in ("x", "y"):
+                assert str(subst_expr1(f, x, e)) == str(ref.subst_expr1(f, x, e))
+            b = make(rng, 2)
+            # X has arity 1 and Y arity 0, so the last two are arity errors
+            # wherever the variable occurs free
+            for x, params in (("X", ("x",)), ("X", ("v",)), ("Y", ()), ("X", ()), ("Y", ("v",))):
+                assert _printed(subst_pred, f, x, params, b) == _printed(
+                    ref.subst_pred, f, x, params, b
+                )
+
+    @DIALECTS
+    def test_normal_forms(self, SIG, make, seed):
+        for f in _corpus(make, seed):
+            for new, old in (
+                (normalize_formula_pa2, ref.normalize_formula_pa2),
+                (normalize_formula_ha2, ref.normalize_formula_ha2),
+            ):
+                assert str(new(f, SIG)) == str(old(f, SIG))
+
+    def test_relativization(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            f = random_pa2_formula(rng, rng.randint(0, 5), brace=False)
+            assert str(relativize_nat(f)) == str(ref.relativize_nat(f))
+
+    def test_negative_translation(self, SIG, monkeypatch):
+        # the sigma01 R is closed; R with the free names y and X makes the
+        # translation rename the binders of y and X (over 1,000 times here).
+        # The commutation's renaming is met in test_normal_forms[ha2]
+        sigma = sigma01_return_formula("pred").formula
+        returns = [
+            ReturnFormula(PredVar("R")),
+            ReturnFormula(sigma),
+            ReturnFormula(And(sigma, PredVar("X", (EVar("y"),)))),
+        ]
+        corpus = _corpus(random_pa2_formula, 7)
+
+        def images(normalize):
+            return [
+                str(out)
+                for f in corpus
+                for R in returns
+                for out in (formula_bot(f, R), normalize(formula_nn(f, R), SIG))
+            ]
+
+        new = images(normalize_formula_ha2)
+        monkeypatch.setattr(negtrans, "_rebind", ref._rebind)
+        assert new == images(ref.normalize_formula_ha2)
+
+    @DIALECTS
+    def test_equality_agrees_with_the_reference_key(self, make, seed):
+        corpus = _corpus(make, seed)
+        rng = random.Random(seed)
+        pairs = list(zip(corpus, corpus[1:]))
+        pairs += [(rng.choice(corpus), rng.choice(corpus)) for _ in range(4000)]
+        for f in corpus[:800]:
+            # alpha-equal, then (where x or X is free, or at the arity) different
+            pairs.append((f, _alpha_variant(f)))
+            pairs.append((f, ref.subst_expr1(f, "x", EVar("z"))))
+            pairs.append((f, ref._rename_pred(f, "X", "Z")))
+            if isinstance(f, (All2, Ex2)):
+                pairs.append((f, type(f)(f.x, f.arity + 1, f.body)))
+        equal = 0
+        for a, b in pairs:
+            same = ref.key(a) == ref.key(b)
+            assert (a == b) is same, (str(a), str(b))
+            if same:
+                assert hash(a) == hash(b)
+                equal += 1
+        assert 800 <= equal < len(pairs)
+
+
 @pytest.mark.usefixtures("default_recursion_limit")
 class TestDeepInput:
     def test_read_only_walks_on_a_deep_implication(self):
@@ -235,3 +351,17 @@ class TestDeepInput:
         f = Imp(f, PredVar("Q", (EVar("x"), EVar("v0"))))
         assert formula_free_vars(f) == {"P", "Q", "x", "y", "v0"}
         assert _pred_arity(f, "Q") == 2
+
+    @pytest.mark.parametrize("binder", [True, False], ids=["all1", "imp"])
+    def test_equality_and_hash_at_depth(self, binder):
+        # two chains 10^5 deep, built apart; the binder chains name their
+        # variables differently, so only a nameless key finds them equal
+        def chain(x):
+            f = PredVar("X", (EVar(x),))
+            for _ in range(100_000):
+                f = All1(x, f) if binder else Imp(PredVar("A"), f)
+            return f
+
+        a, b = chain("x"), chain("y" if binder else "x")
+        assert a == b
+        assert hash(a) == hash(b)

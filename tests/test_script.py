@@ -388,6 +388,34 @@ def test_bad_literal_is_one_error_line(argv, script, error, tmp_path, capsys):
     assert out.out == "" and out.err == f"error: {error}\n"
 
 
+def _squared(k: str) -> str:
+    """sq #10 (\\y. sq y (... sq y k)): k receives 10 squared 13 times, a
+    numeral of 8,193 digits, past the interpreter's int-string limit."""
+    for _ in range(12):
+        k = f"(\\y. sq y {k})"
+    return f"sq #10 {k}"
+
+
+@pytest.mark.parametrize("json_like", [False, True], ids=["text", "json-like"])
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "Eval " + _squared("stop") + " * $;",
+        "Eval " + _squared("(\\y. print y (stop #0))") + " * $;",
+        "Extract sigma01 (\\u. " + _squared("(\\y. u y (\\z. z))") + ") with pred;",
+        "Extract sigma01 trace (\\u. " + _squared("(\\y. u y (\\w. u #1 (\\z. z)))") + ") with pred;",
+    ],
+    ids=["final", "print", "witness", "guesses"],
+)
+def test_numeral_too_large_to_print_is_one_error_line(statement, json_like, tmp_path, capsys):
+    path = tmp_path / "big.lc"
+    path.write_text("Define sq { [x] u -> u * #(x * x) . ...; };\n" + statement + "\n")
+    argv = ["run", str(path)] + (["--json-like"] if json_like else [])
+    assert main(argv) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: numeral too large to print (27214 bits)\n"
+
+
 class TestCliFuzz:
     """Seeded character-level mutants of a script with every statement kind
     go through ``lamc run``: each ends in a documented exit code, no
