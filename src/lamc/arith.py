@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Mapping
 
-from .syntax import LamcError, ParseError, _TokenStream, _lex, _nat_value
+from .syntax import LamcError, ParseError, _TokenStream, _lex, _nat_value, rebuild
 
 
 class SignatureError(LamcError):
@@ -122,23 +122,20 @@ def expr_symbols(e: ArithExpr):
 
 def expr_subst(e: ArithExpr, env: Mapping[str, ArithExpr]) -> ArithExpr:
     """e with each variable named in env replaced by its value.  A node
-    with no replaced variable below it is kept as it is (one pass on an
-    explicit stack: expressions can be deep)."""
-    done: list[ArithExpr] = []
-    todo: list = [e]  # an expression, or (node,) once its arguments are done
-    while todo:
-        cur = todo.pop()
-        if type(cur) is tuple:
-            node, k = cur[0], len(cur[0].args)
-            args = tuple(done[-k:])
-            del done[-k:]
-            same = all(map(operator.is_, args, node.args))
-            done.append(node if same else EApp(node.symbol, args))
-        elif isinstance(cur, EApp) and cur.args:
-            todo += ((cur,), *reversed(cur.args))
-        else:
-            done.append(env.get(cur.name, cur) if isinstance(cur, EVar) else cur)
-    return done[0]
+    with no replaced variable below it is kept as it is (on the rebuild
+    driver: expressions can be deep)."""
+    return rebuild(e, env, _subst_step)
+
+
+def _subst_step(e: ArithExpr, env: Mapping[str, ArithExpr]):
+    if type(e) is EApp and e.args:
+        return partial(_rebuilt, e), env, e.args
+    return env.get(e.name, e) if type(e) is EVar else e
+
+
+def _rebuilt(e: EApp, *args: ArithExpr) -> ArithExpr:
+    """e with the arguments args: e itself when they are its own."""
+    return e if all(map(operator.is_, args, e.args)) else EApp(e.symbol, args)
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +480,52 @@ def normalize_expr(e: ArithExpr, sig: PrimRecSignature) -> ArithExpr:
     """The unique normal form of e under the oriented defining equations.
 
     Ground expressions normalize to numerals, so they are evaluated
-    directly; open expressions rewrite until a variable blocks.
-    """
-    if expr_is_ground(e):
-        return ENat(eval_expr(e, {}, sig))
-    match e:
-        case EVar(_):
-            return e
-        case EApp(symbol, args):
-            nargs = tuple(normalize_expr(a, sig) for a in args)
+    directly; open expressions rewrite until a variable blocks.  Pending
+    calls wait on an explicit stack, where a run of successors is one
+    count: rewriting 500 + x to s^500(x) holds one entry, not 500."""
+    counts = "s" in sig and not sig.symbols["s"].equations  # s is the constructor
+    frames: list = []  # [n]: add n successors; (symbol, args, values of the args so far)
+    while True:
+        if expr_is_ground(e):
+            value = ENat(eval_expr(e, {}, sig))
+        elif type(e) is EVar:
+            value = e
+        elif counts and e.symbol == "s" and len(e.args) == 1:
+            n = 0
+            while type(e) is EApp and e.symbol == "s" and len(e.args) == 1:
+                e, n = e.args[0], n + 1
+            if frames and type(frames[-1]) is list:
+                frames[-1][0] += n
+            else:
+                frames.append([n])
+            continue
+        else:
+            frames.append((e.symbol, e.args, []))
+            e = e.args[0]
+            continue
+        while frames:  # hand the value out until a call has an expression to normalize
+            frame = frames.pop()
+            if type(frame) is list:
+                for _ in range(frame[0]):
+                    value = EApp("s", (value,))
+                continue
+            symbol, args, done = frame
+            done.append(value)
+            if len(done) < len(args):
+                frames.append(frame)
+                e = args[len(done)]
+                break
             if symbol not in sig:
                 raise EvalError(f"unknown function symbol {symbol!r}")
             sym = sig.symbols[symbol]
-            if not sym.equations:  # constructor
-                return EApp(symbol, nargs)
-            m = _match_structural(sym, nargs)
+            m = _match_structural(sym, tuple(done)) if sym.equations else None
             if m is None:
-                return EApp(symbol, nargs)
-            eq, env = m
-            return normalize_expr(expr_subst(eq.rhs, env), sig)
-    raise TypeError(f"not an expression: {e!r}")
+                value = EApp(symbol, tuple(done))
+                continue
+            e = expr_subst(m[0].rhs, m[1])
+            break
+        else:
+            return value
 
 
 def _match_structural(
@@ -541,79 +564,98 @@ def parse_expr(text: str, sig: PrimRecSignature) -> ArithExpr:
 
 
 def _parse_expr(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
-    e = _parse_addend(ts, sig)
-    while ts.peek().text == "+":
-        ts.next()
-        e = EApp("+", (e, _parse_addend(ts, sig)))
-    return e
-
-
-def _parse_addend(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
-    e = _parse_factor(ts, sig)
-    while ts.peek().text == "*" and ts.peek().kind == "punct":
-        ts.next()
-        e = EApp("*", (e, _parse_factor(ts, sig)))
-    return e
-
-
-def _parse_factor(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
-    tok = ts.peek()
-    if tok.kind == "nat":
-        ts.next()
-        return ENat(_nat_value(tok))
-    if tok.kind == "ident":
-        ts.next()
-        if ts.peek().text == "(":
+    """An expression: a sum of products of factors, both left-associative.
+    Open operations, calls and parentheses wait on an explicit stack, so
+    nesting depth is bounded by memory, not by Python's recursion limit."""
+    # the open constructs, innermost last: ("+" or "*", left operand),
+    # ("(",), ("call", the symbol's token, its arguments so far)
+    frames: list = [None]
+    while True:
+        tok = ts.next()
+        if tok.text == "(":
+            frames.append(("(",))
+            continue
+        if tok.kind == "ident" and ts.peek().text == "(":
             ts.next()
-            args = []
             if ts.peek().text != ")":
-                args.append(_parse_expr(ts, sig))
-                while ts.peek().text == ",":
-                    ts.next()
-                    args.append(_parse_expr(ts, sig))
-            ts.expect(")")
-            if tok.text not in sig:
-                raise ParseError(f"unknown function symbol {tok.text!r}", tok.line, tok.col)
-            if sig.arity(tok.text) != len(args):
-                raise ParseError(
-                    f"{tok.text!r} expects {sig.arity(tok.text)} arguments", tok.line, tok.col
-                )
-            return EApp(tok.text, tuple(args))
-        if tok.text in sig and sig.arity(tok.text) == 0:
-            return EApp(tok.text)
-        return EVar(tok.text)
-    if tok.text == "(":
-        ts.next()
-        e = _parse_expr(ts, sig)
-        ts.expect(")")
-        return e
-    raise ParseError(f"expected an arithmetic expression, found {tok.text!r}", tok.line, tok.col)
+                frames.append(("call", tok, []))
+                continue
+            value = _call(ts, sig, tok, [])
+        elif tok.kind == "nat":
+            value = ENat(_nat_value(tok))
+        elif tok.kind == "ident":
+            value = EApp(tok.text) if tok.text in sig and sig.arity(tok.text) == 0 else EVar(tok.text)
+        else:
+            raise ParseError(f"expected an arithmetic expression, found {tok.text!r}", tok.line, tok.col)
+        while True:  # hand the factor out until the next one starts
+            op = ts.peek().text
+            if op != "*" and op != "+" or ts.peek().kind != "punct":
+                op = None
+            # apply the open operations that bind at least as tightly as op
+            top = frames[-1]
+            while top is not None and (top[0] == "*" or top[0] == "+" and op != "*"):
+                frames.pop()
+                value = EApp(top[0], (top[1], value))
+                top = frames[-1]
+            if op is not None:
+                ts.next()
+                frames.append((op, value))
+                break
+            frames.pop()
+            if top is None:
+                return value
+            if top[0] == "(":
+                ts.expect(")")
+                continue
+            top[2].append(value)
+            if ts.peek().text == ",":
+                ts.next()
+                frames.append(top)
+                break
+            value = _call(ts, sig, top[1], top[2])
+
+
+def _call(ts: _TokenStream, sig: PrimRecSignature, tok, args: list) -> ArithExpr:
+    """The call of the symbol at tok, once its arguments are read."""
+    ts.expect(")")
+    if tok.text not in sig:
+        raise ParseError(f"unknown function symbol {tok.text!r}", tok.line, tok.col)
+    if sig.arity(tok.text) != len(args):
+        raise ParseError(f"{tok.text!r} expects {sig.arity(tok.text)} arguments", tok.line, tok.col)
+    return EApp(tok.text, tuple(args))
 
 
 def print_expr(e: ArithExpr) -> str:
-    match e:
-        case ENat(n):
-            return str(n)
-        case EVar(name):
-            return name
-        case EApp("+", (a, b)):
-            return f"{print_expr(a)} + {_print_tight(b)}"
-        case EApp("*", (a, b)):
-            return f"{_print_atom_expr(a)} * {_print_atom_expr(b)}"
-        case EApp(symbol, ()):
-            return symbol
-        case EApp(symbol, args):
-            return symbol + "(" + ", ".join(print_expr(a) for a in args) + ")"
-    raise TypeError(f"not an expression: {e!r}")
+    """The text of e, with the parentheses that + and * need to read back
+    (explicit stack: expressions can be deep)."""
+    out: list[str] = []
+    todo: list = [e]  # pending work, popped last first: a string, or an expression
+    while todo:
+        e = todo.pop()
+        if type(e) is str:
+            out.append(e)
+        elif type(e) is ENat:
+            out.append(str(e.n))
+        elif type(e) is EVar:
+            out.append(e.name)
+        elif type(e) is not EApp:
+            raise TypeError(f"not an expression: {e!r}")
+        elif e.symbol in ("+", "*") and len(e.args) == 2:
+            # a + b groups a right operand that is a sum, a * b any operand that is an operation
+            a, b = e.args
+            groups = ("+", "*") if e.symbol == "*" else ("+",)
+            todo += (*_grouped(b, groups), f" {e.symbol} ", *_grouped(a, groups if e.symbol == "*" else ()))
+        elif e.args:
+            parts = [e.symbol + "("]
+            for a in e.args:
+                parts += (a, ", ")
+            parts[-1] = ")"
+            todo += reversed(parts)
+        else:
+            out.append(e.symbol)
+    return "".join(out)
 
 
-def _print_tight(e: ArithExpr) -> str:
-    if isinstance(e, EApp) and e.symbol == "+":
-        return "(" + print_expr(e) + ")"
-    return print_expr(e)
-
-
-def _print_atom_expr(e: ArithExpr) -> str:
-    if isinstance(e, EApp) and e.symbol in ("+", "*"):
-        return "(" + print_expr(e) + ")"
-    return print_expr(e)
+def _grouped(e: ArithExpr, symbols: tuple[str, ...]) -> tuple:
+    """e, to be pushed on print_expr's stack, in parentheses when it applies one of symbols."""
+    return (")", e, "(") if type(e) is EApp and e.symbol in symbols else (e,)

@@ -187,9 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "stats": _cmd_stats,
     }
-    # restored on every exit, for in-process callers such as the test suite
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20_000)
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
@@ -199,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return EXIT_PARSE
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

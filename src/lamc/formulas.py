@@ -20,7 +20,8 @@ start uppercase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from .arith import (
     ArithExpr,
@@ -36,7 +37,7 @@ from .arith import (
     _parse_expr,
     _subexprs,
 )
-from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name
+from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name, rebuild
 
 
 class FormulaError(LamcError):
@@ -49,10 +50,30 @@ class FormulaError(LamcError):
 
 
 class Formula:
+    """A formula node.  ``fv``, its free first- and second-order names, is
+    kept at construction, as ``Term.fv`` is."""
+
     __slots__ = ()
 
+    def __post_init__(self) -> None:
+        cls = type(self)
+        if cls is Imp or cls is And:
+            fv = self.a.fv | self.b.fv
+        elif cls is PredVar:
+            fv = frozenset((self.name,)).union(*map(expr_free_vars, self.args))
+        elif cls is Null or cls is Nat:
+            fv = expr_free_vars(self.e)
+        elif cls is Brace:
+            fv = expr_free_vars(self.e) | self.b.fv
+        else:  # a quantifier
+            fv = self.body.fv - {self.x}
+        object.__setattr__(self, "fv", fv)
+
     def __eq__(self, other):
-        return isinstance(other, Formula) and _fkey(self) == _fkey(other)
+        # alpha-equivalent formulas have the same top constructor and free names
+        if self is other:
+            return True
+        return type(other) is type(self) and other.fv == self.fv and _fkey(self) == _fkey(other)
 
     def __hash__(self):
         return hash(_fkey(self))
@@ -64,29 +85,34 @@ class Formula:
 @dataclass(frozen=True, eq=False, slots=True)
 class Null(Formula):
     e: ArithExpr
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Nat(Formula):
     e: ArithExpr
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PredVar(Formula):
     name: str
     args: tuple[ArithExpr, ...] = ()
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Imp(Formula):
     a: Formula
     b: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class And(Formula):
     a: Formula
     b: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -95,18 +121,21 @@ class Brace(Formula):
 
     e: ArithExpr
     b: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class All1(Formula):
     x: str
     body: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Ex1(Formula):
     x: str
     body: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -114,6 +143,7 @@ class All2(Formula):
     x: str
     arity: int
     body: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -121,6 +151,7 @@ class Ex2(Formula):
     x: str
     arity: int
     body: Formula
+    fv: frozenset = field(init=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +230,24 @@ def _ekey(e: ArithExpr, bound: dict[str, list[int]]) -> tuple:
     )
 
 
-def _map(f, walk, rest=(), fe=None):
-    """f rebuilt with the same shape from walk(g, *rest) for each immediate
-    subformula g and, when fe is given, fe(e) for each expression e at f
-    (walk is called directly: two frames per level of nesting, not three)."""
+def _split(f, ctx, fe=None):
+    """The rebuild step of a node that a walk passes on unchanged: f's
+    immediate subformulas as its children under ctx, with the build that
+    puts a node of f's shape back together from their images.  When fe is
+    given, each expression written at f is replaced by fe of it first."""
     match f:
         case Null(e) | Nat(e):
             return f if fe is None else type(f)(fe(e))
         case PredVar(name, args):
             return f if fe is None else PredVar(name, tuple(map(fe, args)))
         case Imp(a, b) | And(a, b):
-            return type(f)(walk(a, *rest), walk(b, *rest))
+            return type(f), ctx, (a, b)
         case Brace(e, b):
-            return Brace(e if fe is None else fe(e), walk(b, *rest))
+            return partial(Brace, e if fe is None else fe(e)), ctx, (b,)
         case All1(x, body) | Ex1(x, body):
-            return type(f)(x, walk(body, *rest))
+            return partial(type(f), x), ctx, (body,)
         case All2(x, arity, body) | Ex2(x, arity, body):
-            return type(f)(x, arity, walk(body, *rest))
+            return partial(type(f), x, arity), ctx, (body,)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -225,13 +257,7 @@ def _map(f, walk, rest=(), fe=None):
 
 def formula_free_vars(f) -> frozenset[str]:
     """Free first- and second-order variable names."""
-    acc: set[str] = set()
-    for g, bound in _subformulas(f):
-        if isinstance(g, PredVar) and g.name not in bound:
-            acc.add(g.name)
-        for e in _exprs(g):
-            acc.update(expr_free_vars(e).difference(bound))
-    return frozenset(acc)
+    return f.fv
 
 
 def formula_all_names(f) -> frozenset[str]:
@@ -255,22 +281,29 @@ def _subst1(f, env: dict[str, ArithExpr], avoid: frozenset[str]):
     """Simultaneous first-order substitution; avoid holds the names of env
     and the free variables of its values, which binders must not capture.
     Second-order binders cannot capture first-order variables."""
+    return rebuild(f, (env, avoid), _subst1_step)
+
+
+def _subst1_step(f, ctx):
+    env, avoid = ctx
     if isinstance(f, (All1, Ex1)):
         if f.x in env:
             env = {k: v for k, v in env.items() if k != f.x}
             if not env:
                 return f
+            ctx = (env, avoid)
         if f.x in avoid:
             f = _rebind(f, avoid)
-    return _map(f, _subst1, (env, avoid), lambda e: expr_subst(e, env))
+    return _split(f, ctx, lambda e: expr_subst(e, env))
 
 
 def subst_pred(f, x: str, params: tuple[str, ...], b):
     """Second-order substitution f{x(params):=b}, capture-avoiding."""
-    return _subst2(f, x, params, b, formula_free_vars(b))
+    return rebuild(f, (x, params, b, formula_free_vars(b)), _subst2_step)
 
 
-def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
+def _subst2_step(f, ctx):
+    x, params, b, fv_b = ctx
     match f:
         case PredVar(name, args) if name == x:
             if len(args) != len(params):
@@ -286,7 +319,7 @@ def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
             return f
         case All2(y) | Ex2(y) if y in fv_b:
             f = _rebind(f, fv_b | {x})
-    return _map(f, _subst2, (x, params, b, fv_b))
+    return _split(f, ctx)
 
 
 def _rebind(q, avoid: frozenset[str]):
@@ -295,17 +328,18 @@ def _rebind(q, avoid: frozenset[str]):
     x2 = fresh_name(q.x, avoid | formula_all_names(q.body))
     if isinstance(q, (All1, Ex1)):
         return type(q)(x2, _subst1(q.body, {q.x: EVar(x2)}, frozenset({x2})))
-    return type(q)(x2, q.arity, _rename_pred(q.body, q.x, x2))
+    return type(q)(x2, q.arity, rebuild(q.body, (q.x, x2), _rename_pred_step))
 
 
-def _rename_pred(f, old: str, new: str):
+def _rename_pred_step(f, ctx):
     """Rename a free predicate variable (no clash checking)."""
+    old, new = ctx
     match f:
         case PredVar(name, args) if name == old:
             return PredVar(new, args)
         case All2(x) | Ex2(x) if x == old:
             return f
-    return _map(f, _rename_pred, (old, new))
+    return _split(f, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +453,13 @@ def normalize_formula_ha2(f: Formula, sig: PrimRecSignature) -> Formula:
 
 
 def _normalize(f, sig: PrimRecSignature, top: Formula):
+    return rebuild(f, (sig, top), _normalize_step)
+
+
+def _normalize_step(f, ctx):
     # top is the dialect's truth: in PA2+ it is null(0) itself, and PA2+
     # formulas have no existential to commute
+    sig, top = ctx
     match f:
         case Null(e):
             ne = normalize_expr(e, sig)
@@ -430,17 +469,24 @@ def _normalize(f, sig: PrimRecSignature, top: Formula):
                 return f_bot()
             return Null(ne)
         case Imp(a, b):
-            na = _normalize(a, sig, top)
-            nb = _normalize(b, sig, top)
-            if not isinstance(na, (Ex1, Ex2)):
-                return Imp(na, nb)
-            fv = formula_free_vars(nb)
-            if na.x in fv:
-                na = _rebind(na, fv)
-            if isinstance(na, Ex1):
-                return _normalize(All1(na.x, Imp(na.body, nb)), sig, top)
-            return _normalize(All2(na.x, na.arity, Imp(na.body, nb)), sig, top)
-    return _map(f, _normalize, (sig, top), lambda e: normalize_expr(e, sig))
+            return _commute, ctx, (a, b)
+    return _split(f, ctx, lambda e: normalize_expr(e, sig))
+
+
+def _commute(na, nb):
+    """na -> nb for normal na and nb, with (exists v A) -> B = forall v (A -> B)
+    applied until the antecedent is no existential."""
+    quantifiers = []
+    while isinstance(na, (Ex1, Ex2)):
+        fv = formula_free_vars(nb)
+        if na.x in fv:
+            na = _rebind(na, fv)
+        quantifiers.append(na)
+        na = na.body
+    f = Imp(na, nb)
+    for q in reversed(quantifiers):
+        f = All1(q.x, f) if isinstance(q, Ex1) else All2(q.x, q.arity, f)
+    return f
 
 
 def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool:
@@ -453,32 +499,40 @@ def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool
 
 def relativize_nat(f: Formula) -> Formula:
     """Relativize all first-order quantifications with the nat predicate."""
+    return rebuild(f, None, _relativize_step)
+
+
+def _relativize_step(f, ctx):
     match f:
         case All1(x, body):
-            return All1(x, Imp(f_nat(EVar(x)), relativize_nat(body)))
+            return (lambda b: All1(x, Imp(f_nat(EVar(x)), b))), ctx, (body,)
         case Brace(_, _):
             raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
         case Null() | PredVar() | Imp() | All2():
-            return _map(f, relativize_nat)
+            return _split(f, ctx)
     raise TypeError(f"not a PA2 formula: {f!r}")
 
 
 def is_fully_relativized(f: Formula) -> bool:
-    """True when every first-order quantifier is nat-guarded (shape check)."""
-    match f:
-        case Null(_) | PredVar(_, _):
-            return True
-        case Imp(a, b):
-            return is_fully_relativized(a) and is_fully_relativized(b)
-        case Brace(_, b):
-            return is_fully_relativized(b)
-        case All1(x, Imp(guard, body)):
-            return guard == f_nat(EVar(x)) and is_fully_relativized(body)
-        case All1(_, _):
-            return False
-        case All2(_, _, body):
-            return is_fully_relativized(body)
-    raise TypeError(f"not a PA2 formula: {f!r}")
+    """True when every first-order quantifier is nat-guarded (shape check; a
+    search on an explicit stack, which stops at the first unguarded one)."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        match g:
+            case Null(_) | PredVar(_, _):
+                pass
+            case Imp(a, b):
+                todo += (b, a)
+            case Brace(_, b) | All2(_, _, b):
+                todo.append(b)
+            case All1(x, Imp(guard, body)) if guard == f_nat(EVar(x)):
+                todo.append(body)
+            case All1(_, _):
+                return False
+            case _:
+                raise TypeError(f"not a PA2 formula: {g!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -499,87 +553,107 @@ def parse_hformula(text: str, sig: PrimRecSignature) -> Formula:
     return ts.finish(_formula(ts, sig, "ha2"))
 
 
+# the binary connectives by precedence: \/ associates to the left, -> and
+# /\ to the right, so that a printed a /\ b /\ c reads back
+_BINARY = {"->": 0, "\\/": 1, "/\\": 2}
+
+
 def _formula(ts, sig, dialect):
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.text in ("forall", "exists"):
-        ts.next()
-        binders = []
-        while ts.peek().kind == "ident":
-            binders.append(ts.next().text)
-        if not binders:
-            raise ts.error(f"expected binders after {tok.text!r}")
-        ts.expect(".")
-        body = _formula(ts, sig, dialect)
-        for b in reversed(binders):
-            second = b[0].isupper()
-            arity = _pred_arity(body, b) if second else 0
-            if tok.text == "forall":
-                body = All2(b, arity, body) if second else All1(b, body)
-            elif dialect == "pa2":
-                body = f_exists2(b, arity, body) if second else f_exists1(b, body)
-            else:
-                body = Ex2(b, arity, body) if second else Ex1(b, body)
-        return body
-    if tok.text == "{":
-        ts.next()
-        e = _parse_expr(ts, sig)
-        ts.expect("}")
-        ts.expect("->")
-        b = _formula(ts, sig, dialect)
-        if dialect == "ha2":
-            raise ts.error("{e} -> B is a PA2+ construct")
-        return Brace(e, b)
-    a = _disjunction(ts, sig, dialect)
-    if ts.peek().text == "->":
-        ts.next()
-        return Imp(a, _formula(ts, sig, dialect))
-    return a
+    """A formula of the dialect.  Open constructs wait on an explicit stack,
+    so nesting depth is bounded by memory, not by Python's recursion limit:
+    ("(",), ("not",), ("{", e), (quantifier, binders) and (connective,
+    left operand).  not binds tightest; quantifiers and {e} -> extend as
+    far right as they can."""
+    pa2 = dialect == "pa2"
+    frames: list = [None]  # the open constructs, innermost last, over the goal
+    unary = False  # only a unary formula may come next: after not, /\ and \/
+    while True:
+        tok = ts.peek()
+        if not unary and tok.kind == "ident" and tok.text in ("forall", "exists"):
+            ts.next()
+            binders = []
+            while ts.peek().kind == "ident":
+                binders.append(ts.next().text)
+            if not binders:
+                raise ts.error(f"expected binders after {tok.text!r}")
+            ts.expect(".")
+            frames.append((tok.text, binders))
+            continue
+        if not unary and tok.text == "{":
+            ts.next()
+            e = _parse_expr(ts, sig)
+            ts.expect("}")
+            ts.expect("->")
+            frames.append(("{", e))
+            continue
+        if tok.text == "(" or tok.kind == "ident" and tok.text == "not":
+            ts.next()
+            frames.append((tok.text,))
+            unary = tok.text == "not"
+            continue
+        value = _atom_formula(ts, sig, pa2)
+        while True:  # hand the operand out until the next one starts
+            op = ts.peek().text if ts.peek().kind == "punct" and ts.peek().text in _BINARY else None
+            if op == "\\/" and not pa2:
+                raise ts.error("HA2 has no disjunction")
+            while True:  # close the constructs that op does not extend
+                kind = frames[-1] and frames[-1][0]
+                if kind == "not":
+                    value = f_not(value)
+                elif kind in _BINARY and (op is None or _BINARY[kind] > _BINARY[op] or kind == op == "\\/"):
+                    left = frames[-1][1]
+                    if kind == "->":
+                        value = Imp(left, value)
+                    elif kind == "\\/":
+                        value = f_or(left, value)
+                    else:
+                        value = f_and(left, value) if pa2 else And(left, value)
+                elif op is None and kind == "{":
+                    if not pa2:
+                        raise ts.error("{e} -> B is a PA2+ construct")
+                    value = Brace(frames[-1][1], value)
+                elif op is None and kind in ("forall", "exists"):
+                    value = _quantified(kind, frames[-1][1], value, pa2)
+                else:
+                    break
+                frames.pop()
+            if op is not None:
+                ts.next()
+                frames.append((op, value))
+                unary = op != "->"
+                break
+            if frames.pop() is None:
+                return value
+            ts.expect(")")
+
+
+def _quantified(quantifier: str, binders: list[str], body, pa2: bool):
+    """forall or exists over the binders (second-order when capitalized)."""
+    for b in reversed(binders):
+        second = b[0].isupper()
+        arity = _pred_arity(body, b) if second else 0
+        if quantifier == "forall":
+            body = All2(b, arity, body) if second else All1(b, body)
+        elif pa2:
+            body = f_exists2(b, arity, body) if second else f_exists1(b, body)
+        else:
+            body = Ex2(b, arity, body) if second else Ex1(b, body)
+    return body
 
 
 def _pred_arity(f, name: str) -> int:
     """Arity of a predicate variable from its first free occurrence."""
+    if name not in f.fv:
+        return 0
     for g, bound in _subformulas(f):
         if isinstance(g, PredVar) and g.name == name and name not in bound:
             return len(g.args)
     return 0
 
 
-def _disjunction(ts, sig, dialect):
-    a = _conjunction(ts, sig, dialect)
-    while ts.peek().text == "\\/":
-        if dialect == "ha2":
-            raise ts.error("HA2 has no disjunction")
-        ts.next()
-        a = f_or(a, _conjunction(ts, sig, dialect))
-    return a
-
-
-def _conjunction(ts, sig, dialect):
-    # right-associative, like ->, so that a printed a /\ b /\ c reads back
-    a = _unary(ts, sig, dialect)
-    if ts.peek().text != "/\\":
-        return a
-    ts.next()
-    b = _conjunction(ts, sig, dialect)
-    return f_and(a, b) if dialect == "pa2" else And(a, b)
-
-
-def _unary(ts, sig, dialect):
+def _atom_formula(ts, sig, pa2: bool):
+    """An atomic formula, or the abbreviation of one, that needs no open construct."""
     tok = ts.peek()
-    if tok.kind == "ident" and tok.text == "not":
-        ts.next()
-        return f_not(_unary(ts, sig, dialect))
-    return _atom_formula(ts, sig, dialect)
-
-
-def _atom_formula(ts, sig, dialect):
-    tok = ts.peek()
-    if tok.text == "(":
-        ts.next()
-        f = _formula(ts, sig, dialect)
-        ts.expect(")")
-        return f
-    pa2 = dialect == "pa2"
     if tok.kind == "ident":
         word = tok.text
         if word in ("null", "nat") or (word == "natp" and pa2):
@@ -623,38 +697,47 @@ def _atom_formula(ts, sig, dialect):
 
 def print_formula(f: Formula) -> str:
     """Print a formula of either language; the text parses back to f in
-    the formula's own dialect."""
-    return _print(f, 0)
-
-
-# precedence levels: 0 = top (quantifiers, ->), 1 = /\ operand, 2 = atom
-def _print(f, level: int) -> str:
-    match f:
-        case Null(e):
-            return f"null({print_expr(e)})"
-        case Nat(e):
-            return f"nat({print_expr(e)})"
-        case PredVar(name, ()):
-            return name
-        case PredVar(name, args):
-            return name + "(" + ", ".join(print_expr(a) for a in args) + ")"
-        case Imp(a, b):
-            s = f"{_print(a, 1)} -> {_print(b, 0)}"
-            return s if level == 0 else "(" + s + ")"
-        case Brace(e, b):
-            s = f"{{{print_expr(e)}}} -> {_print(b, 0)}"
-            return s if level == 0 else "(" + s + ")"
-        case And(a, b):
-            s = f"{_print(a, 2)} /\\ {_print(b, 1)}"
-            return s if level <= 1 else "(" + s + ")"
-        case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
-            forall = isinstance(f, (All1, All2))
-            group = (All1, All2) if forall else (Ex1, Ex2)
-            binders = []
-            body = f
-            while isinstance(body, group):
-                binders.append(body.x)
-                body = body.body
-            s = ("forall " if forall else "exists ") + " ".join(binders) + ". " + _print(body, 0)
-            return s if level == 0 else "(" + s + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    the formula's own dialect (explicit stack: formulas can be deep)."""
+    out: list[str] = []
+    # pending work, popped last first: a string is emitted as is, a
+    # (formula, level) pair is rendered; levels: 0 = top (quantifiers, ->),
+    # 1 = /\ operand, 2 = atom
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, level = item
+        wrap = level != 0
+        match f:
+            case Null(e) | Nat(e):
+                parts = [("null(" if type(f) is Null else "nat(") + print_expr(e) + ")"]
+                wrap = False
+            case PredVar(name, ()):
+                parts, wrap = [name], False
+            case PredVar(name, args):
+                parts = [name + "(" + ", ".join(print_expr(a) for a in args) + ")"]
+                wrap = False
+            case Imp(a, b):
+                parts = [(a, 1), " -> ", (b, 0)]
+            case Brace(e, b):
+                parts = ["{" + print_expr(e) + "} -> ", (b, 0)]
+            case And(a, b):
+                parts = [(a, 2), " /\\ ", (b, 1)]
+                wrap = level > 1
+            case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
+                forall = isinstance(f, (All1, All2))
+                group = (All1, All2) if forall else (Ex1, Ex2)
+                binders = []
+                body = f
+                while isinstance(body, group):
+                    binders.append(body.x)
+                    body = body.body
+                parts = [("forall " if forall else "exists ") + " ".join(binders) + ". ", (body, 0)]
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        if wrap:
+            parts = ["(", *parts, ")"]
+        todo += reversed(parts)
+    return "".join(out)

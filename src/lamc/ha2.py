@@ -229,31 +229,35 @@ def inner_equal(
 
 
 def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
-    if keys.key(t) == keys.key(u):
-        return EqResult.EQUAL
-    if budget[0] <= 0:
-        return EqResult.UNKNOWN
-    match t, u:
-        case (App(f1, a1), App(f2, a2)):
-            left = _ieq(f1, f2, budget, keys)
-            if left is EqResult.NOT_EQUAL:
-                return left
-            right = _ieq(a1, a2, budget, keys)
-            if right is EqResult.NOT_EQUAL:
-                return right
-            if left is EqResult.EQUAL and right is EqResult.EQUAL:
-                return EqResult.EQUAL
-            return EqResult.UNKNOWN
-        case (Lam(x1, b1), Lam(x2, b2)):
-            z = fresh_name("v", free_vars(b1) | free_vars(b2) | {x1, x2})
-            b1 = substitute(b1, x1, Var(z))
-            b2 = substitute(b2, x2, Var(z))
-            return _join_full(b1, b2, budget, keys)
-        case _:
-            # inner reduction never changes the top constructor, so terms
-            # with different shapes (or different constants/variables) are
-            # definitely not related
-            return EqResult.NOT_EQUAL
+    # the pairs of corresponding subterms, left to right on an explicit
+    # stack: the first NOT_EQUAL decides, else any UNKNOWN, else EQUAL
+    result = EqResult.EQUAL
+    todo = [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        if keys.key(t) == keys.key(u):
+            continue
+        if budget[0] <= 0:
+            result = EqResult.UNKNOWN
+            continue
+        match t, u:
+            case (App(f1, a1), App(f2, a2)):
+                todo += ((a1, a2), (f1, f2))
+            case (Lam(x1, b1), Lam(x2, b2)):
+                z = fresh_name("v", free_vars(b1) | free_vars(b2) | {x1, x2})
+                b1 = substitute(b1, x1, Var(z))
+                b2 = substitute(b2, x2, Var(z))
+                joined = _join_full(b1, b2, budget, keys)
+                if joined is EqResult.NOT_EQUAL:
+                    return joined
+                if joined is EqResult.UNKNOWN:
+                    result = joined
+            case _:
+                # inner reduction never changes the top constructor, so terms
+                # with different shapes (or different constants/variables) are
+                # definitely not related
+                return EqResult.NOT_EQUAL
+    return result
 
 
 def _join_full(a: Term, b: Term, budget: list[int], keys: KeyCache) -> EqResult:
@@ -388,25 +392,21 @@ def read_witness(t: Term, fuel: int = WITNESS_FUEL) -> Witness | None:
 
 
 class _HTermParser(_TermParser):
-    def atom(self, bound: frozenset[str], optional: bool = False) -> Term | None:
+    def atom_head(self, bound: frozenset[str], optional: bool):
         tok = self.ts.peek()
         if tok.kind == "ident":
             self.ts.next()
             if tok.text in HA2_CONSTANTS and tok.text not in bound:
                 return HConst(tok.text)
             return Var(tok.text)
-        if tok.text == "<":
+        if tok.text == "<":  # the pair <a; b>, read on by _parse
             self.ts.next()
-            a = self.term(bound)
-            self.ts.expect(";")
-            b = self.term(bound)
-            self.ts.expect(">")
-            return hpair(a, b)
+            return "<"
         if tok.kind == "numlit":
             if optional:
                 return None
             raise self.ts.error("expected a term")
-        return super().atom(bound, optional)
+        return super().atom_head(bound, optional)
 
 
 def parse_hterm(text: str) -> Term:

@@ -16,6 +16,7 @@ not depend on the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .arith import ArithExpr, EApp, EVar
 from .formulas import (
@@ -49,6 +50,8 @@ from .syntax import (
     Term,
     Var,
     app,
+    rebuild,
+    stack_of,
 )
 
 _EMPTY: frozenset[str] = frozenset()
@@ -88,21 +91,27 @@ def formula_nn(a: Formula, R: ReturnFormula) -> Formula:
 
 
 def _bot(a: Formula, R: Formula, r_free: frozenset[str]) -> Formula:
+    return rebuild(a, (R, r_free), _bot_step)
+
+
+def _bot_step(a: Formula, ctx: tuple[Formula, frozenset[str]]):
+    R, r_free = ctx
     match a:
         case PredVar():
             return a
         case Null(e):
             return Null(EApp("neg", (e,)))
         case Imp(x, b):
-            return And(Imp(_bot(x, R, r_free), R), _bot(b, R, r_free))
+            return (lambda x, b: And(Imp(x, R), b)), ctx, (x, b)
         case Brace(e, b):
-            return And(Nat(e), _bot(b, R, r_free))
+            return partial(And, Nat(e)), ctx, (b,)
         case All1(x, _) | All2(x, _, _) if x in r_free:
-            return _bot(_rebind(a, r_free), R, r_free)
+            a = _rebind(a, r_free)
+    match a:
         case All1(x, body):
-            return Ex1(x, _bot(body, R, r_free))
+            return partial(Ex1, x), ctx, (body,)
         case All2(x, arity, body):
-            return Ex2(x, arity, _bot(body, R, r_free))
+            return partial(Ex2, x, arity), ctx, (body,)
     raise TypeError(f"not a PA2 formula: {a!r}")
 
 
@@ -184,48 +193,91 @@ def cps_term(t: Term, memo: CpsMemo | None = None) -> Term:
     """CPS-translate a lambda-c term over the closed instruction set.  A
     closed subterm is translated once per memo, a fresh one unless given:
     where it recurs as the same object, its image is the same object too."""
-    return _cps(t, _Fresh(), memo if memo is not None else CpsMemo())
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return rebuild(t, (_Fresh(), memo if memo is not None else CpsMemo()), _cps)
 
 
-def _cps(t: Term, fresh: _Fresh, memo: CpsMemo) -> Term:
-    closed = isinstance(t, Term) and not t.fv
+def _cps(t: Term | Stack, ctx: tuple[_Fresh, CpsMemo]):
+    """The rebuild step of the translation of terms and stacks.  Fresh
+    names are drawn when a node is visited, before its children, so they
+    come in the order of the recursive translation."""
+    cls = type(t)
+    if cls is Var:
+        return t
+    fresh, memo = ctx
+    if cls is Push or cls is Bottom:
+        # the cells down to the first one in the memo become one node, whose
+        # children are their tops; the pairs are built bottom up
+        cells: list[Push] = []
+        while type(t) is Push:
+            tail = memo.get(t)
+            if tail is not None:
+                break
+            cells.append(t)
+            t = t.rest
+        else:
+            tail = Z0
+
+        def cons(*tops: Term) -> Term:
+            image = tail
+            for cell, top in zip(reversed(cells), reversed(tops)):
+                image = memo.put(cell, hpair(top, image))
+            return image
+
+        return cons, ctx, [cell.top for cell in cells]
+    closed = not t.fv
     if closed:
         image = memo.get(t)
         if image is not None:
             return image
     # a fresh binder scopes over images whose free variables are among those
-    # of t and its binder, so it avoids exactly these
+    # of t and its binder, so it avoids exactly these; a closed node's image
+    # goes into the memo
+    put = t if closed else None
+    if cls is App:
+        return partial(_cps_app, fresh(t.fv), memo, put), ctx, (t.fn, t.arg)
+    if cls is Lam:
+        k, k2 = fresh(t.fv, t.binder), fresh(t.fv, t.binder)
+        return partial(_cps_lam, k, t.binder, k2, memo, put), ctx, (t.body,)
+    if cls is Kont:
+        k, w = fresh(), fresh()
+        return partial(_cps_kont, k, w, memo, put), ctx, (t.saved,)
     match t:
-        case Var(_):
-            return t
-        case App(fn, arg):
-            k = fresh(t.fv)
-            image = Lam(k, App(_cps(fn, fresh, memo), hpair(_cps(arg, fresh, memo), Var(k))))
-        case Lam(x, body):
-            k, k2 = fresh(t.fv, x), fresh(t.fv, x)
-            image = Lam(k, _letp(x, k2, Var(k), App(_cps(body, fresh, memo), Var(k2))))
         case Numeral(n):
-            image = hnumeral(n)
-        case Kont(saved):
-            k, w = fresh(), fresh()
-            image = Lam(k, _letp("x", w, Var(k), App(Var("x"), _cps_stack(saved, fresh, memo))))
+            return memo.put(t, hnumeral(n))
         case Inst("stop"):
-            image = Lam("z", Var("z"))
+            return memo.put(t, Lam("z", Var("z")))
         case Inst("cc"):
-            image = _cps_cc(fresh)
+            return memo.put(t, _cps_cc(fresh))
         case Inst("s"):
-            image = _cps_succ(fresh)
+            return memo.put(t, _cps_succ(fresh))
         case Inst("rec"):
-            image = _cps_rec(fresh)
+            return memo.put(t, _cps_rec(fresh))
         case Inst(name):
             raise TranslationError(
                 f"instruction {name!r} has no CPS translation; the closed "
                 f"instruction set is cc, s, rec, stop and the numerals"
                 + (" (kamikaze processes are untranslatable)" if name == "print" else "")
             )
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    return memo.put(t, image) if closed else image
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _cps_app(k: str, memo: CpsMemo, put: Term | None, fn: Term, arg: Term) -> Term:
+    """The image of an application from the images of its parts."""
+    image = Lam(k, App(fn, hpair(arg, Var(k))))
+    return image if put is None else memo.put(put, image)
+
+
+def _cps_lam(k: str, x: str, k2: str, memo: CpsMemo, put: Term | None, body: Term) -> Term:
+    """The image of an abstraction over x from the image of its body."""
+    image = Lam(k, _letp(x, k2, Var(k), App(body, Var(k2))))
+    return image if put is None else memo.put(put, image)
+
+
+def _cps_kont(k: str, w: str, memo: CpsMemo, put: Term, saved: Term) -> Term:
+    """The image of a continuation from the image of its saved stack."""
+    return memo.put(put, Lam(k, _letp("x", w, Var(k), App(Var("x"), saved))))
 
 
 def _cps_cc(fresh: _Fresh) -> Term:
@@ -264,27 +316,9 @@ def _cps_rec(fresh: _Fresh) -> Term:
 def cps_stack(pi: Stack, memo: CpsMemo | None = None) -> Term:
     """Stacks translate as finite lists: bottom to z0, consing to pairing.
     Cells and closed terms go through the memo, as in ``cps_term``."""
-    return _cps_stack(pi, _Fresh(), memo if memo is not None else CpsMemo())
-
-
-def _cps_stack(pi: Stack, fresh: _Fresh, memo: CpsMemo) -> Term:
-    # the tops are translated top first, which keeps the order of the fresh
-    # names in the printed image; then the pairs are built bottom up
-    cells: list[Push] = []
-    while isinstance(pi, Push):
-        tail = memo.get(pi)
-        if tail is not None:
-            break
-        cells.append(pi)
-        pi = pi.rest
-    else:
-        if not isinstance(pi, Bottom):
-            raise TypeError(f"not a stack: {pi!r}")
-        tail = Z0
-    tops = [_cps(cell.top, fresh, memo) for cell in cells]
-    for cell, top in zip(reversed(cells), reversed(tops)):
-        tail = memo.put(cell, hpair(top, tail))
-    return tail
+    if not isinstance(pi, Stack):
+        raise TypeError(f"not a stack: {pi!r}")
+    return rebuild(pi, (_Fresh(), memo if memo is not None else CpsMemo()), _cps)
 
 
 def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
@@ -301,10 +335,11 @@ def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
 def inline_instructions(t: Term, mapping: dict[str, Term]) -> Term:
     """Replace named instructions by closed lambda-c terms, recursively.
     Cyclic definitions are rejected."""
-    return _inline(t, mapping, ())
+    return rebuild(t, (mapping, ()), _inline)
 
 
-def _inline(t: Term, mapping: dict[str, Term], path: tuple[str, ...]) -> Term:
+def _inline(t: Term | Stack, ctx: tuple[dict[str, Term], tuple[str, ...]]):
+    mapping, path = ctx
     match t:
         case Inst(name) if name in mapping:
             if name in path:
@@ -312,21 +347,15 @@ def _inline(t: Term, mapping: dict[str, Term], path: tuple[str, ...]) -> Term:
                     f"cannot inline recursive instruction {name!r}; "
                     f"use a fixpoint-based term instead"
                 )
-            return _inline(mapping[name], mapping, path + (name,))
+            return _same, (mapping, path + (name,)), (mapping[name],)
         case App(fn, arg):
-            return App(_inline(fn, mapping, path), _inline(arg, mapping, path))
+            return App, ctx, (fn, arg)
         case Lam(x, body):
-            return Lam(x, _inline(body, mapping, path))
+            return partial(Lam, x), ctx, (body,)
         case Kont(saved):
-            return Kont(_inline_stack(saved, mapping, path))
-        case _:
-            return t
+            return (lambda *tops: Kont(stack_of(*tops))), ctx, tuple(saved)
+    return t
 
 
-def _inline_stack(pi: Stack, mapping: dict[str, Term], path):
-    match pi:
-        case Bottom():
-            return pi
-        case Push(top, rest):
-            return Push(_inline(top, mapping, path), _inline_stack(rest, mapping, path))
-    raise TypeError(f"not a stack: {pi!r}")
+def _same(image: Term) -> Term:
+    return image

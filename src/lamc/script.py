@@ -177,13 +177,13 @@ class _TemplateParser(_TermParser):
         super().__init__(ts, instructions, strict=True, stop_words=STOP_WORDS)
         self.sig_view = sig_view
 
-    def atom(self, bound, optional=False):
+    def atom_head(self, bound, optional):
         if self.ts.peek().text == "#(":
             self.ts.next()
             e = _parse_expr(self.ts, self.sig_view)
             self.ts.expect(")")
             return TExpr(e)
-        return super().atom(bound, optional)
+        return super().atom_head(bound, optional)
 
 
 class ScriptParser:

@@ -139,29 +139,40 @@ class _PrimRecCompiler:
         return f"{prefix}{self.counter}"
 
     def compile_rhs(self, e, env: dict[str, Term], k: Term) -> Term:
-        lit = nat_of_expr(e)
-        if lit is not None:
-            return App(k, Numeral(lit))
-        if isinstance(e, EVar):
-            return App(k, env[e.name])
-        if e.symbol == "s":
-            v = self.fresh("v")
-            return self.compile_rhs(e.args[0], env, Lam(v, app(Inst("s"), Var(v), k)))
-        fn = Var("self") if e.symbol == self.name else compile_primrec(e.symbol, self.sig, self.cache)
-        return self.seq(fn, list(e.args), [], env, k)
-
-    def seq(self, fn: Term, args: list, values: list[Term], env: dict[str, Term], k: Term) -> Term:
-        """fn applied to the values of args, then to k, evaluating args in turn."""
-        if not args:
-            return App(app(fn, *values), k)
-        head, *rest = args
-        if isinstance(head, EVar):
-            return self.seq(fn, rest, values + [env[head.name]], env, k)
-        lit = nat_of_expr(head)
-        if lit is not None:
-            return self.seq(fn, rest, values + [Numeral(lit)], env, k)
-        v = self.fresh("v")
-        return self.compile_rhs(head, env, Lam(v, self.seq(fn, rest, values + [Var(v)], env, k)))
+        """The term that computes e and passes its value to k.  A call
+        evaluates its arguments in turn; each argument that is not a
+        variable or a numeral gets a fresh name v, and is compiled after
+        the rest of the call, with continuation \\v. (the rest).  Those
+        arguments wait on an explicit stack, so e may be deep."""
+        waiting: list = []  # (argument, its name), compiled last first
+        while True:
+            lit = nat_of_expr(e)
+            if lit is not None:
+                t = App(k, Numeral(lit))
+            elif isinstance(e, EVar):
+                t = App(k, env[e.name])
+            elif e.symbol == "s":
+                v = self.fresh("v")
+                e, k = e.args[0], Lam(v, app(Inst("s"), Var(v), k))
+                continue
+            else:
+                fn = Var("self") if e.symbol == self.name else compile_primrec(e.symbol, self.sig, self.cache)
+                values: list[Term] = []
+                for a in e.args:
+                    lit = nat_of_expr(a)
+                    if isinstance(a, EVar):
+                        values.append(env[a.name])
+                    elif lit is not None:
+                        values.append(Numeral(lit))
+                    else:
+                        v = self.fresh("v")
+                        waiting.append((a, v))
+                        values.append(Var(v))
+                t = App(app(fn, *values), k)
+            if not waiting:
+                return t
+            e, v = waiting.pop()
+            k = Lam(v, t)
 
     def build(self, knowledge: list) -> Term:
         cands = [

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -220,6 +222,52 @@ Subject = Union[Term, Stack, Process]
 
 
 # ---------------------------------------------------------------------------
+# the rebuild driver
+
+
+_BUILD = object()  # rebuild's marker: the node below it waits for its children's values
+
+
+def rebuild(node, ctx, visit):
+    """The value of node under a post-order walk kept on one explicit work
+    stack, so that no walk is bounded by Python's recursion limit: the
+    defunctionalized form of a recursive walk (Danvy & Nielsen,
+    "Defunctionalization at work", PPDP 2001).
+
+    ``visit(node, ctx)`` returns either the node's finished value, which is
+    never a plain tuple, or a triple ``(build, ctx2, children)``: the
+    children are visited in order under ``ctx2``, each subtree before the
+    next child, and the node's value is ``build`` applied to their values."""
+    values: list = []
+    builds: list = []  # (build, number of children) of the nodes below _BUILD on todo
+    todo: list = [(node, ctx)]
+    while todo:
+        item = todo.pop()
+        if item is _BUILD:
+            build, n = builds.pop()
+            if n == 1:
+                values[-1] = build(values[-1])
+            else:
+                cut = len(values) - n
+                args = values[cut:]
+                del values[cut:]
+                values.append(build(*args))
+            continue
+        out = visit(*item)
+        if type(out) is tuple:
+            build, ctx, children = out
+            builds.append((build, len(children)))
+            todo.append(_BUILD)
+            if len(children) == 1:
+                todo.append((children[0], ctx))
+            else:
+                todo += zip(reversed(children), repeat(ctx))
+        else:
+            values.append(out)
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
 # alpha-equivalence
 
 
@@ -240,8 +288,8 @@ class KeyCache:
     same wherever it occurs, so closed nodes are also remembered by
     identity (and kept alive while the cache is): keying a term that
     shares closed subterms with one keyed before walks only its new
-    nodes.  Explicit-stack walk: terms may be deep; it recurses only into
-    nested continuations."""
+    nodes.  Explicit-stack walk: terms may be deep, and nested
+    continuations are keyed on the rebuild driver."""
 
     __slots__ = ("tokens", "_ids", "_closed", "_alive")
 
@@ -293,7 +341,7 @@ class KeyCache:
                 elif cls is Numeral:
                     token = ("n", t.n)
                 elif cls is Kont:
-                    token = ("k", tuple(self.key(e) for e in t.saved))
+                    token = rebuild(t, True, self._kont)
                 else:
                     raise TypeError(f"not a term: {t!r}")
             i = ids.get(token)
@@ -305,6 +353,16 @@ class KeyCache:
                 alive.append(t)
             out.append(i)
         return out[0]
+
+    def _kont(self, k: Kont, outermost: bool):
+        """The rebuild step behind a continuation's token, ``("k", ids of
+        its saved terms)``: the continuations not yet keyed in those terms
+        are its children, so each is keyed, innermost first, before
+        ``key`` meets it in ``_closed``."""
+        inner = [u for u in _konts(k.saved) if id(u) not in self._closed]
+        if outermost:
+            return lambda *_: ("k", tuple(map(self.key, k.saved))), False, inner
+        return lambda *_: self.key(k), False, inner
 
 
 def alpha_key(t: Term) -> tuple:
@@ -332,21 +390,25 @@ def is_closed(t: Term) -> bool:
 
 def is_proof_like(subject: Subject) -> bool:
     """True when the subject contains no continuation constant."""
-    match subject:
-        case Process(head, stack):
-            return is_proof_like(head) and is_proof_like(stack)
-        case Push(top, rest):
-            return is_proof_like(top) and is_proof_like(rest)
-        case Bottom():
-            return True
-        case Kont(_):
-            return False
-        case Lam(_, body):
-            return is_proof_like(body)
-        case App(fn, arg):
-            return is_proof_like(fn) and is_proof_like(arg)
-        case _:
-            return True
+    return next(_konts(subject), None) is None
+
+
+def _konts(subject: Subject) -> Iterator[Kont]:
+    """The continuation constants in subject outside any other one, left
+    to right (explicit stack: subjects can be deep)."""
+    todo = [subject]
+    while todo:
+        s = todo.pop()
+        if type(s) is Kont:
+            yield s
+        elif type(s) is App:
+            todo += (s.arg, s.fn)
+        elif type(s) is Lam:
+            todo.append(s.body)
+        elif type(s) is Process:
+            todo += (s.stack, s.head)
+        elif type(s) is Push:
+            todo += (s.rest, s.top)
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +431,25 @@ def pick_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def substitute(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding substitution t{x:=u}."""
-    if x not in t.fv:
+    """Capture-avoiding substitution t{x:=u}, on the rebuild driver."""
+    return rebuild(t, (x, u), _substitute)
+
+
+def _substitute(t: Term, ctx: tuple[str, Term]):
+    x, u = ctx
+    if x not in t.fv:  # every Inst, Numeral, Kont and HConst
         return t
-    match t:
-        case Var(_):
-            return u
-        case Lam(binder, body):
-            if binder in u.fv:
-                renamed = fresh_name(binder, u.fv | body.fv | {x})
-                body = substitute(body, binder, Var(renamed))
-                return Lam(renamed, substitute(body, x, u))
-            return Lam(binder, substitute(body, x, u))
-        case App(fn, arg):
-            return App(substitute(fn, x, u), substitute(arg, x, u))
-        case _:
-            # Inst, Numeral, Kont, HConst: no free variables inside
-            return t
+    cls = type(t)
+    if cls is App:
+        return App, ctx, (t.fn, t.arg)
+    if cls is Var:
+        return u
+    binder, body = t.binder, t.body
+    if binder in u.fv:
+        renamed = fresh_name(binder, u.fv | body.fv | {x})
+        body = substitute(body, binder, Var(renamed))
+        binder = renamed
+    return partial(Lam, binder), ctx, (body,)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +458,22 @@ def substitute(t: Term, x: str, u: Term) -> Term:
 
 def extend_stack_bottom(subject: Subject, pi0: Stack) -> Subject:
     """Replace every stack bottom by pi0, including inside continuations."""
-    match subject:
-        case Process(head, stack):
-            return Process(
-                extend_stack_bottom(head, pi0), extend_stack_bottom(stack, pi0)
-            )
-        case Bottom():
-            return pi0
-        case Push(top, rest):
-            return Push(extend_stack_bottom(top, pi0), extend_stack_bottom(rest, pi0))
-        case Kont(saved):
-            return Kont(extend_stack_bottom(saved, pi0))
-        case Lam(binder, body):
-            return Lam(binder, extend_stack_bottom(body, pi0))
-        case App(fn, arg):
-            return App(extend_stack_bottom(fn, pi0), extend_stack_bottom(arg, pi0))
-        case _:
-            return subject
+    return rebuild(subject, pi0, _extend)
+
+
+def _extend(s: Subject, pi0: Stack):
+    cls = type(s)
+    if cls is App:
+        return App, pi0, (s.fn, s.arg)
+    if cls is Lam:
+        return partial(Lam, s.binder), pi0, (s.body,)
+    if cls is Kont:
+        return Kont, pi0, (s.saved,)
+    if cls is Process:
+        return Process, pi0, (s.head, s.stack)
+    if isinstance(s, Stack):
+        return partial(stack_of, tail=pi0), pi0, tuple(s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +556,16 @@ def _nat_value(tok: _Token) -> int:
 # term parser
 
 
+# what the term parser reads next, and the kinds of its open constructs
+_TERM, _ATOM, _MORE, _STACK = "term", "atom", "more", "stack"
+_LAM, _APP, _PAREN, _KONT, _PAIR, _PAIR2 = "lam", "app", "paren", "kont", "pair", "pair2"
+
+
 class _TermParser:
-    """Recursive-descent parser for the term/stack/process grammar.
+    """Parser for the term/stack/process grammar.  Open constructs (an
+    abstraction, an application, parentheses, a stack, a saved stack
+    ``k[...]``, the HA2 pair ``<a; b>``) are kept on an explicit stack, so
+    nesting depth is bounded by memory, not by Python's recursion limit.
 
     Name resolution: lambda-bound names are variables, known instruction
     names are instructions, anything else is a free variable (an error in
@@ -514,33 +585,25 @@ class _TermParser:
         self.stop_words = stop_words
 
     def term(self, bound: frozenset[str]) -> Term:
-        tok = self.ts.peek()
-        if tok.text == "\\":
-            self.ts.next()
-            binders: list[str] = []
-            while self.ts.peek().kind == "ident":
-                binders.append(self.ts.next().text)
-            if not binders:
-                raise self.ts.error("expected at least one binder after '\\'")
-            self.ts.expect(".")
-            body = self.term(bound | frozenset(binders))
-            for b in reversed(binders):
-                body = Lam(b, body)
-            return body
-        return self.app(bound)
+        return self._parse(_TERM, bound)
 
-    def app(self, bound: frozenset[str]) -> Term:
-        t = self.atom(bound)
-        if t is None:
-            raise self.ts.error("expected a term")
-        while True:
-            u = self.atom(bound, optional=True)
-            if u is None:
-                return t
-            t = App(t, u)
+    def atom(self, bound: frozenset[str]) -> Term:
+        return self._parse(_ATOM, bound)
 
-    def atom(self, bound: frozenset[str], optional: bool = False) -> Term | None:
-        tok = self.ts.peek()
+    def stack(self, bound: frozenset[str]) -> Stack:
+        return self._parse(_STACK, bound)
+
+    def process(self, bound: frozenset[str]) -> Process:
+        head = self.term(bound)
+        self.ts.expect("*")
+        return Process(head, self.stack(bound))
+
+    def atom_head(self, bound: frozenset[str], optional: bool):
+        """The start of an atom: the atom itself when it is one token (or
+        one literal), the opener ``"("``, ``"\\"`` or ``"k["`` of a
+        construct that ``_parse`` reads on, or None, when ``optional``,
+        if no atom starts here.  Subclasses add atoms here."""
+        tok = self.ts.tokens[self.ts.pos]
         if tok.kind == "ident" and tok.text in self.stop_words:
             if optional:
                 return None
@@ -552,24 +615,102 @@ class _TermParser:
             if tok.text == "k" and self.ts.tokens[self.ts.pos + 1].text == "[":
                 self.ts.next()
                 self.ts.expect("[")
-                saved = self.stack(frozenset())  # a saved stack is closed
-                self.ts.expect("]")
-                try:
-                    return Kont(saved)
-                except ValueError as err:  # a free name, outside strict mode
-                    raise ParseError(str(err), tok.line, tok.col) from None
+                return "k["
             self.ts.next()
             return self.resolve(tok, bound)
         if tok.text == "(":
             self.ts.next()
-            t = self.term(bound)
-            self.ts.expect(")")
-            return t
+            return "("
         if tok.text == "\\":
-            return self.term(bound)
+            return "\\"
         if optional:
             return None
         raise self.ts.error("expected a term")
+
+    def _parse(self, goal: str, bound: frozenset[str]):
+        ts = self.ts
+        frames: list = [None]  # the open constructs, innermost last, over the goal
+        want = goal
+        if goal is _STACK:
+            frames.append((_STACK, bound, []))
+        while True:
+            # read on until a value is complete
+            if want is _TERM:
+                if ts.peek().text == "\\":
+                    ts.next()
+                    binders: list[str] = []
+                    while ts.peek().kind == "ident":
+                        binders.append(ts.next().text)
+                    if not binders:
+                        raise ts.error("expected at least one binder after '\\'")
+                    ts.expect(".")
+                    frames.append((_LAM, binders))
+                    bound = bound | frozenset(binders)
+                    continue
+                frames.append([_APP, bound, None])
+                value = self.atom_head(bound, False)
+            elif want is _STACK and ts.peek().text == "$":
+                ts.next()
+                value = stack_of(*frames.pop()[2])
+            else:
+                value = self.atom_head(bound, want is _MORE)
+            if value is None:  # the application is complete
+                value = frames.pop()[2]
+            elif type(value) is str:
+                if value == "(":
+                    frames.append((_PAREN,))
+                elif value == "k[":  # a saved stack is closed; k is two tokens back
+                    frames += ((_KONT, ts.tokens[ts.pos - 2]), (_STACK, _EMPTY_FV, []))
+                    bound, want = _EMPTY_FV, _STACK
+                    continue
+                elif value == "<":
+                    frames.append((_PAIR, bound))
+                want = _TERM
+                continue
+            elif want is _MORE:  # the next argument of the open application
+                frame = frames[-1]
+                frame[2] = App(frame[2], value)
+                continue
+            elif want is _TERM:  # the head of the application just opened
+                frames[-1][2] = value
+                want = _MORE
+                continue
+            # hand the value out to the open constructs until one reads on
+            while True:
+                frame = frames[-1]
+                if frame is None:
+                    return value
+                kind = frame[0]
+                if kind is _APP:
+                    t = frame[2]
+                    frame[2] = value if t is None else App(t, value)
+                    bound, want = frame[1], _MORE
+                    break
+                if kind is _STACK:
+                    ts.expect(".")
+                    frame[2].append(value)
+                    bound, want = frame[1], _STACK
+                    break
+                frames.pop()
+                if kind is _LAM:
+                    for b in reversed(frame[1]):
+                        value = Lam(b, value)
+                elif kind is _PAREN:
+                    ts.expect(")")
+                elif kind is _KONT:
+                    ts.expect("]")
+                    try:
+                        value = Kont(value)
+                    except ValueError as err:  # a free name, outside strict mode
+                        raise ParseError(str(err), frame[1].line, frame[1].col) from None
+                elif kind is _PAIR:
+                    ts.expect(";")
+                    frames.append((_PAIR2, value))
+                    bound, want = frame[1], _TERM
+                    break
+                else:  # _PAIR2
+                    ts.expect(">")
+                    value = App(App(HConst("pair"), frame[1]), value)
 
     def resolve(self, tok: _Token, bound: frozenset[str]) -> Term:
         name = tok.text
@@ -581,22 +722,6 @@ class _TermParser:
         if self.strict:
             raise ParseError(f"unbound name {name!r}", tok.line, tok.col)
         return Var(name)
-
-    def stack(self, bound: frozenset[str]) -> Stack:
-        tok = self.ts.peek()
-        if tok.text == "$":
-            self.ts.next()
-            return BOTTOM
-        top = self.atom(bound)
-        if top is None:
-            raise self.ts.error("expected a stack element or '$'")
-        self.ts.expect(".")
-        return Push(top, self.stack(bound))
-
-    def process(self, bound: frozenset[str]) -> Process:
-        head = self.term(bound)
-        self.ts.expect("*")
-        return Process(head, self.stack(bound))
 
 
 def _parser_for(text: str, instructions: Iterable[str] | None, strict: bool) -> _TermParser:
@@ -648,9 +773,10 @@ def print_term(t: Term) -> str:
     return _print(t, top=True)
 
 
-def _print(t: Term, top: bool) -> str:
+def _print(t: Subject, top: bool) -> str:
     # explicit stack of pending work, popped last first: a string is
-    # emitted as is, a (term, top) pair is rendered
+    # emitted as is, a (term or stack, top) pair is rendered; the saved
+    # stacks of continuations go on the same stack
     out: list[str] = []
     todo: list = [(t, top)]
     while todo:
@@ -680,6 +806,18 @@ def _print(t: Term, top: bool) -> str:
             todo += close + parts + [(t, False)]
             if not top:
                 out.append("(")
+        elif isinstance(t, Stack):
+            parts = ["$"]
+            for e in reversed(tuple(t)):
+                parts.append(" . ")
+                if isinstance(e, (Var, Inst, Numeral, Kont)):
+                    parts.append((e, True))
+                else:
+                    parts += (")", (e, True), "(")
+            todo += parts
+        elif isinstance(t, Kont):
+            todo += ("]", (t.saved, True))
+            out.append("k[")
         else:
             out.append(_print_atom(t))
     return "".join(out)
@@ -695,8 +833,6 @@ def _print_atom(t: Term) -> str:
             return kind
         case Numeral(n):
             return "#" + _decimal(n)
-        case Kont(saved):
-            return "k[" + print_stack(saved) + "]"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -710,16 +846,7 @@ def _decimal(n: int) -> str:
 
 
 def print_stack(s: Stack) -> str:
-    parts = []
-    while isinstance(s, Push):
-        t = s.top
-        if isinstance(t, (Var, Inst, Numeral, Kont)):
-            parts.append(_print_atom(t))
-        else:
-            parts.append("(" + _print(t, top=True) + ")")
-        s = s.rest
-    parts.append("$")
-    return " . ".join(parts)
+    return _print(s, top=True)
 
 
 def print_process(p: Process) -> str:

@@ -1,5 +1,6 @@
 """The equational evaluator: the reference semantics of lamc.arith.eval_expr,
-and the recursive substitution: the reference of lamc.arith.expr_subst.
+and the recursive walks: the references of lamc.arith.expr_subst,
+normalize_expr, the expression parser and print_expr.
 
 Every symbol except the constructors 0 and s is evaluated by rewriting
 with its defining equations, in unary: ``+`` recurses on its first
@@ -10,7 +11,19 @@ leaf is a constructor numeral, so its value is read off directly.
 
 from __future__ import annotations
 
-from lamc.arith import EApp, ENat, EVar, EvalError, PrimRecSignature, SymbolDef, Valuation, expr_is_ground
+from lamc.arith import (
+    EApp,
+    ENat,
+    EVar,
+    EvalError,
+    PrimRecSignature,
+    SymbolDef,
+    Valuation,
+    _match_structural,
+    eval_expr,
+    expr_is_ground,
+)
+from lamc.syntax import ParseError, _TokenStream, _lex, _nat_value
 
 
 def eval_equational(e, rho: Valuation, sig: PrimRecSignature) -> int:
@@ -89,3 +102,102 @@ def expr_subst(e, env):
         case EApp(symbol, args):
             return EApp(symbol, tuple(expr_subst(a, env) for a in args))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def normalize_expr(e, sig: PrimRecSignature):
+    """The recursive normalizer: one Python frame per pending call, and per
+    unit of a successor run."""
+    if expr_is_ground(e):
+        return ENat(eval_expr(e, {}, sig))
+    match e:
+        case EVar(_):
+            return e
+        case EApp(symbol, args):
+            nargs = tuple(normalize_expr(a, sig) for a in args)
+            if symbol not in sig:
+                raise EvalError(f"unknown function symbol {symbol!r}")
+            sym = sig.symbols[symbol]
+            if not sym.equations:
+                return EApp(symbol, nargs)
+            m = _match_structural(sym, nargs)
+            if m is None:
+                return EApp(symbol, nargs)
+            eq, env = m
+            return normalize_expr(expr_subst(eq.rhs, env), sig)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def parse_expr(text: str, sig):
+    ts = _TokenStream(_lex(text))
+    return ts.finish(_parse_expr(ts, sig))
+
+
+def _parse_expr(ts, sig):
+    e = _parse_addend(ts, sig)
+    while ts.peek().text == "+":
+        ts.next()
+        e = EApp("+", (e, _parse_addend(ts, sig)))
+    return e
+
+
+def _parse_addend(ts, sig):
+    e = _parse_factor(ts, sig)
+    while ts.peek().text == "*" and ts.peek().kind == "punct":
+        ts.next()
+        e = EApp("*", (e, _parse_factor(ts, sig)))
+    return e
+
+
+def _parse_factor(ts, sig):
+    tok = ts.peek()
+    if tok.kind == "nat":
+        ts.next()
+        return ENat(_nat_value(tok))
+    if tok.kind == "ident":
+        ts.next()
+        if ts.peek().text == "(":
+            ts.next()
+            args = []
+            if ts.peek().text != ")":
+                args.append(_parse_expr(ts, sig))
+                while ts.peek().text == ",":
+                    ts.next()
+                    args.append(_parse_expr(ts, sig))
+            ts.expect(")")
+            if tok.text not in sig:
+                raise ParseError(f"unknown function symbol {tok.text!r}", tok.line, tok.col)
+            if sig.arity(tok.text) != len(args):
+                raise ParseError(f"{tok.text!r} expects {sig.arity(tok.text)} arguments", tok.line, tok.col)
+            return EApp(tok.text, tuple(args))
+        if tok.text in sig and sig.arity(tok.text) == 0:
+            return EApp(tok.text)
+        return EVar(tok.text)
+    if tok.text == "(":
+        ts.next()
+        e = _parse_expr(ts, sig)
+        ts.expect(")")
+        return e
+    raise ParseError(f"expected an arithmetic expression, found {tok.text!r}", tok.line, tok.col)
+
+
+def print_expr(e) -> str:
+    match e:
+        case ENat(n):
+            return str(n)
+        case EVar(name):
+            return name
+        case EApp("+", (a, b)):
+            return f"{print_expr(a)} + {_grouped(b, ('+',))}"
+        case EApp("*", (a, b)):
+            return f"{_grouped(a, ('+', '*'))} * {_grouped(b, ('+', '*'))}"
+        case EApp(symbol, ()):
+            return symbol
+        case EApp(symbol, args):
+            return symbol + "(" + ", ".join(print_expr(a) for a in args) + ")"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _grouped(e, symbols) -> str:
+    if isinstance(e, EApp) and e.symbol in symbols:
+        return "(" + print_expr(e) + ")"
+    return print_expr(e)

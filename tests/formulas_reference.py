@@ -8,11 +8,14 @@ through one child map and keys a formula with one flat preorder tuple;
 on every formula the two print the same bytes and decide the same
 equalities.  Only the reference's own renaming helper ``_rebind`` is
 copied here, so that the reference calls no rebuilding walk of ``lamc``.
+``is_fully_relativized``, the recursive-descent parser (``parse_formula``,
+``parse_hformula``, over the recursive expression parser) and
+``print_formula`` are the recursive originals of the explicit-stack ones.
 """
 
 from __future__ import annotations
 
-from arith_reference import expr_subst
+from arith_reference import _parse_expr, expr_subst, print_expr
 from lamc.arith import ENat, EApp, EVar, ZERO, expr_free_vars, normalize_expr
 from lamc.formulas import (
     All1,
@@ -26,14 +29,22 @@ from lamc.formulas import (
     Nat,
     Null,
     PredVar,
+    f_and,
     f_bot,
+    f_eq,
+    f_exists1,
+    f_exists2,
     f_nat,
+    f_natp,
+    f_not,
+    f_or,
     f_top,
     formula_all_names,
     formula_free_vars,
     h_top,
+    _pred_arity,
 )
-from lamc.syntax import fresh_name
+from lamc.syntax import _TokenStream, _lex, fresh_name
 
 
 def key(f):
@@ -159,6 +170,23 @@ def _rename_pred(f, old: str, new: str):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _map(f, walk):
+    """f rebuilt with the same shape from walk(g) for each immediate
+    subformula g: the recursive child map."""
+    match f:
+        case Null() | Nat() | PredVar():
+            return f
+        case Imp(a, b) | And(a, b):
+            return type(f)(walk(a), walk(b))
+        case Brace(e, b):
+            return Brace(e, walk(b))
+        case All1(x, body) | Ex1(x, body):
+            return type(f)(x, walk(body))
+        case All2(x, arity, body) | Ex2(x, arity, body):
+            return type(f)(x, arity, walk(body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def normalize_formula_pa2(f, sig):
     return _normalize(f, sig, f_top())
 
@@ -215,3 +243,174 @@ def relativize_nat(f):
         case Brace(_, _):
             raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
     raise TypeError(f"not a PA2 formula: {f!r}")
+
+
+def is_fully_relativized(f) -> bool:
+    match f:
+        case Null(_) | PredVar(_, _):
+            return True
+        case Imp(a, b):
+            return is_fully_relativized(a) and is_fully_relativized(b)
+        case Brace(_, b):
+            return is_fully_relativized(b)
+        case All1(x, Imp(guard, body)):
+            return guard == f_nat(EVar(x)) and is_fully_relativized(body)
+        case All1(_, _):
+            return False
+        case All2(_, _, body):
+            return is_fully_relativized(body)
+    raise TypeError(f"not a PA2 formula: {f!r}")
+
+
+def parse_formula(text: str, sig):
+    ts = _TokenStream(_lex(text))
+    return ts.finish(_formula(ts, sig, "pa2"))
+
+
+def parse_hformula(text: str, sig):
+    ts = _TokenStream(_lex(text))
+    return ts.finish(_formula(ts, sig, "ha2"))
+
+
+def _formula(ts, sig, dialect):
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.text in ("forall", "exists"):
+        ts.next()
+        binders = []
+        while ts.peek().kind == "ident":
+            binders.append(ts.next().text)
+        if not binders:
+            raise ts.error(f"expected binders after {tok.text!r}")
+        ts.expect(".")
+        body = _formula(ts, sig, dialect)
+        for b in reversed(binders):
+            second = b[0].isupper()
+            arity = _pred_arity(body, b) if second else 0
+            if tok.text == "forall":
+                body = All2(b, arity, body) if second else All1(b, body)
+            elif dialect == "pa2":
+                body = f_exists2(b, arity, body) if second else f_exists1(b, body)
+            else:
+                body = Ex2(b, arity, body) if second else Ex1(b, body)
+        return body
+    if tok.text == "{":
+        ts.next()
+        e = _parse_expr(ts, sig)
+        ts.expect("}")
+        ts.expect("->")
+        b = _formula(ts, sig, dialect)
+        if dialect == "ha2":
+            raise ts.error("{e} -> B is a PA2+ construct")
+        return Brace(e, b)
+    a = _disjunction(ts, sig, dialect)
+    if ts.peek().text == "->":
+        ts.next()
+        return Imp(a, _formula(ts, sig, dialect))
+    return a
+
+
+def _disjunction(ts, sig, dialect):
+    a = _conjunction(ts, sig, dialect)
+    while ts.peek().text == "\\/":
+        if dialect == "ha2":
+            raise ts.error("HA2 has no disjunction")
+        ts.next()
+        a = f_or(a, _conjunction(ts, sig, dialect))
+    return a
+
+
+def _conjunction(ts, sig, dialect):
+    a = _unary(ts, sig, dialect)
+    if ts.peek().text != "/\\":
+        return a
+    ts.next()
+    b = _conjunction(ts, sig, dialect)
+    return f_and(a, b) if dialect == "pa2" else And(a, b)
+
+
+def _unary(ts, sig, dialect):
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.text == "not":
+        ts.next()
+        return f_not(_unary(ts, sig, dialect))
+    return _atom_formula(ts, sig, dialect)
+
+
+def _atom_formula(ts, sig, dialect):
+    tok = ts.peek()
+    if tok.text == "(":
+        ts.next()
+        f = _formula(ts, sig, dialect)
+        ts.expect(")")
+        return f
+    pa2 = dialect == "pa2"
+    if tok.kind == "ident":
+        word = tok.text
+        if word in ("null", "nat") or (word == "natp" and pa2):
+            ts.next()
+            ts.expect("(")
+            e = _parse_expr(ts, sig)
+            ts.expect(")")
+            if word == "null":
+                return Null(e)
+            if word == "natp":
+                return f_natp(e)
+            return f_nat(e) if pa2 else Nat(e)
+        if word == "top":
+            ts.next()
+            return f_top() if pa2 else h_top()
+        if word == "bot":
+            ts.next()
+            return f_bot()
+        if word[0].isupper():
+            ts.next()
+            args: tuple = ()
+            if ts.peek().text == "(":
+                ts.next()
+                lst = [_parse_expr(ts, sig)]
+                while ts.peek().text == ",":
+                    ts.next()
+                    lst.append(_parse_expr(ts, sig))
+                ts.expect(")")
+                args = tuple(lst)
+            return PredVar(word, args)
+    e1 = _parse_expr(ts, sig)
+    ts.expect("=")
+    e2 = _parse_expr(ts, sig)
+    return f_eq(e1, e2)
+
+
+def print_formula(f) -> str:
+    return _print(f, 0)
+
+
+def _print(f, level: int) -> str:
+    match f:
+        case Null(e):
+            return f"null({print_expr(e)})"
+        case Nat(e):
+            return f"nat({print_expr(e)})"
+        case PredVar(name, ()):
+            return name
+        case PredVar(name, args):
+            return name + "(" + ", ".join(print_expr(a) for a in args) + ")"
+        case Imp(a, b):
+            s = f"{_print(a, 1)} -> {_print(b, 0)}"
+            return s if level == 0 else "(" + s + ")"
+        case Brace(e, b):
+            s = f"{{{print_expr(e)}}} -> {_print(b, 0)}"
+            return s if level == 0 else "(" + s + ")"
+        case And(a, b):
+            s = f"{_print(a, 2)} /\\ {_print(b, 1)}"
+            return s if level <= 1 else "(" + s + ")"
+        case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
+            forall = isinstance(f, (All1, All2))
+            group = (All1, All2) if forall else (Ex1, Ex2)
+            binders = []
+            body = f
+            while isinstance(body, group):
+                binders.append(body.x)
+                body = body.body
+            s = ("forall " if forall else "exists ") + " ".join(binders) + ". " + _print(body, 0)
+            return s if level == 0 else "(" + s + ")"
+    raise TypeError(f"not a formula: {f!r}")

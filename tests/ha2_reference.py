@@ -11,14 +11,16 @@ The recursive redex searches are the reference of the one walk of
 at every node, and ``_replace_at_deep`` rebuilds the term path by path.
 Their ``contract_redex`` takes terms apart with ``split_pair`` and ``==``
 where ``lamc.ha2`` matches shapes.
+
+``inner_equal`` is the recursive original of the explicit-stack one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lamc.ha2 import HEAD_RULES, REC, Z0, Ha2Error
-from lamc.syntax import App, HConst, Lam, Term, app, split_pair, substitute
+from lamc.ha2 import HEAD_RULES, INNER_FUEL, REC, Z0, EqResult, Ha2Error, _join_full
+from lamc.syntax import App, HConst, KeyCache, Lam, Term, Var, app, fresh_name, split_pair, substitute
 
 
 @dataclass(frozen=True)
@@ -297,3 +299,32 @@ def proj_first_step(t: Term) -> Term | None:
         return _replace_at_deep(t, *proj)
     nxt = weak_step(t)
     return nxt[0] if nxt is not None else None
+
+
+def inner_equal(t: Term, u: Term, fuel: int = INNER_FUEL) -> tuple[EqResult, int]:
+    """The verdict and the fuel left over."""
+    budget = [fuel]
+    return _ieq(t, u, budget, KeyCache()), budget[0]
+
+
+def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
+    if keys.key(t) == keys.key(u):
+        return EqResult.EQUAL
+    if budget[0] <= 0:
+        return EqResult.UNKNOWN
+    match t, u:
+        case (App(f1, a1), App(f2, a2)):
+            left = _ieq(f1, f2, budget, keys)
+            if left is EqResult.NOT_EQUAL:
+                return left
+            right = _ieq(a1, a2, budget, keys)
+            if right is EqResult.NOT_EQUAL:
+                return right
+            if left is EqResult.EQUAL and right is EqResult.EQUAL:
+                return EqResult.EQUAL
+            return EqResult.UNKNOWN
+        case (Lam(x1, b1), Lam(x2, b2)):
+            z = fresh_name("v", b1.fv | b2.fv | {x1, x2})
+            return _join_full(substitute(b1, x1, Var(z)), substitute(b2, x2, Var(z)), budget, keys)
+        case _:
+            return EqResult.NOT_EQUAL

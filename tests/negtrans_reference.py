@@ -5,10 +5,15 @@ afresh, so an image is a tree whatever the sharing of its source.  The
 translation in ``lamc`` shares the image of a closed subterm wherever the
 same object recurs; on input that shares no node (a parsed term) the two
 print the same bytes, and on any input their images are alpha-equal.
+
+``inline_instructions`` and ``formula_bot`` are the recursive walks that
+``lamc.negtrans`` runs on the rebuild driver.
 """
 
 from __future__ import annotations
 
+from lamc.arith import EApp
+from lamc.formulas import All1, All2, And, Brace, Ex1, Ex2, Imp, Nat, Null, PredVar, formula_free_vars
 from lamc.ha2 import Z0, hnumeral, hpair
 from lamc.negtrans import TranslationError, _cps_cc, _cps_rec, _cps_succ, _Fresh, _letp
 from lamc.syntax import App, Bottom, Inst, Kont, Lam, Numeral, Process, Push, Stack, Term, Var
@@ -76,3 +81,60 @@ def _cps_stack(pi: Stack, fresh: _Fresh) -> Term:
 def cps_process(p: Process) -> Term:
     """(t * pi) translates to the application t-star pi-star."""
     return App(cps_term(p.head), cps_stack(p.stack))
+
+
+def inline_instructions(t: Term, mapping: dict) -> Term:
+    return _inline(t, mapping, ())
+
+
+def _inline(t: Term, mapping: dict, path: tuple) -> Term:
+    match t:
+        case Inst(name) if name in mapping:
+            if name in path:
+                raise TranslationError(
+                    f"cannot inline recursive instruction {name!r}; "
+                    f"use a fixpoint-based term instead"
+                )
+            return _inline(mapping[name], mapping, path + (name,))
+        case App(fn, arg):
+            return App(_inline(fn, mapping, path), _inline(arg, mapping, path))
+        case Lam(x, body):
+            return Lam(x, _inline(body, mapping, path))
+        case Kont(saved):
+            return Kont(_inline_stack(saved, mapping, path))
+        case _:
+            return t
+
+
+def _inline_stack(pi: Stack, mapping: dict, path: tuple) -> Stack:
+    match pi:
+        case Bottom():
+            return pi
+        case Push(top, rest):
+            return Push(_inline(top, mapping, path), _inline_stack(rest, mapping, path))
+    raise TypeError(f"not a stack: {pi!r}")
+
+
+def formula_bot(a, R, rebind):
+    """A-bot against the return formula R (a ``ReturnFormula``); rebind
+    renames a quantifier, as ``lamc.formulas._rebind`` does."""
+    return _bot(a, R.formula, formula_free_vars(R.formula), rebind)
+
+
+def _bot(a, R, r_free, rebind):
+    match a:
+        case PredVar():
+            return a
+        case Null(e):
+            return Null(EApp("neg", (e,)))
+        case Imp(x, b):
+            return And(Imp(_bot(x, R, r_free, rebind), R), _bot(b, R, r_free, rebind))
+        case Brace(e, b):
+            return And(Nat(e), _bot(b, R, r_free, rebind))
+        case All1(x, _) | All2(x, _, _) if x in r_free:
+            return _bot(rebind(a, r_free), R, r_free, rebind)
+        case All1(x, body):
+            return Ex1(x, _bot(body, R, r_free, rebind))
+        case All2(x, arity, body):
+            return Ex2(x, arity, _bot(body, R, r_free, rebind))
+    raise TypeError(f"not a PA2 formula: {a!r}")

@@ -17,7 +17,6 @@ from lamc.formulas import (
     FormulaError,
     Imp,
     PredVar,
-    _map,
     expand_abbreviation,
     f_bot,
     f_nat,
@@ -241,7 +240,7 @@ def _alpha_variant(f):
     """f with every binder renamed to a fresh name."""
     if isinstance(f, (All1, Ex1, All2, Ex2)):
         f = ref._rebind(f, frozenset({f.x}))
-    return _map(f, _alpha_variant)
+    return ref._map(f, _alpha_variant)
 
 
 class TestAgainstReference:

@@ -614,25 +614,13 @@ def test_open_saved_stack_exits_with_one_line(capsys):
     assert out.err == "error: 1:7: unbound name 'x'\n"
 
 
-def test_main_restores_the_recursion_limit():
-    import sys
-
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(30_000)
-    try:
-        main(["translate", "--term", r"\x. x"])
-        assert sys.getrecursionlimit() == 30_000
-    finally:
-        sys.setrecursionlimit(before)
-
-
 def test_deep_input_exits_without_traceback(capsys):
     depth = 100_000
     code = main(["translate", "--process", "(" * depth + "stop" + ")" * depth + " * $"])
-    err = capsys.readouterr().err
-    assert code == EXIT_PARSE
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    out = capsys.readouterr()
+    assert code == EXIT_OK and out.err == ""
+    assert main(["translate", "--process", "stop * $"]) == EXIT_OK
+    assert out.out == capsys.readouterr().out
 
 
 def test_large_numeral_translates_at_the_default_recursion_limit(capsys):
