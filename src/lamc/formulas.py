@@ -7,12 +7,14 @@ second-order encoding.  HA2 adds primitive nat(e), conjunction and
 existentials.  Both languages are built from one set of node classes, so
 every walk (alpha key, free variables, substitution, normal form, parser
 and printer) is written once.  The walks that rebuild a formula
-(substitution, renaming, the normal form, relativization) treat only
-their own cases and send every other node through one child map,
-``_map``.  The read-only walks (free variables, names, arity, and the
-nameless preorder key behind ``==`` and ``hash``) share one
-explicit-stack generator, ``_subformulas``, so they work at any depth.
-Congruence on both sides is decided by normal forms.
+(substitution, renaming, the normal form, relativization) run on the
+rebuild driver ``syntax.rebuild``; they treat only their own cases and
+send every other node through one child split, ``_split``.  Each node
+keeps its free names in ``fv``.  The read-only walks (names, arity, and
+the nameless preorder key behind ``==`` and ``hash``) share one
+explicit-stack generator, ``_subformulas``.  The parser and the printer
+keep their pending work on explicit stacks too, so every walk works at
+any depth.  Congruence on both sides is decided by normal forms.
 
 Convention: first-order variables start lowercase, second-order variables
 start uppercase.

@@ -7,7 +7,9 @@ HA2 terms (the image of the CPS translation) are the same lambda-terms with
 the constants of ``HConst`` as their only other leaf.  Term equality is
 alpha-equivalence, decided by one nameless-key walk (``KeyCache``, whose
 uncached entry is ``alpha_key``) that ``==``, ``hash`` and the reducers'
-seen-sets all use; printing keeps the user's binder names.
+seen-sets all use; printing keeps the user's binder names.  ``rebuild``
+is the one post-order driver on an explicit stack that every walk
+rebuilding a tree runs on, here and in the other modules.
 """
 
 from __future__ import annotations
@@ -238,33 +240,46 @@ def rebuild(node, ctx, visit):
     never a plain tuple, or a triple ``(build, ctx2, children)``: the
     children are visited in order under ``ctx2``, each subtree before the
     next child, and the node's value is ``build`` applied to their values."""
+    out = visit(node, ctx)
+    if type(out) is not tuple:
+        return out
     values: list = []
     builds: list = []  # (build, number of children) of the nodes below _BUILD on todo
-    todo: list = [(node, ctx)]
-    while todo:
-        item = todo.pop()
-        if item is _BUILD:
-            build, n = builds.pop()
-            if n == 1:
-                values[-1] = build(values[-1])
-            else:
-                cut = len(values) - n
-                args = values[cut:]
-                del values[cut:]
-                values.append(build(*args))
-            continue
-        out = visit(*item)
-        if type(out) is tuple:
-            build, ctx, children = out
-            builds.append((build, len(children)))
-            todo.append(_BUILD)
-            if len(children) == 1:
-                todo.append((children[0], ctx))
-            else:
-                todo += zip(reversed(children), repeat(ctx))
+    todo: list = []
+    while True:
+        # out is a node's split: its build waits under its children
+        build, ctx, children = out
+        n = len(children)
+        builds.append((build, n))
+        todo.append(_BUILD)
+        # one and two children, the common cases, without the general path
+        if n == 1:
+            todo.append((children[0], ctx))
+        elif n == 2:
+            todo += ((children[1], ctx), (children[0], ctx))
         else:
+            todo += zip(reversed(children), repeat(ctx))
+        while True:  # finish nodes until a visit splits one
+            item = todo.pop()
+            if item is _BUILD:
+                build, n = builds.pop()
+                if n == 1:
+                    values[-1] = build(values[-1])
+                elif n == 2:
+                    last = values.pop()
+                    values[-1] = build(values[-1], last)
+                else:
+                    cut = len(values) - n
+                    args = values[cut:]
+                    del values[cut:]
+                    values.append(build(*args))
+                if not todo:
+                    return values[0]
+                continue
+            out = visit(item[0], item[1])
+            if type(out) is tuple:
+                break
             values.append(out)
-    return values[0]
 
 
 # ---------------------------------------------------------------------------
