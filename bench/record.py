@@ -6,10 +6,12 @@ Runs ``perfbench/run.py --seconds 20 --trace 0`` in ten pairs: once in a
 checkout of the parent revision and once in this tree (the change), for
 every workload of ``BENCHMARK.json`` and the seeds ``--seed``, ``--seed +
 1``, ...  Which side goes first alternates from pair to pair, so a drift
-in host speed falls on both sides alike.  The parent is checked out with
-``git worktree add`` into a temporary directory that is removed
-afterwards.  The change is this tree as it is on disk; the file records
-whether it had uncommitted changes.
+in host speed falls on both sides alike.  The parent is exported with
+``git archive`` into a temporary directory that is removed afterwards, so
+no worktree is registered.  The change is this tree as it is on disk; the
+file records whether it had uncommitted changes.  Both trees are
+byte-compiled before the first run, so that neither side pays for
+compiling its modules in a run and the other not.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file holds, per
 side, every run's value with its median and quartiles
@@ -125,13 +127,14 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory() as scratch:
         parent = Path(scratch) / "parent"
-        git("worktree", "add", "--detach", str(parent), parent_sha)
-        try:
-            for workload in declared["workloads"]:
-                name = workload["name"]
-                record["workloads"][name] = compare(name, metrics, parent, args.seed)
-        finally:
-            git("worktree", "remove", "--force", str(parent))
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        for tree in (parent, ROOT):
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
+        for workload in declared["workloads"]:
+            name = workload["name"]
+            record["workloads"][name] = compare(name, metrics, parent, args.seed)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

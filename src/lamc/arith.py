@@ -19,18 +19,20 @@ signature may define ``+`` differently, so names alone never decide);
 every other symbol runs its own equations, compiled once per signature to
 postfix code, with calls kept on an explicit stack so that deep recursion
 needs no Python stack.  The test suite keeps the unary equational
-evaluator as the reference these must agree with.
+evaluator as the reference these must agree with.  Substitution,
+normalization, the parser and the printer are recursive walks on
+``syntax.trampoline``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, partial
-from types import MappingProxyType
+from functools import cache
+from types import GeneratorType, MappingProxyType
 from typing import Mapping
 
-from .syntax import LamcError, ParseError, _TokenStream, _lex, _nat_value, rebuild
+from .syntax import LamcError, ParseError, _TokenStream, _lex, _nat_value, trampoline
 
 
 class SignatureError(LamcError):
@@ -67,8 +69,10 @@ class ENat(ArithExpr):
 ZERO = ENat(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EApp(ArithExpr):
+    """An application; equal applications have equal flat keys (``_key``)."""
+
     symbol: str
     args: tuple[ArithExpr, ...] = ()
 
@@ -79,6 +83,14 @@ class EApp(ArithExpr):
         if symbol == "s" and len(args) == 1 and type(args[0]) is ENat:
             return ENat(args[0].n + 1)
         return super().__new__(cls)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not EApp:
+            return NotImplemented
+        return self is other or _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
 
 
 Valuation = Mapping[str, int]
@@ -107,6 +119,12 @@ def _subexprs(e: ArithExpr):
             todo.extend(cur.args)
 
 
+def _key(e: ArithExpr) -> tuple:
+    """The flat preorder key of e: a leaf as itself, an application as its
+    symbol and arity."""
+    return tuple((c.symbol, len(c.args)) if type(c) is EApp else c for c in _subexprs(e))
+
+
 def expr_free_vars(e: ArithExpr) -> frozenset[str]:
     return frozenset(cur.name for cur in _subexprs(e) if isinstance(cur, EVar))
 
@@ -122,20 +140,21 @@ def expr_symbols(e: ArithExpr):
 
 def expr_subst(e: ArithExpr, env: Mapping[str, ArithExpr]) -> ArithExpr:
     """e with each variable named in env replaced by its value.  A node
-    with no replaced variable below it is kept as it is (on the rebuild
-    driver: expressions can be deep)."""
-    return rebuild(e, env, _subst_step)
-
-
-def _subst_step(e: ArithExpr, env: Mapping[str, ArithExpr]):
-    if type(e) is EApp and e.args:
-        return partial(_rebuilt, e), env, e.args
+    with no replaced variable below it is kept as it is."""
+    if type(e) is EApp:
+        return trampoline(_subst(e, env))
     return env.get(e.name, e) if type(e) is EVar else e
 
 
-def _rebuilt(e: EApp, *args: ArithExpr) -> ArithExpr:
-    """e with the arguments args: e itself when they are its own."""
-    return e if all(map(operator.is_, args, e.args)) else EApp(e.symbol, args)
+def _subst(e: EApp, env: Mapping[str, ArithExpr]):
+    args = []
+    for a in e.args:
+        if type(a) is EApp:
+            a = yield _subst(a, env)
+        elif type(a) is EVar:
+            a = env.get(a.name, a)
+        args.append(a)
+    return e if all(map(operator.is_, args, e.args)) else EApp(e.symbol, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -480,52 +499,51 @@ def normalize_expr(e: ArithExpr, sig: PrimRecSignature) -> ArithExpr:
     """The unique normal form of e under the oriented defining equations.
 
     Ground expressions normalize to numerals, so they are evaluated
-    directly; open expressions rewrite until a variable blocks.  Pending
-    calls wait on an explicit stack, where a run of successors is one
-    count: rewriting 500 + x to s^500(x) holds one entry, not 500."""
+    directly; open expressions rewrite until a variable blocks."""
     counts = "s" in sig and not sig.symbols["s"].equations  # s is the constructor
-    frames: list = []  # [n]: add n successors; (symbol, args, values of the args so far)
+    normal, ground = trampoline(_normalize(e, sig, counts))
+    return ENat(eval_expr(e, {}, sig)) if ground else normal
+
+
+def _normalize(e: ArithExpr, sig: PrimRecSignature, counts: bool):
+    """The walk of ``normalize_expr``: (the normal form of e, False), or
+    (e, True) when e is ground, for the caller to evaluate whole, as the
+    part of the largest ground expression around it.  Only arguments are
+    calls: a run of successors is one count, and a rewrite is the next
+    round of the loop (a tail call)."""
+    top, n = e, 0  # n: the successors around what e normalizes to
+    rewritten = False
     while True:
-        if expr_is_ground(e):
-            value = ENat(eval_expr(e, {}, sig))
-        elif type(e) is EVar:
-            value = e
-        elif counts and e.symbol == "s" and len(e.args) == 1:
-            n = 0
-            while type(e) is EApp and e.symbol == "s" and len(e.args) == 1:
-                e, n = e.args[0], n + 1
-            if frames and type(frames[-1]) is list:
-                frames[-1][0] += n
-            else:
-                frames.append([n])
-            continue
-        else:
-            frames.append((e.symbol, e.args, []))
-            e = e.args[0]
-            continue
-        while frames:  # hand the value out until a call has an expression to normalize
-            frame = frames.pop()
-            if type(frame) is list:
-                for _ in range(frame[0]):
-                    value = EApp("s", (value,))
-                continue
-            symbol, args, done = frame
-            done.append(value)
-            if len(done) < len(args):
-                frames.append(frame)
-                e = args[len(done)]
-                break
-            if symbol not in sig:
-                raise EvalError(f"unknown function symbol {symbol!r}")
-            sym = sig.symbols[symbol]
-            m = _match_structural(sym, tuple(done)) if sym.equations else None
-            if m is None:
-                value = EApp(symbol, tuple(done))
-                continue
-            e = expr_subst(m[0].rhs, m[1])
+        while counts and type(e) is EApp and e.symbol == "s" and len(e.args) == 1:
+            e, n = e.args[0], n + 1
+        if type(e) is EVar:
             break
-        else:
-            return value
+        args, grounds = [], []
+        for a in e.args if type(e) is EApp else ():
+            if type(a) is EApp:
+                a, g = yield _normalize(a, sig, counts)
+            else:
+                g = type(a) is ENat
+            args.append(a)
+            grounds.append(g)
+        if all(grounds):
+            if not rewritten:
+                return top, True
+            e = ENat(eval_expr(e, {}, sig))
+            break
+        args = tuple(ENat(eval_expr(a, {}, sig)) if g else a for a, g in zip(args, grounds))
+        if e.symbol not in sig:
+            raise EvalError(f"unknown function symbol {e.symbol!r}")
+        sym = sig.symbols[e.symbol]
+        m = _match_structural(sym, args) if sym.equations else None
+        if m is None:
+            e = EApp(e.symbol, args)
+            break
+        e = expr_subst(m[0].rhs, m[1])
+        rewritten = True
+    for _ in range(n):
+        e = EApp("s", (e,))
+    return e, False
 
 
 def _match_structural(
@@ -564,59 +582,64 @@ def parse_expr(text: str, sig: PrimRecSignature) -> ArithExpr:
 
 
 def _parse_expr(ts: _TokenStream, sig: PrimRecSignature) -> ArithExpr:
-    """An expression: a sum of products of factors, both left-associative.
-    Open operations, calls and parentheses wait on an explicit stack, so
-    nesting depth is bounded by memory, not by Python's recursion limit."""
-    # the open constructs, innermost last: ("+" or "*", left operand),
-    # ("(",), ("call", the symbol's token, its arguments so far)
-    frames: list = [None]
+    return trampoline(_expression(ts, sig))
+
+
+def _expression(ts: _TokenStream, sig: PrimRecSignature):
+    """The walk of the expression parser: a sum of products of factors,
+    both left-associative."""
+    e = None
     while True:
-        tok = ts.next()
-        if tok.text == "(":
-            frames.append(("(",))
-            continue
-        if tok.kind == "ident" and ts.peek().text == "(":
+        product = None
+        while True:
+            factor = _factor(ts, sig)
+            if type(factor) is GeneratorType:
+                factor = yield factor
+            product = factor if product is None else EApp("*", (product, factor))
+            if ts.peek().text != "*" or ts.peek().kind != "punct":
+                break
             ts.next()
-            if ts.peek().text != ")":
-                frames.append(("call", tok, []))
-                continue
-            value = _call(ts, sig, tok, [])
-        elif tok.kind == "nat":
-            value = ENat(_nat_value(tok))
-        elif tok.kind == "ident":
-            value = EApp(tok.text) if tok.text in sig and sig.arity(tok.text) == 0 else EVar(tok.text)
-        else:
-            raise ParseError(f"expected an arithmetic expression, found {tok.text!r}", tok.line, tok.col)
-        while True:  # hand the factor out until the next one starts
-            op = ts.peek().text
-            if op != "*" and op != "+" or ts.peek().kind != "punct":
-                op = None
-            # apply the open operations that bind at least as tightly as op
-            top = frames[-1]
-            while top is not None and (top[0] == "*" or top[0] == "+" and op != "*"):
-                frames.pop()
-                value = EApp(top[0], (top[1], value))
-                top = frames[-1]
-            if op is not None:
-                ts.next()
-                frames.append((op, value))
-                break
-            frames.pop()
-            if top is None:
-                return value
-            if top[0] == "(":
-                ts.expect(")")
-                continue
-            top[2].append(value)
-            if ts.peek().text == ",":
-                ts.next()
-                frames.append(top)
-                break
-            value = _call(ts, sig, top[1], top[2])
+        e = product if e is None else EApp("+", (e, product))
+        if ts.peek().text != "+":
+            return e
+        ts.next()
 
 
-def _call(ts: _TokenStream, sig: PrimRecSignature, tok, args: list) -> ArithExpr:
-    """The call of the symbol at tok, once its arguments are read."""
+def _factor(ts: _TokenStream, sig: PrimRecSignature):
+    """The factor that starts here: the expression itself when it is one
+    token, or the walk that reads it when it nests (parentheses, a call)."""
+    tok = ts.peek()
+    if tok.kind == "nat":
+        ts.next()
+        return ENat(_nat_value(tok))
+    if tok.kind == "ident":
+        ts.next()
+        if ts.peek().text == "(":
+            return _call(ts, sig, tok)
+        if tok.text in sig and sig.arity(tok.text) == 0:
+            return EApp(tok.text)
+        return EVar(tok.text)
+    if tok.text == "(":
+        return _parenthesized(ts, sig)
+    raise ParseError(f"expected an arithmetic expression, found {tok.text!r}", tok.line, tok.col)
+
+
+def _parenthesized(ts: _TokenStream, sig: PrimRecSignature):
+    ts.next()
+    e = yield _expression(ts, sig)
+    ts.expect(")")
+    return e
+
+
+def _call(ts: _TokenStream, sig: PrimRecSignature, tok):
+    """The call of the symbol at tok, from its opening parenthesis on."""
+    ts.next()
+    args = []
+    if ts.peek().text != ")":
+        args.append((yield _expression(ts, sig)))
+        while ts.peek().text == ",":
+            ts.next()
+            args.append((yield _expression(ts, sig)))
     ts.expect(")")
     if tok.text not in sig:
         raise ParseError(f"unknown function symbol {tok.text!r}", tok.line, tok.col)
@@ -626,36 +649,40 @@ def _call(ts: _TokenStream, sig: PrimRecSignature, tok, args: list) -> ArithExpr
 
 
 def print_expr(e: ArithExpr) -> str:
-    """The text of e, with the parentheses that + and * need to read back
-    (explicit stack: expressions can be deep)."""
+    """The text of e, with the parentheses that + and * need to read back."""
     out: list[str] = []
-    todo: list = [e]  # pending work, popped last first: a string, or an expression
-    while todo:
-        e = todo.pop()
-        if type(e) is str:
-            out.append(e)
-        elif type(e) is ENat:
-            out.append(str(e.n))
-        elif type(e) is EVar:
-            out.append(e.name)
-        elif type(e) is not EApp:
-            raise TypeError(f"not an expression: {e!r}")
-        elif e.symbol in ("+", "*") and len(e.args) == 2:
-            # a + b groups a right operand that is a sum, a * b any operand that is an operation
-            a, b = e.args
-            groups = ("+", "*") if e.symbol == "*" else ("+",)
-            todo += (*_grouped(b, groups), f" {e.symbol} ", *_grouped(a, groups if e.symbol == "*" else ()))
-        elif e.args:
-            parts = [e.symbol + "("]
-            for a in e.args:
-                parts += (a, ", ")
-            parts[-1] = ")"
-            todo += reversed(parts)
-        else:
-            out.append(e.symbol)
+    trampoline(_expr_text(e, out))
     return "".join(out)
 
 
-def _grouped(e: ArithExpr, symbols: tuple[str, ...]) -> tuple:
-    """e, to be pushed on print_expr's stack, in parentheses when it applies one of symbols."""
-    return (")", e, "(") if type(e) is EApp and e.symbol in symbols else (e,)
+def _expr_text(e: ArithExpr, out: list[str], groups: tuple[str, ...] = ()):
+    """The walk of ``print_expr``: e's text appended to out, in parentheses
+    when e applies one of groups."""
+    if type(e) is ENat:
+        out.append(str(e.n))
+    elif type(e) is EVar:
+        out.append(e.name)
+    elif type(e) is not EApp:
+        raise TypeError(f"not an expression: {e!r}")
+    else:
+        wrap = e.symbol in groups
+        if wrap:
+            out.append("(")
+        if e.symbol in ("+", "*") and len(e.args) == 2:
+            # a + b groups a right operand that is a sum, a * b any operand that is an operation
+            a, b = e.args
+            times = e.symbol == "*"
+            yield _expr_text(a, out, ("+", "*") if times else ())
+            out.append(f" {e.symbol} ")
+            yield _expr_text(b, out, ("+", "*") if times else ("+",))
+        elif e.args:
+            out.append(e.symbol + "(")
+            for i, a in enumerate(e.args):
+                if i:
+                    out.append(", ")
+                yield _expr_text(a, out)
+            out.append(")")
+        else:
+            out.append(e.symbol)
+        if wrap:
+            out.append(")")

@@ -243,12 +243,6 @@ class IndependenceReport:
     independent: bool
     witnesses: tuple[tuple[str, int | None], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "independent": self.independent,
-            "witnesses": [{"stack": s, "witness": w} for s, w in self.witnesses],
-        }
-
 
 def check_independence(
     t0: Term,

@@ -6,15 +6,14 @@ negation, conjunction, disjunction, existentials, equality, nat) is a
 second-order encoding.  HA2 adds primitive nat(e), conjunction and
 existentials.  Both languages are built from one set of node classes, so
 every walk (alpha key, free variables, substitution, normal form, parser
-and printer) is written once.  The walks that rebuild a formula
-(substitution, renaming, the normal form, relativization) run on the
-rebuild driver ``syntax.rebuild``; they treat only their own cases and
-send every other node through one child split, ``_split``.  Each node
-keeps its free names in ``fv``.  The read-only walks (names, arity, and
-the nameless preorder key behind ``==`` and ``hash``) share one
-explicit-stack generator, ``_subformulas``.  The parser and the printer
-keep their pending work on explicit stacks too, so every walk works at
-any depth.  Congruence on both sides is decided by normal forms.
+and printer) is written once.  The recursive walks run on
+``syntax.trampoline``, so they work at any depth.  Those that rebuild a
+formula (substitution, renaming, the normal form, relativization) treat
+only their own cases and pass every other node through one child copy,
+``_copy``.  Each node keeps its free names in ``fv``.  The read-only
+walks (names, arity, and the nameless preorder key behind ``==`` and
+``hash``) share one explicit-stack generator, ``_subformulas``.
+Congruence on both sides is decided by normal forms.
 
 Convention: first-order variables start lowercase, second-order variables
 start uppercase.
@@ -23,7 +22,6 @@ start uppercase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .arith import (
     ArithExpr,
@@ -39,7 +37,7 @@ from .arith import (
     _parse_expr,
     _subexprs,
 )
-from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name, rebuild
+from .syntax import LamcError, _TokenStream, _lex, fresh_name, pick_name, trampoline
 
 
 class FormulaError(LamcError):
@@ -232,24 +230,24 @@ def _ekey(e: ArithExpr, bound: dict[str, list[int]]) -> tuple:
     )
 
 
-def _split(f, ctx, fe=None):
-    """The rebuild step of a node that a walk passes on unchanged: f's
-    immediate subformulas as its children under ctx, with the build that
-    puts a node of f's shape back together from their images.  When fe is
-    given, each expression written at f is replaced by fe of it first."""
+def _copy(f, walk, args=(), fe=None):
+    """The part of a walk for a node that it passes on unchanged: f rebuilt
+    in its shape from ``walk(g, *args)`` of each immediate subformula g, a
+    call, and, when fe is given, fe of each expression written at f.  A
+    walk delegates to it with ``yield from``."""
     match f:
         case Null(e) | Nat(e):
             return f if fe is None else type(f)(fe(e))
-        case PredVar(name, args):
-            return f if fe is None else PredVar(name, tuple(map(fe, args)))
+        case PredVar(name, es):
+            return f if fe is None else PredVar(name, tuple(map(fe, es)))
         case Imp(a, b) | And(a, b):
-            return type(f), ctx, (a, b)
+            return type(f)((yield walk(a, *args)), (yield walk(b, *args)))
         case Brace(e, b):
-            return partial(Brace, e if fe is None else fe(e)), ctx, (b,)
+            return Brace(e if fe is None else fe(e), (yield walk(b, *args)))
         case All1(x, body) | Ex1(x, body):
-            return partial(type(f), x), ctx, (body,)
+            return type(f)(x, (yield walk(body, *args)))
         case All2(x, arity, body) | Ex2(x, arity, body):
-            return partial(type(f), x, arity), ctx, (body,)
+            return type(f)(x, arity, (yield walk(body, *args)))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -276,36 +274,30 @@ def formula_all_names(f) -> frozenset[str]:
 
 def subst_expr1(f, x: str, e: ArithExpr):
     """First-order substitution f{x:=e}, capture-avoiding."""
-    return _subst1(f, {x: e}, expr_free_vars(e) | {x})
+    return trampoline(_subst1(f, {x: e}, expr_free_vars(e) | {x}))
 
 
 def _subst1(f, env: dict[str, ArithExpr], avoid: frozenset[str]):
-    """Simultaneous first-order substitution; avoid holds the names of env
-    and the free variables of its values, which binders must not capture.
-    Second-order binders cannot capture first-order variables."""
-    return rebuild(f, (env, avoid), _subst1_step)
-
-
-def _subst1_step(f, ctx):
-    env, avoid = ctx
+    """The walk of simultaneous first-order substitution; avoid holds the
+    names of env and the free variables of its values, which binders must
+    not capture.  Second-order binders cannot capture first-order
+    variables."""
     if isinstance(f, (All1, Ex1)):
         if f.x in env:
             env = {k: v for k, v in env.items() if k != f.x}
             if not env:
                 return f
-            ctx = (env, avoid)
         if f.x in avoid:
-            f = _rebind(f, avoid)
-    return _split(f, ctx, lambda e: expr_subst(e, env))
+            f = yield _rebound(f, avoid)
+    return (yield from _copy(f, _subst1, (env, avoid), lambda e: expr_subst(e, env)))
 
 
 def subst_pred(f, x: str, params: tuple[str, ...], b):
     """Second-order substitution f{x(params):=b}, capture-avoiding."""
-    return rebuild(f, (x, params, b, formula_free_vars(b)), _subst2_step)
+    return trampoline(_subst2(f, x, params, b, formula_free_vars(b)))
 
 
-def _subst2_step(f, ctx):
-    x, params, b, fv_b = ctx
+def _subst2(f, x: str, params: tuple[str, ...], b, fv_b: frozenset[str]):
     match f:
         case PredVar(name, args) if name == x:
             if len(args) != len(params):
@@ -314,34 +306,38 @@ def _subst2_step(f, ctx):
                     f"substituted at arity {len(params)}"
                 )
             avoid = frozenset(params).union(*map(expr_free_vars, args))
-            return _subst1(b, dict(zip(params, args)), avoid)
+            return (yield _subst1(b, dict(zip(params, args)), avoid))
         case All1(y) | Ex1(y) if y in fv_b - frozenset(params):
-            f = _rebind(f, fv_b | {x})
+            f = yield _rebound(f, fv_b | {x})
         case All2(y) | Ex2(y) if y == x:
             return f
         case All2(y) | Ex2(y) if y in fv_b:
-            f = _rebind(f, fv_b | {x})
-    return _split(f, ctx)
+            f = yield _rebound(f, fv_b | {x})
+    return (yield from _copy(f, _subst2, (x, params, b, fv_b)))
 
 
 def _rebind(q, avoid: frozenset[str]):
     """The quantifier q with its bound variable renamed to a name that is
     neither in avoid nor anywhere in q's body."""
+    return trampoline(_rebound(q, avoid))
+
+
+def _rebound(q, avoid: frozenset[str]):
+    """The walk of ``_rebind``."""
     x2 = fresh_name(q.x, avoid | formula_all_names(q.body))
     if isinstance(q, (All1, Ex1)):
-        return type(q)(x2, _subst1(q.body, {q.x: EVar(x2)}, frozenset({x2})))
-    return type(q)(x2, q.arity, rebuild(q.body, (q.x, x2), _rename_pred_step))
+        return type(q)(x2, (yield _subst1(q.body, {q.x: EVar(x2)}, frozenset({x2}))))
+    return type(q)(x2, q.arity, (yield _rename_pred(q.body, q.x, x2)))
 
 
-def _rename_pred_step(f, ctx):
+def _rename_pred(f, old: str, new: str):
     """Rename a free predicate variable (no clash checking)."""
-    old, new = ctx
     match f:
         case PredVar(name, args) if name == old:
             return PredVar(new, args)
         case All2(x) | Ex2(x) if x == old:
             return f
-    return _split(f, ctx)
+    return (yield from _copy(f, _rename_pred, (old, new)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,23 +441,18 @@ def h_top() -> Formula:
 
 def normalize_formula_pa2(f: Formula, sig: PrimRecSignature) -> Formula:
     """Normal form under expression rewriting plus null(s(e)) -> bot."""
-    return _normalize(f, sig, f_top())
+    return trampoline(_normalize(f, sig, f_top()))
 
 
 def normalize_formula_ha2(f: Formula, sig: PrimRecSignature) -> Formula:
     """Normal form under expression rewriting, null(0) -> top,
     null(s(e)) -> bot, and the commutation (exists v A) -> B = forall v (A -> B)."""
-    return _normalize(f, sig, h_top())
+    return trampoline(_normalize(f, sig, h_top()))
 
 
 def _normalize(f, sig: PrimRecSignature, top: Formula):
-    return rebuild(f, (sig, top), _normalize_step)
-
-
-def _normalize_step(f, ctx):
     # top is the dialect's truth: in PA2+ it is null(0) itself, and PA2+
     # formulas have no existential to commute
-    sig, top = ctx
     match f:
         case Null(e):
             ne = normalize_expr(e, sig)
@@ -471,24 +462,21 @@ def _normalize_step(f, ctx):
                 return f_bot()
             return Null(ne)
         case Imp(a, b):
-            return _commute, ctx, (a, b)
-    return _split(f, ctx, lambda e: normalize_expr(e, sig))
-
-
-def _commute(na, nb):
-    """na -> nb for normal na and nb, with (exists v A) -> B = forall v (A -> B)
-    applied until the antecedent is no existential."""
-    quantifiers = []
-    while isinstance(na, (Ex1, Ex2)):
-        fv = formula_free_vars(nb)
-        if na.x in fv:
-            na = _rebind(na, fv)
-        quantifiers.append(na)
-        na = na.body
-    f = Imp(na, nb)
-    for q in reversed(quantifiers):
-        f = All1(q.x, f) if isinstance(q, Ex1) else All2(q.x, q.arity, f)
-    return f
+            na = yield _normalize(a, sig, top)
+            nb = yield _normalize(b, sig, top)
+            # (exists v A) -> B = forall v (A -> B), until the antecedent is
+            # no existential; the parts are normal already
+            quantifiers = []
+            while isinstance(na, (Ex1, Ex2)):
+                if na.x in nb.fv:
+                    na = yield _rebound(na, nb.fv)
+                quantifiers.append(na)
+                na = na.body
+            f = Imp(na, nb)
+            for q in reversed(quantifiers):
+                f = All1(q.x, f) if isinstance(q, Ex1) else All2(q.x, q.arity, f)
+            return f
+    return (yield from _copy(f, _normalize, (sig, top), lambda e: normalize_expr(e, sig)))
 
 
 def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool:
@@ -501,40 +489,38 @@ def formula_congruent_pa2(a: Formula, b: Formula, sig: PrimRecSignature) -> bool
 
 def relativize_nat(f: Formula) -> Formula:
     """Relativize all first-order quantifications with the nat predicate."""
-    return rebuild(f, None, _relativize_step)
+    return trampoline(_relativize(f))
 
 
-def _relativize_step(f, ctx):
+def _relativize(f):
     match f:
         case All1(x, body):
-            return (lambda b: All1(x, Imp(f_nat(EVar(x)), b))), ctx, (body,)
+            return All1(x, Imp(f_nat(EVar(x)), (yield _relativize(body))))
         case Brace(_, _):
             raise FormulaError("relativize_nat expects a plain PA2 formula (no {e} -> B)")
         case Null() | PredVar() | Imp() | All2():
-            return _split(f, ctx)
+            return (yield from _copy(f, _relativize))
     raise TypeError(f"not a PA2 formula: {f!r}")
 
 
 def is_fully_relativized(f: Formula) -> bool:
-    """True when every first-order quantifier is nat-guarded (shape check; a
-    search on an explicit stack, which stops at the first unguarded one)."""
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        match g:
-            case Null(_) | PredVar(_, _):
-                pass
-            case Imp(a, b):
-                todo += (b, a)
-            case Brace(_, b) | All2(_, _, b):
-                todo.append(b)
-            case All1(x, Imp(guard, body)) if guard == f_nat(EVar(x)):
-                todo.append(body)
-            case All1(_, _):
-                return False
-            case _:
-                raise TypeError(f"not a PA2 formula: {g!r}")
-    return True
+    """True when every first-order quantifier is nat-guarded (shape check)."""
+    return trampoline(_relativized(f))
+
+
+def _relativized(f):
+    match f:
+        case Null(_) | PredVar(_, _):
+            return True
+        case Imp(a, b):
+            return (yield _relativized(a)) and (yield _relativized(b))
+        case Brace(_, b) | All2(_, _, b):
+            return (yield _relativized(b))
+        case All1(x, Imp(guard, body)):
+            return guard == f_nat(EVar(x)) and (yield _relativized(body))
+        case All1(_, _):
+            return False
+    raise TypeError(f"not a PA2 formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -555,78 +541,69 @@ def parse_hformula(text: str, sig: PrimRecSignature) -> Formula:
     return ts.finish(_formula(ts, sig, "ha2"))
 
 
-# the binary connectives by precedence: \/ associates to the left, -> and
-# /\ to the right, so that a printed a /\ b /\ c reads back
-_BINARY = {"->": 0, "\\/": 1, "/\\": 2}
-
-
 def _formula(ts, sig, dialect):
-    """A formula of the dialect.  Open constructs wait on an explicit stack,
-    so nesting depth is bounded by memory, not by Python's recursion limit:
-    ("(",), ("not",), ("{", e), (quantifier, binders) and (connective,
-    left operand).  not binds tightest; quantifiers and {e} -> extend as
-    far right as they can."""
-    pa2 = dialect == "pa2"
-    frames: list = [None]  # the open constructs, innermost last, over the goal
-    unary = False  # only a unary formula may come next: after not, /\ and \/
-    while True:
-        tok = ts.peek()
-        if not unary and tok.kind == "ident" and tok.text in ("forall", "exists"):
-            ts.next()
-            binders = []
-            while ts.peek().kind == "ident":
-                binders.append(ts.next().text)
-            if not binders:
-                raise ts.error(f"expected binders after {tok.text!r}")
-            ts.expect(".")
-            frames.append((tok.text, binders))
-            continue
-        if not unary and tok.text == "{":
-            ts.next()
-            e = _parse_expr(ts, sig)
-            ts.expect("}")
-            ts.expect("->")
-            frames.append(("{", e))
-            continue
-        if tok.text == "(" or tok.kind == "ident" and tok.text == "not":
-            ts.next()
-            frames.append((tok.text,))
-            unary = tok.text == "not"
-            continue
-        value = _atom_formula(ts, sig, pa2)
-        while True:  # hand the operand out until the next one starts
-            op = ts.peek().text if ts.peek().kind == "punct" and ts.peek().text in _BINARY else None
-            if op == "\\/" and not pa2:
-                raise ts.error("HA2 has no disjunction")
-            while True:  # close the constructs that op does not extend
-                kind = frames[-1] and frames[-1][0]
-                if kind == "not":
-                    value = f_not(value)
-                elif kind in _BINARY and (op is None or _BINARY[kind] > _BINARY[op] or kind == op == "\\/"):
-                    left = frames[-1][1]
-                    if kind == "->":
-                        value = Imp(left, value)
-                    elif kind == "\\/":
-                        value = f_or(left, value)
-                    else:
-                        value = f_and(left, value) if pa2 else And(left, value)
-                elif op is None and kind == "{":
-                    if not pa2:
-                        raise ts.error("{e} -> B is a PA2+ construct")
-                    value = Brace(frames[-1][1], value)
-                elif op is None and kind in ("forall", "exists"):
-                    value = _quantified(kind, frames[-1][1], value, pa2)
-                else:
-                    break
-                frames.pop()
-            if op is not None:
+    return trampoline(_read_formula(ts, sig, dialect == "pa2"))
+
+
+def _read_formula(ts, sig, pa2: bool):
+    """The walk of the recursive-descent parser: a formula of the dialect.
+    Quantifiers and {e} -> extend as far right as they can, -> and /\\
+    associate to the right and \\/ to the left, so that a printed formula
+    reads back; not binds tightest.  What nests is a call: the body of a
+    quantifier or of {e} ->, the right side of ->, and a parenthesized
+    formula; a run of \\/, /\\ or not is a loop."""
+    tok = ts.peek()
+    if tok.kind == "ident" and tok.text in ("forall", "exists"):
+        ts.next()
+        binders = []
+        while ts.peek().kind == "ident":
+            binders.append(ts.next().text)
+        if not binders:
+            raise ts.error(f"expected binders after {tok.text!r}")
+        ts.expect(".")
+        return _quantified(tok.text, binders, (yield _read_formula(ts, sig, pa2)), pa2)
+    if tok.text == "{":
+        ts.next()
+        e = _parse_expr(ts, sig)
+        ts.expect("}")
+        ts.expect("->")
+        b = yield _read_formula(ts, sig, pa2)
+        if not pa2:
+            raise ts.error("{e} -> B is a PA2+ construct")
+        return Brace(e, b)
+    a = None
+    while True:  # the disjuncts
+        conjuncts = []
+        while True:
+            nots = 0
+            while ts.peek().kind == "ident" and ts.peek().text == "not":
                 ts.next()
-                frames.append((op, value))
-                unary = op != "->"
+                nots += 1
+            if ts.peek().text == "(":
+                ts.next()
+                c = yield _read_formula(ts, sig, pa2)
+                ts.expect(")")
+            else:
+                c = _atom_formula(ts, sig, pa2)
+            for _ in range(nots):
+                c = f_not(c)
+            conjuncts.append(c)
+            if ts.peek().text != "/\\":
                 break
-            if frames.pop() is None:
-                return value
-            ts.expect(")")
+            ts.next()
+        c = conjuncts.pop()
+        while conjuncts:
+            c = f_and(conjuncts.pop(), c) if pa2 else And(conjuncts.pop(), c)
+        a = c if a is None else f_or(a, c)
+        if ts.peek().text != "\\/":
+            break
+        if not pa2:
+            raise ts.error("HA2 has no disjunction")
+        ts.next()
+    if ts.peek().text == "->":
+        ts.next()
+        return Imp(a, (yield _read_formula(ts, sig, pa2)))
+    return a
 
 
 def _quantified(quantifier: str, binders: list[str], body, pa2: bool):
@@ -654,7 +631,7 @@ def _pred_arity(f, name: str) -> int:
 
 
 def _atom_formula(ts, sig, pa2: bool):
-    """An atomic formula, or the abbreviation of one, that needs no open construct."""
+    """An atomic formula, or the abbreviation of one, that is not in parentheses."""
     tok = ts.peek()
     if tok.kind == "ident":
         word = tok.text
@@ -699,47 +676,44 @@ def _atom_formula(ts, sig, pa2: bool):
 
 def print_formula(f: Formula) -> str:
     """Print a formula of either language; the text parses back to f in
-    the formula's own dialect (explicit stack: formulas can be deep)."""
+    the formula's own dialect."""
     out: list[str] = []
-    # pending work, popped last first: a string is emitted as is, a
-    # (formula, level) pair is rendered; levels: 0 = top (quantifiers, ->),
-    # 1 = /\ operand, 2 = atom
-    todo: list = [(f, 0)]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        f, level = item
-        wrap = level != 0
-        match f:
-            case Null(e) | Nat(e):
-                parts = [("null(" if type(f) is Null else "nat(") + print_expr(e) + ")"]
-                wrap = False
-            case PredVar(name, ()):
-                parts, wrap = [name], False
-            case PredVar(name, args):
-                parts = [name + "(" + ", ".join(print_expr(a) for a in args) + ")"]
-                wrap = False
-            case Imp(a, b):
-                parts = [(a, 1), " -> ", (b, 0)]
-            case Brace(e, b):
-                parts = ["{" + print_expr(e) + "} -> ", (b, 0)]
-            case And(a, b):
-                parts = [(a, 2), " /\\ ", (b, 1)]
-                wrap = level > 1
-            case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
-                forall = isinstance(f, (All1, All2))
-                group = (All1, All2) if forall else (Ex1, Ex2)
-                binders = []
-                body = f
-                while isinstance(body, group):
-                    binders.append(body.x)
-                    body = body.body
-                parts = [("forall " if forall else "exists ") + " ".join(binders) + ". ", (body, 0)]
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        if wrap:
-            parts = ["(", *parts, ")"]
-        todo += reversed(parts)
+    trampoline(_formula_text(f, 0, out))
     return "".join(out)
+
+
+def _formula_text(f, level: int, out: list[str]):
+    """The walk of ``print_formula``: f's text appended to out, in
+    parentheses where level needs them: 0 = top (quantifiers, ->), 1 = /\\
+    operand, 2 = atom."""
+    wrap = level != 0
+    match f:
+        case Null(e) | Nat(e):
+            parts, wrap = [("null(" if type(f) is Null else "nat(") + print_expr(e) + ")"], False
+        case PredVar(name, ()):
+            parts, wrap = [name], False
+        case PredVar(name, args):
+            parts, wrap = [name + "(" + ", ".join(print_expr(a) for a in args) + ")"], False
+        case Imp(a, b):
+            parts = [(a, 1), " -> ", (b, 0)]
+        case Brace(e, b):
+            parts = ["{" + print_expr(e) + "} -> ", (b, 0)]
+        case And(a, b):
+            parts, wrap = [(a, 2), " /\\ ", (b, 1)], level > 1
+        case All1(_, _) | All2(_, _, _) | Ex1(_, _) | Ex2(_, _, _):
+            forall = isinstance(f, (All1, All2))
+            group = (All1, All2) if forall else (Ex1, Ex2)
+            binders = []
+            while isinstance(f, group):
+                binders.append(f.x)
+                f = f.body
+            parts = [("forall " if forall else "exists ") + " ".join(binders) + ". ", (f, 0)]
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    out.append("(" if wrap else "")
+    for part in parts:
+        if type(part) is str:
+            out.append(part)
+        else:
+            yield _formula_text(*part, out)
+    out.append(")" if wrap else "")

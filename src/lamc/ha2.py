@@ -392,21 +392,26 @@ def read_witness(t: Term, fuel: int = WITNESS_FUEL) -> Witness | None:
 
 
 class _HTermParser(_TermParser):
-    def atom_head(self, bound: frozenset[str], optional: bool):
+    def _atom(self, bound: frozenset[str], optional: bool):
         tok = self.ts.peek()
         if tok.kind == "ident":
             self.ts.next()
             if tok.text in HA2_CONSTANTS and tok.text not in bound:
                 return HConst(tok.text)
             return Var(tok.text)
-        if tok.text == "<":  # the pair <a; b>, read on by _parse
-            self.ts.next()
-            return "<"
+        if tok.text == "<":
+            return self._pair(bound)
         if tok.kind == "numlit":
             if optional:
                 return None
             raise self.ts.error("expected a term")
-        return super().atom_head(bound, optional)
+        return super()._atom(bound, optional)
+
+    def _pair(self, bound: frozenset[str]):
+        """The pair <a; b>."""
+        self.ts.next()
+        a = yield self._term(bound, ";")
+        return hpair(a, (yield self._term(bound, ">")))
 
 
 def parse_hterm(text: str) -> Term:

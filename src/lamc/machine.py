@@ -56,6 +56,7 @@ from .syntax import (
     fresh_name,
     print_process,
     substitute,
+    trampoline,
 )
 
 
@@ -128,9 +129,6 @@ class TExpr(Term):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fv", frozenset())
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"#({self.expr})"
 
 
 @dataclass(frozen=True)
@@ -561,91 +559,79 @@ def _fire(compiled: tuple, stack, sig: PrimRecSignature) -> tuple | None:
     return head, env if head[3] else None, stack
 
 
-_RB_CODE, _RB_CLOSURE, _RB_STACK, _RB_MEMO, _RB_LAM, _RB_APP, _RB_PUSH, _RB_KONT = range(8)
-
-
 def _read_back(code: tuple, env, stack) -> Process:
     """The process a machine state stands for."""
-    head, rest = _read_back_items([(_RB_CODE, code, env, 0, None), (_RB_STACK, stack)])
-    return Process(head, rest)
+    reader = _Reader()
+    return Process(trampoline(reader.code(code, env, 0, None)), trampoline(reader.stack(stack)))
 
 
-def _read_back_items(items: list, rename: dict | None = None) -> list:
-    """What each item stands for, in order: a term for ``(_RB_CODE, code,
-    env, 0, None)`` and ``(_RB_CLOSURE, closure)``, a stack for
-    ``(_RB_STACK, stack)``.  Each environment entry is substituted into its
-    code.  Each closure and stack cell is read back once, so shared parts
-    stay shared.  Explicit-stack walk.
+class _Reader:
+    """Read-back: terms from closures and stacks from stack cells.  Each
+    environment entry is substituted into its code.  Each closure and
+    stack cell is read back once per reader, so shared parts stay shared.
 
     With ``rename`` None the entries are closed, so no binder needs
     renaming, and code that reaches no entry reads back as its source
     term.  Open entries (an open HA2 term) need ``rename``: it maps each
     binder name that is free in some entry to a name free in none and
     bound nowhere in the input.  Then bound variables are read back by
-    name, and only closed code as its source term."""
-    memo: dict[int, object] = {}  # id of a closure or stack cell -> its readback
-    out: list = []
-    todo: list = list(reversed(items))
-    while todo:
-        item = todo.pop()
-        op = item[0]
-        if op == _RB_CODE:
-            _, code, env, depth, names = item
-            need = code[3]
-            if need <= depth and (rename is None or not need):  # reaches no entry
-                if code[4] is not None:
-                    out.append(code[4])
-                elif code[0] == _NUM:
-                    out.append(Numeral(code[1]))
-                else:
-                    todo += ((_RB_KONT,), (_RB_STACK, code[1]))
-            elif code[0] == _VAR:
-                i = code[1]
-                if i < depth:  # bound by a binder read back above, open entries only
-                    while i:
-                        names, i = names[1], i - 1
-                    out.append(Var(names[0]))
-                    continue
-                e, i = env, i - depth
+    name, and only closed code as its source term.  The methods are
+    walks for ``trampoline``."""
+
+    __slots__ = ("rename", "memo")
+
+    def __init__(self, rename: dict | None = None) -> None:
+        self.rename = rename
+        self.memo: dict[int, object] = {}  # id of a closure or stack cell -> its readback
+
+    def code(self, code: tuple, env, depth: int, names):
+        """The term of code under env, below depth binders read back
+        already, whose names (open entries only) are a linked list."""
+        tag, need = code[0], code[3]
+        if need <= depth and (self.rename is None or not need):  # reaches no entry
+            if code[4] is not None:
+                return code[4]
+            if tag == _NUM:
+                return Numeral(code[1])
+            return Kont((yield self.stack(code[1])))
+        if tag == _VAR:
+            i = code[1]
+            if i < depth:  # bound by a binder read back above, open entries only
                 while i:
-                    e, i = e[1], i - 1
-                todo.append((_RB_CLOSURE, e[0]))
-            elif code[0] == _LAM:
-                binder = code[4].binder
-                if rename is not None:
-                    binder = rename.get(binder, binder)
-                    names = (binder, names)
-                todo += ((_RB_LAM, binder), (_RB_CODE, code[1], env, depth + 1, names))
-            else:
-                todo += (
-                    (_RB_APP,),
-                    (_RB_CODE, code[2], env, depth, names),
-                    (_RB_CODE, code[1], env, depth, names),
-                )
-        elif op == _RB_CLOSURE or op == _RB_STACK:
-            cell = item[1]
-            done = memo.get(id(cell))
-            if done is not None:
-                out.append(done)
-            elif cell is None:
-                out.append(BOTTOM)
-            elif op == _RB_CLOSURE:
-                todo += ((_RB_MEMO, cell), (_RB_CODE, cell[0], cell[1], 0, None))
-            else:
-                todo += ((_RB_MEMO, cell), (_RB_PUSH,), (_RB_STACK, cell[1]), (_RB_CLOSURE, cell[0]))
-        elif op == _RB_MEMO:
-            memo[id(item[1])] = out[-1]
-        elif op == _RB_LAM:
-            out[-1] = Lam(item[1], out[-1])
-        elif op == _RB_APP:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-        elif op == _RB_PUSH:
-            rest = out.pop()
-            out[-1] = Push(out[-1], rest)
-        else:  # _RB_KONT
-            out[-1] = Kont(out[-1])
-    return out
+                    names, i = names[1], i - 1
+                return Var(names[0])
+            e, i = env, i - depth
+            while i:
+                e, i = e[1], i - 1
+            return (yield self.closure(e[0]))
+        if tag == _LAM:
+            binder = code[4].binder
+            if self.rename is not None:
+                binder = self.rename.get(binder, binder)
+                names = (binder, names)
+            return Lam(binder, (yield self.code(code[1], env, depth + 1, names)))
+        t = yield self.code(code[1], env, depth, names)
+        return App(t, (yield self.code(code[2], env, depth, names)))
+
+    def closure(self, closure: tuple):
+        done = self.memo.get(id(closure))
+        if done is None:
+            done = self.memo[id(closure)] = yield self.code(closure[0], closure[1], 0, None)
+        return done
+
+    def stack(self, cell):
+        """The stack from cell down to the first cell read back already."""
+        cells = []
+        while cell is not None and id(cell) not in self.memo:
+            cells.append(cell)
+            cell = cell[1]
+        rest = BOTTOM if cell is None else self.memo[id(cell)]
+        tops = []
+        for c in cells:
+            tops.append((yield self.closure(c[0])))
+        for c, top in zip(reversed(cells), reversed(tops)):
+            rest = self.memo[id(c)] = Push(top, rest)
+        return rest
 
 
 def run(p: Process, cfg: MachineConfig) -> RunOutcome:
@@ -973,26 +959,19 @@ class HeadMachine:
         return HeadStop(code, env, frames, steps, steps < fuel)
 
     def read_back(self, closure: tuple) -> Term:
-        return _read_back_items([(_RB_CLOSURE, closure)], self._rename)[0]
+        return trampoline(_Reader(self._rename).closure(closure))
 
     def term(self, stop: HeadStop) -> Term:
         """The term ``stop`` stands for: its head applied to, projected by
         or recursed on by its frames."""
-        frames = stop.frames
-        items = [(_RB_CODE, stop.code, stop.env, 0, None)]
-        for frame in reversed(frames):
+        reader = _Reader(self._rename)
+        head = trampoline(reader.code(stop.code, stop.env, 0, None))
+        for frame in reversed(stop.frames):
             if frame[0] is not None:
-                items.append((_RB_CLOSURE, frame))
+                head = App(head, trampoline(reader.closure(frame)))
             elif len(frame) == 3:
-                items += ((_RB_CLOSURE, frame[1]), (_RB_CLOSURE, frame[2]))
-        terms = iter(_read_back_items(items, self._rename))
-        head = next(terms)
-        for frame in reversed(frames):
-            if frame[0] is not None:
-                head = App(head, next(terms))
-            elif len(frame) == 3:
-                u0 = next(terms)
-                head = App(App(App(_H_REC, u0), next(terms)), head)
+                u0 = trampoline(reader.closure(frame[1]))
+                head = App(App(App(_H_REC, u0), trampoline(reader.closure(frame[2]))), head)
             else:
                 head = App(_H_FST if frame is _FST_FRAME else _H_SND, head)
         return head
@@ -1000,7 +979,7 @@ class HeadMachine:
 
 def _capture_renaming(t: Term) -> dict[str, str]:
     """A name for each binder name that is free in ``t``, free nowhere and
-    bound nowhere in ``t``: the rename map of ``_read_back_items``."""
+    bound nowhere in ``t``: the rename map of ``_Reader``."""
     binders: set[str] = set()
     seen: set[int] = set()
     todo = [t]

@@ -10,13 +10,13 @@ translation at all.  It translates a closed subterm once per ``CpsMemo``
 and shares the image wherever that object recurs, so a term built with
 shared subterms gets an image with the same sharing, alpha-equal to the
 unshared one; a parsed term shares no node, and its printed image does
-not depend on the memo.
+not depend on the memo.  The translations are recursive walks on
+``syntax.trampoline``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import ArithExpr, EApp, EVar
 from .formulas import (
@@ -50,8 +50,8 @@ from .syntax import (
     Term,
     Var,
     app,
-    rebuild,
     stack_of,
+    trampoline,
 )
 
 _EMPTY: frozenset[str] = frozenset()
@@ -81,8 +81,7 @@ def sigma01_return_formula(f: str, var: str = "x") -> ReturnFormula:
 
 def formula_bot(a: Formula, R: ReturnFormula) -> Formula:
     """The stack type A-bot of the negative translation."""
-    r_free = formula_free_vars(R.formula)
-    return _bot(a, R.formula, r_free)
+    return trampoline(_bot(a, R.formula, formula_free_vars(R.formula)))
 
 
 def formula_nn(a: Formula, R: ReturnFormula) -> Formula:
@@ -90,28 +89,22 @@ def formula_nn(a: Formula, R: ReturnFormula) -> Formula:
     return Imp(formula_bot(a, R), R.formula)
 
 
-def _bot(a: Formula, R: Formula, r_free: frozenset[str]) -> Formula:
-    return rebuild(a, (R, r_free), _bot_step)
-
-
-def _bot_step(a: Formula, ctx: tuple[Formula, frozenset[str]]):
-    R, r_free = ctx
+def _bot(a: Formula, R: Formula, r_free: frozenset[str]):
     match a:
         case PredVar():
             return a
         case Null(e):
             return Null(EApp("neg", (e,)))
         case Imp(x, b):
-            return (lambda x, b: And(Imp(x, R), b)), ctx, (x, b)
+            return And(Imp((yield _bot(x, R, r_free)), R), (yield _bot(b, R, r_free)))
         case Brace(e, b):
-            return partial(And, Nat(e)), ctx, (b,)
+            return And(Nat(e), (yield _bot(b, R, r_free)))
         case All1(x, _) | All2(x, _, _) if x in r_free:
-            a = _rebind(a, r_free)
-    match a:
+            return (yield _bot(_rebind(a, r_free), R, r_free))
         case All1(x, body):
-            return partial(Ex1, x), ctx, (body,)
+            return Ex1(x, (yield _bot(body, R, r_free)))
         case All2(x, arity, body):
-            return partial(Ex2, x, arity), ctx, (body,)
+            return Ex2(x, arity, (yield _bot(body, R, r_free)))
     raise TypeError(f"not a PA2 formula: {a!r}")
 
 
@@ -195,20 +188,24 @@ def cps_term(t: Term, memo: CpsMemo | None = None) -> Term:
     where it recurs as the same object, its image is the same object too."""
     if not isinstance(t, Term):
         raise TypeError(f"not a term: {t!r}")
-    return rebuild(t, (_Fresh(), memo if memo is not None else CpsMemo()), _cps)
+    return _translate(t, memo)
 
 
-def _cps(t: Term | Stack, ctx: tuple[_Fresh, CpsMemo]):
-    """The rebuild step of the translation of terms and stacks.  Fresh
-    names are drawn when a node is visited, before its children, so they
-    come in the order of the recursive translation."""
+def _translate(t: Term | Stack, memo: CpsMemo | None) -> Term:
+    memo = memo if memo is not None else CpsMemo()
+    image = memo.get(t)  # only closed terms and stack cells are in a memo
+    return image if image is not None else trampoline(_cps(t, _Fresh(), memo))
+
+
+def _cps(t: Term | Stack, fresh: _Fresh, memo: CpsMemo):
+    """The walk of the translation of terms and stacks.  Fresh names are
+    drawn before the parts are translated, so they come in the order of
+    the recursive translation.  A closed term's image, and a stack cell's,
+    goes into the memo."""
     cls = type(t)
-    if cls is Var:
-        return t
-    fresh, memo = ctx
     if cls is Push or cls is Bottom:
-        # the cells down to the first one in the memo become one node, whose
-        # children are their tops; the pairs are built bottom up
+        # the cells down to the first one in the memo: their tops are
+        # translated top first, then the pairs are built bottom up
         cells: list[Push] = []
         while type(t) is Push:
             tail = memo.get(t)
@@ -218,66 +215,52 @@ def _cps(t: Term | Stack, ctx: tuple[_Fresh, CpsMemo]):
             t = t.rest
         else:
             tail = Z0
-
-        def cons(*tops: Term) -> Term:
-            image = tail
-            for cell, top in zip(reversed(cells), reversed(tops)):
-                image = memo.put(cell, hpair(top, image))
-            return image
-
-        return cons, ctx, [cell.top for cell in cells]
+        tops = []
+        for cell in cells:
+            top = cell.top
+            tops.append(top if type(top) is Var else (yield _cps(top, fresh, memo)))
+        for cell, top in zip(reversed(cells), reversed(tops)):
+            tail = memo.put(cell, hpair(top, tail))
+        return tail
+    if cls is Var:
+        return t
     closed = not t.fv
     if closed:
         image = memo.get(t)
         if image is not None:
             return image
     # a fresh binder scopes over images whose free variables are among those
-    # of t and its binder, so it avoids exactly these; a closed node's image
-    # goes into the memo
-    put = t if closed else None
+    # of t and its binder, so it avoids exactly these
     if cls is App:
-        return partial(_cps_app, fresh(t.fv), memo, put), ctx, (t.fn, t.arg)
-    if cls is Lam:
+        k = fresh(t.fv)
+        fn, arg = t.fn, t.arg
+        if type(fn) is not Var:
+            fn = yield _cps(fn, fresh, memo)
+        if type(arg) is not Var:
+            arg = yield _cps(arg, fresh, memo)
+        image = Lam(k, App(fn, hpair(arg, Var(k))))
+    elif cls is Lam:
         k, k2 = fresh(t.fv, t.binder), fresh(t.fv, t.binder)
-        return partial(_cps_lam, k, t.binder, k2, memo, put), ctx, (t.body,)
-    if cls is Kont:
+        body = t.body
+        if type(body) is not Var:
+            body = yield _cps(body, fresh, memo)
+        image = Lam(k, _letp(t.binder, k2, Var(k), App(body, Var(k2))))
+    elif cls is Kont:
         k, w = fresh(), fresh()
-        return partial(_cps_kont, k, w, memo, put), ctx, (t.saved,)
-    match t:
-        case Numeral(n):
-            return memo.put(t, hnumeral(n))
-        case Inst("stop"):
-            return memo.put(t, Lam("z", Var("z")))
-        case Inst("cc"):
-            return memo.put(t, _cps_cc(fresh))
-        case Inst("s"):
-            return memo.put(t, _cps_succ(fresh))
-        case Inst("rec"):
-            return memo.put(t, _cps_rec(fresh))
-        case Inst(name):
-            raise TranslationError(
-                f"instruction {name!r} has no CPS translation; the closed "
-                f"instruction set is cc, s, rec, stop and the numerals"
-                + (" (kamikaze processes are untranslatable)" if name == "print" else "")
-            )
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _cps_app(k: str, memo: CpsMemo, put: Term | None, fn: Term, arg: Term) -> Term:
-    """The image of an application from the images of its parts."""
-    image = Lam(k, App(fn, hpair(arg, Var(k))))
-    return image if put is None else memo.put(put, image)
-
-
-def _cps_lam(k: str, x: str, k2: str, memo: CpsMemo, put: Term | None, body: Term) -> Term:
-    """The image of an abstraction over x from the image of its body."""
-    image = Lam(k, _letp(x, k2, Var(k), App(body, Var(k2))))
-    return image if put is None else memo.put(put, image)
-
-
-def _cps_kont(k: str, w: str, memo: CpsMemo, put: Term, saved: Term) -> Term:
-    """The image of a continuation from the image of its saved stack."""
-    return memo.put(put, Lam(k, _letp("x", w, Var(k), App(Var("x"), saved))))
+        image = Lam(k, _letp("x", w, Var(k), App(Var("x"), (yield _cps(t.saved, fresh, memo)))))
+    elif cls is Numeral:
+        image = hnumeral(t.n)
+    elif cls is Inst and t.name in _CPS_INSTRUCTIONS:
+        image = _CPS_INSTRUCTIONS[t.name](fresh)
+    elif cls is Inst:
+        raise TranslationError(
+            f"instruction {t.name!r} has no CPS translation; the closed "
+            f"instruction set is cc, s, rec, stop and the numerals"
+            + (" (kamikaze processes are untranslatable)" if t.name == "print" else "")
+        )
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return memo.put(t, image) if closed else image
 
 
 def _cps_cc(fresh: _Fresh) -> Term:
@@ -313,12 +296,20 @@ def _cps_rec(fresh: _Fresh) -> Term:
     return Lam(k, _letp("r0", k1, Var(k), inner1))
 
 
+_CPS_INSTRUCTIONS = {
+    "stop": lambda fresh: Lam("z", Var("z")),
+    "cc": _cps_cc,
+    "s": _cps_succ,
+    "rec": _cps_rec,
+}
+
+
 def cps_stack(pi: Stack, memo: CpsMemo | None = None) -> Term:
     """Stacks translate as finite lists: bottom to z0, consing to pairing.
     Cells and closed terms go through the memo, as in ``cps_term``."""
     if not isinstance(pi, Stack):
         raise TypeError(f"not a stack: {pi!r}")
-    return rebuild(pi, (_Fresh(), memo if memo is not None else CpsMemo()), _cps)
+    return _translate(pi, memo)
 
 
 def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
@@ -335,11 +326,10 @@ def cps_process(p: Process, memo: CpsMemo | None = None) -> Term:
 def inline_instructions(t: Term, mapping: dict[str, Term]) -> Term:
     """Replace named instructions by closed lambda-c terms, recursively.
     Cyclic definitions are rejected."""
-    return rebuild(t, (mapping, ()), _inline)
+    return trampoline(_inline(t, mapping, ()))
 
 
-def _inline(t: Term | Stack, ctx: tuple[dict[str, Term], tuple[str, ...]]):
-    mapping, path = ctx
+def _inline(t: Term, mapping: dict[str, Term], path: tuple[str, ...]):
     match t:
         case Inst(name) if name in mapping:
             if name in path:
@@ -347,15 +337,14 @@ def _inline(t: Term | Stack, ctx: tuple[dict[str, Term], tuple[str, ...]]):
                     f"cannot inline recursive instruction {name!r}; "
                     f"use a fixpoint-based term instead"
                 )
-            return _same, (mapping, path + (name,)), (mapping[name],)
+            return (yield _inline(mapping[name], mapping, path + (name,)))
         case App(fn, arg):
-            return App, ctx, (fn, arg)
+            return App((yield _inline(fn, mapping, path)), (yield _inline(arg, mapping, path)))
         case Lam(x, body):
-            return partial(Lam, x), ctx, (body,)
+            return Lam(x, (yield _inline(body, mapping, path)))
         case Kont(saved):
-            return (lambda *tops: Kont(stack_of(*tops))), ctx, tuple(saved)
+            tops = []
+            for top in saved:
+                tops.append((yield _inline(top, mapping, path)))
+            return Kont(stack_of(*tops))
     return t
-
-
-def _same(image: Term) -> Term:
-    return image

@@ -177,13 +177,13 @@ class _TemplateParser(_TermParser):
         super().__init__(ts, instructions, strict=True, stop_words=STOP_WORDS)
         self.sig_view = sig_view
 
-    def atom_head(self, bound, optional):
+    def _atom(self, bound, optional):
         if self.ts.peek().text == "#(":
             self.ts.next()
             e = _parse_expr(self.ts, self.sig_view)
             self.ts.expect(")")
             return TExpr(e)
-        return super().atom_head(bound, optional)
+        return super()._atom(bound, optional)
 
 
 class ScriptParser:
@@ -478,9 +478,6 @@ class ScriptResult:
     text: str
     doc: dict
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def _calls_table(outcome: RunOutcome) -> list[tuple[str, int]]:
     calls = outcome.instruction_calls()
@@ -548,12 +545,9 @@ def extract_statement(
         lines.append("guesses: " + " ".join(map(_decimal, report.guesses)))
     lines.append(_halt_line(report.outcome))
     lines.append(f"steps: {report.outcome.steps}")
-    if report.verified is not True:
-        code = EXIT_UNVERIFIED
-    elif report.outcome.halt.kind == "fuel":
-        code = EXIT_FUEL
-    else:
-        code = EXIT_OK
+    # a verified witness comes from a final stop, or from a kamikaze run
+    # that its oracle aborts, never from a run out of fuel
+    code = EXIT_OK if report.verified is True else EXIT_UNVERIFIED
     return lines, {"kind": "extract", **report.to_dict()}, code
 
 

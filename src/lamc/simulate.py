@@ -57,10 +57,6 @@ class OneStepReport:
     inner: EqResult | None
     message: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.verified is True
-
 
 @dataclass(frozen=True)
 class RunSimulationReport:
@@ -181,14 +177,9 @@ def simulate_one_step(
     )
 
 
-def simulate_run(
-    p: Process,
-    fuel: int = SIMULATE_FUEL,
-    cfg: MachineConfig | None = None,
-    inner_fuel: int = INNER_FUEL,
-) -> RunSimulationReport:
+def simulate_run(p: Process, fuel: int = SIMULATE_FUEL) -> RunSimulationReport:
     """Chain one-step simulation along a machine run of at most fuel steps."""
-    cfg = cfg if cfg is not None else MachineConfig()
+    cfg = MachineConfig()
     reports: list[OneStepReport] = []
     machine_steps = 0
     halt_kind = "fuel"
@@ -200,9 +191,7 @@ def simulate_run(
             break
         # this step's source is the previous step's target
         memo = CpsMemo(memo)
-        reports.append(
-            simulate_one_step(p, cfg, inner_fuel=inner_fuel, result=result, memo=memo)
-        )
+        reports.append(simulate_one_step(p, cfg, result=result, memo=memo))
         p = result.process
         machine_steps += 1
     return RunSimulationReport(machine_steps, tuple(reports), halt_kind)

@@ -5,6 +5,8 @@ realizer.
 
 Every catalog term is closed and proof-like.  Operational contracts are
 stated next to each builder; the test suite checks them on the machine.
+The compiler's right-hand sides are a recursive walk on
+``syntax.trampoline``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .arith import EVar, PrimRecSignature, _self_calls, default_signature, nat_of_expr
+from .arith import EApp, EVar, PrimRecSignature, _self_calls, default_signature, nat_of_expr
 from .machine import RuleError
-from .syntax import App, Inst, Lam, Numeral, Term, Var, app, lam
+from .syntax import App, Inst, Lam, Numeral, Term, Var, app, lam, trampoline
 
 IDENTITY = Lam("x", Var("x"))
 
@@ -139,40 +141,39 @@ class _PrimRecCompiler:
         return f"{prefix}{self.counter}"
 
     def compile_rhs(self, e, env: dict[str, Term], k: Term) -> Term:
-        """The term that computes e and passes its value to k.  A call
-        evaluates its arguments in turn; each argument that is not a
-        variable or a numeral gets a fresh name v, and is compiled after
-        the rest of the call, with continuation \\v. (the rest).  Those
-        arguments wait on an explicit stack, so e may be deep."""
-        waiting: list = []  # (argument, its name), compiled last first
-        while True:
-            lit = nat_of_expr(e)
-            if lit is not None:
-                t = App(k, Numeral(lit))
-            elif isinstance(e, EVar):
-                t = App(k, env[e.name])
-            elif e.symbol == "s":
-                v = self.fresh("v")
-                e, k = e.args[0], Lam(v, app(Inst("s"), Var(v), k))
-                continue
+        """The term that computes e and passes its value to k."""
+        return trampoline(self._rhs(e, env, k))
+
+    def _rhs(self, e, env: dict[str, Term], k: Term):
+        """The walk of ``compile_rhs``.  A call evaluates its arguments in
+        turn; each argument that is not a variable or a numeral gets a
+        fresh name v, and is compiled after the rest of the call, with
+        continuation \\v. (the rest), the last such argument first."""
+        while isinstance(e, EApp) and e.symbol == "s":
+            v = self.fresh("v")
+            e, k = e.args[0], Lam(v, app(Inst("s"), Var(v), k))
+        lit = nat_of_expr(e)
+        if lit is not None:
+            return App(k, Numeral(lit))
+        if isinstance(e, EVar):
+            return App(k, env[e.name])
+        fn = Var("self") if e.symbol == self.name else compile_primrec(e.symbol, self.sig, self.cache)
+        values: list[Term] = []
+        nested = []  # (argument, its name)
+        for a in e.args:
+            lit = nat_of_expr(a)
+            if isinstance(a, EVar):
+                values.append(env[a.name])
+            elif lit is not None:
+                values.append(Numeral(lit))
             else:
-                fn = Var("self") if e.symbol == self.name else compile_primrec(e.symbol, self.sig, self.cache)
-                values: list[Term] = []
-                for a in e.args:
-                    lit = nat_of_expr(a)
-                    if isinstance(a, EVar):
-                        values.append(env[a.name])
-                    elif lit is not None:
-                        values.append(Numeral(lit))
-                    else:
-                        v = self.fresh("v")
-                        waiting.append((a, v))
-                        values.append(Var(v))
-                t = App(app(fn, *values), k)
-            if not waiting:
-                return t
-            e, v = waiting.pop()
-            k = Lam(v, t)
+                v = self.fresh("v")
+                nested.append((a, v))
+                values.append(Var(v))
+        t = App(app(fn, *values), k)
+        for a, v in reversed(nested):
+            t = yield self._rhs(a, env, Lam(v, t))
+        return t
 
     def build(self, knowledge: list) -> Term:
         cands = [

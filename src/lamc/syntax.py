@@ -7,17 +7,17 @@ HA2 terms (the image of the CPS translation) are the same lambda-terms with
 the constants of ``HConst`` as their only other leaf.  Term equality is
 alpha-equivalence, decided by one nameless-key walk (``KeyCache``, whose
 uncached entry is ``alpha_key``) that ``==``, ``hash`` and the reducers'
-seen-sets all use; printing keeps the user's binder names.  ``rebuild``
-is the one post-order driver on an explicit stack that every walk
-rebuilding a tree runs on, here and in the other modules.
+seen-sets all use; printing keeps the user's binder names.  Every
+recursive walk, here and in the other modules, is a generator written as
+the recursive function and run by one driver, ``trampoline``, so no walk
+depends on Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import partial
-from itertools import repeat
+from dataclasses import dataclass, field, fields
+from types import GeneratorType
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -62,6 +62,9 @@ class Term:
     def __hash__(self) -> int:
         return hash(alpha_key(self))
 
+    def __repr__(self) -> str:
+        return _repr(self)
+
     def __str__(self) -> str:
         return print_term(self)
 
@@ -69,7 +72,7 @@ class Term:
 _EMPTY_FV = frozenset()
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Var(Term):
     name: str
     fv: frozenset = field(init=False, repr=False)
@@ -78,7 +81,7 @@ class Var(Term):
         object.__setattr__(self, "fv", frozenset((self.name,)))
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Lam(Term):
     binder: str
     body: Term
@@ -88,7 +91,7 @@ class Lam(Term):
         object.__setattr__(self, "fv", self.body.fv - {self.binder})
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class App(Term):
     fn: Term
     arg: Term
@@ -98,7 +101,7 @@ class App(Term):
         object.__setattr__(self, "fv", self.fn.fv | self.arg.fv)
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Inst(Term):
     """A named instruction (cc, s, rec, stop, print, or user-defined)."""
 
@@ -109,7 +112,7 @@ class Inst(Term):
         object.__setattr__(self, "fv", _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Numeral(Term):
     """The primitive numeral constant; pure data, no evaluation rule."""
 
@@ -122,7 +125,7 @@ class Numeral(Term):
         object.__setattr__(self, "fv", _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Kont(Term):
     """Continuation constant capturing a whole stack; runtime-only.  The
     saved stack is closed, so the constant is closed too."""
@@ -137,7 +140,7 @@ class Kont(Term):
         object.__setattr__(self, "fv", _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=True, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class HConst(Term):
     """A constant of the HA2 term language (pair, fst, snd, z0, sc, rec)."""
 
@@ -174,7 +177,20 @@ def split_pair(t: Term) -> tuple[Term, Term] | None:
 
 
 class Stack:
+    """Equal stacks have equal tuples of tops."""
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stack):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
     def __str__(self) -> str:
         return print_stack(self)
@@ -189,12 +205,12 @@ class Stack:
         return sum(1 for _ in self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Stack):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Push(Stack):
     top: Term
     rest: Stack
@@ -223,63 +239,55 @@ class Process:
 Subject = Union[Term, Stack, Process]
 
 
-# ---------------------------------------------------------------------------
-# the rebuild driver
+def _repr(node: Term | Stack) -> str:
+    """The dataclass text of a term or stack, on the trampoline."""
+    out: list[str] = []
+    trampoline(_repr_parts(node, out))
+    return "".join(out)
 
 
-_BUILD = object()  # rebuild's marker: the node below it waits for its children's values
-
-
-def rebuild(node, ctx, visit):
-    """The value of node under a post-order walk kept on one explicit work
-    stack, so that no walk is bounded by Python's recursion limit: the
-    defunctionalized form of a recursive walk (Danvy & Nielsen,
-    "Defunctionalization at work", PPDP 2001).
-
-    ``visit(node, ctx)`` returns either the node's finished value, which is
-    never a plain tuple, or a triple ``(build, ctx2, children)``: the
-    children are visited in order under ``ctx2``, each subtree before the
-    next child, and the node's value is ``build`` applied to their values."""
-    out = visit(node, ctx)
-    if type(out) is not tuple:
-        return out
-    values: list = []
-    builds: list = []  # (build, number of children) of the nodes below _BUILD on todo
-    todo: list = []
-    while True:
-        # out is a node's split: its build waits under its children
-        build, ctx, children = out
-        n = len(children)
-        builds.append((build, n))
-        todo.append(_BUILD)
-        # one and two children, the common cases, without the general path
-        if n == 1:
-            todo.append((children[0], ctx))
-        elif n == 2:
-            todo += ((children[1], ctx), (children[0], ctx))
+def _repr_parts(node: Term | Stack, out: list[str]):
+    out.append(type(node).__qualname__ + "(")
+    for i, name in enumerate(f.name for f in fields(node) if f.repr):
+        out.append(f"{', ' if i else ''}{name}=")
+        value = getattr(node, name)
+        if isinstance(value, (Term, Stack)):
+            yield _repr_parts(value, out)
         else:
-            todo += zip(reversed(children), repeat(ctx))
-        while True:  # finish nodes until a visit splits one
-            item = todo.pop()
-            if item is _BUILD:
-                build, n = builds.pop()
-                if n == 1:
-                    values[-1] = build(values[-1])
-                elif n == 2:
-                    last = values.pop()
-                    values[-1] = build(values[-1], last)
-                else:
-                    cut = len(values) - n
-                    args = values[cut:]
-                    del values[cut:]
-                    values.append(build(*args))
-                if not todo:
-                    return values[0]
-                continue
-            out = visit(item[0], item[1])
-            if type(out) is tuple:
-                break
-            values.append(out)
+            out.append(repr(value))
+    out.append(")")
+
+
+# ---------------------------------------------------------------------------
+# the trampoline
+
+
+def trampoline(walk):
+    """The value of ``walk``, a generator written as the recursive function
+    it stands for: ``value = yield sub_walk`` is a recursive call, which
+    the driver runs before it sends the value back.  Pending calls wait on
+    one list, not on Python's stack, so no walk is bounded by the
+    recursion limit (trampolined style: Ganz, Friedman & Wand, ICFP 1999).
+    An exception raised in a walk ends the whole run, so no walk catches
+    what its calls raise."""
+    try:
+        call = walk.send(None)
+    except StopIteration as done:  # a walk that makes no call
+        return done.value
+    pending = [walk]
+    push, pop = pending.append, pending.pop
+    walk, value = call, None
+    while True:
+        try:
+            call = walk.send(value)
+        except StopIteration as done:
+            value = done.value
+            if not pending:
+                return value
+            walk = pop()
+        else:
+            push(walk)
+            walk, value = call, None
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +312,7 @@ class KeyCache:
     identity (and kept alive while the cache is): keying a term that
     shares closed subterms with one keyed before walks only its new
     nodes.  Explicit-stack walk: terms may be deep, and nested
-    continuations are keyed on the rebuild driver."""
+    continuations are keyed on the trampoline."""
 
     __slots__ = ("tokens", "_ids", "_closed", "_alive")
 
@@ -356,7 +364,7 @@ class KeyCache:
                 elif cls is Numeral:
                     token = ("n", t.n)
                 elif cls is Kont:
-                    token = rebuild(t, True, self._kont)
+                    token = trampoline(self._kont(t))
                 else:
                     raise TypeError(f"not a term: {t!r}")
             i = ids.get(token)
@@ -369,15 +377,16 @@ class KeyCache:
             out.append(i)
         return out[0]
 
-    def _kont(self, k: Kont, outermost: bool):
-        """The rebuild step behind a continuation's token, ``("k", ids of
-        its saved terms)``: the continuations not yet keyed in those terms
-        are its children, so each is keyed, innermost first, before
-        ``key`` meets it in ``_closed``."""
-        inner = [u for u in _konts(k.saved) if id(u) not in self._closed]
+    def _kont(self, k: Kont, outermost: bool = True):
+        """The walk behind a continuation's token, ``("k", ids of its saved
+        terms)``: each continuation not yet keyed in those terms is keyed
+        first, innermost first, so that ``key`` meets it in ``_closed``."""
+        for inner in _konts(k.saved):
+            if id(inner) not in self._closed:
+                yield self._kont(inner, False)
         if outermost:
-            return lambda *_: ("k", tuple(map(self.key, k.saved))), False, inner
-        return lambda *_: self.key(k), False, inner
+            return "k", tuple(map(self.key, k.saved))
+        self.key(k)
 
 
 def alpha_key(t: Term) -> tuple:
@@ -446,25 +455,31 @@ def pick_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def substitute(t: Term, x: str, u: Term) -> Term:
-    """Capture-avoiding substitution t{x:=u}, on the rebuild driver."""
-    return rebuild(t, (x, u), _substitute)
-
-
-def _substitute(t: Term, ctx: tuple[str, Term]):
-    x, u = ctx
+    """Capture-avoiding substitution t{x:=u}."""
     if x not in t.fv:  # every Inst, Numeral, Kont and HConst
         return t
-    cls = type(t)
-    if cls is App:
-        return App, ctx, (t.fn, t.arg)
-    if cls is Var:
+    return trampoline(_substitute(t, x, u))
+
+
+def _substitute(t: Term, x: str, u: Term):
+    """The walk of ``substitute`` on a t in which x is free; a subterm
+    without x is kept, and a variable is replaced, without a call."""
+    if type(t) is App:
+        fn, arg = t.fn, t.arg
+        if x in fn.fv:
+            fn = u if type(fn) is Var else (yield _substitute(fn, x, u))
+        if x in arg.fv:
+            arg = u if type(arg) is Var else (yield _substitute(arg, x, u))
+        return App(fn, arg)
+    if type(t) is Var:
         return u
     binder, body = t.binder, t.body
     if binder in u.fv:
         renamed = fresh_name(binder, u.fv | body.fv | {x})
-        body = substitute(body, binder, Var(renamed))
+        if binder in body.fv:
+            body = yield _substitute(body, binder, Var(renamed))
         binder = renamed
-    return partial(Lam, binder), ctx, (body,)
+    return Lam(binder, u if type(body) is Var else (yield _substitute(body, x, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +488,24 @@ def _substitute(t: Term, ctx: tuple[str, Term]):
 
 def extend_stack_bottom(subject: Subject, pi0: Stack) -> Subject:
     """Replace every stack bottom by pi0, including inside continuations."""
-    return rebuild(subject, pi0, _extend)
+    return trampoline(_extend(subject, pi0))
 
 
 def _extend(s: Subject, pi0: Stack):
     cls = type(s)
     if cls is App:
-        return App, pi0, (s.fn, s.arg)
+        return App((yield _extend(s.fn, pi0)), (yield _extend(s.arg, pi0)))
     if cls is Lam:
-        return partial(Lam, s.binder), pi0, (s.body,)
+        return Lam(s.binder, (yield _extend(s.body, pi0)))
     if cls is Kont:
-        return Kont, pi0, (s.saved,)
+        return Kont((yield _extend(s.saved, pi0)))
     if cls is Process:
-        return Process, pi0, (s.head, s.stack)
+        return Process((yield _extend(s.head, pi0)), (yield _extend(s.stack, pi0)))
     if isinstance(s, Stack):
-        return partial(stack_of, tail=pi0), pi0, tuple(s)
+        tops = []
+        for t in s:
+            tops.append((yield _extend(t, pi0)))
+        return stack_of(*tops, tail=pi0)
     return s
 
 
@@ -571,16 +589,10 @@ def _nat_value(tok: _Token) -> int:
 # term parser
 
 
-# what the term parser reads next, and the kinds of its open constructs
-_TERM, _ATOM, _MORE, _STACK = "term", "atom", "more", "stack"
-_LAM, _APP, _PAREN, _KONT, _PAIR, _PAIR2 = "lam", "app", "paren", "kont", "pair", "pair2"
-
-
 class _TermParser:
-    """Parser for the term/stack/process grammar.  Open constructs (an
-    abstraction, an application, parentheses, a stack, a saved stack
-    ``k[...]``, the HA2 pair ``<a; b>``) are kept on an explicit stack, so
-    nesting depth is bounded by memory, not by Python's recursion limit.
+    """Parser for the term/stack/process grammar: recursive descent, whose
+    walks run on the trampoline, so nesting depth is bounded by memory,
+    not by Python's recursion limit.
 
     Name resolution: lambda-bound names are variables, known instruction
     names are instructions, anything else is a free variable (an error in
@@ -600,132 +612,97 @@ class _TermParser:
         self.stop_words = stop_words
 
     def term(self, bound: frozenset[str]) -> Term:
-        return self._parse(_TERM, bound)
+        return trampoline(self._term(bound))
 
     def atom(self, bound: frozenset[str]) -> Term:
-        return self._parse(_ATOM, bound)
+        t = self._atom(bound, False)
+        return trampoline(t) if type(t) is GeneratorType else t
 
     def stack(self, bound: frozenset[str]) -> Stack:
-        return self._parse(_STACK, bound)
+        return trampoline(self._stack(bound))
 
     def process(self, bound: frozenset[str]) -> Process:
         head = self.term(bound)
         self.ts.expect("*")
         return Process(head, self.stack(bound))
 
-    def atom_head(self, bound: frozenset[str], optional: bool):
-        """The start of an atom: the atom itself when it is one token (or
-        one literal), the opener ``"("``, ``"\\"`` or ``"k["`` of a
-        construct that ``_parse`` reads on, or None, when ``optional``,
-        if no atom starts here.  Subclasses add atoms here."""
-        tok = self.ts.tokens[self.ts.pos]
-        if tok.kind == "ident" and tok.text in self.stop_words:
-            if optional:
-                return None
-            raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "numlit":
-            self.ts.next()
-            return Numeral(_nat_value(tok))
+    def _term(self, bound: frozenset[str], close: str | None = None):
+        """A term, then the token close when one is given."""
+        ts = self.ts
+        if ts.tokens[ts.pos].text == "\\":
+            ts.next()
+            binders: list[str] = []
+            while ts.peek().kind == "ident":
+                binders.append(ts.next().text)
+            if not binders:
+                raise ts.error("expected at least one binder after '\\'")
+            ts.expect(".")
+            t = yield self._term(bound | frozenset(binders))
+            for b in reversed(binders):
+                t = Lam(b, t)
+        else:
+            t = None
+            while True:
+                u = self._atom(bound, t is not None)
+                if u is None:
+                    break
+                if type(u) is GeneratorType:
+                    u = yield u
+                t = u if t is None else App(t, u)
+        if close is not None:
+            ts.expect(close)
+        return t
+
+    def _atom(self, bound: frozenset[str], optional: bool):
+        """The atom that starts here: the term itself when it is one token
+        (or one literal), the walk that reads it when it nests (an
+        abstraction, parentheses, a saved stack ``k[...]``), or None, when
+        optional, if no atom starts here.  Subclasses add atoms here."""
+        ts = self.ts
+        tok = ts.tokens[ts.pos]
         if tok.kind == "ident":
-            if tok.text == "k" and self.ts.tokens[self.ts.pos + 1].text == "[":
-                self.ts.next()
-                self.ts.expect("[")
-                return "k["
-            self.ts.next()
+            if tok.text in self.stop_words:
+                if optional:
+                    return None
+                raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
+            if tok.text == "k" and ts.tokens[ts.pos + 1].text == "[":
+                return self._continuation(tok)
+            ts.pos += 1
             return self.resolve(tok, bound)
+        if tok.kind == "numlit":
+            ts.pos += 1
+            return Numeral(_nat_value(tok))
         if tok.text == "(":
-            self.ts.next()
-            return "("
+            ts.pos += 1
+            return self._term(bound, ")")
         if tok.text == "\\":
-            return "\\"
+            return self._term(bound)
         if optional:
             return None
-        raise self.ts.error("expected a term")
+        raise ts.error("expected a term")
 
-    def _parse(self, goal: str, bound: frozenset[str]):
+    def _continuation(self, k: _Token):
+        """k[stack]: the saved stack is closed."""
+        self.ts.next()
+        self.ts.expect("[")
+        saved = yield self._stack(_EMPTY_FV)
+        self.ts.expect("]")
+        try:
+            return Kont(saved)
+        except ValueError as err:  # a free name, outside strict mode
+            raise ParseError(str(err), k.line, k.col) from None
+
+    def _stack(self, bound: frozenset[str]):
         ts = self.ts
-        frames: list = [None]  # the open constructs, innermost last, over the goal
-        want = goal
-        if goal is _STACK:
-            frames.append((_STACK, bound, []))
-        while True:
-            # read on until a value is complete
-            if want is _TERM:
-                if ts.peek().text == "\\":
-                    ts.next()
-                    binders: list[str] = []
-                    while ts.peek().kind == "ident":
-                        binders.append(ts.next().text)
-                    if not binders:
-                        raise ts.error("expected at least one binder after '\\'")
-                    ts.expect(".")
-                    frames.append((_LAM, binders))
-                    bound = bound | frozenset(binders)
-                    continue
-                frames.append([_APP, bound, None])
-                value = self.atom_head(bound, False)
-            elif want is _STACK and ts.peek().text == "$":
-                ts.next()
-                value = stack_of(*frames.pop()[2])
-            else:
-                value = self.atom_head(bound, want is _MORE)
-            if value is None:  # the application is complete
-                value = frames.pop()[2]
-            elif type(value) is str:
-                if value == "(":
-                    frames.append((_PAREN,))
-                elif value == "k[":  # a saved stack is closed; k is two tokens back
-                    frames += ((_KONT, ts.tokens[ts.pos - 2]), (_STACK, _EMPTY_FV, []))
-                    bound, want = _EMPTY_FV, _STACK
-                    continue
-                elif value == "<":
-                    frames.append((_PAIR, bound))
-                want = _TERM
-                continue
-            elif want is _MORE:  # the next argument of the open application
-                frame = frames[-1]
-                frame[2] = App(frame[2], value)
-                continue
-            elif want is _TERM:  # the head of the application just opened
-                frames[-1][2] = value
-                want = _MORE
-                continue
-            # hand the value out to the open constructs until one reads on
-            while True:
-                frame = frames[-1]
-                if frame is None:
-                    return value
-                kind = frame[0]
-                if kind is _APP:
-                    t = frame[2]
-                    frame[2] = value if t is None else App(t, value)
-                    bound, want = frame[1], _MORE
-                    break
-                if kind is _STACK:
-                    ts.expect(".")
-                    frame[2].append(value)
-                    bound, want = frame[1], _STACK
-                    break
-                frames.pop()
-                if kind is _LAM:
-                    for b in reversed(frame[1]):
-                        value = Lam(b, value)
-                elif kind is _PAREN:
-                    ts.expect(")")
-                elif kind is _KONT:
-                    ts.expect("]")
-                    try:
-                        value = Kont(value)
-                    except ValueError as err:  # a free name, outside strict mode
-                        raise ParseError(str(err), frame[1].line, frame[1].col) from None
-                elif kind is _PAIR:
-                    ts.expect(";")
-                    frames.append((_PAIR2, value))
-                    bound, want = frame[1], _TERM
-                    break
-                else:  # _PAIR2
-                    ts.expect(">")
-                    value = App(App(HConst("pair"), frame[1]), value)
+        tops: list[Term] = []
+        while ts.peek().text != "$":
+            top = self._atom(bound, False)
+            if type(top) is GeneratorType:
+                top = yield top
+            ts.expect(".")
+            tops.append(top)
+        ts.next()
+        return stack_of(*tops)
 
     def resolve(self, tok: _Token, bound: frozenset[str]) -> Term:
         name = tok.text

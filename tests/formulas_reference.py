@@ -3,14 +3,15 @@
 Each rebuilding walk (substitution, renaming, the normal form and
 relativization) writes its own arm for every node shape, and the
 alpha key is a nested tuple with binders as de Bruijn levels, built by
-recursion.  ``lamc.formulas`` sends the shapes a walk only rebuilds
-through one child map and keys a formula with one flat preorder tuple;
+recursion.  ``lamc.formulas`` passes the shapes a walk only rebuilds
+through one child copy and keys a formula with one flat preorder tuple;
 on every formula the two print the same bytes and decide the same
 equalities.  Only the reference's own renaming helper ``_rebind`` is
 copied here, so that the reference calls no rebuilding walk of ``lamc``.
 ``is_fully_relativized``, the recursive-descent parser (``parse_formula``,
 ``parse_hformula``, over the recursive expression parser) and
-``print_formula`` are the recursive originals of the explicit-stack ones.
+``print_formula`` are the plain recursive forms of the walks on the
+trampoline.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ translation in ``lamc`` shares the image of a closed subterm wherever the
 same object recurs; on input that shares no node (a parsed term) the two
 print the same bytes, and on any input their images are alpha-equal.
 
-``inline_instructions`` and ``formula_bot`` are the recursive walks that
-``lamc.negtrans`` runs on the rebuild driver.
+``inline_instructions`` and ``formula_bot`` are the plain recursive forms
+of the walks that ``lamc.negtrans`` runs on the trampoline.
 """
 
 from __future__ import annotations

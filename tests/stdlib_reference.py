@@ -1,5 +1,6 @@
 """The recursive primitive-recursive compiler: the reference of
-``lamc.stdlib.compile_primrec``, whose arguments wait on an explicit stack.
+``lamc.stdlib.compile_primrec``, whose right-hand sides are one walk on
+the trampoline.
 
 ``compile_rhs`` and ``seq`` call each other once per level of the
 right-hand side.  Symbols other than the one compiled are compiled by this

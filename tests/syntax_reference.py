@@ -1,6 +1,6 @@
 """Reference implementations for lamc.syntax, slow on purpose: the oracles
-the one nameless key, the table-driven lexer, the walks on the rebuild
-driver and the explicit-stack parser and printer are compared with.
+the one nameless key, the table-driven lexer, the explicit-stack printer
+and the walks and parser on the trampoline are compared with.
 
 ``alpha_eq`` walks both terms at once with a name -> depth map per side,
 copied at every binder; ``alpha_key`` builds a nested tuple the same way.

@@ -1,6 +1,7 @@
-"""The walks on the rebuild driver and the explicit-stack parsers and
-printers: byte-identical to their recursive references (the
-``*_reference`` modules) on seeded corpora, and deep inputs handled at
+"""The recursive walks on the trampoline (``syntax.trampoline``): the
+parsers, printers and rebuilding walks are byte-identical to their plain
+recursive references (the ``*_reference`` modules) on seeded corpora, and
+deep inputs, ``==``, ``hash`` and ``repr`` included, are handled at
 Python's default recursion limit."""
 
 from __future__ import annotations
@@ -430,6 +431,27 @@ def _probe_inner_equality():
     assert inner_equal(App(t, z0), App(t, HConst("sc"))) is EqResult.NOT_EQUAL
 
 
+def _probe_expression_equality():
+    a, b = (_chain(lambda e: EApp("s", (e,)), EVar("x")) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a != _chain(lambda e: EApp("s", (e,)), EVar("y"))
+
+
+def _probe_stack_equality():
+    s, t = (stack_of(*[Numeral(1)] * N) for _ in range(2))
+    assert s == t and hash(s) == hash(t) and s != stack_of(*[Numeral(1)] * (N - 1), Numeral(2))
+    p, q = Process(Inst("stop"), s), Process(Inst("stop"), t)
+    assert p == q and hash(p) == hash(q)
+
+
+def _probe_repr():
+    t = _chain(lambda b: Lam("x", b), Var("x"))
+    assert repr(t) == "Lam(binder='x', body=" * N + "Var(name='x')" + ")" * N
+    s = stack_of(*[Kont(stack_of(Numeral(1)))] * N)
+    cell = "Push(top=Kont(saved=Push(top=Numeral(n=1), rest=Bottom())), rest="
+    assert repr(Process(Inst("stop"), s)) == "Process(head=Inst(name='stop'), stack=" + cell * N + "Bottom()" + ")" * (N + 1)
+
+
 def _probe_term_parsers():
     assert parse_process("(" * N + "stop" + ")" * N + " * $") == parse_process("stop * $")
     assert len(parse_stack(" . ".join(["#1"] * N) + " . $")) == N
@@ -462,6 +484,9 @@ def _probe_formula_parser():
         _probe_expressions,
         _probe_compiler,
         _probe_inner_equality,
+        _probe_expression_equality,
+        _probe_stack_equality,
+        _probe_repr,
         _probe_term_parsers,
         _probe_formula_parser,
     ],
@@ -486,6 +511,13 @@ def test_sugar_chains_translate_in_linear_time(text, default_recursion_limit):
     lines, _, code = translate_statement(parse_formula(text, SIG))
     assert code == 0 and len(lines) == 2
     assert time.perf_counter() - started < 2.0
+
+
+def test_normal_form_of_a_deep_chain_in_linear_time(default_recursion_limit):
+    e = _chain(lambda b: EApp("pred", (b,)), EVar("x"), 8000)
+    started = time.perf_counter()
+    assert normalize_expr(e, SIG) == e
+    assert time.perf_counter() - started < 0.5
 
 
 def test_existsN_chain_translates_in_linear_time():

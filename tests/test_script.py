@@ -86,6 +86,21 @@ class TestParsing:
         script = parse_script("-- nothing\n\n  Eval stop * #1 . $;  -- done\n")
         assert len(script.statements) == 1
 
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("Prim f(x) { f(x, y) = 0; }", "'f' has arity 1", 13),
+            (r"Extract bogus (\u. u #0 (\z. z)) with pred;", "unknown extraction mode 'bogus'", 9),
+            (r"Extract sigma01 (\u. u #0 (\z. z)) with nosuch;", "unknown function symbol 'nosuch'", 41),
+            ("Simulate stop * $ fuel many;", "fuel expects a number", 24),
+        ],
+        ids=["equation-arity", "extraction-mode", "with-symbol", "fuel"],
+    )
+    def test_statement_errors(self, text, message, col):
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert (err.value.message, err.value.line, err.value.col) == (message, 1, col)
+
 
 class TestRunning:
     def test_eval_stop(self):
@@ -112,6 +127,22 @@ class TestRunning:
         evals = [s for s in result.doc["statements"] if s["kind"] == "eval"]
         assert evals[0]["halt"]["value"] == 1
         assert evals[1]["halt"]["value"] == 0
+
+    def test_numeral_literal_slot_and_equality_guard(self):
+        result = run_script_text(
+            """
+            Prim half(x) { half(0) = 0; half(s(x)) = x; }
+            Define pick { #3 u v -> u * ...; [n] u v -> v * ...; }
+            Define same { [n] [m] u v when n = half(m) -> u * ...; [n] [m] u v -> v * ...; }
+            Eval pick #3 (stop #1) (stop #0) * $;
+            Eval pick #4 (stop #1) (stop #0) * $;
+            Eval same #2 #3 (stop #1) (stop #0) * $;
+            Eval same #2 #4 (stop #1) (stop #0) * $;
+            """
+        )
+        evals = [s for s in result.doc["statements"] if s["kind"] == "eval"]
+        assert [e["halt"]["value"] for e in evals] == [1, 0, 1, 0]
+        assert [e["steps"] for e in evals] == [5, 5, 6, 6]
 
     def test_computed_numeral_push(self):
         result = run_script_text(
@@ -289,6 +320,15 @@ class TestCli:
         assert main(argv + ["--json-like"]) == EXIT_FUEL
         doc = json.loads(capsys.readouterr().out)
         assert doc["witness"] is None and doc["head_steps"] is None and doc["halt"] == "fuel"
+
+    def test_translate_read_witness_none(self, capsys):
+        argv = ["translate", "--process", r"(\x. x) * $", "--read-witness"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["translate process: (\\k1. (\\x k2. x k2) (fst k1) (snd k1)) z0", "witness: none"]
+        assert main(argv + ["--json-like"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"] is None and doc["head_steps"] is None and "halt" not in doc
 
     def test_translate_formula(self, capsys):
         code = main(["translate", "--formula", "forall x. null(pred(x))"])

@@ -59,6 +59,13 @@ class TestOneStep:
         report = self.check(r"rec * (\z. z) . (\a b. b) . #3 . $", "rec-s", syntactic=False)
         assert report.inner is EqResult.EQUAL
 
+    def test_unreached_target_fails(self):
+        # a forged step whose target the image never reaches
+        p = parse_process(r"(\x. x) (\y. y) * $")
+        report = simulate_one_step(p, result=Next(parse_process("stop * #7 . $"), "Push"))
+        assert report.verified is False and report.inner is None
+        assert report.message == "no weak reduction reaches the translated target"
+
     def test_halted_process_rejected(self):
         with pytest.raises(SimulationError):
             simulate_one_step(parse_process("stop * #1 . $"))
