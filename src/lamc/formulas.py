@@ -532,20 +532,16 @@ def _relativized(f):
 def parse_formula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse a PA2+ formula; sugar expands to second-order encodings."""
     ts = _TokenStream(_lex(text))
-    return ts.finish(_formula(ts, sig, "pa2"))
+    return ts.finish(trampoline(_formula(ts, sig, True)))
 
 
 def parse_hformula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse an HA2 formula (primitive /\\, exists, nat)."""
     ts = _TokenStream(_lex(text))
-    return ts.finish(_formula(ts, sig, "ha2"))
+    return ts.finish(trampoline(_formula(ts, sig, False)))
 
 
-def _formula(ts, sig, dialect):
-    return trampoline(_read_formula(ts, sig, dialect == "pa2"))
-
-
-def _read_formula(ts, sig, pa2: bool):
+def _formula(ts, sig, pa2: bool):
     """The walk of the recursive-descent parser: a formula of the dialect.
     Quantifiers and {e} -> extend as far right as they can, -> and /\\
     associate to the right and \\/ to the left, so that a printed formula
@@ -561,13 +557,13 @@ def _read_formula(ts, sig, pa2: bool):
         if not binders:
             raise ts.error(f"expected binders after {tok.text!r}")
         ts.expect(".")
-        return _quantified(tok.text, binders, (yield _read_formula(ts, sig, pa2)), pa2)
+        return _quantified(tok.text, binders, (yield _formula(ts, sig, pa2)), pa2)
     if tok.text == "{":
         ts.next()
         e = _parse_expr(ts, sig)
         ts.expect("}")
         ts.expect("->")
-        b = yield _read_formula(ts, sig, pa2)
+        b = yield _formula(ts, sig, pa2)
         if not pa2:
             raise ts.error("{e} -> B is a PA2+ construct")
         return Brace(e, b)
@@ -581,7 +577,7 @@ def _read_formula(ts, sig, pa2: bool):
                 nots += 1
             if ts.peek().text == "(":
                 ts.next()
-                c = yield _read_formula(ts, sig, pa2)
+                c = yield _formula(ts, sig, pa2)
                 ts.expect(")")
             else:
                 c = _atom_formula(ts, sig, pa2)
@@ -602,7 +598,7 @@ def _read_formula(ts, sig, pa2: bool):
         ts.next()
     if ts.peek().text == "->":
         ts.next()
-        return Imp(a, (yield _read_formula(ts, sig, pa2)))
+        return Imp(a, (yield _formula(ts, sig, pa2)))
     return a
 
 

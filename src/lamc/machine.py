@@ -610,8 +610,7 @@ class _Reader:
                 binder = self.rename.get(binder, binder)
                 names = (binder, names)
             return Lam(binder, (yield self.code(code[1], env, depth + 1, names)))
-        t = yield self.code(code[1], env, depth, names)
-        return App(t, (yield self.code(code[2], env, depth, names)))
+        return App((yield self.code(code[1], env, depth, names)), (yield self.code(code[2], env, depth, names)))
 
     def closure(self, closure: tuple):
         done = self.memo.get(id(closure))

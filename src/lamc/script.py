@@ -66,6 +66,7 @@ from .syntax import (
     is_proof_like,
     print_process,
     print_term,
+    trampoline,
 )
 
 
@@ -446,7 +447,7 @@ class ScriptParser:
     def _parse_formula_until_semi(self) -> Formula:
         from .formulas import _formula
 
-        f = _formula(self.ts, self.sig_view(), "pa2")
+        f = trampoline(_formula(self.ts, self.sig_view(), True))
         self._semi()
         return f
 
