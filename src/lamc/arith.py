@@ -257,26 +257,17 @@ def _check_cases(sym: SymbolDef) -> None:
         if any(eq.patterns[i].kind != "var" for eq in sym.equations)
     ]
     for mask in range(1 << len(constrained)):
-        values = [0] * sym.arity
+        values = [ZERO] * sym.arity
         for bit, pos in enumerate(constrained):
-            values[pos] = 1 if mask >> bit & 1 else 0
-        matching = [eq for eq in sym.equations if _eq_matches(eq, values)]
+            values[pos] = ENat(mask >> bit & 1)
+        matching = [eq for eq in sym.equations if _match_equation(eq, values) is not None]
         if len(matching) != 1:
             shape = ", ".join(
-                ("s _" if values[i] else "0") if i in constrained else "_"
+                ("s _" if values[i].n else "0") if i in constrained else "_"
                 for i in range(sym.arity)
             )
             what = "overlapping" if len(matching) > 1 else "missing"
             raise SignatureError(f"{sym.name}: {what} case ({shape})")
-
-
-def _eq_matches(eq: Equation, values: list[int]) -> bool:
-    for p, v in zip(eq.patterns, values):
-        if p.kind == "zero" and v != 0:
-            return False
-        if p.kind == "succ" and v == 0:
-            return False
-    return True
 
 
 def _check_decrease(sym: SymbolDef) -> None:
@@ -296,20 +287,11 @@ def _self_calls(e: ArithExpr, name: str):
 
 def _lex_smaller(args: tuple[ArithExpr, ...], patterns: tuple[Pattern, ...]) -> bool:
     for arg, pat in zip(args, patterns):
-        cmp = _compare(arg, pat)
-        if cmp == "less":
+        if pat.kind == "succ" and arg in (EVar(pat.var), ZERO):
             return True
-        if cmp != "equal":
+        if arg != pat.as_expr():
             return False
     return False
-
-
-def _compare(arg: ArithExpr, pat: Pattern) -> str:
-    if arg == pat.as_expr():
-        return "equal"
-    if pat.kind == "succ" and arg in (EVar(pat.var), ZERO):
-        return "less"
-    return "unknown"
 
 
 @cache
@@ -498,74 +480,86 @@ def _match(name: str, equations: tuple, args: list[int]) -> tuple[tuple, dict[st
 def normalize_expr(e: ArithExpr, sig: PrimRecSignature) -> ArithExpr:
     """The unique normal form of e under the oriented defining equations.
 
-    Ground expressions normalize to numerals, so they are evaluated
-    directly; open expressions rewrite until a variable blocks."""
-    counts = "s" in sig and not sig.symbols["s"].equations  # s is the constructor
-    normal, ground = trampoline(_normalize(e, sig, counts))
-    return ENat(eval_expr(e, {}, sig)) if ground else normal
+    A maximal ground subexpression of e normalizes to a numeral, so it is
+    evaluated whole; the rest rewrites until a variable blocks."""
+    return trampoline(_normalize(e, sig, _open_nodes(e), {}, None))
 
 
-def _normalize(e: ArithExpr, sig: PrimRecSignature, counts: bool):
-    """The walk of ``normalize_expr``: (the normal form of e, False), or
-    (e, True) when e is ground, for the caller to evaluate whole, as the
-    part of the largest ground expression around it.  Only arguments are
-    calls: a run of successors is one count, and a rewrite is the next
-    round of the loop (a tail call)."""
-    top, n = e, 0  # n: the successors around what e normalizes to
-    rewritten = False
+def _open_nodes(e: ArithExpr) -> set[int]:
+    """The ids of e's subexpressions that contain a variable (one pass,
+    each node after its arguments)."""
+    opened: set[int] = set()
+    for cur in reversed(list(_subexprs(e))):
+        if type(cur) is EVar or type(cur) is EApp and any(id(a) in opened for a in cur.args):
+            opened.add(id(cur))
+    return opened
+
+
+def _normalize(e: ArithExpr, sig: PrimRecSignature, opened: set, stuck: dict, env: dict | None):
+    """The walk of ``normalize_expr``: the normal form of e, a subexpression
+    of the input (opened tells the ground ones) when env is None, else a
+    right-hand side whose pattern variables env binds to normal forms.  A
+    rewrite is the next round of the loop, a tail call, so bound values are
+    not walked again.  Only a normal form with a ground call left in it (a
+    call of the wrong arity) would not normalize to itself: stuck keeps
+    those, and a rewrite that binds one substitutes, as the reference does."""
     while True:
-        while counts and type(e) is EApp and e.symbol == "s" and len(e.args) == 1:
-            e, n = e.args[0], n + 1
         if type(e) is EVar:
-            break
-        args, grounds = [], []
-        for a in e.args if type(e) is EApp else ():
-            if type(a) is EApp:
-                a, g = yield _normalize(a, sig, counts)
-            else:
-                g = type(a) is ENat
-            args.append(a)
-            grounds.append(g)
-        if all(grounds):
-            if not rewritten:
-                return top, True
-            e = ENat(eval_expr(e, {}, sig))
-            break
-        args = tuple(ENat(eval_expr(a, {}, sig)) if g else a for a, g in zip(args, grounds))
+            return env.get(e.name, e) if env else e
+        if type(e) is ENat:
+            return e
+        if env is None and id(e) not in opened:
+            return ENat(eval_expr(e, {}, sig))
+        args = []
+        for a in e.args:
+            args.append((yield _normalize(a, sig, opened, stuck, env)))
+        args = tuple(args)
+        numerals = all(type(a) is ENat for a in args)
+        if env is not None and numerals:
+            return ENat(eval_expr(EApp(e.symbol, args), {}, sig))
         if e.symbol not in sig:
             raise EvalError(f"unknown function symbol {e.symbol!r}")
-        sym = sig.symbols[e.symbol]
-        m = _match_structural(sym, args) if sym.equations else None
+        m = _match_structural(sig.symbols[e.symbol], args)
         if m is None:
             e = EApp(e.symbol, args)
-            break
-        e = expr_subst(m[0].rhs, m[1])
-        rewritten = True
-    for _ in range(n):
-        e = EApp("s", (e,))
-    return e, False
+            if type(e) is EApp and (numerals or any(id(a) in stuck for a in args)):
+                stuck[id(e)] = e
+            return e
+        e, env = m[0].rhs, m[1]
+        if any(id(v) in stuck for v in env.values()):
+            e = expr_subst(e, env)
+            return (yield _normalize(e, sig, _open_nodes(e), stuck, None))
 
 
 def _match_structural(
     sym: SymbolDef, args: tuple[ArithExpr, ...]
 ) -> tuple[Equation, dict[str, ArithExpr]] | None:
+    """The first of sym's equations whose patterns match args, with its
+    bindings; None when none does."""
     for eq in sym.equations:
-        env: dict[str, ArithExpr] = {}
-        for p, a in zip(eq.patterns, args):
-            if p.kind == "var":
-                env[p.var] = a
-            elif p.kind == "zero":
-                if a != ZERO:
-                    break
-            elif isinstance(a, ENat) and a.n > 0:
-                env[p.var] = ENat(a.n - 1)
-            elif isinstance(a, EApp) and a.symbol == "s":
-                env[p.var] = a.args[0]
-            else:
-                break
-        else:
+        env = _match_equation(eq, args)
+        if env is not None:
             return eq, env
     return None
+
+
+def _match_equation(eq: Equation, args) -> dict[str, ArithExpr] | None:
+    """The bindings of eq's pattern variables that make its patterns args;
+    None when they do not match."""
+    env: dict[str, ArithExpr] = {}
+    for p, a in zip(eq.patterns, args):
+        if p.kind == "var":
+            env[p.var] = a
+        elif p.kind == "zero":
+            if a != ZERO:
+                return None
+        elif type(a) is ENat and a.n > 0:
+            env[p.var] = ENat(a.n - 1)
+        elif type(a) is EApp and a.symbol == "s":
+            env[p.var] = a.args[0]
+        else:
+            return None
+    return env
 
 
 def expr_congruent(e1: ArithExpr, e2: ArithExpr, sig: PrimRecSignature) -> bool:

@@ -30,8 +30,6 @@ from .syntax import (
     _TokenStream,
     _lex,
     app,
-    free_vars,
-    fresh_name,
     substitute,
 )
 
@@ -243,11 +241,8 @@ def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
         match t, u:
             case (App(f1, a1), App(f2, a2)):
                 todo += ((a1, a2), (f1, f2))
-            case (Lam(x1, b1), Lam(x2, b2)):
-                z = fresh_name("v", free_vars(b1) | free_vars(b2) | {x1, x2})
-                b1 = substitute(b1, x1, Var(z))
-                b2 = substitute(b2, x2, Var(z))
-                joined = _join_full(b1, b2, budget, keys)
+            case (Lam(), Lam()):
+                joined = _join_full(t, u, budget, keys)
                 if joined is EqResult.NOT_EQUAL:
                     return joined
                 if joined is EqResult.UNKNOWN:

@@ -241,10 +241,10 @@ class ScriptParser:
         self.ts.expect("(")
         params: list[str] = []
         if self.ts.peek().text != ")":
-            params.append(self.ts.next().text)
+            params.append(self._variable())
             while self.ts.peek().text == ",":
                 self.ts.next()
-                params.append(self.ts.next().text)
+                params.append(self._variable())
         self.ts.expect(")")
         arity = len(params)
         view = _SigView(dict(self.sym_arities, **{name: arity}))
@@ -284,16 +284,22 @@ class ScriptParser:
         if tok.kind == "ident" and tok.text == "s":
             if self.ts.peek().text == "(":
                 self.ts.next()
-                v = self.ts.next().text
+                v = self._variable()
                 self.ts.expect(")")
             else:
-                v = self.ts.next().text
+                v = self._variable()
             return Pattern("succ", v)
         if tok.kind == "ident":
             return Pattern("var", tok.text)
         raise ParseError(
             "expected a pattern: a variable, 0, or s applied to a variable", tok.line, tok.col
         )
+
+    def _variable(self) -> str:
+        tok = self.ts.next()
+        if tok.kind != "ident":
+            raise ParseError(f"expected a variable, found {tok.text!r}", tok.line, tok.col)
+        return tok.text
 
     def _stmt_define(self) -> DefineStmt:
         self.ts.expect("Define")
@@ -492,10 +498,10 @@ def _halt_line(outcome: RunOutcome) -> str:
     return f"halt: {halt.kind}" + (f" {_decimal(halt.value)}" if halt.value is not None else "")
 
 
-def _format_outcome(outcome: RunOutcome, lines: list[str]) -> None:
+def _format_outcome(outcome: RunOutcome, final: str, lines: list[str]) -> None:
     for n in outcome.printed:
         lines.append(f"print: {_decimal(n)}")
-    lines.append(f"final: {print_process(outcome.final)}")
+    lines.append(f"final: {final}")
     lines.append(_halt_line(outcome))
     lines.append(f"steps: {outcome.steps}")
     lines.append("instruction calls:")
@@ -662,14 +668,15 @@ class ScriptRunner:
     def _run_eval(self, stmt: EvalStmt) -> None:
         self._check_no_kont(stmt.process, "Eval")
         outcome = run(stmt.process, self.cfg)
-        lines = [f"eval: {print_process(stmt.process)}"]
+        process, final = print_process(stmt.process), print_process(outcome.final)
+        lines = [f"eval: {process}"]
         if self.cfg.trace:
             lines.extend(outcome.trace)
-        _format_outcome(outcome, lines)
+        _format_outcome(outcome, final, lines)
         doc = {
             "kind": "eval",
-            "process": print_process(stmt.process),
-            "final": print_process(outcome.final),
+            "process": process,
+            "final": final,
             "halt": _halt_doc(outcome),
             "steps": outcome.steps,
             "printed": list(outcome.printed),

@@ -520,6 +520,53 @@ def test_normal_form_of_a_deep_chain_in_linear_time(default_recursion_limit):
     assert time.perf_counter() - started < 0.5
 
 
+def test_rewrite_chain_normalizes_in_linear_time(default_recursion_limit):
+    # each rewrite binds the already normal s^k(x) and s^k(y): none is walked again
+    x, y = (_chain(lambda b: EApp("s", (b,)), EVar(v), 4000) for v in "xy")
+    started = time.perf_counter()
+    assert normalize_expr(EApp("minus", (x, y)), SIG) == EApp("minus", (EVar("x"), EVar("y")))
+    assert time.perf_counter() - started < 0.5
+
+
+def _with_fault(rng, e):
+    """e with one subexpression put under a faulty call: an unknown symbol,
+    or a known one with one argument too few or too many."""
+    if type(e) is EApp and e.args and rng.random() < 0.6:
+        args = list(e.args)
+        i = rng.randrange(len(args))
+        args[i] = _with_fault(rng, args[i])
+        return EApp(e.symbol, tuple(args))
+    symbol = rng.choice(["nope", "+", "*", "pred", "neg", "minus", "s"])
+    if symbol == "nope":
+        return EApp(symbol, (e,))
+    arity = SIG.arity(symbol) + rng.choice((-1, 1))
+    return EApp(symbol, tuple([e] + [random_expr(rng, 2) for _ in range(arity - 1)])[:arity])
+
+
+def test_normal_form_of_faulty_expressions_matches_reference():
+    # a value or the same error as the reference, on one or two faults per expression
+    rng = random.Random(18)
+    corpus = []
+    for _ in range(3000):
+        e = random_expr(rng, rng.randint(1, 8))
+        for _ in range(rng.randint(1, 2)):
+            e = _with_fault(rng, e)
+        corpus.append(e)
+    # s(0, 0) is left ground in the normal form of y + s(neg(s(z)), 0); the rewrite of
+    # s(x) + ... binds it, so the reference normalizes it again and meets the fault
+    x, y, z = EVar("x"), EVar("y"), EVar("z")
+    stuck = EApp("s", (EApp("neg", (EApp("s", (z,)),)), ENat(0)))
+    corpus.append(EApp("+", (EApp("s", (x,)), EApp("+", (y, stuck)))))
+    for e in corpus:
+        outcomes = []
+        for normalize in (normalize_expr, aref.normalize_expr):
+            try:
+                outcomes.append(normalize(e, SIG))
+            except LamcError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        assert outcomes[0] == outcomes[1], print_expr(e)
+
+
 def test_existsN_chain_translates_in_linear_time():
     started = time.perf_counter()
     f = PredVar("X", (EVar("x"),))

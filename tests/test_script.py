@@ -93,8 +93,15 @@ class TestParsing:
             (r"Extract bogus (\u. u #0 (\z. z)) with pred;", "unknown extraction mode 'bogus'", 9),
             (r"Extract sigma01 (\u. u #0 (\z. z)) with nosuch;", "unknown function symbol 'nosuch'", 41),
             ("Simulate stop * $ fuel many;", "fuel expects a number", 24),
+            ("Prim f(x) { f(0) = 7; f(s(0)) = 5; }", "expected a variable, found '0'", 27),
+            ("Prim f(x) { f(0) = 7; f(s 0) = 5; }", "expected a variable, found '0'", 27),
+            ("Prim f(0) { f(x) = x; }", "expected a variable, found '0'", 8),
+            ("Prim f(x, y) { f(x, s) = x; }", "expected a variable, found ')'", 22),
         ],
-        ids=["equation-arity", "extraction-mode", "with-symbol", "fuel"],
+        ids=[
+            "equation-arity", "extraction-mode", "with-symbol", "fuel",
+            "nested-pattern", "nested-pattern-bare", "numeral-parameter", "bare-s-pattern",
+        ],
     )
     def test_statement_errors(self, text, message, col):
         with pytest.raises(ParseError) as err:
