@@ -356,7 +356,12 @@ def read_witness(t: Term, fuel: int = WITNESS_FUEL) -> Witness | None:
     binder that would capture a free variable of ``t`` is renamed.  The
     fuel bounds the head steps of the whole read, the numeral's included.
     """
-    machine = HeadMachine(t)
+    return _read_pair(HeadMachine(t), fuel)
+
+
+def _read_pair(machine: HeadMachine, fuel: int) -> Witness | None:
+    """``read_witness`` on the term of ``machine``, whose ``head_steps``
+    then hold the steps spent, also when no pair is found."""
     stop = machine.run(machine.start, fuel)
     if not stop.blocked:
         raise Ha2Error(f"read_witness: fuel exhausted after {fuel} steps")

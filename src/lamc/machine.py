@@ -806,6 +806,13 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
 # Only an argument frame has a first field that is not None, and only a
 # recursor frame has three fields.  A variable argument is pushed as the
 # closure it points to.
+#
+# A projection whose argument is a literal pair ``pair a b`` (nested ones
+# too, as in ``fst (snd <a; <b; c>>)``) is done inside the fst/snd
+# transition: it pops the projection frame and focuses on the component's
+# closure, built as APP would push it.  It leaves, at every fuel, the
+# focus, environment, frames, HeadStop and step counts that the chain
+# APP, APP, PAIR leaves; PAIR still projects a pair reached any other way.
 
 HEAD_RULES = ("beta", "proj", "rec-0", "rec-s")
 
@@ -909,6 +916,28 @@ class HeadMachine:
                     break
                 code, env = frames.pop()
                 frames.append(_FST_FRAME if tag == FST else _SND_FRAME)
+                while (  # a literal pair: APP, APP, PAIR in one pass
+                    code[0] == APP
+                    and code[1][0] == APP
+                    and code[1][1][0] == PAIR
+                    and frames
+                    and (frames[-1] is _FST_FRAME or frames[-1] is _SND_FRAME)
+                    and steps < fuel
+                ):
+                    part = code[1] if frames.pop() is _FST_FRAME else code
+                    arg = part[5]
+                    if arg is None:
+                        arg = part[2]
+                        if arg[0] == VAR:
+                            e, i = env, arg[1]
+                            while i:
+                                e, i = e[1], i - 1
+                            arg = e[0]
+                        else:
+                            arg = (arg, env)
+                    code, env = arg
+                    steps += 1
+                    proj += 1
             elif tag == PAIR:
                 if (
                     len(frames) < 3

@@ -32,11 +32,12 @@ from .extract import (
     sigma01_refuter,
 )
 from .formulas import Formula, PredVar, print_formula
-from .ha2 import Ha2Error, read_witness
+from .ha2 import Ha2Error, _read_pair
 from .machine import (
     BindNumeral,
     BindTerm,
     Guard,
+    HeadMachine,
     InstructionRule,
     LitNumeral,
     MachineConfig,
@@ -595,21 +596,19 @@ def translate_statement(
     lines = [f"translate {kind}: {out}"]
     doc = {"kind": "translate", "subject": kind, "output": out}
     if witness_fuel is not None and kind == "process":
+        machine = HeadMachine(image)
         try:
-            found = read_witness(image, fuel=witness_fuel)
+            found = _read_pair(machine, witness_fuel)
         except Ha2Error:
-            # the only error read_witness raises: its fuel ran out
+            # the only error the reader raises: its fuel ran out
             doc["witness"] = doc["head_steps"] = None
             doc["halt"] = "fuel"
             lines.append("witness: unknown fuel")
             return lines, doc, EXIT_FUEL
-        if found is None:
-            doc["witness"] = doc["head_steps"] = None
-            lines.append("witness: none")
-        else:
-            doc["witness"] = found.n
-            doc["head_steps"] = found.head_steps
-            lines.append(f"witness: {_decimal(found.n)} head-steps {sum(found.head_steps.values())}")
+        doc["witness"] = None if found is None else found.n
+        doc["head_steps"] = steps = machine.head_steps()
+        witness = "none" if found is None else _decimal(found.n)
+        lines.append(f"witness: {witness} head-steps {sum(steps.values())}")
     return lines, doc, EXIT_OK
 
 

@@ -129,6 +129,24 @@ def test_closed_realizer_sigma01(c):
     assert same_term(found.payload, payload)
 
 
+@pytest.mark.parametrize(
+    "c, counts",
+    [
+        (2, (2022, 1700, 22, 33)),
+        (10, (8455, 7350, 39, 192)),
+        (40, (35357, 49849, 57, 924)),
+    ],
+)
+def test_closed_realizer_head_steps_per_rule(c, counts):
+    # the paper's cost result: the CPS image's head steps against the KAM
+    # run; c = 40 is beyond what the substitution reference can check
+    t, _ = closed_realizer(c)
+    found = read_witness(cps_process(Process(t, Push(sigma01_wrapper(), BOTTOM))))
+    assert found.head_steps == dict(zip(HEAD_RULES, counts))
+    if c == 40:
+        assert sum(counts) == 86_187
+
+
 def test_closed_realizer_fuel_verdict_at_the_boundary():
     t, _ = closed_realizer(2)
     image = cps_process(Process(t, Push(sigma01_wrapper(), BOTTOM)))
@@ -195,6 +213,64 @@ def test_rec_on_stuck_arguments():
     ):
         assert_same_head_form(ht(src), 100)
         assert_same_witness(ht(src), 100)
+
+
+# ---------------------------------------------------------------------------
+# the stop at every fuel: a projection of a literal pair takes one machine
+# transition, and must leave the state the reference reaches step by step
+
+
+def assert_same_stop(t, fuel):
+    machine = HeadMachine(t)
+    stop = machine.run(machine.start, fuel)
+    state = ref.head_run(t, fuel)
+    assert (stop.steps, stop.blocked) == (state.steps, state.blocked), fuel
+    assert machine.head_steps() == state.counts, fuel
+    assert same_term(machine.term(stop), ref.rebuild(state), alpha=bool(t.fv)), fuel
+
+
+def assert_same_stop_at_every_fuel(t):
+    total = ref.head_run(t, 10_000).steps
+    for fuel in range(total + 2):
+        assert_same_stop(t, fuel)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        r"fst (snd <z0; <sc; \x. x>>)",
+        r"snd (snd (fst <<z0; <sc; z0>>; z0>))",
+        r"(\p. fst (snd p)) <z0; <sc z0; z0>>",
+        r"(\x. fst (snd <z0; <x; z0>>)) (\y. y)",
+        r"(\x. snd <fst <x; z0>; x>) <sc; z0>",
+        r"fst (snd <w; <v w; w>>)",
+        # literal pairs the projection does not reach: an argument frame, a
+        # recursor frame, and a pair applied to a third argument
+        r"fst <<z0; sc>; sc> z0",
+        r"fst <<\x. x; sc>; sc> z0",
+        r"rec z0 (\x y. y) (fst <<z0; sc>; sc>)",
+        r"rec z0 (\x y. y) (snd <z0; sc z0>)",
+        r"fst (pair z0 sc z0)",
+        r"fst (snd (\x. x))",
+    ],
+)
+def test_stop_at_every_fuel(src):
+    assert_same_stop_at_every_fuel(ht(src))
+
+
+def test_projection_programs_stop_at_every_fuel():
+    rng = random.Random(609)
+    for _ in range(150):
+        assert_same_stop_at_every_fuel(projection_program(rng, rng.randint(1, 5)))
+
+
+def test_closed_realizer_stop_at_sampled_fuels():
+    t, _ = closed_realizer(2)
+    image = cps_process(Process(t, Push(sigma01_wrapper(), BOTTOM)))
+    total = ref.head_run(image, 10_000).steps
+    rng = random.Random(610)
+    for fuel in [*range(40), *rng.sample(range(40, total), 30), total, total + 1]:
+        assert_same_stop(image, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,14 @@ class TestCli:
         argv = ["translate", "--process", r"(\x. x) * $", "--read-witness"]
         assert main(argv) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines == ["translate process: (\\k1. (\\x k2. x k2) (fst k1) (snd k1)) z0", "witness: none"]
+        assert lines == [
+            "translate process: (\\k1. (\\x k2. x k2) (fst k1) (snd k1)) z0",
+            "witness: none head-steps 3",
+        ]
         assert main(argv + ["--json-like"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["witness"] is None and doc["head_steps"] is None and "halt" not in doc
+        assert doc["witness"] is None and "halt" not in doc
+        assert doc["head_steps"] == {"beta": 3, "proj": 0, "rec-0": 0, "rec-s": 0}
 
     def test_translate_formula(self, capsys):
         code = main(["translate", "--formula", "forall x. null(pred(x))"])
