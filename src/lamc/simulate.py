@@ -7,12 +7,15 @@ rule except Rec-S the residual u is even syntactically pi2-star.  The
 verifier exhibits such a reduction sequence: a guided deterministic chain
 (projection-friendly) first, then a bounded breadth-first fallback.
 
-A check memoises for its own duration only: one ``KeyCache`` keys every
-term it compares (the chain, the seen-set, inner equality), so a term that
-shares closed subterms with one keyed before costs only its new nodes, and
-one ``CpsMemo`` translates the source and target processes, which share
-most of their cells.  Along a run, each check's memo reads through to the
-one before, so each process is translated once.
+A candidate is compared with the translated target by ``==``, one walk
+over both that takes the same closed object on both sides as equal at
+once: the source and target images share most of their closed cells, so
+a match costs little more than its new nodes.  A check memoises for its
+own duration only: one ``KeyCache`` keys the breadth-first seen-set and
+inner equality, so a term that shares closed subterms with one keyed
+before costs only its new nodes, and one ``CpsMemo`` translates the
+source and target processes.  Along a run, each check's memo reads
+through to the one before, so each process is translated once.
 """
 
 from __future__ import annotations
@@ -113,18 +116,17 @@ def simulate_one_step(
     memo = memo if memo is not None else CpsMemo()
     keys = KeyCache()
     start = cps_process(p, memo)
-    target_fn_key = hterm_key(keys, cps_term(p2.head, memo))
+    target_fn = cps_term(p2.head, memo)
     target_stack = cps_stack(p2.stack, memo)
-    target_stack_key = hterm_key(keys, target_stack)
     out_of_fuel = f"inner equality ran out of fuel (inner_fuel {inner_fuel})"
 
     def check(t: Term, k: int) -> OneStepReport | None:
         """The report when t, reached in k weak steps, is t2-star applied to
         a residual that is pi2-star or not known to differ from it; None
         when t is not (t2-star u) or u is not inner-equal to pi2-star."""
-        if not (isinstance(t, App) and hterm_key(keys, t.fn) == target_fn_key):
+        if not (isinstance(t, App) and t.fn == target_fn):
             return None
-        if hterm_key(keys, t.arg) == target_stack_key:
+        if t.arg == target_stack:
             return OneStepReport(rule, True, k, True, None)
         verdict = inner_equal(t.arg, target_stack, inner_fuel, keys)
         if verdict is EqResult.EQUAL:

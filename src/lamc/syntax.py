@@ -5,9 +5,9 @@ numerals and continuation constants.  Stacks are lists of closed terms over
 a single bottom marker, and a process pairs a closed term with a stack.
 HA2 terms (the image of the CPS translation) are the same lambda-terms with
 the constants of ``HConst`` as their only other leaf.  Term equality is
-alpha-equivalence, decided by one nameless-key walk (``KeyCache``, whose
-uncached entry is ``alpha_key``) that ``==``, ``hash`` and the reducers'
-seen-sets all use; printing keeps the user's binder names.  Every
+alpha-equivalence: ``==`` walks both terms at once, and ``hash`` and the
+reducers' seen-sets use one nameless key (``KeyCache``, whose uncached
+entry is ``alpha_key``); printing keeps the user's binder names.  Every
 recursive walk, here and in the other modules, is a generator written as
 the recursive function and run by one driver, ``trampoline``, so no walk
 depends on Python's recursion limit.
@@ -46,18 +46,53 @@ class ParseError(LamcError):
 
 
 class Term:
-    """Base class; equality and hashing are up to alpha-equivalence."""
+    """Base class; equality and hashing are up to alpha-equivalence.
+    ``==`` is one walk over both terms, on an explicit stack, that stops at
+    the first difference and takes a closed subterm met as the same object
+    on both sides as equal without walking it; ``hash`` keys the term."""
 
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         # alpha-equivalent terms have the same top constructor and free variables
         if type(other) is not type(self) or other.fv != self.fv:
             return False
-        keys = KeyCache()
-        return keys.key(self) == keys.key(other)
+        # name -> depths of its binders, innermost last, per side, as in KeyCache.key
+        left: dict[str, list[int]] = {}
+        right: dict[str, list[int]] = {}
+        depth = 0
+        todo: list = [self, other]  # pairs to compare, or two binders to leave
+        while todo:
+            b = todo.pop()
+            a = todo.pop()
+            cls = type(a)
+            if cls is str:  # leaving the scopes of binders a and b
+                left[a].pop()
+                right[b].pop()
+                depth -= 1
+            elif a is b and not a.fv:
+                pass  # the same closed object
+            elif cls is not type(b):
+                return False
+            elif cls is App:
+                todo += (a.arg, b.arg, a.fn, b.fn)
+            elif cls is Lam:
+                left.setdefault(a.binder, []).append(depth)
+                right.setdefault(b.binder, []).append(depth)
+                depth += 1
+                todo += (a.binder, b.binder, a.body, b.body)
+            elif cls is Var:
+                x, y = left.get(a.name), right.get(b.name)
+                if not (x[-1] == y[-1] if x and y else not (x or y) and a.name == b.name):
+                    return False
+            elif cls is Kont:  # saved terms are closed: any scope will do
+                if len(a.saved) != len(b.saved):
+                    return False
+                for pair in zip(a.saved, b.saved):
+                    todo += pair
+            elif a.n != b.n if cls is Numeral else a.kind != b.kind if cls is HConst else a.name != b.name:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(alpha_key(self))

@@ -200,6 +200,18 @@ class TestDifferential:
         assert t == same and hash(t) == hash(same) and ref.alpha_eq(t, same)
         assert t != other and not ref.alpha_eq(t, other)
 
+    def test_one_object_on_both_sides(self):
+        # == takes a closed object met on both sides as equal to itself; an
+        # open one is bound where it is met, here by binders in swapped order
+        closed = Lam("f", App(Var("f"), Numeral(3)))
+        t, u = Lam("a", App(Var("a"), closed)), Lam("b", App(Var("b"), closed))
+        assert t == u and ref.alpha_eq(t, u)
+        assert t != Lam("b", App(closed, Var("b")))
+        xy = App(Var("x"), Var("y"))
+        t, u = lam_chain(["x", "y"], xy), lam_chain(["y", "x"], xy)
+        assert t != u and not ref.alpha_eq(t, u)
+        assert t == lam_chain(["x", "y"], xy) == lam_chain(["y", "x"], App(Var("y"), Var("x")))
+
     def test_constants_keep_distinct_tokens(self):
         assert HConst("rec") != Inst("rec")
         assert Numeral(1) != Numeral(2)

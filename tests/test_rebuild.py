@@ -444,6 +444,22 @@ def _probe_stack_equality():
     assert p == q and hash(p) == hash(q)
 
 
+def _probe_term_equality():
+    def binders_over_spine(prefix):
+        names = [f"{prefix}{i}" for i in range(N)]
+        t = _chain(lambda b: App(b, Var(names[0])), Var(names[0]))
+        for name in reversed(names):
+            t = Lam(name, t)
+        return t
+
+    t, u = binders_over_spine("v"), binders_over_spine("w")
+    started = time.perf_counter()
+    assert t == u  # each variable is found at its binder's depth, not by a scan
+    assert time.perf_counter() - started < 2.0
+    a, b, c = (_chain(lambda t: App(t, Inst("stop")), Numeral(n)) for n in (1, 1, 2))
+    assert a == b and a != c
+
+
 def _probe_repr():
     t = _chain(lambda b: Lam("x", b), Var("x"))
     assert repr(t) == "Lam(binder='x', body=" * N + "Var(name='x')" + ")" * N
@@ -486,6 +502,7 @@ def _probe_formula_parser():
         _probe_inner_equality,
         _probe_expression_equality,
         _probe_stack_equality,
+        _probe_term_equality,
         _probe_repr,
         _probe_term_parsers,
         _probe_formula_parser,

@@ -1,13 +1,15 @@
 import gc
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
+from lamc.demo import closed_realizer
+from lamc.extract import sigma01_wrapper
 from lamc.ha2 import EqResult
 from lamc.machine import MachineConfig, Next, step
-from lamc.negtrans import TranslationError
+from lamc.negtrans import CpsMemo, TranslationError
 from lamc.simulate import SimulationError, simulate_one_step, simulate_run
 from lamc.syntax import (
     Inst,
@@ -122,6 +124,22 @@ class TestRunSimulation:
         report = simulate_run(parse_process(r"(\k2. k2 k2) (\x. x) * #3 . $"), fuel=10)
         assert report.failed == 0 and report.inconclusive == 0
         assert report.verified == report.machine_steps == 5
+
+    def test_demo_run_is_syntactic_but_for_rec_s(self):
+        # the paper's claim on every step of the closed demo run but Rec-S,
+        # whose checks take seconds each: the target itself is reached
+        p = Process(closed_realizer(2)[0], stack_of(sigma01_wrapper()))
+        cfg = MachineConfig()
+        rules = Counter()
+        memo = None
+        while isinstance(result := step(p, cfg), Next):
+            if result.rule != "rec-s":
+                memo = CpsMemo(memo)
+                report = simulate_one_step(p, cfg, result=result, memo=memo)
+                assert report.verified is True and report.syntactic, (sum(rules.values()), report)
+                rules[report.rule] += 1
+            p = result.process
+        assert rules == {"Push": 455, "Grab": 352, "rec-0": 22, "s": 4, "cc": 1, "Resume": 1}
 
     def test_inner_equality_only_on_rec_s(self):
         rng = random.Random(100)
