@@ -210,53 +210,52 @@ class EqResult(Enum):
     UNKNOWN = "unknown"
 
 
-def inner_equal(
-    t: Term, u: Term, fuel: int = INNER_FUEL, keys: KeyCache | None = None
-) -> EqResult:
+def inner_equal(t: Term, u: Term, fuel: int = INNER_FUEL) -> EqResult:
     """Bounded check of the inner-equivalence relation.
 
     Inner reduction never changes the top constructor of a term, so the
-    relation decomposes: applications are compared componentwise, while
-    abstraction bodies are related by full conversion, decided here by a
-    bounded joinability search (projection-friendly normal order).  EQUAL
-    verdicts always come from an exhibited join; UNKNOWN is first-class.
-    Terms are compared through ``keys``, a fresh cache when none is given.
+    relation decomposes: applications are compared componentwise, any
+    other pair once, whole, by ``==`` (alpha-equivalence), and two
+    abstractions that differ are related by full conversion, decided here
+    by a bounded joinability search (projection-friendly normal order).
+    EQUAL verdicts always come from alpha-equivalence or an exhibited
+    join; UNKNOWN is first-class.
     """
-    budget = [fuel]
-    return _ieq(t, u, budget, keys if keys is not None else KeyCache())
+    return _ieq(t, u, [fuel])
 
 
-def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
+def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
     # the pairs of corresponding subterms, left to right on an explicit
-    # stack: the first NOT_EQUAL decides, else any UNKNOWN, else EQUAL
-    result = EqResult.EQUAL
+    # stack.  Applications are taken apart, so the pairs that meet == are
+    # disjoint subtrees and the walk is linear.  The first NOT_EQUAL
+    # decides, else any UNKNOWN, else EQUAL; an UNKNOWN (a join out of
+    # budget, or a pair met once the budget is spent) leaves no budget for
+    # a later NOT_EQUAL, so it decides at once
     todo = [(t, u)]
     while todo:
         t, u = todo.pop()
-        if keys.key(t) == keys.key(u):
+        if t is u:
             continue
-        if budget[0] <= 0:
-            result = EqResult.UNKNOWN
+        if type(t) is App and type(u) is App:
+            todo += ((t.arg, u.arg), (t.fn, u.fn))
+        elif t == u:
             continue
-        match t, u:
-            case (App(f1, a1), App(f2, a2)):
-                todo += ((a1, a2), (f1, f2))
-            case (Lam(), Lam()):
-                joined = _join_full(t, u, budget, keys)
-                if joined is EqResult.NOT_EQUAL:
-                    return joined
-                if joined is EqResult.UNKNOWN:
-                    result = joined
-            case _:
-                # inner reduction never changes the top constructor, so terms
-                # with different shapes (or different constants/variables) are
-                # definitely not related
-                return EqResult.NOT_EQUAL
-    return result
+        elif budget[0] <= 0:
+            return EqResult.UNKNOWN
+        elif type(t) is Lam and type(u) is Lam:
+            joined = _join_full(t, u, budget)
+            if joined is not EqResult.EQUAL:
+                return joined
+        else:
+            # inner reduction never changes the top constructor: different
+            # shapes, constants or variables are not related
+            return EqResult.NOT_EQUAL
+    return EqResult.EQUAL
 
 
-def _join_full(a: Term, b: Term, budget: list[int], keys: KeyCache) -> EqResult:
+def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
     """Joinability under full reduction via two normalizing chains."""
+    keys = KeyCache()
     cur_a, cur_b = a, b
     key_a, key_b = keys.key(a), keys.key(b)
     seen_a, seen_b = {key_a}, {key_b}

@@ -11,11 +11,11 @@ A candidate is compared with the translated target by ``==``, one walk
 over both that takes the same closed object on both sides as equal at
 once: the source and target images share most of their closed cells, so
 a match costs little more than its new nodes.  A check memoises for its
-own duration only: one ``KeyCache`` keys the breadth-first seen-set and
-inner equality, so a term that shares closed subterms with one keyed
-before costs only its new nodes, and one ``CpsMemo`` translates the
-source and target processes.  Along a run, each check's memo reads
-through to the one before, so each process is translated once.
+own duration only: one ``KeyCache`` keys the breadth-first seen-set, so
+a term that shares closed subterms with one keyed before costs only its
+new nodes, and one ``CpsMemo`` translates the source and target
+processes.  Along a run, each check's memo reads through to the one
+before, so each process is translated once.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def simulate_one_step(
     rule = result.rule
     p2 = result.process
     memo = memo if memo is not None else CpsMemo()
-    keys = KeyCache()
     start = cps_process(p, memo)
     target_fn = cps_term(p2.head, memo)
     target_stack = cps_stack(p2.stack, memo)
@@ -128,7 +127,7 @@ def simulate_one_step(
             return None
         if t.arg == target_stack:
             return OneStepReport(rule, True, k, True, None)
-        verdict = inner_equal(t.arg, target_stack, inner_fuel, keys)
+        verdict = inner_equal(t.arg, target_stack, inner_fuel)
         if verdict is EqResult.EQUAL:
             return OneStepReport(rule, True, k, False, verdict)
         if verdict is EqResult.UNKNOWN:
@@ -147,6 +146,7 @@ def simulate_one_step(
             return report
 
     # breadth-first fallback over all weak reducts
+    keys = KeyCache()
     seen = {hterm_key(keys, start)}
     frontier: deque[tuple[Term, int]] = deque([(start, 0)])
     expanded = 0

@@ -12,15 +12,20 @@ at every node, and ``_replace_at_deep`` rebuilds the term path by path.
 Their ``contract_redex`` takes terms apart with ``split_pair`` and ``==``
 where ``lamc.ha2`` matches shapes.
 
-``inner_equal`` is the recursive original of the explicit-stack one.
+``inner_equal`` is the recursive original of the explicit-stack one.  It
+keys every pair of subterms by the reference ``alpha_key`` of
+``syntax_reference`` and has its own join: two chains of the reference
+``full_step``, budgeted step for step as the fast join is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lamc.ha2 import HEAD_RULES, INNER_FUEL, REC, Z0, EqResult, Ha2Error, _join_full
-from lamc.syntax import App, HConst, KeyCache, Lam, Term, Var, app, fresh_name, split_pair, substitute
+from syntax_reference import alpha_key
+
+from lamc.ha2 import HEAD_RULES, INNER_FUEL, REC, Z0, EqResult, Ha2Error
+from lamc.syntax import App, HConst, Lam, Term, Var, app, fresh_name, split_pair, substitute
 
 
 @dataclass(frozen=True)
@@ -304,20 +309,20 @@ def proj_first_step(t: Term) -> Term | None:
 def inner_equal(t: Term, u: Term, fuel: int = INNER_FUEL) -> tuple[EqResult, int]:
     """The verdict and the fuel left over."""
     budget = [fuel]
-    return _ieq(t, u, budget, KeyCache()), budget[0]
+    return _ieq(t, u, budget), budget[0]
 
 
-def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
-    if keys.key(t) == keys.key(u):
+def _ieq(t: Term, u: Term, budget: list[int]) -> EqResult:
+    if alpha_key(t) == alpha_key(u):
         return EqResult.EQUAL
     if budget[0] <= 0:
         return EqResult.UNKNOWN
     match t, u:
         case (App(f1, a1), App(f2, a2)):
-            left = _ieq(f1, f2, budget, keys)
+            left = _ieq(f1, f2, budget)
             if left is EqResult.NOT_EQUAL:
                 return left
-            right = _ieq(a1, a2, budget, keys)
+            right = _ieq(a1, a2, budget)
             if right is EqResult.NOT_EQUAL:
                 return right
             if left is EqResult.EQUAL and right is EqResult.EQUAL:
@@ -325,6 +330,30 @@ def _ieq(t: Term, u: Term, budget: list[int], keys: KeyCache) -> EqResult:
             return EqResult.UNKNOWN
         case (Lam(x1, b1), Lam(x2, b2)):
             z = fresh_name("v", b1.fv | b2.fv | {x1, x2})
-            return _join_full(substitute(b1, x1, Var(z)), substitute(b2, x2, Var(z)), budget, keys)
+            return _join_full(substitute(b1, x1, Var(z)), substitute(b2, x2, Var(z)), budget)
         case _:
             return EqResult.NOT_EQUAL
+
+
+def _join_full(a: Term, b: Term, budget: list[int]) -> EqResult:
+    """Two chains of ``full_step``, one step of each per round while budget
+    is left, each step one unit: EQUAL once a chain reaches a term the
+    other has passed, NOT_EQUAL once both have ended apart."""
+    current, keys = [a, b], [alpha_key(a), alpha_key(b)]
+    seen = [{keys[0]}, {keys[1]}]
+    done = [False, False]
+    while budget[0] > 0:
+        if keys[0] in seen[1] or keys[1] in seen[0]:
+            return EqResult.EQUAL
+        if all(done):
+            return EqResult.NOT_EQUAL
+        for side in (0, 1):
+            if not done[side]:
+                budget[0] -= 1
+                nxt = full_step(current[side])
+                if nxt is None:
+                    done[side] = True
+                else:
+                    current[side], keys[side] = nxt, alpha_key(nxt)
+                    seen[side].add(keys[side])
+    return EqResult.UNKNOWN

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -50,7 +51,7 @@ from lamc.formulas import (
     subst_expr1,
     subst_pred,
 )
-from lamc.ha2 import EqResult, _ieq, inner_equal, parse_hterm
+from lamc.ha2 import INNER_FUEL, EqResult, _ieq, inner_equal, parse_hterm
 from lamc.negtrans import (
     ReturnFormula,
     TranslationError,
@@ -67,7 +68,6 @@ from lamc.syntax import (
     App,
     HConst,
     Inst,
-    KeyCache,
     Kont,
     Lam,
     LamcError,
@@ -80,6 +80,7 @@ from lamc.syntax import (
     _TokenStream,
     alpha_key,
     extend_stack_bottom,
+    fresh_name,
     is_proof_like,
     parse_process,
     parse_stack,
@@ -298,15 +299,27 @@ class TestAgainstReference:
 
     def test_inner_equality(self):
         rng = random.Random(11)
-        for _ in range(1500):
+        verdicts = Counter()
+        for i in range(2400):
             t = random_hterm(rng, rng.randint(1, 5))
-            u = t if rng.random() < 0.3 else random_hterm(rng, rng.randint(1, 5))
-            if rng.random() < 0.5:
-                t, u = App(t, u), App(t, random_hterm(rng, 2))
-            fuel = rng.choice([0, 1, 3, 20, 200])
+            if i % 3 == 2:  # \x. t x against \q. (\x. t x) q (beta) or \q. t q (alpha)
+                x, q = fresh_name("x", t.fv), fresh_name("q", t.fv)
+                lam = Lam(x, App(t, Var(x)))
+                t, u = lam, Lam(q, App(lam if rng.random() < 0.7 else t, Var(q)))
+                if rng.random() < 0.5:
+                    a = random_hterm(rng, 2)
+                    t, u = App(t, a), App(u, a)
+            else:
+                u = t if rng.random() < 0.3 else random_hterm(rng, rng.randint(1, 5))
+                if rng.random() < 0.5:
+                    t, u = App(t, u), App(t, random_hterm(rng, 2))
+            fuel = rng.choice([0, 1, 2, 3, 4, 5, 20, 200, INNER_FUEL])
             budget = [fuel]
-            assert (_ieq(t, u, budget, KeyCache()), budget[0]) == href.inner_equal(t, u, fuel)
-            assert inner_equal(t, u, fuel) == href.inner_equal(t, u, fuel)[0]
+            verdict = _ieq(t, u, budget)
+            assert (verdict, budget[0]) == href.inner_equal(t, u, fuel)
+            assert inner_equal(t, u, fuel) is verdict
+            verdicts[verdict] += 1
+        assert verdicts == {EqResult.EQUAL: 856, EqResult.NOT_EQUAL: 1226, EqResult.UNKNOWN: 318}
 
 
 def _double_signature():
@@ -429,6 +442,13 @@ def _probe_inner_equality():
     t = _chain(lambda b: App(b, z0), z0)
     assert inner_equal(t, App(t, z0)) is EqResult.NOT_EQUAL
     assert inner_equal(App(t, z0), App(t, HConst("sc"))) is EqResult.NOT_EQUAL
+    # open spines f a ... a: against one more a, and against g a ... a
+    a = Var("a")
+    f, g = (_chain(lambda b: App(b, a), Var(head)) for head in "fg")
+    for u in (App(f, a), g):
+        started = time.perf_counter()
+        assert inner_equal(f, u) is EqResult.NOT_EQUAL
+        assert time.perf_counter() - started < 1.0
 
 
 def _probe_expression_equality():
