@@ -395,62 +395,63 @@ def _compile(t: Term, scope: tuple, memo: dict) -> tuple:
     environment.  A scope entry is a variable name, or ``id(e)`` for a
     template's ``TExpr`` e.  ``memo`` maps ``id`` of closed terms to their
     code, so a closed term shared in the input is compiled once; the terms
-    must outlive ``memo``.  Explicit-stack walk: terms may be deep."""
+    must outlive ``memo``.  Explicit-stack walk, one dispatch on the type
+    per node: an App, Lam or Kont is left when the tag pushed above it is
+    popped."""
     levels: dict = {}  # name -> depths of its binders, innermost last
     for depth, key in enumerate(scope):
         levels.setdefault(key, []).append(depth)
     depth = len(scope)
     out: list[tuple] = []
-    todo: list = [(t, True)]
+    todo: list = [t]
     while todo:
-        t, entering = todo.pop()
-        if entering:
-            node = memo.get(id(t))
-            if node is not None:
-                out.append(node)
-            elif isinstance(t, App):
-                todo += ((t, False), (t.arg, True), (t.fn, True))
-            elif isinstance(t, Lam):
-                levels.setdefault(t.binder, []).append(depth)
-                depth += 1
-                todo += ((t, False), (t.body, True))
-            elif isinstance(t, (Var, TExpr)):
-                bound = levels.get(t.name if isinstance(t, Var) else id(t))
-                if not bound:
-                    if isinstance(t, Var):
-                        raise RuleError(f"unbound variable {t.name!r} in rule right-hand side")
-                    raise TypeError(f"not a term: {t!r}")
-                i = depth - 1 - bound[-1]
-                out.append((_VAR, i, None, i + 1, t))
-            elif isinstance(t, Inst):
-                out.append((_INST_TAGS.get(t.name, _USER), t.name, None, 0, t))
-            elif isinstance(t, Numeral):
-                out.append((_NUM, t.n, None, 0, t))
-            elif isinstance(t, HConst):
-                out.append((_HCONST_TAGS[t.kind], t.kind, None, 0, t))
-            elif isinstance(t, Kont):  # its saved stack is closed (``Kont``)
-                todo.append((t, False))
-                todo += ((u, True) for u in reversed(list(t.saved)))
+        t = todo.pop()
+        cls = type(t)
+        if cls is int and todo:  # leave the App, Lam or Kont pushed under this tag
+            tag, t = t, todo.pop()
+            if tag == _APP:
+                arg = out.pop()
+                fn = out.pop()
+                node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
+            elif tag == _LAM:
+                body = out.pop()
+                levels[t.binder].pop()
+                depth -= 1
+                node = (_LAM, body, None, max(body[3] - 1, 0), t)
             else:
+                saved = None
+                for _ in t.saved:
+                    saved = ((out.pop(), None), saved)
+                node = (_KONT, saved, None, 0, t)
+            if not node[3]:
+                memo[id(t)] = node
+            out.append(node)
+        elif (cls is App or cls is Lam or cls is Kont) and not t.fv and id(t) in memo:
+            out.append(memo[id(t)])
+        elif cls is App:
+            todo += (t, _APP, t.arg, t.fn)
+        elif cls is Var or cls is TExpr:
+            bound = levels.get(t.name if cls is Var else id(t))
+            if not bound:
+                if cls is Var:
+                    raise RuleError(f"unbound variable {t.name!r} in rule right-hand side")
                 raise TypeError(f"not a term: {t!r}")
-            continue
-        if isinstance(t, App):
-            arg = out.pop()
-            fn = out.pop()
-            node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
-        elif isinstance(t, Lam):
-            body = out.pop()
-            levels[t.binder].pop()
-            depth -= 1
-            node = (_LAM, body, None, max(body[3] - 1, 0), t)
-        else:  # Kont
-            saved = None
-            for _ in t.saved:
-                saved = ((out.pop(), None), saved)
-            node = (_KONT, saved, None, 0, t)
-        if not node[3]:
-            memo[id(t)] = node
-        out.append(node)
+            i = depth - 1 - bound[-1]
+            out.append((_VAR, i, None, i + 1, t))
+        elif cls is Lam:
+            levels.setdefault(t.binder, []).append(depth)
+            depth += 1
+            todo += (t, _LAM, t.body)
+        elif cls is HConst:
+            out.append((_HCONST_TAGS[t.kind], t.kind, None, 0, t))
+        elif cls is Inst:
+            out.append((_INST_TAGS.get(t.name, _USER), t.name, None, 0, t))
+        elif cls is Numeral:
+            out.append((_NUM, t.n, None, 0, t))
+        elif cls is Kont:  # its saved stack is closed (``Kont``)
+            todo += (t, _KONT, *reversed(list(t.saved)))
+        else:
+            raise TypeError(f"not a term: {t!r}")
     return out[0]
 
 
@@ -807,12 +808,20 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
 # recursor frame has three fields.  A variable argument is pushed as the
 # closure it points to.
 #
-# A projection whose argument is a literal pair ``pair a b`` (nested ones
-# too, as in ``fst (snd <a; <b; c>>)``) is done inside the fst/snd
-# transition: it pops the projection frame and focuses on the component's
-# closure, built as APP would push it.  It leaves, at every fuel, the
-# focus, environment, frames, HeadStop and step counts that the chain
-# APP, APP, PAIR leaves; PAIR still projects a pair reached any other way.
+# Four chains of the loop are fused into one transition each.  Each leaves,
+# at every fuel, the focus, environment, frames, HeadStop and step counts
+# that the chain it replaces leaves:
+#     APP over LAM binds the argument's closure, which is never pushed;
+#     APP over fst or snd pushes the projection frame and focuses on the
+#     argument's closure, then projects a literal pair as fst/snd does;
+#     the destructuring let ``(\x y. b) u v`` (APP over APP over LAM over
+#     LAM, the shape of ``negtrans._letp``) binds both arguments, but only
+#     with two steps of fuel left: with one, v is pushed and APP over LAM
+#     takes the one step, so the run stops between the two grabs;
+#     fst or snd whose argument is a literal pair ``pair a b`` (nested ones
+#     too, as in ``fst (snd <a; <b; c>>)``) pops the projection frame and
+#     focuses on the component's closure, for APP, APP, PAIR; PAIR still
+#     projects a pair reached any other way.
 
 HEAD_RULES = ("beta", "proj", "rec-0", "rec-s")
 
@@ -880,7 +889,9 @@ class HeadMachine:
         """Head weak steps from ``closure``: the leftmost-outermost redex
         while one is in head position, descending into the strict argument
         of fst/snd/rec on demand, until head-blocked or after ``fuel``
-        steps."""
+        steps.  A beta step on an application, fst or snd on an
+        application, a destructuring let and a projection of a literal pair
+        are one transition each (see the comment above ``HEAD_RULES``)."""
         APP, LAM, VAR, PAIR, FST, SND, Z0, SC, HREC = _APP, _LAM, _VAR, _PAIR, _FST, _SND, _Z0, _SC, _HREC
         code, env = closure
         frames: list = []
@@ -898,87 +909,115 @@ class HeadMachine:
                         arg = e[0]
                     else:
                         arg = (arg, env)
-                frames.append(arg)
-                code = code[1]
-            elif tag == VAR:
-                e, i = env, code[1]
-                while i:
-                    e, i = e[1], i - 1
-                code, env = e[0]
-            elif tag == LAM:
-                if not frames or frames[-1][0] is None:
-                    break
-                env = (frames.pop(), env)
-                code = code[1]
-                steps += 1
+                fn = code[1]
+                tag = fn[0]
+                if tag == LAM:  # beta, with no argument frame
+                    env = (arg, env)
+                    code = fn[1]
+                    steps += 1
+                    continue
+                if tag == APP and fn[1][0] == LAM and fn[1][1][0] == LAM and fuel - steps > 1:
+                    first = fn[5]  # the let's first argument; ``arg`` is its second
+                    if first is None:
+                        first = fn[2]
+                        if first[0] == VAR:
+                            e, i = env, first[1]
+                            while i:
+                                e, i = e[1], i - 1
+                            first = e[0]
+                        else:
+                            first = (first, env)
+                    env = (arg, (first, env))
+                    code = fn[1][1][1]
+                    steps += 2
+                    continue
+                code = fn
+                if tag != FST and tag != SND:
+                    frames.append(arg)
+                    continue  # else fst or snd takes ``arg`` below
             elif tag == FST or tag == SND:
                 if not frames or frames[-1][0] is None:
                     break
-                code, env = frames.pop()
-                frames.append(_FST_FRAME if tag == FST else _SND_FRAME)
-                while (  # a literal pair: APP, APP, PAIR in one pass
-                    code[0] == APP
-                    and code[1][0] == APP
-                    and code[1][1][0] == PAIR
-                    and frames
-                    and (frames[-1] is _FST_FRAME or frames[-1] is _SND_FRAME)
-                    and steps < fuel
-                ):
-                    part = code[1] if frames.pop() is _FST_FRAME else code
-                    arg = part[5]
-                    if arg is None:
-                        arg = part[2]
-                        if arg[0] == VAR:
-                            e, i = env, arg[1]
-                            while i:
-                                e, i = e[1], i - 1
-                            arg = e[0]
-                        else:
-                            arg = (arg, env)
-                    code, env = arg
+                arg = frames.pop()
+            else:
+                if tag == VAR:
+                    e, i = env, code[1]
+                    while i:
+                        e, i = e[1], i - 1
+                    code, env = e[0]
+                elif tag == LAM:
+                    if not frames or frames[-1][0] is None:
+                        break
+                    env = (frames.pop(), env)
+                    code = code[1]
+                    steps += 1
+                elif tag == PAIR:
+                    if (
+                        len(frames) < 3
+                        or frames[-1][0] is None
+                        or frames[-2][0] is None
+                        or (frames[-3] is not _FST_FRAME and frames[-3] is not _SND_FRAME)
+                    ):
+                        break
+                    a = frames.pop()
+                    b = frames.pop()
+                    code, env = a if frames.pop() is _FST_FRAME else b
                     steps += 1
                     proj += 1
-            elif tag == PAIR:
-                if (
-                    len(frames) < 3
-                    or frames[-1][0] is None
-                    or frames[-2][0] is None
-                    or (frames[-3] is not _FST_FRAME and frames[-3] is not _SND_FRAME)
-                ):
+                elif tag == HREC:
+                    if (
+                        len(frames) < 3
+                        or frames[-1][0] is None
+                        or frames[-2][0] is None
+                        or frames[-3][0] is None
+                    ):
+                        break
+                    u0 = frames.pop()
+                    u1 = frames.pop()
+                    code, env = frames.pop()
+                    frames.append((None, u0, u1))
+                elif tag == Z0:
+                    if not frames or len(frames[-1]) != 3:
+                        break
+                    code, env = frames.pop()[1]
+                    steps += 1
+                    rec0 += 1
+                elif tag == SC:
+                    if len(frames) < 2 or frames[-1][0] is None or len(frames[-2]) != 3:
+                        break
+                    w = frames.pop()
+                    _, u0, u1 = frames.pop()
+                    code, env = _HREC_AGAIN, (w, (u1, (u0, None)))
+                    steps += 1
+                    recs += 1
+                else:  # a free variable, or a leaf that is not an HA2 term
                     break
-                a = frames.pop()
-                b = frames.pop()
-                code, env = a if frames.pop() is _FST_FRAME else b
+                continue
+            # fst or snd applied to ``arg``
+            frames.append(_FST_FRAME if tag == FST else _SND_FRAME)
+            code, env = arg
+            while (  # a literal pair: APP, APP, PAIR in one pass
+                code[0] == APP
+                and code[1][0] == APP
+                and code[1][1][0] == PAIR
+                and frames
+                and (frames[-1] is _FST_FRAME or frames[-1] is _SND_FRAME)
+                and steps < fuel
+            ):
+                part = code[1] if frames.pop() is _FST_FRAME else code
+                arg = part[5]
+                if arg is None:
+                    arg = part[2]
+                    if arg[0] == VAR:
+                        e, i = env, arg[1]
+                        while i:
+                            e, i = e[1], i - 1
+                        arg = e[0]
+                    else:
+                        arg = (arg, env)
+                code, env = arg
                 steps += 1
                 proj += 1
-            elif tag == HREC:
-                if (
-                    len(frames) < 3
-                    or frames[-1][0] is None
-                    or frames[-2][0] is None
-                    or frames[-3][0] is None
-                ):
-                    break
-                u0 = frames.pop()
-                u1 = frames.pop()
-                code, env = frames.pop()
-                frames.append((None, u0, u1))
-            elif tag == Z0:
-                if not frames or len(frames[-1]) != 3:
-                    break
-                code, env = frames.pop()[1]
-                steps += 1
-                rec0 += 1
-            elif tag == SC:
-                if len(frames) < 2 or frames[-1][0] is None or len(frames[-2]) != 3:
-                    break
-                w = frames.pop()
-                _, u0, u1 = frames.pop()
-                code, env = _HREC_AGAIN, (w, (u1, (u0, None)))
-                steps += 1
-                recs += 1
-            else:  # a free variable, or a leaf that is not an HA2 term
-                break
         counts = self.counts
         counts[0] += steps - proj - rec0 - recs
         counts[1] += proj

@@ -56,6 +56,10 @@ from .syntax import (
 
 _EMPTY: frozenset[str] = frozenset()
 
+# The largest numeral the translation takes: the image of #n is the unary
+# sc (... (sc z0)), n + 1 nodes of about 56 bytes each (560 MB at the bound).
+MAX_CPS_NUMERAL = 10**7
+
 
 class TranslationError(LamcError):
     pass
@@ -249,6 +253,8 @@ def _cps(t: Term | Stack, fresh: _Fresh, memo: CpsMemo):
         k, w = fresh(), fresh()
         image = Lam(k, _letp("x", w, Var(k), App(Var("x"), (yield _cps(t.saved, fresh, memo)))))
     elif cls is Numeral:
+        if t.n > MAX_CPS_NUMERAL:
+            raise TranslationError(f"numeral too large to translate (more than {MAX_CPS_NUMERAL})")
         image = hnumeral(t.n)
     elif cls is Inst and t.name in _CPS_INSTRUCTIONS:
         image = _CPS_INSTRUCTIONS[t.name](fresh)

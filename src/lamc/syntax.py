@@ -123,7 +123,10 @@ class Lam(Term):
     fv: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fv", self.body.fv - {self.binder})
+        fv = self.body.fv  # shared with the body when the binder is not free in it
+        if self.binder in fv:
+            fv = fv - {self.binder} if len(fv) > 1 else _EMPTY_FV
+        object.__setattr__(self, "fv", fv)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -133,7 +136,8 @@ class App(Term):
     fv: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fv", self.fn.fv | self.arg.fv)
+        a, b = self.fn.fv, self.arg.fv  # shared with a child that has them all
+        object.__setattr__(self, "fv", a if b <= a else b if a <= b else a | b)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)

@@ -7,6 +7,11 @@ it and records what ``run`` reports.  None of the rule firing here is code
 that ``lamc`` ships, which fires rules on compiled code (``_fire``).  It is
 slow on purpose and serves only as the oracle the environment machine is
 compared with.
+
+``compile`` is the compile walk ``lamc.machine._compile`` replaced: an
+``isinstance`` chain that looks every node up in the memo and leaves an
+App, Lam or Kont through a ``(t, False)`` entry.  The new walk must give
+the same code tuples and share the same closed code.
 """
 
 from __future__ import annotations
@@ -30,7 +35,31 @@ from lamc.machine import (
     StopRun,
     TExpr,
 )
-from lamc.syntax import App, Inst, Lam, Numeral, Process, Push, Stack, Term, Var, print_process
+from lamc.machine import (
+    _APP,
+    _HCONST_TAGS,
+    _INST_TAGS,
+    _KONT,
+    _LAM,
+    _NUM,
+    _USER,
+    _VAR,
+    RuleError,
+)
+from lamc.syntax import (
+    App,
+    HConst,
+    Inst,
+    Kont,
+    Lam,
+    Numeral,
+    Process,
+    Push,
+    Stack,
+    Term,
+    Var,
+    print_process,
+)
 
 _COMPARE = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
 
@@ -142,3 +171,66 @@ def run_by_steps(p: Process, cfg: MachineConfig) -> RunOutcome:
         fired=tuple(fired),
         trace=tuple(trace),
     )
+
+
+def compile(t: Term, scope: tuple, memo: dict) -> tuple:
+    """The code of ``t`` with the names in ``scope`` (outermost first) as its
+    environment, as ``lamc.machine._compile`` gives it.  A scope entry is
+    a variable name, or ``id(e)`` for a template's ``TExpr`` e.  ``memo``
+    maps ``id`` of closed terms to their code."""
+    levels: dict = {}  # name -> depths of its binders, innermost last
+    for depth, key in enumerate(scope):
+        levels.setdefault(key, []).append(depth)
+    depth = len(scope)
+    out: list[tuple] = []
+    todo: list = [(t, True)]
+    while todo:
+        t, entering = todo.pop()
+        if entering:
+            node = memo.get(id(t))
+            if node is not None:
+                out.append(node)
+            elif isinstance(t, App):
+                todo += ((t, False), (t.arg, True), (t.fn, True))
+            elif isinstance(t, Lam):
+                levels.setdefault(t.binder, []).append(depth)
+                depth += 1
+                todo += ((t, False), (t.body, True))
+            elif isinstance(t, (Var, TExpr)):
+                bound = levels.get(t.name if isinstance(t, Var) else id(t))
+                if not bound:
+                    if isinstance(t, Var):
+                        raise RuleError(f"unbound variable {t.name!r} in rule right-hand side")
+                    raise TypeError(f"not a term: {t!r}")
+                i = depth - 1 - bound[-1]
+                out.append((_VAR, i, None, i + 1, t))
+            elif isinstance(t, Inst):
+                out.append((_INST_TAGS.get(t.name, _USER), t.name, None, 0, t))
+            elif isinstance(t, Numeral):
+                out.append((_NUM, t.n, None, 0, t))
+            elif isinstance(t, HConst):
+                out.append((_HCONST_TAGS[t.kind], t.kind, None, 0, t))
+            elif isinstance(t, Kont):  # its saved stack is closed (``Kont``)
+                todo.append((t, False))
+                todo += ((u, True) for u in reversed(list(t.saved)))
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            continue
+        if isinstance(t, App):
+            arg = out.pop()
+            fn = out.pop()
+            node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
+        elif isinstance(t, Lam):
+            body = out.pop()
+            levels[t.binder].pop()
+            depth -= 1
+            node = (_LAM, body, None, max(body[3] - 1, 0), t)
+        else:  # Kont
+            saved = None
+            for _ in t.saved:
+                saved = ((out.pop(), None), saved)
+            node = (_KONT, saved, None, 0, t)
+        if not node[3]:
+            memo[id(t)] = node
+        out.append(node)
+    return out[0]

@@ -9,6 +9,8 @@ that the lexer replaced.  ``substitute``, ``extend_stack_bottom`` and
 ``is_proof_like`` are the recursive walks, ``TermParser`` (with
 ``HTermParser`` for the HA2 pair) the recursive-descent parser, and
 ``print_term``/``print_stack`` the printer that recursed into saved stacks.
+``free_vars`` recomputes the free variables that each node caches in
+``fv``.
 """
 
 from __future__ import annotations
@@ -183,6 +185,16 @@ def lex(text: str) -> Iterator[tuple[str, str, int, int]]:
             continue
         raise ParseError(f"unexpected character {c!r}", line, col)
     yield ("eof", "", line, col)
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, Lam):
+        return free_vars(t.body) - {t.binder}
+    if isinstance(t, App):
+        return free_vars(t.fn) | free_vars(t.arg)
+    return frozenset()  # a constant; a Kont's saved stack is closed
 
 
 def substitute(t: Term, x: str, u: Term) -> Term:

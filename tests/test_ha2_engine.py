@@ -214,8 +214,10 @@ def test_rec_on_stuck_arguments():
 
 
 # ---------------------------------------------------------------------------
-# the stop at every fuel: a projection of a literal pair takes one machine
-# transition, and must leave the state the reference reaches step by step
+# the stop at every fuel: a beta step on an application, fst or snd on an
+# application, a destructuring let and a projection of a literal pair each
+# take one machine transition, and must leave the state the reference
+# reaches step by step
 
 
 def assert_same_stop(t, fuel):
@@ -250,6 +252,27 @@ def assert_same_stop_at_every_fuel(t):
         r"rec z0 (\x y. y) (snd <z0; sc z0>)",
         r"fst (pair z0 sc z0)",
         r"fst (snd (\x. x))",
+        # beta on an application: a variable argument, bound or free, a
+        # closed argument and an open one
+        r"(\f. (\x. x z0) f) (\y. y)",
+        r"(\x. x z0) w",
+        r"(\x. x z0) (\y. y)",
+        r"(\f. (\x. x) (f z0)) (\y. y)",
+        # fst and snd on an application: a pair bound by a beta, and a
+        # projection of a projection
+        r"(\p. fst p) <z0; sc>",
+        r"(\p. snd p) <z0; sc>",
+        r"(\p. snd (fst p)) <<z0; \y. y>; sc>",
+        r"(\p. fst (fst (snd p))) <sc; <<z0; sc>; z0>>",
+        # destructuring lets: projections as arguments, two nested lets, a
+        # let under an argument, and variable, closed and open arguments
+        r"(\p. (\x y. y x) (fst p) (snd p)) <z0; \z. z>",
+        r"(\x y. (\a b. b a x) y x) (\z. z) z0",
+        r"(\x y. (\a b. a b) y x) (\z. z) (\u v. v u) sc",
+        r"(\x y. x) z0 (\z. z) sc",
+        r"(\q. (\x y. x y) q (q z0)) (\z. z)",
+        r"(\x y. fst y) z0 <sc; z0>",
+        r"(\x y. x) w (w z0)",
     ],
 )
 def test_stop_at_every_fuel(src):
@@ -267,7 +290,8 @@ def test_closed_realizer_stop_at_sampled_fuels():
     image = cps_process(Process(t, Push(sigma01_wrapper(), BOTTOM)))
     total = ref.head_run(image, 10_000).steps
     rng = random.Random(610)
-    for fuel in [*range(40), *rng.sample(range(40, total), 30), total, total + 1]:
+    sampled = {*range(40), *rng.sample(range(40, total), 30), *range(50, total, 50)}
+    for fuel in sorted(sampled | {total - 1, total, total + 1}):
         assert_same_stop(image, fuel)
 
 

@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from lamc import cps_process, machine
 from lamc.arith import EVar, parse_expr
+from lamc.demo import closed_realizer
+from lamc.extract import sigma01_wrapper
 from lamc.machine import (
     BindNumeral,
     BindTerm,
@@ -33,6 +36,7 @@ from lamc.syntax import (
     ParseError,
     Process,
     Push,
+    Term,
     Var,
     extend_stack_bottom,
     parse_process,
@@ -40,7 +44,8 @@ from lamc.syntax import (
     stack_of,
 )
 
-from gen import random_process, random_stack
+import machine_reference
+from gen import random_hterm, random_process, random_stack, random_term
 
 
 def proc(src, **kw):
@@ -340,6 +345,112 @@ class TestRuleCode:
         assert [doc["kind"] for doc in result.doc["statements"]] == ["eval", "extract"]
         registered = [r for rules in runner.cfg.rules.values() for r in rules]
         assert sorted(map(id, compiled)) == sorted(map(id, registered))
+
+
+class TestCompileWalk:
+    """``_compile`` against the walk it replaced (``machine_reference.compile``):
+    the same code tuples, the same closed code shared, the same errors."""
+
+    def assert_same_code(self, terms, scope=()):
+        # compiled with one memo per walk, as ``run`` compiles a head and its stack
+        memo, ref_memo = {}, {}
+        got = [machine._compile(t, scope, memo) for t in terms]
+        want = [machine_reference.compile(t, scope, ref_memo) for t in terms]
+        # a node of one walk stands for one node of the other, and each pair
+        # is compared once, so shared code is walked once
+        ids: dict = {}
+        todo = list(zip(got, want))
+        while todo:
+            a, b = todo.pop()
+            if ids.setdefault(id(a), id(b)) != id(b) or ids.setdefault(-id(b), -id(a)) != -id(a):
+                pytest.fail(f"shared differently: {a[4]!r}")
+            tag = a[0]
+            assert len(a) == len(b) and (tag, a[3]) == (b[0], b[3]) and a[4] is b[4]
+            if tag == machine._APP:
+                todo += ((a[1], b[1]), (a[2], b[2]))
+                assert (a[5] is None) == (b[5] is None)
+                assert a[5] is None or a[5] == (a[2], None) and b[5] == (b[2], None)
+            elif tag == machine._LAM:
+                todo.append((a[1], b[1]))
+                assert a[2] is b[2] is None
+            elif tag == machine._KONT:
+                cell, ref_cell = a[1], b[1]
+                while cell is not None:
+                    todo.append((cell[0][0], ref_cell[0][0]))
+                    assert cell[0][1] is ref_cell[0][1] is None
+                    cell, ref_cell = cell[1], ref_cell[1]
+                assert ref_cell is None
+            else:
+                assert a == b
+        return got
+
+    def test_random_hterms(self):
+        rng = random.Random(611)
+        for i in range(400):
+            t = random_hterm(rng, rng.randint(0, 6), closed=i % 2 == 0)
+            self.assert_same_code([t, App(t, t), t], tuple(sorted(t.fv)))
+
+    def test_random_lambda_c_terms(self):
+        rng = random.Random(612)
+        for _ in range(400):
+            p = random_process(rng)
+            self.assert_same_code([p.head, *p.stack])
+
+    def test_rule_templates(self):
+        rng = random.Random(613)
+        for _ in range(200):
+            leaves = []
+
+            def template(depth, bound):
+                kinds = ("var", "expr", "leaf", "lam", "app", "app")
+                kind = rng.choice(kinds if depth else kinds[:3])
+                if kind == "var":
+                    return Var(rng.choice(bound))
+                if kind == "expr":
+                    leaves.append(TExpr(EVar("n")))
+                    return leaves[-1]
+                if kind == "leaf":
+                    return rng.choice((Numeral(2), Inst("s"), Inst("test_le")))
+                if kind == "lam":
+                    binder = rng.choice(("u", "n", "x"))
+                    return Lam(binder, template(depth - 1, bound + (binder,)))
+                return App(template(depth - 1, bound), template(depth - 1, bound))
+
+            rhs = [template(rng.randint(0, 5), ("u", "n")) for _ in range(3)]
+            self.assert_same_code(rhs, ("u", "n", *map(id, leaves)))
+
+    def test_continuations_and_shared_closed_terms(self):
+        rng = random.Random(614)
+        for _ in range(200):
+            shared = random_term(rng, rng.randint(1, 4))
+            k = Kont(Push(shared, random_stack(rng)))
+            t = App(App(Lam("x", App(Var("x"), shared)), Kont(Push(k, Push(shared, BOTTOM)))), k)
+            code, shared_code, k_code = self.assert_same_code([t, shared, k])
+            assert code[2] is k_code
+            assert (code[1][1][1][2] is shared_code) == isinstance(shared, (App, Lam))
+        image = cps_process(Process(closed_realizer(2)[0], Push(sigma01_wrapper(), BOTTOM)))
+        self.assert_same_code([image])
+
+    def test_errors(self):
+        class Odd(Term):
+            fv = frozenset()
+
+        for t, scope in [
+            (Var("zz"), ()),
+            (Lam("x", App(Var("x"), Var("y"))), ("u",)),
+            (TExpr(EVar("n")), ("n",)),
+            (App(Odd(), Numeral(1)), ()),
+            (Odd(), ()),
+            (5, ()),
+            ("x", ()),
+            (BOTTOM, ()),
+        ]:
+            raised = []
+            for walk in (machine._compile, machine_reference.compile):
+                with pytest.raises((RuleError, TypeError)) as err:
+                    walk(t, scope, {})
+                raised.append((err.type, str(err.value)))
+            assert raised[0] == raised[1]
 
 
 class TestNumeralConversions:

@@ -23,6 +23,7 @@ from lamc.ha2 import hnumeral, parse_hterm
 from lamc.negtrans import (
     BraceDecl,
     CpsMemo,
+    MAX_CPS_NUMERAL,
     ReturnFormula,
     TranslationError,
     cps_process,
@@ -209,6 +210,19 @@ class TestCpsTerm:
     def test_user_instruction_rejected(self):
         with pytest.raises(TranslationError, match="no CPS translation"):
             cps_term(Inst("mystery"))
+
+    def test_numeral_above_the_bound_rejected_before_its_image(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for n in (MAX_CPS_NUMERAL + 1, 10**20):
+                with pytest.raises(TranslationError, match="numeral too large to translate"):
+                    cps_term(Numeral(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_non_term_rejected(self):
         with pytest.raises(TypeError, match="not a term"):

@@ -688,6 +688,12 @@ def test_large_numeral_translates_at_the_default_recursion_limit(capsys):
     assert out.out.startswith("translate process: ") and out.out.count("sc") == 30000
 
 
+def test_numeral_above_the_cps_bound_is_one_error_line(capsys):
+    assert main(["translate", "--term", "#99999999999999999999"]) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: numeral too large to translate (more than 10000000)\n"
+
+
 def test_script_jobs_share_the_default_signature():
     # built once per process: the parser's arities, the runner's and a
     # default configuration's signature are one instance, with one compiled

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamc.ha2 import hnumeral
 from lamc.syntax import (
     App,
     BOTTOM,
@@ -28,6 +29,7 @@ from lamc.syntax import (
     substitute,
 )
 
+import syntax_reference as ref
 from gen import random_closed_term, random_term
 
 
@@ -170,6 +172,28 @@ class TestFreeVars:
     def test_is_closed(self):
         assert is_closed(t(r"\x.x"))
         assert not is_closed(Var("x"))
+
+    def test_cached_sets_match_the_reference(self):
+        rng = random.Random(41)
+        for i in range(500):
+            term = random_term(rng, rng.randint(1, 7), bound=("a", "x")[: i % 3], closed=i % 2 == 0)
+            todo = [term]
+            while todo:  # every node's cached set
+                u = todo.pop()
+                assert u.fv == ref.free_vars(u)
+                todo += (u.body,) if isinstance(u, Lam) else (u.fn, u.arg) if isinstance(u, App) else ()
+
+    def test_nodes_share_an_unchanged_set(self):
+        # a node whose set equals a child's takes the child's set object
+        t = hnumeral(1000)
+        sets = set()
+        while isinstance(t, App):
+            sets |= {id(t.fv), id(t.fn.fv)}
+            t = t.arg
+        assert sets == {id(t.fv)} and not t.fv
+        body = App(App(Var("f"), Var("x")), Var("f"))
+        assert body.fv is body.fn.fv and Lam("y", body).fv is body.fv
+        assert Lam("f", Lam("x", body)).fv is t.fv
 
 
 class TestExtendStackBottom:
