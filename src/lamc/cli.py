@@ -11,11 +11,11 @@ from .formulas import parse_formula, parse_hformula
 from .ha2 import WITNESS_FUEL
 from .negtrans import ReturnFormula
 from .script import (
-    EXIT_OK,
     EXIT_PARSE,
     EXTRACTION_MODES,
     Script,
     StatementOutput,
+    combined_exit,
     definitions_config,
     extract_statement,
     parse_script,
@@ -153,8 +153,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     tables = []
+    codes = set()
     for path in args.scripts:
         result = run_script(path, fuel=args.fuel)
+        codes.add(result.exit_code)
         calls = {}
         printed: list[int] = []
         for stmt in result.doc["statements"]:
@@ -176,7 +178,7 @@ def _cmd_stats(args) -> int:
         for name in sorted(set(a) | set(b)):
             if a.get(name, 0) != b.get(name, 0):
                 print(f"  {name:<12} {a.get(name, 0)} vs {b.get(name, 0)}")
-    return EXIT_OK
+    return combined_exit(codes)
 
 
 def main(argv: list[str] | None = None) -> int:

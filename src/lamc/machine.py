@@ -641,6 +641,9 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     statistics and trace lines are those of iterating ``step``.  Identical
     inputs give identical outcomes.  The sink may raise StopRun to abort
     (halt kind "aborted").
+
+    Untraced, Push and Grab finish their own steps and skip the statistics
+    dict: Grab is counted in a local, Push as the steps no other rule took.
     """
     if free_vars(p.head):
         raise MachineError("ill-formed process: head is not closed")
@@ -663,7 +666,7 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     APP, LAM, VAR, NUM, KONT, CC, SUCC, REC, PRINT, STOP, USER = (
         _APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER
     )
-    steps = 0
+    steps = grab = 0
     while True:
         if steps >= limit:
             halt = Halt("fuel")
@@ -682,6 +685,9 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
                     arg = (arg, env)
             stack = (arg, stack)
             code = code[1]
+            if not tracing:
+                steps += 1
+                continue
             rule = "Push"
         elif tag == LAM:
             if stack is None:
@@ -690,6 +696,10 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
             env = (stack[0], env)
             stack = stack[1]
             code = code[1]
+            if not tracing:
+                steps += 1
+                grab += 1
+                continue
             rule = "Grab"
         elif tag == VAR:
             # looking a variable up is no step: the substitution machine
@@ -784,6 +794,8 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
         if tracing:
             fired.append(rule)
             trace.append(f"step {steps}: {rule} | {print_process(_read_back(code, env, stack))}")
+    stats["Grab"] += grab
+    stats["Push"] += steps - sum(stats.values())
     return RunOutcome(
         final=_read_back(code, env, stack),
         halt=halt,

@@ -487,6 +487,11 @@ class ScriptResult:
     doc: dict
 
 
+def combined_exit(codes) -> int:
+    """Of several statuses: unverified (2), else fuel exhaustion (3), else 0."""
+    return next((c for c in (EXIT_UNVERIFIED, EXIT_FUEL) if c in codes), EXIT_OK)
+
+
 def _calls_table(outcome: RunOutcome) -> list[tuple[str, int]]:
     calls = outcome.instruction_calls()
     rows = [(STAT_LABELS.get(name, name), count) for name, count in calls.items()]
@@ -631,8 +636,7 @@ class ScriptRunner:
         for stmt in script.statements:
             handler = "_run_" + type(stmt).__name__.removesuffix("Stmt").lower()
             getattr(self, handler)(stmt)
-        # an unverified result (2) takes precedence over fuel exhaustion (3)
-        code = next((c for c in (EXIT_UNVERIFIED, EXIT_FUEL) if c in self.codes), EXIT_OK)
+        code = combined_exit(self.codes)
         return ScriptResult(code, "\n".join(self.lines) + ("\n" if self.lines else ""), {"statements": self.doc})
 
     def _emit(self, output: StatementOutput) -> None:

@@ -331,6 +331,60 @@ class TestHa2Constants:
         assert assert_same(p, rule_config)
 
 
+# ``RunOutcome.stats`` lists the built-in rules in this order, then user
+# rules in the order they first fired; the reference counts in fired order
+BUILTIN_ORDER = ("Push", "Grab", "Resume", "cc", "s", "rec-0", "rec-s", "print")
+
+
+def in_rule_order(stats: dict) -> list:
+    return [(k, stats[k]) for k in BUILTIN_ORDER if k in stats] + [
+        (k, n) for k, n in stats.items() if k not in BUILTIN_ORDER
+    ]
+
+
+def assert_same_at_fuels(p: Process, cfg: MachineConfig, fuels, traced_fuels) -> None:
+    """``run`` against the reference at each fuel (traced too at each of
+    ``traced_fuels``: a traced run prints the whole process per step), with
+    the statistics in rule order.  Untraced, Push and Grab finish their own
+    steps and Push is counted as the remainder."""
+    for fuel, trace in [(f, False) for f in fuels] + [(f, True) for f in traced_fuels]:
+        c = replace(cfg, fuel=fuel, trace=trace)
+        expected, got = run_by_steps(p, c), run(p, c)
+        assert view(got) == view(expected), (fuel, trace)
+        assert list(got.stats.items()) == in_rule_order(expected.stats), (fuel, trace)
+
+
+class TestFuelSweep:
+    """Every fuel up to one past the halt, so every stop between two
+    steps; under 5 s in all."""
+
+    def test_compiled_product(self, sig):
+        p = Process(compile_primrec("*", sig), stack_of(Numeral(3), Numeral(4), _stop_k()))
+        total = run(p, MachineConfig()).steps
+        assert_same_at_fuels(p, MachineConfig(), range(total + 2), [*range(12), total - 1, total, total + 1])
+
+    def test_omega(self):
+        fuels = range(40)
+        assert_same_at_fuels(parse_process(r"(\x. x x) (\x. x x) * $"), MachineConfig(), fuels, fuels)
+
+    def test_print_and_user_rules(self):
+        cfg = rule_config()
+        p = parse_process(
+            r"double #3 (\n. print n (isz n (stop #0) (\w. print w (stop w)))) * $", instructions=cfg.instructions
+        )
+        out = run(p, cfg)
+        assert list(out.stats) == ["Push", "Grab", "print", "double", "isz"] and out.halt.kind == "final-stop"
+        fuels = range(out.steps + 2)
+        assert_same_at_fuels(p, cfg, fuels, fuels)
+
+    def test_closed_realizer(self):
+        t0, sig = closed_realizer(2)
+        p = Process(t0, stack_of(sigma01_wrapper()))
+        cfg = MachineConfig(sig=sig)
+        total = run(p, cfg).steps
+        assert_same_at_fuels(p, cfg, [*range(0, total, 25), total - 1, total, total + 1], range(0, 100, 25))
+
+
 def assert_steps_agree(p: Process, cfg: MachineConfig, limit: int = 400) -> set:
     """Step ``p`` with ``lamc.step`` and the reference ``step`` side by
     side: at every step the same Halt, or the same rule and the same

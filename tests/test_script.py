@@ -363,6 +363,17 @@ class TestCli:
         assert "diff:" in out
         assert "print" in out  # the plain build never fires print
 
+    def test_stats_out_of_fuel(self, tmp_path, capsys):
+        omega = tmp_path / "omega.lc"
+        omega.write_text("Eval (\\x. x x) (\\x. x x) * $;\n")
+        code = main(["stats", str(omega), "--fuel", "3"])
+        out = capsys.readouterr().out
+        assert code == EXIT_FUEL
+        assert out == f"script: {omega}\n  Push         2\n  Grab         1\n"
+        # fuel exhaustion in one script of two decides the status
+        assert main(["stats", self.demo_path(tmp_path, 10), str(omega), "--fuel", "1000"]) == EXIT_FUEL
+        capsys.readouterr()
+
 
 class TestRobustness:
     def test_arity_zero_prim_symbol(self):
