@@ -110,7 +110,8 @@ def _environment(script_path: str | None, fuel: int | None):
 
 
 def _cmd_run(args) -> int:
-    result = run_script(args.script, fuel=args.fuel, trace=args.trace)
+    # the document carries no trace lines
+    result = run_script(args.script, fuel=args.fuel, trace=args.trace and not args.json_like)
     if args.json_like:
         print(json.dumps(result.doc, indent=2))
     else:

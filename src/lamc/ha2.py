@@ -84,9 +84,6 @@ def contract_redex(t: Term) -> Term | None:
     return None
 
 
-Pos = tuple[int, ...]
-
-
 def _walk(t: Term, deep: bool):
     """Every subterm of t in leftmost-outermost preorder (function before
     argument), below abstractions only when deep, as (subterm, context,
@@ -118,14 +115,6 @@ def plug(ctx, t: Term) -> Term:
     return t
 
 
-def _pos(ctx) -> Pos:
-    path = []
-    while ctx is not None:
-        path.append(ctx[0])
-        ctx = ctx[2]
-    return tuple(reversed(path))
-
-
 def first_redex(t: Term, deep: bool, contract):
     """(context, reduct) of the first subterm in walk order that contract
     reduces; None when there is none."""
@@ -144,22 +133,20 @@ def contract_projection(t: Term) -> Term | None:
     return None
 
 
-def weak_step(t: Term) -> tuple[Term, Pos] | None:
+def weak_step(t: Term) -> Term | None:
     """Contract the leftmost-outermost weak redex; None when weak-normal.
 
     Weak reduction never goes below an abstraction.
     """
     found = first_redex(t, False, contract_redex)
-    if found is None:
-        return None
-    ctx, r = found
-    return plug(ctx, r), _pos(ctx)
+    return None if found is None else plug(*found)
 
 
-def enumerate_weak_redexes(t: Term) -> list[tuple[Pos, Term]]:
-    """All one-step weak reducts (full nondeterministic relation)."""
+def enumerate_weak_redexes(t: Term) -> list[Term]:
+    """All one-step weak reducts (full nondeterministic relation), in walk
+    order."""
     return [
-        (_pos(ctx), plug(ctx, r))
+        plug(ctx, r)
         for u, ctx, _ in _walk(t, False)
         if (r := contract_redex(u)) is not None
     ]
@@ -172,7 +159,7 @@ def weak_reduce(t: Term, fuel: int = 10_000) -> tuple[Term, int]:
         nxt = weak_step(t)
         if nxt is None:
             return t, steps
-        t = nxt[0]
+        t = nxt
         steps += 1
     raise Ha2Error(f"weak_reduce: fuel exhausted after {fuel} steps")
 

@@ -565,8 +565,12 @@ def extract_statement(
 
 
 def simulate_statement(process: Process, fuel: int) -> StatementOutput:
-    """Check the simulation along a closed-world run of at most fuel steps."""
+    """Check the simulation along a closed-world run of at most fuel steps.
+    A process that no check translated is translated here, so one outside
+    the translation is an error even when the machine halts on it at once."""
     report = simulate_run(process, fuel=fuel)
+    if not report.reports:
+        cps_process(process)
     line = (
         f"simulate: machine-steps {report.machine_steps} verified {report.verified} "
         f"failed {report.failed} inconclusive {report.inconclusive} halt {report.halt_kind}"
@@ -688,10 +692,10 @@ class ScriptRunner:
         self._emit((lines, doc, EXIT_FUEL if outcome.halt.kind == "fuel" else EXIT_OK))
 
     def _run_extract(self, stmt: ExtractStmt) -> None:
+        # only Eval prints its trace lines, so the extraction runs untraced
         self._check_no_kont(stmt.realizer, "Extract")
-        self._emit(
-            extract_statement(stmt.mode, stmt.realizer, stmt.symbol, self.cfg, trace=stmt.trace)
-        )
+        cfg = replace(self.cfg, trace=False)
+        self._emit(extract_statement(stmt.mode, stmt.realizer, stmt.symbol, cfg, trace=stmt.trace))
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
         subject = {"term": stmt.term, "process": stmt.process, "formula": stmt.formula}[stmt.kind]

@@ -16,6 +16,10 @@ a term that shares closed subterms with one keyed before costs only its
 new nodes, and one ``CpsMemo`` translates the source and target
 processes.  Along a run, each check's memo reads through to the one
 before, so each process is translated once.
+
+The search budgets are the module constants ``INNER_FUEL`` (imported from
+``ha2``), ``GUIDED_STEPS`` and ``BFS_NODE_CAP``, read when a check runs;
+a report that runs out of one names it.
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ class SimulationError(LamcError):
     pass
 
 
-GUIDED_STEPS = 400
+GUIDED_STEPS = 400  # steps of the guided chain
 SIMULATE_FUEL = 40  # machine steps a simulation run checks by default
-BFS_NODE_CAP = 20_000
+BFS_NODE_CAP = 20_000  # terms the breadth-first fallback expands
+
+# every check steps under the closed rule set
+_CLOSED = MachineConfig()
 
 
 @dataclass(frozen=True)
@@ -87,27 +94,18 @@ class RunSimulationReport:
 def _proj_first_step(t: Term) -> Term | None:
     """One weak step, contracting pair projections before anything else."""
     found = first_redex(t, False, contract_projection)
-    if found is not None:
-        return plug(*found)
-    nxt = weak_step(t)
-    return nxt[0] if nxt is not None else None
+    return plug(*found) if found is not None else weak_step(t)
 
 
 def simulate_one_step(
-    p: Process,
-    cfg: MachineConfig | None = None,
-    inner_fuel: int = INNER_FUEL,
-    guided_steps: int = GUIDED_STEPS,
-    bfs_cap: int = BFS_NODE_CAP,
-    result: Next | Halt | None = None,
-    memo: CpsMemo | None = None,
+    p: Process, result: Next | Halt | None = None, memo: CpsMemo | None = None
 ) -> OneStepReport:
-    """Verify the one-step simulation for the machine step out of p;
-    result is that step when the caller has already taken it, and memo
-    the CPS memo of this check when the caller hands one on."""
-    cfg = cfg if cfg is not None else MachineConfig()
+    """Verify the one-step simulation for the machine step out of p under
+    the closed rule set; result is that step when the caller has already
+    taken it, and memo the CPS memo of this check when the caller hands
+    one on."""
     if result is None:
-        result = step(p, cfg)
+        result = step(p, _CLOSED)
     if isinstance(result, Halt):
         raise SimulationError(f"process does not step (halt: {result.kind})")
     assert isinstance(result, Next)
@@ -117,7 +115,7 @@ def simulate_one_step(
     start = cps_process(p, memo)
     target_fn = cps_term(p2.head, memo)
     target_stack = cps_stack(p2.stack, memo)
-    out_of_fuel = f"inner equality ran out of fuel (inner_fuel {inner_fuel})"
+    out_of_fuel = f"inner equality ran out of fuel (inner_fuel {INNER_FUEL})"
 
     def check(t: Term, k: int) -> OneStepReport | None:
         """The report when t, reached in k weak steps, is t2-star applied to
@@ -127,7 +125,7 @@ def simulate_one_step(
             return None
         if t.arg == target_stack:
             return OneStepReport(rule, True, k, True, None)
-        verdict = inner_equal(t.arg, target_stack, inner_fuel)
+        verdict = inner_equal(t.arg, target_stack, INNER_FUEL)
         if verdict is EqResult.EQUAL:
             return OneStepReport(rule, True, k, False, verdict)
         if verdict is EqResult.UNKNOWN:
@@ -137,7 +135,7 @@ def simulate_one_step(
     # guided deterministic chain; a shape hit with the wrong residual
     # keeps reducing
     current = start
-    for k in range(1, guided_steps + 1):
+    for k in range(1, GUIDED_STEPS + 1):
         current = _proj_first_step(current)
         if current is None:
             break
@@ -151,10 +149,10 @@ def simulate_one_step(
     frontier: deque[tuple[Term, int]] = deque([(start, 0)])
     expanded = 0
     saw_unknown = False
-    while frontier and expanded < bfs_cap:
+    while frontier and expanded < BFS_NODE_CAP:
         t, depth = frontier.popleft()
         expanded += 1
-        for _, reduct in enumerate_weak_redexes(t):
+        for reduct in enumerate_weak_redexes(t):
             key = hterm_key(keys, reduct)
             if key in seen:
                 continue
@@ -169,7 +167,7 @@ def simulate_one_step(
         spent = []
         if frontier:
             spent.append(
-                f"search budget exhausted (guided_steps {guided_steps}, bfs_cap {bfs_cap})"
+                f"search budget exhausted (guided_steps {GUIDED_STEPS}, bfs_cap {BFS_NODE_CAP})"
             )
         if saw_unknown:
             spent.append(out_of_fuel)
@@ -181,19 +179,18 @@ def simulate_one_step(
 
 def simulate_run(p: Process, fuel: int = SIMULATE_FUEL) -> RunSimulationReport:
     """Chain one-step simulation along a machine run of at most fuel steps."""
-    cfg = MachineConfig()
     reports: list[OneStepReport] = []
     machine_steps = 0
     halt_kind = "fuel"
     memo = None
     while machine_steps < fuel:
-        result = step(p, cfg)
+        result = step(p, _CLOSED)
         if isinstance(result, Halt):
             halt_kind = result.kind
             break
         # this step's source is the previous step's target
         memo = CpsMemo(memo)
-        reports.append(simulate_one_step(p, cfg, result=result, memo=memo))
+        reports.append(simulate_one_step(p, result, memo))
         p = result.process
         machine_steps += 1
     return RunSimulationReport(machine_steps, tuple(reports), halt_kind)

@@ -28,36 +28,36 @@ def ht(src):
 
 class TestWeakStep:
     def test_beta(self):
-        t, _ = weak_step(ht(r"(\x. x) z0"))
+        t = weak_step(ht(r"(\x. x) z0"))
         assert t == ht("z0")
 
     def test_fst(self):
-        t, _ = weak_step(ht("fst <a; b>"))
+        t = weak_step(ht("fst <a; b>"))
         assert t == ht("a")
 
     def test_snd(self):
-        t, _ = weak_step(ht("snd <a; b>"))
+        t = weak_step(ht("snd <a; b>"))
         assert t == ht("b")
 
     def test_rec_zero(self):
-        t, _ = weak_step(ht("rec u0 u1 z0"))
+        t = weak_step(ht("rec u0 u1 z0"))
         assert t == ht("u0")
 
     def test_rec_succ(self):
-        t, _ = weak_step(ht("rec u0 u1 (sc z0)"))
+        t = weak_step(ht("rec u0 u1 (sc z0)"))
         assert t == ht("u1 z0 (rec u0 u1 z0)")
 
     def test_no_reduction_below_lambda(self):
         assert weak_step(ht(r"\x. (\y. y) x")) is None
 
     def test_reduction_in_argument_position(self):
-        t, pos = weak_step(ht(r"a ((\y. y) b)"))
-        assert t == ht("a b") and pos == (1,)
+        t = weak_step(ht(r"a ((\y. y) b)"))
+        assert t == ht("a b")
 
     def test_leftmost_outermost_priority(self):
         # the outer projection is contracted before the inner redex
-        t, pos = weak_step(ht(r"snd <a; (\x. x) b>"))
-        assert t == ht(r"(\x. x) b") and pos == ()
+        t = weak_step(ht(r"snd <a; (\x. x) b>"))
+        assert t == ht(r"(\x. x) b")
 
 
 class TestWeakReduce:
@@ -182,11 +182,11 @@ def test_substitutivity_of_weak_reduction():
         redexes = enumerate_weak_redexes(t)
         if not redexes:
             continue
-        _, t2 = rng.choice(redexes)
+        t2 = rng.choice(redexes)
         checked += 1
         lhs = substitute(t, "a", u)
         rhs = substitute(t2, "a", u)
-        reducts = {alpha_key(r) for _, r in enumerate_weak_redexes(lhs)}
+        reducts = {alpha_key(r) for r in enumerate_weak_redexes(lhs)}
         assert alpha_key(rhs) in reducts
     assert checked > 100
 
@@ -214,7 +214,7 @@ def _postponement_witness(t, target, weak_cap=8, inner_cap=8, width_cap=4000):
                 return True
         nxt_layer = {}
         for cur in weak_layer.values():
-            for _, r in enumerate_weak_redexes(cur):
+            for r in enumerate_weak_redexes(cur):
                 k = alpha_key(r)
                 if k not in seen_weak:
                     seen_weak.add(k)
@@ -233,7 +233,7 @@ def test_postponement_of_inner_reductions():
         t = random_hterm(rng, 4)
         cur = t
         for _ in range(rng.randint(1, 3)):
-            succs = [r for _, r in enumerate_weak_redexes(cur)]
+            succs = enumerate_weak_redexes(cur)
             succs += enumerate_inner_successors(cur)
             if not succs:
                 break
@@ -260,7 +260,7 @@ def test_confluence_of_weak_modulo_inner():
                 redexes = enumerate_weak_redexes(cur)
                 if not redexes:
                     break
-                _, cur = rng.choice(redexes)
+                cur = rng.choice(redexes)
             # continue to a weak normal form if cheap
             try:
                 cur, _ = weak_reduce(cur, fuel=200)

@@ -1,8 +1,9 @@
 """The one redex walk of lamc.ha2 against the recursive searches it
 replaced (tests/ha2_reference.py): the same reducts, node for node with
-the same binder names (compared by ``repr``), at the same positions and
-in the same order, for weak steps, their enumeration, inner successors,
-full steps and the simulator's projection-first step.  Then every walk on
+the same binder names (compared by ``repr``), in the same order, for weak
+steps, their enumeration, inner successors, full steps and the
+simulator's projection-first step.  The reference also returns the
+redex positions, which the walks do not; only its reducts are compared.  Then every walk on
 terms 10^5 deep at Python's default recursion limit."""
 
 import random
@@ -29,13 +30,13 @@ def same_steps(t):
     """Every walk and its reference agree on t; returns t's weak and full
     successors to continue from."""
     got, want = weak_step(t), ref.weak_step(t)
-    assert repr(got) == repr(want)
-    assert repr(enumerate_weak_redexes(t)) == repr(ref.enumerate_weak_redexes(t))
+    assert repr(got) == repr(want and want[0])
+    assert repr(enumerate_weak_redexes(t)) == repr([r for _, r in ref.enumerate_weak_redexes(t)])
     assert repr(enumerate_inner_successors(t)) == repr(ref.enumerate_inner_successors(t))
     full = full_step(t)
     assert repr(full) == repr(ref.full_step(t))
     assert repr(lamc.simulate._proj_first_step(t)) == repr(ref.proj_first_step(t))
-    return (got[0] if got else None), full
+    return got, full
 
 
 def same_along(t, steps):
@@ -119,11 +120,12 @@ class TestDeepInput:
     def test_weak_walks_on_a_spine(self, redex):
         t = spine(redex)
         size = nodes(t) - (nodes(redex) - 1)  # of the reduct
-        reduct, pos = weak_step(t)
-        assert pos == (0,) * DEEP and nodes(reduct) == size
+        reduct = weak_step(t)
+        assert nodes(reduct) == size
         assert isinstance(bottom_of(reduct, lambda u: u.fn), Var)
-        ((pos, reduct),) = enumerate_weak_redexes(t)
-        assert len(pos) == DEEP and nodes(reduct) == size
+        (reduct,) = enumerate_weak_redexes(t)
+        assert nodes(reduct) == size
+        assert isinstance(bottom_of(reduct, lambda u: u.fn), Var)
         reduct = lamc.simulate._proj_first_step(t)
         assert nodes(reduct) == size
         assert isinstance(bottom_of(reduct, lambda u: u.fn), Var)

@@ -669,6 +669,74 @@ class TestCliScriptAgreement:
         assert capsys.readouterr().out.startswith("translate term: ")
 
 
+class TestUntranslatableSimulate:
+    """A process outside the CPS translation is an error for Simulate as
+    for Translate, also when the machine halts on it at once."""
+
+    @pytest.mark.parametrize("process", ["print * $", r"stop * (\x. print) . $"])
+    def test_cli(self, capsys, process):
+        assert main(["translate", "--process", process]) == EXIT_PARSE
+        expected = capsys.readouterr()
+        assert expected.err.startswith("error: instruction 'print' has no CPS translation")
+        assert main(["simulate", "--process", process]) == EXIT_PARSE
+        assert capsys.readouterr() == expected
+        assert expected.out == "" and expected.err.count("\n") == 1
+
+    def test_script(self, tmp_path, capsys):
+        path = tmp_path / "i.lc"
+        outputs = []
+        for job in ("Simulate", "Translate process"):
+            path.write_text(f"Define I = \\x. x; {job} I * $;\n")
+            assert main(["run", str(path)]) == EXIT_PARSE
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        out = outputs[0]
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: instruction 'I' has no CPS translation")
+
+
+class TestRunTrace:
+    """`lamc run --trace` traces the Eval runs, whose lines it prints, and
+    nothing else: not an extraction, and nothing under --json-like."""
+
+    SCRIPT = build_script(10) + "Extract sigma01 realizer with fleq;\n"
+
+    def traces(self, monkeypatch, module):
+        seen = []
+        real = module.run
+        monkeypatch.setattr(module, "run", lambda p, cfg: seen.append(cfg.trace) or real(p, cfg))
+        return seen
+
+    def test_extraction_runs_untraced(self, tmp_path, capsys, monkeypatch):
+        import lamc.extract
+        import lamc.script
+
+        path = tmp_path / "demo.lc"
+        path.write_text(self.SCRIPT)
+        assert main(["run", str(path)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        evals, extracts = self.traces(monkeypatch, lamc.script), self.traces(monkeypatch, lamc.extract)
+        assert main(["run", str(path), "--trace"]) == EXIT_OK
+        traced = capsys.readouterr().out
+        assert evals == [True] and extracts == [False]
+        steps = [line for line in traced.splitlines(keepends=True) if line.startswith("step ")]
+        assert len(steps) == int(plain.split("steps: ")[1].split()[0])
+        assert "".join(line for line in traced.splitlines(keepends=True) if line not in steps) == plain
+
+    def test_json_like_runs_untraced(self, tmp_path, capsys, monkeypatch):
+        import lamc.extract
+        import lamc.script
+
+        path = tmp_path / "demo.lc"
+        path.write_text(self.SCRIPT)
+        assert main(["run", str(path), "--json-like"]) == EXIT_OK
+        plain = capsys.readouterr().out
+        evals, extracts = self.traces(monkeypatch, lamc.script), self.traces(monkeypatch, lamc.extract)
+        assert main(["run", str(path), "--json-like", "--trace"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert evals == [False] and extracts == [False]
+
+
 def test_open_saved_stack_exits_with_one_line(capsys):
     code = main(["translate", "--term", r"\x. k[x . $]"])
     out = capsys.readouterr()

@@ -10,6 +10,7 @@ from lamc.extract import sigma01_wrapper
 from lamc.ha2 import EqResult
 from lamc.machine import MachineConfig, Next, step
 from lamc.negtrans import CpsMemo, TranslationError
+import lamc.simulate as simulate_mod
 from lamc.simulate import SimulationError, simulate_one_step, simulate_run
 from lamc.syntax import (
     Inst,
@@ -109,8 +110,6 @@ class TestRunSimulation:
         assert inconclusive <= total * 0.05
 
     def test_machine_stepped_once_per_step(self, monkeypatch):
-        import lamc.simulate as simulate_mod
-
         calls = []
         real_step = simulate_mod.step
         monkeypatch.setattr(simulate_mod, "step", lambda p, cfg: calls.append(p) or real_step(p, cfg))
@@ -135,7 +134,7 @@ class TestRunSimulation:
         while isinstance(result := step(p, cfg), Next):
             if result.rule != "rec-s":
                 memo = CpsMemo(memo)
-                report = simulate_one_step(p, cfg, result=result, memo=memo)
+                report = simulate_one_step(p, result, memo)
                 assert report.verified is True and report.syntactic, (sum(rules.values()), report)
                 rules[report.rule] += 1
             p = result.process
@@ -152,32 +151,50 @@ class TestRunSimulation:
 
 
 class TestSearchFallbacks:
-    def test_bfs_fallback_finds_the_target(self):
-        # disabling the guided chain forces the breadth-first search
-        report = simulate_one_step(parse_process(r"(\x. x) (\y. y) * $"), guided_steps=0)
-        assert report.verified is True and report.rule == "Push"
-        report = simulate_one_step(parse_process(r"\x. x x * (\y. y) . $"), guided_steps=0)
-        assert report.verified is True and report.rule == "Grab"
+    """The budgets are module constants, read when a check runs; setting
+    GUIDED_STEPS to 0 leaves the breadth-first search alone."""
 
-    def test_exhausted_search_budget_is_inconclusive(self):
-        report = simulate_one_step(
-            parse_process(r"\x. x x * (\y. y) . $"), guided_steps=0, bfs_cap=2
-        )
+    def test_bfs_fallback_finds_the_target(self, monkeypatch):
+        expanded = []
+        real = simulate_mod.enumerate_weak_redexes
+        monkeypatch.setattr(simulate_mod, "enumerate_weak_redexes", lambda t: expanded.append(t) or real(t))
+        monkeypatch.setattr(simulate_mod, "GUIDED_STEPS", 0)
+        report = simulate_one_step(parse_process(r"(\x. x) (\y. y) * $"))
+        assert report.verified is True and report.rule == "Push"
+        report = simulate_one_step(parse_process(r"\x. x x * (\y. y) . $"))
+        assert report.verified is True and report.rule == "Grab"
+        assert expanded
+
+    def test_exhausted_search_budget_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(simulate_mod, "GUIDED_STEPS", 0)
+        monkeypatch.setattr(simulate_mod, "BFS_NODE_CAP", 2)
+        report = simulate_one_step(parse_process(r"\x. x x * (\y. y) . $"))
         assert report.verified is None
         assert "budget" in report.message
         assert "guided_steps 0" in report.message and "bfs_cap 2" in report.message
 
-    def test_exhausted_inner_fuel_is_named(self):
+    def test_chain_alone_and_the_whole_budget_message(self, monkeypatch):
+        monkeypatch.setattr(simulate_mod, "BFS_NODE_CAP", 0)
+        report = simulate_one_step(parse_process(r"\x. x x * (\y. y) . $"))
+        assert report.verified is True
+        monkeypatch.setattr(simulate_mod, "GUIDED_STEPS", 0)
+        report = simulate_one_step(parse_process(r"\x. x x * (\y. y) . $"))
+        assert report.message == "search budget exhausted (guided_steps 0, bfs_cap 0)"
+
+    def test_exhausted_inner_fuel_is_named(self, monkeypatch):
         p = parse_process(r"rec * (\z. z) . (\a b. b) . #3 . $")
-        report = simulate_one_step(p, inner_fuel=3)
+        monkeypatch.setattr(simulate_mod, "INNER_FUEL", 3)
+        report = simulate_one_step(p)
         assert report.verified is None and report.inner is EqResult.UNKNOWN
         assert report.message == "inner equality ran out of fuel (inner_fuel 3)"
         # the breadth-first search meets the same residual
-        report = simulate_one_step(p, inner_fuel=3, guided_steps=0, bfs_cap=2000)
+        monkeypatch.setattr(simulate_mod, "GUIDED_STEPS", 0)
+        monkeypatch.setattr(simulate_mod, "BFS_NODE_CAP", 2000)
+        report = simulate_one_step(p)
         assert report.verified is None
         assert "inner equality ran out of fuel (inner_fuel 3)" in report.message
 
-    def test_bfs_alone_verifies_what_the_chain_verifies(self):
+    def test_bfs_alone_verifies_what_the_chain_verifies(self, monkeypatch):
         rng = random.Random(101)
         cfg = MachineConfig()
         checked = 0
@@ -187,8 +204,10 @@ class TestSearchFallbacks:
                 result = step(p, cfg)
                 if not isinstance(result, Next):
                     break
-                if simulate_one_step(p, cfg, result=result).verified:
-                    bfs = simulate_one_step(p, cfg, guided_steps=0, result=result)
+                if simulate_one_step(p, result).verified:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(simulate_mod, "GUIDED_STEPS", 0)
+                        bfs = simulate_one_step(p, result)
                     assert bfs.verified is True, (p, bfs)
                     checked += 1
                 p = result.process
