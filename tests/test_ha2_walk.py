@@ -2,9 +2,9 @@
 replaced (tests/ha2_reference.py): the same reducts, node for node with
 the same binder names (compared by ``repr``), in the same order, for weak
 steps, their enumeration, inner successors, full steps and the
-simulator's projection-first step.  The reference also returns the
-redex positions, which the walks do not; only its reducts are compared.  Then every walk on
-terms 10^5 deep at Python's default recursion limit."""
+simulator's projection-first step.  The reference also returns redex
+positions, which the walks do not; only its reducts are compared.  Then
+every walk on terms 10^5 deep at Python's default recursion limit."""
 
 import random
 
