@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .arith import EApp, EVar, eval_expr
+from .arith import EApp, EVar, PrimRecSignature, eval_expr
 from .machine import MachineConfig, RunOutcome, StopRun, run
 from .stdlib import IDENTITY, compile_primrec
 from .syntax import (
@@ -92,6 +92,14 @@ def _witness(outcome: RunOutcome) -> int | None:
     return outcome.halt.value if outcome.halt.kind == "final-stop" else None
 
 
+def sigma01_oracle(f: str, sig: PrimRecSignature) -> Callable[[int], bool]:
+    """The predicate n -> f(n) = 0; ExtractionError unless f is unary."""
+    arity = sig.arity(f)
+    if arity != 1:
+        raise ExtractionError(f"extraction needs a unary predicate symbol; {f!r} has arity {arity}")
+    return lambda n: eval_expr(EApp(f, (EVar("x"),)), {"x": n}, sig) == 0
+
+
 def extract_naive(
     t0: Term,
     cfg: MachineConfig | None = None,
@@ -124,13 +132,10 @@ def extract_sigma01(
     variant of the wrapper is used and intermediate guesses are recorded.
     """
     cfg = cfg if cfg is not None else MachineConfig()
-    if cfg.sig.arity(f) != 1:
-        raise ExtractionError(f"predicate symbol {f!r} must be unary")
+    holds = sigma01_oracle(f, cfg.sig)
     outcome = _run_wrapper(t0, sigma01_wrapper(trace_guesses), cfg, stack)
     w = _witness(outcome)
-    verified = None
-    if w is not None:
-        verified = eval_expr(EApp(f, (EVar("x"),)), {"x": w}, cfg.sig) == 0
+    verified = holds(w) if w is not None else None
     return ExtractionReport("sigma01", w, verified, outcome.printed, outcome)
 
 
@@ -185,8 +190,7 @@ def extract_kamikaze(
 def make_decider_sigma01(f: str, cfg: MachineConfig) -> Term:
     """A closed term d with d * n . u . v . pi  >*  u * pi  iff f(n) = 0,
     else v * pi; built from the compiled function and a zero test."""
-    if cfg.sig.arity(f) != 1:
-        raise ExtractionError(f"decider needs a unary symbol, got {f!r}")
+    sigma01_oracle(f, cfg.sig)  # f must be unary
     fhat = compile_primrec(f, cfg.sig)
     dispatch = app(Inst("rec"), Var("u"), lam("p w", Var("v")), Var("m"))
     return lam("n u v", app(fhat, Var("n"), Lam("m", dispatch)))

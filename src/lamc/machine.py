@@ -364,7 +364,8 @@ class RunOutcome:
 # environment entry (None for numerals and continuations built at run
 # time).  Per tag, ``a`` and ``b`` are:
 #     _APP    function code, argument code; field 5 is the argument's
-#             closure when the argument is closed, else None
+#             closure when the argument is closed, its environment index
+#             when it is a variable, else None
 #     _LAM    body code
 #     _VAR    environment index (0 is the innermost binder)
 #     _NUM    the numeral
@@ -412,7 +413,8 @@ def _compile(t: Term, scope: tuple, memo: dict) -> tuple:
             if tag == _APP:
                 arg = out.pop()
                 fn = out.pop()
-                node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
+                kind = arg[1] if arg[0] == _VAR else None if arg[3] else (arg, None)
+                node = (_APP, fn, arg, max(fn[3], arg[3]), t, kind)
             elif tag == _LAM:
                 body = out.pop()
                 levels[t.binder].pop()
@@ -675,14 +677,12 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
         if tag == APP:
             arg = code[5]
             if arg is None:
-                arg = code[2]
-                if arg[0] == VAR:
-                    e, i = env, arg[1]
-                    while i:
-                        e, i = e[1], i - 1
-                    arg = e[0]
-                else:
-                    arg = (arg, env)
+                arg = (code[2], env)
+            elif type(arg) is int:
+                e = env
+                while arg:
+                    e, arg = e[1], arg - 1
+                arg = e[0]
             stack = (arg, stack)
             code = code[1]
             if not tracing:
@@ -820,16 +820,12 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
 # recursor frame has three fields.  A variable argument is pushed as the
 # closure it points to.
 #
-# Four chains of the loop are fused into one transition each.  Each leaves,
-# at every fuel, the focus, environment, frames, HeadStop and step counts
-# that the chain it replaces leaves:
+# Three chains of the loop are fused into one transition each.  Each
+# leaves, at every fuel, the focus, environment, frames, HeadStop and step
+# counts that the chain it replaces leaves:
 #     APP over LAM binds the argument's closure, which is never pushed;
 #     APP over fst or snd pushes the projection frame and focuses on the
 #     argument's closure, then projects a literal pair as fst/snd does;
-#     the destructuring let ``(\x y. b) u v`` (APP over APP over LAM over
-#     LAM, the shape of ``negtrans._letp``) binds both arguments, but only
-#     with two steps of fuel left: with one, v is pushed and APP over LAM
-#     takes the one step, so the run stops between the two grabs;
 #     fst or snd whose argument is a literal pair ``pair a b`` (nested ones
 #     too, as in ``fst (snd <a; <b; c>>)``) pops the projection frame and
 #     focuses on the component's closure, for APP, APP, PAIR; PAIR still
@@ -902,8 +898,8 @@ class HeadMachine:
         while one is in head position, descending into the strict argument
         of fst/snd/rec on demand, until head-blocked or after ``fuel``
         steps.  A beta step on an application, fst or snd on an
-        application, a destructuring let and a projection of a literal pair
-        are one transition each (see the comment above ``HEAD_RULES``)."""
+        application and a projection of a literal pair are one transition
+        each (see the comment above ``HEAD_RULES``)."""
         APP, LAM, VAR, PAIR, FST, SND, Z0, SC, HREC = _APP, _LAM, _VAR, _PAIR, _FST, _SND, _Z0, _SC, _HREC
         code, env = closure
         frames: list = []
@@ -913,35 +909,18 @@ class HeadMachine:
             if tag == APP:
                 arg = code[5]
                 if arg is None:
-                    arg = code[2]
-                    if arg[0] == VAR:
-                        e, i = env, arg[1]
-                        while i:
-                            e, i = e[1], i - 1
-                        arg = e[0]
-                    else:
-                        arg = (arg, env)
+                    arg = (code[2], env)
+                elif type(arg) is int:
+                    e = env
+                    while arg:
+                        e, arg = e[1], arg - 1
+                    arg = e[0]
                 fn = code[1]
                 tag = fn[0]
                 if tag == LAM:  # beta, with no argument frame
                     env = (arg, env)
                     code = fn[1]
                     steps += 1
-                    continue
-                if tag == APP and fn[1][0] == LAM and fn[1][1][0] == LAM and fuel - steps > 1:
-                    first = fn[5]  # the let's first argument; ``arg`` is its second
-                    if first is None:
-                        first = fn[2]
-                        if first[0] == VAR:
-                            e, i = env, first[1]
-                            while i:
-                                e, i = e[1], i - 1
-                            first = e[0]
-                        else:
-                            first = (first, env)
-                    env = (arg, (first, env))
-                    code = fn[1][1][1]
-                    steps += 2
                     continue
                 code = fn
                 if tag != FST and tag != SND:
@@ -1019,14 +998,12 @@ class HeadMachine:
                 part = code[1] if frames.pop() is _FST_FRAME else code
                 arg = part[5]
                 if arg is None:
-                    arg = part[2]
-                    if arg[0] == VAR:
-                        e, i = env, arg[1]
-                        while i:
-                            e, i = e[1], i - 1
-                        arg = e[0]
-                    else:
-                        arg = (arg, env)
+                    arg = (part[2], env)
+                elif type(arg) is int:
+                    e = env
+                    while arg:
+                        e, arg = e[1], arg - 1
+                    arg = e[0]
                 code, env = arg
                 steps += 1
                 proj += 1

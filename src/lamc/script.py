@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import EApp, EVar, Equation, Pattern, _parse_expr, default_signature, eval_expr
+from .arith import Equation, Pattern, _parse_expr, default_signature
 from .extract import (
     extract_decidable,
     extract_kamikaze,
     extract_naive,
     extract_sigma01,
     make_decider_sigma01,
+    sigma01_oracle,
     sigma01_refuter,
 )
 from .formulas import Formula, PredVar, print_formula
@@ -135,10 +136,7 @@ class ExtractStmt:
 
 @dataclass(frozen=True)
 class TranslateStmt:
-    kind: str  # "term" | "formula" | "process"
-    term: Term | None = None
-    process: Process | None = None
-    formula: Formula | None = None
+    subject: Term | Process | Formula
 
 
 @dataclass(frozen=True)
@@ -440,15 +438,14 @@ class ScriptParser:
         if kind == "term":
             t = self.term_parser().term(frozenset())
             self._semi()
-            return TranslateStmt("term", term=t)
+            return TranslateStmt(t)
         if kind == "process":
             p = self.term_parser().process(frozenset())
             self._semi()
-            return TranslateStmt("process", process=p)
+            return TranslateStmt(p)
         if kind == "formula":
             # formulas run to the terminating semicolon
-            f = self._parse_formula_until_semi()
-            return TranslateStmt("formula", formula=f)
+            return TranslateStmt(self._parse_formula_until_semi())
         raise ParseError("Translate expects term, formula or process", kind_tok.line, kind_tok.col)
 
     def _parse_formula_until_semi(self) -> Formula:
@@ -533,15 +530,7 @@ def extract_statement(
 ) -> StatementOutput:
     """Run one extraction mode for 'exists x with symbol(x) = 0'; the
     naive, decidable and kamikaze verdicts come from evaluating the symbol."""
-    arity = cfg.sig.arity(symbol)
-    if arity != 1:
-        raise ScriptError(
-            f"extraction needs a unary predicate symbol; {symbol!r} has arity {arity}"
-        )
-
-    def oracle(n: int) -> bool:
-        return eval_expr(EApp(symbol, (EVar("x"),)), {"x": n}, cfg.sig) == 0
-
+    oracle = sigma01_oracle(symbol, cfg.sig)
     if mode == "sigma01":
         report = extract_sigma01(realizer, symbol, cfg, stack, trace)
     elif mode == "naive":
@@ -698,10 +687,9 @@ class ScriptRunner:
         self._emit(extract_statement(stmt.mode, stmt.realizer, stmt.symbol, cfg, trace=stmt.trace))
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
-        subject = {"term": stmt.term, "process": stmt.process, "formula": stmt.formula}[stmt.kind]
-        if stmt.kind != "formula":
-            self._check_no_kont(subject, "Translate")
-        self._emit(translate_statement(subject))
+        if not isinstance(stmt.subject, Formula):
+            self._check_no_kont(stmt.subject, "Translate")
+        self._emit(translate_statement(stmt.subject))
 
     def _run_simulate(self, stmt: SimulateStmt) -> None:
         self._check_no_kont(stmt.process, "Simulate")

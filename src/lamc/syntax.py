@@ -344,14 +344,14 @@ class KeyCache:
     ``tokens``: ``("a", fn id, arg id)`` for an application, ``("l", body
     id)`` for an abstraction, the de Bruijn index of its binder for a bound
     variable, ``("f", name)`` for a free variable, one tagged pair per
-    constant, and ``("k", ids of the saved terms)`` for a continuation,
-    whose saved terms are keyed in a fresh scope.  A token holds only ids
-    made before it.  De Bruijn indices make the key of a closed node the
-    same wherever it occurs, so closed nodes are also remembered by
-    identity (and kept alive while the cache is): keying a term that
-    shares closed subterms with one keyed before walks only its new
-    nodes.  Explicit-stack walk: terms may be deep, and nested
-    continuations are keyed on the trampoline."""
+    constant, and ``("k", ids of the saved terms)`` for a continuation.
+    A token holds only ids made before it.  De Bruijn indices make the key
+    of a closed node the same wherever it occurs, so closed nodes are also
+    remembered by identity (and kept alive while the cache is): keying a
+    term that shares closed subterms with one keyed before walks only its
+    new nodes.  A continuation's saved terms are closed, so they are keyed
+    in the same walk, whatever the scope.  Explicit-stack walk: terms and
+    nested continuations may be deep."""
 
     __slots__ = ("tokens", "_ids", "_closed", "_alive")
 
@@ -371,13 +371,18 @@ class KeyCache:
             t = todo.pop()
             if t is _DONE:
                 t = todo.pop()
-                if type(t) is App:
+                cls = type(t)
+                if cls is App:
                     a = out.pop()
                     token = ("a", out.pop(), a)
-                else:  # leaving the scope of this abstraction
+                elif cls is Lam:  # leaving the scope of this abstraction
                     levels[t.binder].pop()
                     depth -= 1
                     token = ("l", out.pop())
+                else:  # a continuation, its saved terms' ids on top
+                    n = len(out) - len(t.saved)
+                    token = ("k", tuple(out[n:]))
+                    del out[n:]
             else:
                 if not t.fv:
                     i = closed.get(id(t))
@@ -403,7 +408,8 @@ class KeyCache:
                 elif cls is Numeral:
                     token = ("n", t.n)
                 elif cls is Kont:
-                    token = trampoline(self._kont(t))
+                    todo += (t, _DONE, *reversed(list(t.saved)))
+                    continue
                 else:
                     raise TypeError(f"not a term: {t!r}")
             i = ids.get(token)
@@ -415,17 +421,6 @@ class KeyCache:
                 alive.append(t)
             out.append(i)
         return out[0]
-
-    def _kont(self, k: Kont, outermost: bool = True):
-        """The walk behind a continuation's token, ``("k", ids of its saved
-        terms)``: each continuation not yet keyed in those terms is keyed
-        first, innermost first, so that ``key`` meets it in ``_closed``."""
-        for inner in _konts(k.saved):
-            if id(inner) not in self._closed:
-                yield self._kont(inner, False)
-        if outermost:
-            return "k", tuple(map(self.key, k.saved))
-        self.key(k)
 
 
 def alpha_key(t: Term) -> tuple:

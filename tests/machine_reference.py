@@ -219,7 +219,13 @@ def compile(t: Term, scope: tuple, memo: dict) -> tuple:
         if isinstance(t, App):
             arg = out.pop()
             fn = out.pop()
-            node = (_APP, fn, arg, max(fn[3], arg[3]), t, None if arg[3] else (arg, None))
+            if arg[0] == _VAR:
+                kind = arg[1]
+            elif arg[3]:
+                kind = None
+            else:
+                kind = (arg, None)
+            node = (_APP, fn, arg, max(fn[3], arg[3]), t, kind)
         elif isinstance(t, Lam):
             body = out.pop()
             levels[t.binder].pop()

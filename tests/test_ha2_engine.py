@@ -12,7 +12,7 @@ import random
 import pytest
 
 from lamc import BOTTOM, Process, Push, cps_process
-from lamc.demo import closed_realizer
+from lamc.demo import closed_realizer, oracle_guesses
 from lamc.extract import sigma01_wrapper
 from lamc.ha2 import (
     FST,
@@ -135,6 +135,7 @@ def test_closed_realizer_sigma01(c):
         (2, (2022, 1700, 22, 33)),
         (10, (8455, 7350, 39, 192)),
         (40, (35357, 49849, 57, 924)),
+        (100, (126480, 420986, 75, 3321)),
     ],
 )
 def test_closed_realizer_head_steps_per_rule(c, counts):
@@ -143,6 +144,7 @@ def test_closed_realizer_head_steps_per_rule(c, counts):
     t, _ = closed_realizer(c)
     found = read_witness(cps_process(Process(t, Push(sigma01_wrapper(), BOTTOM))))
     assert found.head_steps == dict(zip(HEAD_RULES, counts))
+    assert found.n == oracle_guesses(c)[0]
 
 
 def test_closed_realizer_fuel_verdict_at_the_boundary():
@@ -215,9 +217,8 @@ def test_rec_on_stuck_arguments():
 
 # ---------------------------------------------------------------------------
 # the stop at every fuel: a beta step on an application, fst or snd on an
-# application, a destructuring let and a projection of a literal pair each
-# take one machine transition, and must leave the state the reference
-# reaches step by step
+# application and a projection of a literal pair each take one machine
+# transition, and must leave the state the reference reaches step by step
 
 
 def assert_same_stop(t, fuel):

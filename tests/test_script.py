@@ -5,6 +5,7 @@ import pytest
 
 from lamc.cli import main
 from lamc.demo import build_script, oracle_guesses
+from lamc.extract import ExtractionError
 from lamc.script import (
     DefineStmt,
     EvalStmt,
@@ -575,7 +576,7 @@ class TestCliScriptAgreement:
     @pytest.mark.parametrize("mode", ["naive", "sigma01", "decidable", "kamikaze"])
     def test_extract_rejects_a_binary_symbol(self, tmp_path, capsys, mode):
         message = "extraction needs a unary predicate symbol; 'h' has arity 2"
-        with pytest.raises(ScriptError) as exc:
+        with pytest.raises(ExtractionError) as exc:
             run_script_text(self.DEFS + rf"Extract {mode} (\u. u #0 (\z. z)) with h;")
         assert str(exc.value) == message
         defs, term = self._files(tmp_path, r"\u. u #0 (\z. z)")
