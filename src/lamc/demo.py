@@ -75,11 +75,11 @@ Eval realizer * {eval_wrapper} . $;
 """
 
 
-def instruction_config(c: int, fuel: int | None = None, trace: bool = False) -> MachineConfig:
+def instruction_config(c: int, fuel: int | None = None) -> MachineConfig:
     """The machine configuration after running the demo script definitions:
     instructions f, g, pair, I, test_le, min_aux, min_snd, min_princ,
     realizer over the demo signature."""
-    return definitions_config(parse_script(build_script(c)), fuel, trace)
+    return definitions_config(parse_script(build_script(c)), fuel)
 
 
 def closed_realizer(c: int) -> tuple[Term, PrimRecSignature]:

@@ -9,13 +9,14 @@ Rec-S, Print) and user-registered instruction rules.
   code once per run and each rule once, when it is registered
   (``InstructionRule.code``).  Grab pushes the stack top onto an
   environment of closures instead of rebuilding the body.  Closures are
-  read back into terms only for the final process, trace lines and
-  continuations.  User rules are matched and instantiated here alone, by
-  ``_fire`` on the rule's compiled code.
-- ``step`` is one stateless step on a process, for the simulation checker,
-  which needs a ``Process`` after every step.  It applies the closed rule
-  set by substitution, rebuilding only the path to the changed subterms,
-  and hands a user instruction to ``run`` for one step.
+  read back into terms only for the final process and continuations.
+  User rules are matched and instantiated here alone, by ``_fire`` on the
+  rule's compiled code.
+- ``step`` is one stateless step on a process, for the simulation checker
+  and trace lines (``iter_steps``), which need a ``Process`` after every
+  step.  It applies the closed rule set by substitution, rebuilding only
+  the path to the changed subterms, and hands a user instruction to
+  ``run`` for one step.
 
 A run owns its counters and print sink; configurations are immutable and
 may be shared.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .arith import (
     ArithExpr,
@@ -54,7 +55,6 @@ from .syntax import (
     Var,
     free_vars,
     fresh_name,
-    print_process,
     substitute,
     trampoline,
 )
@@ -166,7 +166,6 @@ class MachineConfig:
     rules: dict[str, tuple[InstructionRule, ...]] = field(default_factory=dict)
     sig: PrimRecSignature = field(default_factory=default_signature)
     fuel: int | None = DEFAULT_FUEL
-    trace: bool = False
     sink: Callable[[int], None] | None = None
 
     @property
@@ -321,8 +320,20 @@ def _step_inst(name: str, stack: Stack, cfg: MachineConfig) -> StepResult:
         return Halt("stuck")
     # a user instruction: one step of the environment machine, which fires
     # the compiled rule (``_fire``)
-    outcome = run(Process(Inst(name), stack), replace(cfg, fuel=1, trace=False))
+    outcome = run(Process(Inst(name), stack), replace(cfg, fuel=1))
     return Next(outcome.final, name) if outcome.steps else outcome.halt
+
+
+def iter_steps(p: Process, cfg: MachineConfig) -> Iterator[Next]:
+    """Each step's ``Next`` from ``p``, lazily, until ``step`` halts or
+    after ``cfg.fuel`` steps: the steps that ``run`` takes."""
+    k = 0
+    while cfg.fuel is None or k < cfg.fuel:
+        result = step(p, cfg)
+        if isinstance(result, Halt):
+            return
+        yield result
+        p, k = result.process, k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +347,6 @@ class RunOutcome:
     steps: int
     stats: dict[str, int]
     printed: tuple[int, ...]
-    fired: tuple[str, ...] = ()  # rule log, populated when cfg.trace is set
-    trace: tuple[str, ...] = ()
 
     def instruction_calls(self) -> dict[str, int]:
         """Rule firings plus the final halting instruction, if any.
@@ -639,13 +648,13 @@ class _Reader:
 def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     """Run the machine until halt or fuel exhaustion.
 
-    The rules are those of ``step``, executed on closures: the outcome,
-    statistics and trace lines are those of iterating ``step``.  Identical
+    The rules are those of ``step``, executed on closures: the outcome
+    and statistics are those of iterating it (``iter_steps``).  Identical
     inputs give identical outcomes.  The sink may raise StopRun to abort
     (halt kind "aborted").
 
-    Untraced, Push and Grab finish their own steps and skip the statistics
-    dict: Grab is counted in a local, Push as the steps no other rule took.
+    Push and Grab finish their own steps and skip the statistics dict:
+    Grab is counted in a local, Push as the steps no other rule took.
     """
     if free_vars(p.head):
         raise MachineError("ill-formed process: head is not closed")
@@ -658,12 +667,10 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     for t in reversed(terms):
         stack = ((_compile(t, (), memo), None), stack)
     rules = cfg.rules
-    sig, user_sink, tracing = cfg.sig, cfg.sink, cfg.trace
+    sig, user_sink = cfg.sig, cfg.sink
     limit = cfg.fuel if cfg.fuel is not None else math.inf
     stats = dict.fromkeys(_BUILTIN_RULES, 0)
     printed: list[int] = []
-    fired: list[str] = []
-    trace: list[str] = []
     # the tags as locals, for the loop below: it is the machine's hot path
     APP, LAM, VAR, NUM, KONT, CC, SUCC, REC, PRINT, STOP, USER = (
         _APP, _LAM, _VAR, _NUM, _KONT, _CC, _SUCC, _REC, _PRINT, _STOP, _USER
@@ -685,10 +692,8 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
                 arg = e[0]
             stack = (arg, stack)
             code = code[1]
-            if not tracing:
-                steps += 1
-                continue
-            rule = "Push"
+            steps += 1
+            continue
         elif tag == LAM:
             if stack is None:
                 halt = _STUCK
@@ -696,11 +701,9 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
             env = (stack[0], env)
             stack = stack[1]
             code = code[1]
-            if not tracing:
-                steps += 1
-                grab += 1
-                continue
-            rule = "Grab"
+            steps += 1
+            grab += 1
+            continue
         elif tag == VAR:
             # looking a variable up is no step: the substitution machine
             # has the value in place already
@@ -791,9 +794,6 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
             raise TypeError(f"not a term: {code[4]!r}")
         steps += 1
         stats[rule] += 1
-        if tracing:
-            fired.append(rule)
-            trace.append(f"step {steps}: {rule} | {print_process(_read_back(code, env, stack))}")
     stats["Grab"] += grab
     stats["Push"] += steps - sum(stats.values())
     return RunOutcome(
@@ -802,8 +802,6 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
         steps=steps,
         stats={k: v for k, v in stats.items() if v},
         printed=tuple(printed),
-        fired=tuple(fired),
-        trace=tuple(trace),
     )
 
 

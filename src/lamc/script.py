@@ -45,6 +45,7 @@ from .machine import (
     RESERVED_INSTRUCTIONS,
     RunOutcome,
     TExpr,
+    iter_steps,
     macro_rule,
     register_batch,
     run,
@@ -362,7 +363,7 @@ class ScriptParser:
             tok = self.ts.peek()
             if tok.text == "[":
                 self.ts.next()
-                v = self.ts.next().text
+                v = self._variable()
                 self.ts.expect("]")
                 patterns.append(BindNumeral(v))
             elif tok.kind == "numlit":
@@ -530,16 +531,17 @@ def extract_statement(
 ) -> StatementOutput:
     """Run one extraction mode for 'exists x with symbol(x) = 0'; the
     naive, decidable and kamikaze verdicts come from evaluating the symbol."""
-    oracle = sigma01_oracle(symbol, cfg.sig)
     if mode == "sigma01":
         report = extract_sigma01(realizer, symbol, cfg, stack, trace)
-    elif mode == "naive":
-        report = extract_naive(realizer, cfg, stack, oracle)
-    elif mode == "decidable":
-        d = make_decider_sigma01(symbol, cfg)
-        report = extract_decidable(realizer, d, sigma01_refuter(), oracle, cfg, stack)
     else:
-        report = extract_kamikaze(realizer, sigma01_refuter(), cfg, stack, oracle)
+        oracle = sigma01_oracle(symbol, cfg.sig)
+        if mode == "naive":
+            report = extract_naive(realizer, cfg, stack, oracle)
+        elif mode == "decidable":
+            d = make_decider_sigma01(symbol, cfg)
+            report = extract_decidable(realizer, d, sigma01_refuter(), oracle, cfg, stack)
+        else:
+            report = extract_kamikaze(realizer, sigma01_refuter(), cfg, stack, oracle)
     verified = {True: "true", False: "false", None: "unknown"}[report.verified]
     witness = "none" if report.witness is None else _decimal(report.witness)
     lines = [f"extract {report.mode}: witness {witness} verified {verified}"]
@@ -611,13 +613,12 @@ def translate_statement(
 
 
 class ScriptRunner:
-    """Executes statements in order against a growing configuration."""
+    """Executes statements in order against a growing configuration; with
+    ``trace``, an Eval prints a line per step of its run."""
 
     def __init__(self, fuel: int | None = None, trace: bool = False):
-        cfg = MachineConfig(trace=trace)
-        if fuel is not None:
-            cfg = replace(cfg, fuel=fuel)
-        self.cfg = cfg
+        self.cfg = MachineConfig() if fuel is None else MachineConfig(fuel=fuel)
+        self.trace = trace
         self.catalog = stdlib_catalog()
         self.lines: list[str] = []
         self.doc: list[dict] = []
@@ -666,8 +667,9 @@ class ScriptRunner:
         outcome = run(stmt.process, self.cfg)
         process, final = print_process(stmt.process), print_process(outcome.final)
         lines = [f"eval: {process}"]
-        if self.cfg.trace:
-            lines.extend(outcome.trace)
+        if self.trace:
+            for k, nxt in enumerate(iter_steps(stmt.process, self.cfg), 1):
+                lines.append(f"step {k}: {nxt.rule} | {print_process(nxt.process)}")
         _format_outcome(outcome, final, lines)
         doc = {
             "kind": "eval",
@@ -681,10 +683,8 @@ class ScriptRunner:
         self._emit((lines, doc, EXIT_FUEL if outcome.halt.kind == "fuel" else EXIT_OK))
 
     def _run_extract(self, stmt: ExtractStmt) -> None:
-        # only Eval prints its trace lines, so the extraction runs untraced
         self._check_no_kont(stmt.realizer, "Extract")
-        cfg = replace(self.cfg, trace=False)
-        self._emit(extract_statement(stmt.mode, stmt.realizer, stmt.symbol, cfg, trace=stmt.trace))
+        self._emit(extract_statement(stmt.mode, stmt.realizer, stmt.symbol, self.cfg, trace=stmt.trace))
 
     def _run_translate(self, stmt: TranslateStmt) -> None:
         if not isinstance(stmt.subject, Formula):
@@ -696,10 +696,10 @@ class ScriptRunner:
         self._emit(simulate_statement(stmt.process, stmt.fuel))
 
 
-def definitions_config(script: Script, fuel: int | None = None, trace: bool = False) -> MachineConfig:
+def definitions_config(script: Script, fuel: int | None = None) -> MachineConfig:
     """The configuration that the Prim, Define and use statements of a
     script set up; its other statements are not run."""
-    runner = ScriptRunner(fuel=fuel, trace=trace)
+    runner = ScriptRunner(fuel=fuel)
     definitions = (PrimStmt, DefineStmt, UseStmt)
     runner.execute(Script(tuple(s for s in script.statements if isinstance(s, definitions))))
     return runner.cfg

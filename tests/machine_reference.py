@@ -3,7 +3,8 @@
 ``step`` fires user instruction rules by substitution, matching the
 patterns and instantiating the templates on terms, and defers to
 ``lamc.machine.step`` for the closed rule set.  ``run_by_steps`` iterates
-it and records what ``run`` reports.  None of the rule firing here is code
+it and records what ``run`` reports, and traced, the rule log and the
+trace lines of ``lamc run --trace``.  None of the rule firing here is code
 that ``lamc`` ships, which fires rules on compiled code (``_fire``).  It is
 slow on purpose and serves only as the oracle the environment machine is
 compared with.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from lamc import machine
 from lamc.arith import PrimRecSignature, eval_expr
@@ -129,12 +130,18 @@ def _instantiate(
             return t
 
 
-def run_by_steps(p: Process, cfg: MachineConfig) -> RunOutcome:
+@dataclass(frozen=True)
+class ReferenceOutcome(RunOutcome):
+    fired: tuple[str, ...] = ()  # rule log, populated when traced
+    trace: tuple[str, ...] = ()
+
+
+def run_by_steps(p: Process, cfg: MachineConfig, trace: bool = False) -> ReferenceOutcome:
     """Iterate ``step`` until halt or fuel exhaustion."""
     stats: Counter[str] = Counter()
     printed: list[int] = []
     fired: list[str] = []
-    trace: list[str] = []
+    lines: list[str] = []
     user_sink = cfg.sink
 
     def sink(n: int) -> None:
@@ -159,17 +166,17 @@ def run_by_steps(p: Process, cfg: MachineConfig) -> RunOutcome:
         steps += 1
         stats[result.rule] += 1
         p = result.process
-        if cfg.trace:
+        if trace:
             fired.append(result.rule)
-            trace.append(f"step {steps}: {result.rule} | {print_process(p)}")
-    return RunOutcome(
+            lines.append(f"step {steps}: {result.rule} | {print_process(p)}")
+    return ReferenceOutcome(
         final=p,
         halt=halt,
         steps=steps,
         stats=dict(stats),
         printed=tuple(printed),
         fired=tuple(fired),
-        trace=tuple(trace),
+        trace=tuple(lines),
     )
 
 

@@ -19,6 +19,7 @@ from lamc.machine import (
     Next,
     RuleError,
     TExpr,
+    iter_steps,
     macro_rule,
     register_batch,
     register_instruction,
@@ -159,10 +160,8 @@ class TestRun:
             assert a.final == b.final and a.stats == b.stats and a.printed == b.printed
 
     def test_trace_lines(self):
-        cfg = MachineConfig(trace=True)
-        out = run(proc("stop #5 * $"), cfg)
-        assert out.trace == ("step 1: Push | stop * #5 . $",)
-        assert out.fired == ("Push",)
+        steps = iter_steps(proc("stop #5 * $"), MachineConfig())
+        assert [(n.rule, print_process(n.process)) for n in steps] == [("Push", "stop * #5 . $")]
 
     def test_instruction_calls_counts_final_stop(self, cfg):
         out = run(proc("stop #5 * $"), cfg)

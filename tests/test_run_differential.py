@@ -1,8 +1,10 @@
 """``run``, the environment machine, against the loop over the substitution
 ``step`` (tests/machine_reference.py): the same halt, steps, statistics,
-printed numerals, rule log, trace lines and final process, byte for byte.
-Then ``lamc.step`` on user instructions, which fires the compiled rules,
-against the reference ``step``, which fires them by substitution."""
+printed numerals and final process, byte for byte.  Traced, the rules and
+the lines of ``lamc run --trace``, built from ``iter_steps``, against the
+reference's rule log and trace lines.  Then ``lamc.step`` on user
+instructions, which fires the compiled rules, against the reference
+``step``, which fires them by substitution."""
 
 import random
 import re
@@ -24,6 +26,7 @@ from lamc.machine import (
     MachineError,
     StopRun,
     TExpr,
+    iter_steps,
     register_batch,
     run,
     step,
@@ -58,23 +61,38 @@ def view(out):
         out.steps,
         out.stats,
         out.printed,
-        out.fired,
-        out.trace,
         print_process(out.final),
         out.instruction_calls(),
     )
 
 
-def assert_same(p: Process, make_cfg) -> tuple:
-    """Run both machines, each on a fresh configuration from ``make_cfg``
-    (sinks keep state); an error must be the same error."""
+def traced(p: Process, cfg: MachineConfig) -> tuple:
+    """The rules and trace lines of the steps ``iter_steps`` gives, up to
+    a print whose sink aborts the run."""
+    rules, lines = [], []
     try:
-        expected = view(run_by_steps(p, make_cfg()))
+        for k, nxt in enumerate(iter_steps(p, cfg), 1):
+            rules.append(nxt.rule)
+            lines.append(f"step {k}: {nxt.rule} | {print_process(nxt.process)}")
+    except StopRun:
+        pass
+    return tuple(rules), tuple(lines)
+
+
+def assert_same(p: Process, make_cfg, trace: bool = False) -> tuple:
+    """Run both machines, each on a fresh configuration from ``make_cfg``
+    (sinks keep state); an error must be the same error.  With ``trace``,
+    ``iter_steps`` gives the reference's rule log and trace lines too."""
+    try:
+        reference = run_by_steps(p, make_cfg(), trace)
     except LamcError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             run(p, make_cfg())
         return ()
+    expected = view(reference)
     assert view(run(p, make_cfg())) == expected
+    if trace:
+        assert traced(p, make_cfg()) == (reference.fired, reference.trace)
     return expected
 
 
@@ -98,11 +116,11 @@ def _sig_rule(sig, text):
     return TExpr(parse_expr(text, sig))
 
 
-def rule_config(fuel: int = 400, trace: bool = True) -> MachineConfig:
+def rule_config(fuel: int = 400) -> MachineConfig:
     """Guards, literal patterns, #(...) templates (in head, stack and under
     binders), template binders that shadow pattern variables, and a
     mutually recursive pair."""
-    base = MachineConfig(fuel=fuel, trace=trace)
+    base = MachineConfig(fuel=fuel)
     sig = base.sig
     definitions = {
         "test_le": le_rules(),
@@ -147,7 +165,7 @@ class TestRandomProcesses:
         kinds = set()
         for i in range(1200):
             p = random_process(rng)
-            kinds.add(assert_same(p, lambda: MachineConfig(fuel=120, trace=i % 2 == 0))[0].kind)
+            kinds.add(assert_same(p, lambda: MachineConfig(fuel=120), trace=i % 2 == 0)[0].kind)
         assert kinds == {"final-stop", "stuck", "fuel"}
 
     def test_with_print_and_user_rules(self):
@@ -159,13 +177,13 @@ class TestRandomProcesses:
         for i in range(1000):
             p = random_process(rng, instructions=RULE_INSTRUCTIONS)
             make = (lambda: aborting(base)) if i % 3 == 0 else (lambda: base)
-            out = assert_same(p, make)
+            out = assert_same(p, make, trace=True)
             kinds.add(out[0].kind)
             rules_fired |= set(out[2])
             # an instruction applied to numerals and terms fires rules more often
             p = Process(app(Inst(rng.choice(RULE_INSTRUCTIONS)), *(_rule_arg(rng) for _ in range(rng.randint(1, 4)))),
                         random_stack(rng, 3, instructions=RULE_INSTRUCTIONS))
-            out = assert_same(p, make)
+            out = assert_same(p, make, trace=True)
             kinds.add(out[0].kind)
             rules_fired |= set(out[2])
         assert {"final-stop", "stuck"} <= kinds  # fuel and aborts: TestRuleCorpus
@@ -182,22 +200,22 @@ class TestDemoFamily:
     @pytest.mark.parametrize("c", [10, 1000])
     @pytest.mark.parametrize("wrapper", [r"(\x y. print x y (stop x))", r"(\x y. y (stop x))"])
     def test_instruction_build(self, c, wrapper):
-        cfg = instruction_config(c, trace=True)
+        cfg = instruction_config(c)
         p = parse_process(f"realizer * {wrapper} . $", instructions=cfg.instructions, strict=True)
-        halt = assert_same(p, lambda: cfg)[0]
+        halt = assert_same(p, lambda: cfg, trace=True)[0]
         assert halt.kind == "final-stop"
 
     def test_demo_stack_independence(self):
-        cfg = instruction_config(100, trace=True)
+        cfg = instruction_config(100)
         p = parse_process(r"realizer * (\x y. y (stop x)) . #7 . I . $", instructions=cfg.instructions)
-        assert assert_same(p, lambda: cfg)[0].kind == "final-stop"
+        assert assert_same(p, lambda: cfg, trace=True)[0].kind == "final-stop"
 
     @pytest.mark.parametrize("c", range(2, 13))
     def test_closed_realizer_sigma01(self, c):
         t0, sig = closed_realizer(c)
         p = Process(t0, stack_of(sigma01_wrapper()))
-        cfg = MachineConfig(sig=sig, trace=c == 2)  # the trace lines are long
-        assert assert_same(p, lambda: cfg)[0].kind == "final-stop"
+        # traced at c = 2 only: the trace lines are long
+        assert assert_same(p, lambda: MachineConfig(sig=sig), trace=c == 2)[0].kind == "final-stop"
 
     def test_closed_realizer_print_guesses(self):
         t0, sig = closed_realizer(9)
@@ -221,7 +239,7 @@ class TestCompiledPrimrec:
     def test_traced_small_product(self, sig):
         t = compile_primrec("*", sig)
         p = Process(t, stack_of(Numeral(2), Numeral(3), _stop_k()))
-        assert assert_same(p, lambda: MachineConfig(trace=True))[0].value == 6
+        assert assert_same(p, MachineConfig, trace=True)[0].value == 6
 
     def test_random_compositions(self, sig):
         rng = random.Random(77)
@@ -273,20 +291,20 @@ class TestRuleCorpus:
     def test_case(self, text):
         cfg = rule_config()
         p = parse_process(text, instructions=cfg.instructions | {"ghost"})
-        assert_same(p, lambda: cfg)
+        assert_same(p, lambda: cfg, trace=True)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sink_raises_stoprun(self, k):
         cfg = rule_config()
         p = parse_process(r"print #1 (print #2 (print #3 (stop #4))) * $", instructions=cfg.instructions)
-        out = assert_same(p, lambda: stop_after(k)(cfg))
+        out = assert_same(p, lambda: stop_after(k)(cfg), trace=True)
         assert out[0].kind == "aborted" and out[3] == tuple(range(1, k + 1))
 
     @pytest.mark.parametrize("fuel", [0, 1, 2, 7, 57])
     def test_fuel_exhaustion(self, fuel):
         cfg = rule_config(fuel=fuel)
         p = parse_process(r"(\f. f f) (\g. double #1 (g g)) * $", instructions=cfg.instructions)
-        out = assert_same(p, lambda: cfg)
+        out = assert_same(p, lambda: cfg, trace=True)
         assert out[0].kind == "fuel" and out[1] == fuel
 
     def test_evaluation_error_is_the_same_error(self):
@@ -328,7 +346,7 @@ class TestHa2Constants:
         ],
     )
     def test_as_data(self, p):
-        assert assert_same(p, rule_config)
+        assert assert_same(p, rule_config, trace=True)
 
 
 # ``RunOutcome.stats`` lists the built-in rules in this order, then user
@@ -343,15 +361,18 @@ def in_rule_order(stats: dict) -> list:
 
 
 def assert_same_at_fuels(p: Process, cfg: MachineConfig, fuels, traced_fuels) -> None:
-    """``run`` against the reference at each fuel (traced too at each of
-    ``traced_fuels``: a traced run prints the whole process per step), with
-    the statistics in rule order.  Untraced, Push and Grab finish their own
-    steps and Push is counted as the remainder."""
-    for fuel, trace in [(f, False) for f in fuels] + [(f, True) for f in traced_fuels]:
-        c = replace(cfg, fuel=fuel, trace=trace)
-        expected, got = run_by_steps(p, c), run(p, c)
-        assert view(got) == view(expected), (fuel, trace)
-        assert list(got.stats.items()) == in_rule_order(expected.stats), (fuel, trace)
+    """``run`` against the reference at each fuel, with the statistics in
+    rule order (Push and Grab finish their own steps and Push is counted
+    as the remainder), and at each of ``traced_fuels`` the rules and lines
+    of ``iter_steps`` too: a trace line prints the whole process."""
+    for fuel in dict.fromkeys([*fuels, *traced_fuels]):
+        c = replace(cfg, fuel=fuel)
+        trace = fuel in traced_fuels
+        expected, got = run_by_steps(p, c, trace), run(p, c)
+        assert view(got) == view(expected), fuel
+        assert list(got.stats.items()) == in_rule_order(expected.stats), fuel
+        if trace:
+            assert traced(p, c) == (expected.fired, expected.trace), fuel
 
 
 class TestFuelSweep:

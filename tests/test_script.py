@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from lamc.script import (
 )
 from lamc.ha2 import read_witness
 from lamc.negtrans import cps_process
-from lamc.syntax import ParseError, parse_process
+from lamc.syntax import ParseError, parse_process, print_process
 
 
 class TestParsing:
@@ -98,10 +99,12 @@ class TestParsing:
             ("Prim f(x) { f(0) = 7; f(s 0) = 5; }", "expected a variable, found '0'", 27),
             ("Prim f(0) { f(x) = x; }", "expected a variable, found '0'", 8),
             ("Prim f(x, y) { f(x, s) = x; }", "expected a variable, found ')'", 22),
+            (r"Define t { [1] u -> u * ...; } Eval t #4 (\x. stop x) * $;", "expected a variable, found '1'", 13),
         ],
         ids=[
             "equation-arity", "extraction-mode", "with-symbol", "fuel",
             "nested-pattern", "nested-pattern-bare", "numeral-parameter", "bare-s-pattern",
+            "numeral-in-brackets",
         ],
     )
     def test_statement_errors(self, text, message, col):
@@ -584,6 +587,25 @@ class TestCliScriptAgreement:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mode, calls", [("naive", 1), ("sigma01", 1), ("decidable", 2), ("kamikaze", 1)])
+    def test_extract_builds_the_oracle_once(self, tmp_path, capsys, monkeypatch, mode, calls):
+        """One ``sigma01_oracle`` per extraction; the decidable mode's
+        decider checks the symbol's arity with a second."""
+        import lamc.extract
+        import lamc.script
+
+        seen = []
+        real = lamc.extract.sigma01_oracle
+        for module in (lamc.script, lamc.extract):
+            monkeypatch.setattr(module, "sigma01_oracle", lambda f, sig: seen.append(f) or real(f, sig))
+        realizer = tmp_path / "realizer.lc"
+        realizer.write_text("realizer")
+        script = pathlib.Path(__file__).resolve().parent.parent / "demos" / "min_principle_c10.lc"
+        argv = ["extract", "--mode", mode, "--realizer", str(realizer), "--f", "fleq", "--script", str(script)]
+        assert main(argv) == (EXIT_UNVERIFIED if mode == "naive" else EXIT_OK)
+        assert capsys.readouterr().out.startswith(f"extract {mode}: ")
+        assert seen == ["fleq"] * calls
+
     def test_simulate(self, capsys):
         process = r"cc * (\k. k #3) . stop . $"
         script = run_script_text(f"Simulate {process} fuel 10;")
@@ -697,45 +719,50 @@ class TestUntranslatableSimulate:
 
 
 class TestRunTrace:
-    """`lamc run --trace` traces the Eval runs, whose lines it prints, and
+    """`lamc run --trace` steps the Eval runs, whose lines it prints, and
     nothing else: not an extraction, and nothing under --json-like."""
 
     SCRIPT = build_script(10) + "Extract sigma01 realizer with fleq;\n"
 
-    def traces(self, monkeypatch, module):
+    def traces(self, monkeypatch):
+        """The processes that the script runner steps for trace lines."""
+        import lamc.script
+
         seen = []
-        real = module.run
-        monkeypatch.setattr(module, "run", lambda p, cfg: seen.append(cfg.trace) or real(p, cfg))
+        real = lamc.script.iter_steps
+        monkeypatch.setattr(lamc.script, "iter_steps", lambda p, cfg: seen.append(print_process(p)) or real(p, cfg))
         return seen
 
     def test_extraction_runs_untraced(self, tmp_path, capsys, monkeypatch):
-        import lamc.extract
-        import lamc.script
-
         path = tmp_path / "demo.lc"
         path.write_text(self.SCRIPT)
         assert main(["run", str(path)]) == EXIT_OK
         plain = capsys.readouterr().out
-        evals, extracts = self.traces(monkeypatch, lamc.script), self.traces(monkeypatch, lamc.extract)
+        stepped = self.traces(monkeypatch)
         assert main(["run", str(path), "--trace"]) == EXIT_OK
         traced = capsys.readouterr().out
-        assert evals == [True] and extracts == [False]
+        assert stepped == [r"realizer * (\x y. print x y (stop x)) . $"]
         steps = [line for line in traced.splitlines(keepends=True) if line.startswith("step ")]
         assert len(steps) == int(plain.split("steps: ")[1].split()[0])
         assert "".join(line for line in traced.splitlines(keepends=True) if line not in steps) == plain
 
     def test_json_like_runs_untraced(self, tmp_path, capsys, monkeypatch):
-        import lamc.extract
-        import lamc.script
-
         path = tmp_path / "demo.lc"
         path.write_text(self.SCRIPT)
         assert main(["run", str(path), "--json-like"]) == EXIT_OK
         plain = capsys.readouterr().out
-        evals, extracts = self.traces(monkeypatch, lamc.script), self.traces(monkeypatch, lamc.extract)
+        stepped = self.traces(monkeypatch)
         assert main(["run", str(path), "--json-like", "--trace"]) == EXIT_OK
         assert capsys.readouterr().out == plain
-        assert evals == [False] and extracts == [False]
+        assert stepped == []
+
+    def test_fuel_bounds_the_trace(self, tmp_path, capsys):
+        path = tmp_path / "omega.lc"
+        path.write_text("Eval (\\x. x x) (\\x. x x) * $;\n")
+        assert main(["run", str(path), "--fuel", "5", "--trace"]) == EXIT_FUEL
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("step ")] == [f"step {k}" for k in range(1, 6)]
+        assert "steps: 5" in lines
 
 
 def test_open_saved_stack_exits_with_one_line(capsys):

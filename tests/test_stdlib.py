@@ -3,7 +3,7 @@ import itertools
 
 from lamc.arith import EApp, eval_expr, expr_of_nat, parse_expr
 from lamc.demo import instruction_config, oracle_guesses
-from lamc.machine import MachineConfig, run
+from lamc.machine import MachineConfig, iter_steps, run
 from lamc.stdlib import (
     catalog,
     church,
@@ -165,7 +165,7 @@ class TestPeanoTerms:
 class TestMinPrinciple:
     def test_save_and_restore_counts(self):
         # one call/cc, one continuation resume per wrong guess
-        cfg = instruction_config(10, trace=True)
+        cfg = instruction_config(10)
         p = Process(
             Inst("realizer"),
             stack_of(parse_term(r"\x y. print x y (stop x)", instructions=cfg.instructions)),
@@ -179,15 +179,15 @@ class TestMinPrinciple:
     def test_one_f_and_one_test_le_between_resumes(self):
         # between consecutive resumes exactly one f evaluation and one
         # comparison happen: the hand-built realizer is optimal
-        cfg = instruction_config(10, trace=True)
+        cfg = instruction_config(10)
         p = Process(
             Inst("realizer"),
             stack_of(parse_term(r"\x y. print x y (stop x)", instructions=cfg.instructions)),
         )
-        out = run(p, cfg)
-        resumes = [i for i, r in enumerate(out.fired) if r == "Resume"]
+        fired = [n.rule for n in iter_steps(p, cfg)]
+        resumes = [i for i, r in enumerate(fired) if r == "Resume"]
         for a, b in zip(resumes, resumes[1:]):
-            window = out.fired[a + 1 : b]
+            window = fired[a + 1 : b]
             assert window.count("f") == 1
             assert window.count("test_le") == 1
 
