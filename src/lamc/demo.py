@@ -45,13 +45,9 @@ def demo_signature(c: int) -> PrimRecSignature:
     return sig
 
 
-def build_script(c: int, wrapper: str = "print") -> str:
-    """The demo script.  wrapper: "print" traces guesses during Eval,
-    "plain" uses the bare breakpoint wrapper."""
-    eval_wrapper = {
-        "print": r"(\x y. print x y (stop x))",
-        "plain": r"(\x y. y (stop x))",
-    }[wrapper]
+def build_script(c: int) -> str:
+    """The demo script, whose Eval prints each guess (the print variant
+    of the breakpoint wrapper)."""
     return f"""\
 -- Minimum-principle witness extraction: f(x) = |x - {c}|, g(x) = 2*x + 1.
 -- The realizer proposes the iterates of g starting at 0 and backtracks
@@ -71,15 +67,15 @@ Define min_aux {{ fn k [n] [m] -> pair n (min_snd fn k n m) * ...; }}
 and min_snd {{ fn k [n] [m] [n2] -> fn n2 (\\m2. test_le m m2 I (k (min_aux fn k n2 m2))) * ...; }}
 Define min_princ = \\fn. fn #0 (\\m. callcc (\\k. min_aux fn k #0 m));
 Define realizer = min_princ f (\\n h. pair n (g n h));
-Eval realizer * {eval_wrapper} . $;
+Eval realizer * (\\x y. print x y (stop x)) . $;
 """
 
 
-def instruction_config(c: int, fuel: int | None = None) -> MachineConfig:
+def instruction_config(c: int) -> MachineConfig:
     """The machine configuration after running the demo script definitions:
     instructions f, g, pair, I, test_le, min_aux, min_snd, min_princ,
     realizer over the demo signature."""
-    return definitions_config(parse_script(build_script(c)), fuel)
+    return definitions_config(parse_script(build_script(c)))
 
 
 def closed_realizer(c: int) -> tuple[Term, PrimRecSignature]:

@@ -201,12 +201,11 @@ def check_decider_samples(
     oracle: Callable[[int], bool],
     samples: list[int],
     cfg: MachineConfig | None = None,
-    fuel: int = 200_000,
 ) -> bool:
     """Operational spot check of the decision contract on sampled inputs:
-    d * n . u . v . pi must select u exactly when the predicate holds."""
-    cfg = cfg if cfg is not None else MachineConfig()
-    cfg = replace(cfg, fuel=fuel)
+    d * n . u . v . pi must select u exactly when the predicate holds,
+    within 200,000 steps each."""
+    cfg = replace(cfg if cfg is not None else MachineConfig(), fuel=200_000)
     for n in samples:
         stack = Push(Numeral(n), Push(App(Inst("stop"), Numeral(1)), Push(App(Inst("stop"), Numeral(0)), BOTTOM)))
         out = run(Process(d, stack), cfg)
@@ -221,13 +220,12 @@ def check_refuter_samples(
     oracle: Callable[[int], bool],
     samples: list[int],
     cfg: MachineConfig | None = None,
-    fuel: int = 50_000,
 ) -> bool:
     """Heuristic operational check of the conditional-refutation contract:
     for sampled n with the predicate false, r * n . canary . bottom must
-    not reach a final stop state.  Sampling is not a proof."""
-    cfg = cfg if cfg is not None else MachineConfig()
-    cfg = replace(cfg, fuel=fuel)
+    not reach a final stop state within 50,000 steps.  Sampling is not a
+    proof."""
+    cfg = replace(cfg if cfg is not None else MachineConfig(), fuel=50_000)
     canary = IDENTITY
     for n in samples:
         if oracle(n):

@@ -76,11 +76,11 @@ class ReturnFormula:
     formula: Formula
 
 
-def sigma01_return_formula(f: str, var: str = "x") -> ReturnFormula:
+def sigma01_return_formula(f: str) -> ReturnFormula:
     """The Friedman-trick instantiation for the Sigma-0-1 pipeline:
     R = exists x (nat(x) /\\ null(f(x)))."""
-    x = EVar(var)
-    return ReturnFormula(Ex1(var, And(Nat(x), Null(EApp(f, (x,))))))
+    x = EVar("x")
+    return ReturnFormula(Ex1("x", And(Nat(x), Null(EApp(f, (x,))))))
 
 
 def formula_bot(a: Formula, R: ReturnFormula) -> Formula:

@@ -47,7 +47,7 @@ from .machine import (
     TExpr,
     iter_steps,
     macro_rule,
-    register_batch,
+    register_instruction,
     run,
 )
 from .negtrans import ReturnFormula, cps_process, cps_term, formula_bot, formula_nn
@@ -62,6 +62,7 @@ from .syntax import (
     Term,
     _lex,
     _TermParser,
+    _Token,
     _TokenStream,
     _decimal,
     _nat_value,
@@ -174,8 +175,8 @@ class _SigView:
 class _TemplateParser(_TermParser):
     """Term parser extended with #(expr) atoms for rule right-hand sides."""
 
-    def __init__(self, ts, instructions, sig_view):
-        super().__init__(ts, instructions, strict=True, stop_words=STOP_WORDS)
+    def __init__(self, ts, instructions, sig_view, forward):
+        super().__init__(ts, instructions, strict=True, stop_words=STOP_WORDS, forward=forward)
         self.sig_view = sig_view
 
     def _atom(self, bound, optional):
@@ -188,6 +189,10 @@ class _TemplateParser(_TermParser):
 
 
 class ScriptParser:
+    """Reads a script in one pass over its tokens.  A Define makes each item
+    name an instruction when it reads it, and reads any other name that is
+    neither bound nor known as one too, checked when the statement ends."""
+
     def __init__(self, text: str):
         self.ts = _TokenStream(_lex(text))
         self.inst_names: set[str] = set(RESERVED_INSTRUCTIONS)
@@ -196,14 +201,18 @@ class ScriptParser:
             name: d.arity for name, d in self.base_sig.symbols.items()
         }
         self.catalog = stdlib_catalog()
+        # inside a Define: the tokens of names read before any item defined them
+        self.forward: list[_Token] | None = None
 
     # -- helpers
 
     def sig_view(self) -> _SigView:
         return _SigView(self.sym_arities)
 
-    def term_parser(self, stop: frozenset[str] = STOP_WORDS) -> _TermParser:
-        return _TermParser(self.ts, frozenset(self.inst_names), strict=True, stop_words=stop)
+    def term_parser(self) -> _TermParser:
+        return _TermParser(
+            self.ts, frozenset(self.inst_names), strict=True, stop_words=STOP_WORDS, forward=self.forward
+        )
 
     def parse(self) -> Script:
         statements: list[Statement] = []
@@ -303,14 +312,14 @@ class ScriptParser:
 
     def _stmt_define(self) -> DefineStmt:
         self.ts.expect("Define")
-        names = self._prescan_define_names()
-        self.inst_names.update(names)
+        self.forward = []
         items: list[DefineItem] = []
         while True:
             name_tok = self.ts.next()
             name = name_tok.text
             if name_tok.kind != "ident" or name in RESERVED_INSTRUCTIONS:
                 raise ParseError(f"cannot define {name!r}", name_tok.line, name_tok.col)
+            self.inst_names.add(name)
             if self.ts.peek().text == "=":
                 self.ts.next()
                 term = self.term_parser().term(frozenset())
@@ -329,33 +338,11 @@ class ScriptParser:
                 continue
             break
         self._semi_after_block()
+        forward, self.forward = self.forward, None
+        for tok in forward:
+            if tok.text not in self.inst_names:
+                raise ParseError(f"unbound name {tok.text!r}", tok.line, tok.col)
         return DefineStmt(tuple(items))
-
-    def _prescan_define_names(self) -> list[str]:
-        """Item names of the current Define statement (for mutual recursion)."""
-        names: list[str] = []
-        depth = 0
-        expect_name = True
-        i = self.ts.pos
-        toks = self.ts.tokens
-        while toks[i].kind != "eof":
-            tok = toks[i]
-            if tok.text in "({[":
-                depth += 1
-            elif tok.text in ")}]":
-                depth -= 1
-                if depth == 0 and tok.text == "}" and toks[i + 1].text != "and":
-                    break
-            elif depth == 0:
-                if tok.text == ";":
-                    break
-                if expect_name and tok.kind == "ident":
-                    names.append(tok.text)
-                    expect_name = False
-                elif tok.text == "and":
-                    expect_name = True
-            i += 1
-        return names
 
     def _rule(self, name: str) -> InstructionRule:
         patterns: list = []
@@ -387,7 +374,7 @@ class ScriptParser:
             guard = Guard(op_tok.text, left, right)
         self.ts.expect("->")
         bound = frozenset(p.var for p in patterns if isinstance(p, (BindTerm, BindNumeral)))
-        tparser = _TemplateParser(self.ts, frozenset(self.inst_names), view)
+        tparser = _TemplateParser(self.ts, frozenset(self.inst_names), view, self.forward)
         rhs_term = tparser.term(bound)
         self.ts.expect("*")
         rhs_stack: list[Term] = []
@@ -530,7 +517,10 @@ def extract_statement(
     trace: bool = False,
 ) -> StatementOutput:
     """Run one extraction mode for 'exists x with symbol(x) = 0'; the
-    naive, decidable and kamikaze verdicts come from evaluating the symbol."""
+    naive, decidable and kamikaze verdicts come from evaluating the symbol.
+    Only the sigma01 driver records guesses, so only it takes ``trace``."""
+    if trace and mode != "sigma01":
+        raise ScriptError(f"trace is for sigma01 extraction only, not {mode}")
     if mode == "sigma01":
         report = extract_sigma01(realizer, symbol, cfg, stack, trace)
     else:
@@ -644,19 +634,22 @@ class ScriptRunner:
         self.cfg = replace(self.cfg, sig=sig)
 
     def _run_define(self, stmt: DefineStmt) -> None:
-        definitions: dict[str, list[InstructionRule]] = {}
+        """Register the items in order, each knowing every item's name; a
+        repeated item is already defined when its turn comes."""
+        batch = {item.name for item in stmt.items}
+        cfg = self.cfg
         for item in stmt.items:
+            rules = item.rules
             if item.term is not None:
                 if free_vars(item.term):
                     raise ScriptError(f"Define {item.name}: term is not closed")
-                definitions[item.name] = [macro_rule(item.name, item.term)]
-            else:
-                definitions[item.name] = list(item.rules)
-        self.cfg = register_batch(self.cfg, definitions)
+                rules = [macro_rule(item.name, item.term)]
+            cfg = register_instruction(cfg, item.name, rules, batch=batch)
+        self.cfg = cfg
 
     def _run_use(self, stmt: UseStmt) -> None:
         named = self.catalog[stmt.name]
-        self.cfg = register_batch(self.cfg, {stmt.name: [macro_rule(stmt.name, named.term)]})
+        self.cfg = register_instruction(self.cfg, stmt.name, [macro_rule(stmt.name, named.term)])
 
     def _check_no_kont(self, subject, what: str) -> None:
         if not is_proof_like(subject):

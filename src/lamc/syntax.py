@@ -630,7 +630,9 @@ class _TermParser:
 
     Name resolution: lambda-bound names are variables, known instruction
     names are instructions, anything else is a free variable (an error in
-    strict mode).
+    strict mode).  Given a ``forward`` list, strict mode instead reads
+    such a name as an instruction defined later and appends its token, for
+    the caller to check once the names are known.
     """
 
     def __init__(
@@ -639,11 +641,13 @@ class _TermParser:
         instructions: frozenset[str],
         strict: bool,
         stop_words: frozenset[str] = frozenset(),
+        forward: list[_Token] | None = None,
     ):
         self.ts = ts
         self.instructions = instructions
         self.strict = strict
         self.stop_words = stop_words
+        self.forward = forward
 
     def term(self, bound: frozenset[str]) -> Term:
         return trampoline(self._term(bound))
@@ -746,7 +750,10 @@ class _TermParser:
         if canonical in self.instructions:
             return Inst(canonical)
         if self.strict:
-            raise ParseError(f"unbound name {name!r}", tok.line, tok.col)
+            if self.forward is None:
+                raise ParseError(f"unbound name {name!r}", tok.line, tok.col)
+            self.forward.append(tok)
+            return Inst(canonical)
         return Var(name)
 
 

@@ -66,6 +66,50 @@ class TestParsing:
         (stmt,) = script.statements
         assert [item.name for item in stmt.items] == ["ping", "pong"]
 
+    @pytest.mark.parametrize(
+        "text, halt",
+        [
+            (
+                "Define f { [x] u -> g #(x + 1) u * ...; } and g { [x] u -> u * #(x + x) . ...; };\n"
+                "Eval f #3 stop * $;",
+                "halt: final-stop 8",
+            ),
+            (
+                "Define g { [x] u -> u * #(x + x) . ...; } and f { [x] u -> g #(x + 1) u * ...; }"
+                " and h = \\u. f #1 u;\nEval h stop * $;",
+                "halt: final-stop 4",
+            ),
+            (
+                "Define f { [x] u -> u * #(x + 1) . ...; } and g = \\u. u #7;\nEval g stop * $;",
+                "halt: final-stop 7",
+            ),
+        ],
+        ids=["forward-after-computed-numeral", "three-items", "item-after-computed-numeral"],
+    )
+    def test_items_after_a_computed_numeral(self, text, halt):
+        result = run_script_text(text)
+        assert result.exit_code == EXIT_OK
+        assert halt in result.text.splitlines()
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            (r"Define f = \u. g u and h = \u. g u;", 16),
+            ("Define f { [x] u -> u * #(x + 1) . ...; } and h { u -> g u * ...; };", 56),
+            (r"Define f = \u. g u; Define g = \u. u;", 16),
+        ],
+        ids=["no-item-defines-it", "after-a-computed-numeral", "defined-by-a-later-statement"],
+    )
+    def test_undefined_forward_name_at_its_first_use(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_script(text)
+        assert (err.value.message, err.value.line, err.value.col) == ("unbound name 'g'", 1, col)
+
+    def test_syntax_error_before_undefined_forward_name(self):
+        with pytest.raises(ParseError) as err:
+            parse_script(r"Define f = \u. g u and h = ;")
+        assert (err.value.message, err.value.col) == ("expected a term", 28)
+
     def test_reserved_name_rejected(self):
         with pytest.raises(ParseError, match="cannot define"):
             parse_script(r"Define cc = \x. x;")
@@ -360,12 +404,26 @@ class TestCli:
     def test_stats_compare(self, tmp_path, capsys):
         a = self.demo_path(tmp_path, 10)
         b = tmp_path / "b.lc"
-        b.write_text(build_script(10, wrapper="plain"))
+        b.write_text(build_script(10).replace(r"(\x y. print x y (stop x))", r"(\x y. y (stop x))"))
         code = main(["stats", a, str(b)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "diff:" in out
         assert "print" in out  # the plain build never fires print
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            r"Define a = \u. u #1 and a = \u. u #2; Eval a stop * $;",
+            r"Define a { u -> u #1 * ...; } and a { u -> u #2 * ...; }; Eval a stop * $;",
+        ],
+        ids=["term-items", "rule-items"],
+    )
+    def test_repeated_item_is_already_defined(self, tmp_path, capsys, text):
+        path = tmp_path / "repeated.lc"
+        path.write_text(text)
+        assert main(["run", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "error: instruction 'a' is already defined\n")
 
     def test_stats_out_of_fuel(self, tmp_path, capsys):
         omega = tmp_path / "omega.lc"
@@ -563,11 +621,20 @@ class TestCliScriptAgreement:
     )
     def test_extract(self, tmp_path, capsys, mode, realizer, symbol, trace, fuel):
         stmt = f"Extract {mode}{' trace' if trace else ''} {realizer} with {symbol};"
-        script = run_script_text(self.DEFS + stmt, fuel=fuel)
         defs, term = self._files(tmp_path, realizer)
         argv = ["extract", "--mode", mode, "--realizer", term, "--f", symbol, "--script", defs]
         argv += ["--trace-guesses"] if trace else []
         argv += ["--fuel", str(fuel)] if fuel is not None else []
+        if trace and mode != "sigma01":
+            # only the sigma01 driver records guesses; both forms refuse the switch
+            message = f"trace is for sigma01 extraction only, not {mode}"
+            with pytest.raises(ScriptError) as exc:
+                run_script_text(self.DEFS + stmt, fuel=fuel)
+            assert str(exc.value) == message
+            assert main(argv) == EXIT_PARSE
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            return
+        script = run_script_text(self.DEFS + stmt, fuel=fuel)
         code = main(argv)
         text = capsys.readouterr().out
         assert main(argv + ["--json-like"]) == code
