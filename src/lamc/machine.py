@@ -119,16 +119,18 @@ class Guard:
         raise RuleError(f"unknown guard operator {self.op!r}")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TExpr(Term):
     """Template-only node: a numeral computed from an arithmetic expression
     over the rule's numeral-bound variables.  Never appears in run states."""
 
-    expr: ArithExpr
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("expr",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fv", frozenset())
+    def __init__(self, expr: ArithExpr) -> None:
+        _texpr_expr(self, expr)
+        _texpr_fv(self, frozenset())
+
+
+_texpr_expr, _texpr_fv = TExpr.expr.__set__, TExpr.fv.__set__
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,18 @@ reducers' seen-sets use one nameless key (``KeyCache``, whose uncached
 entry is ``alpha_key``); printing keeps the user's binder names.  Every
 recursive walk, here and in the other modules, is a generator written as
 the recursive function and run by one driver, ``trampoline``, so no walk
-depends on Python's recursion limit.
+depends on Python's recursion limit.  Term and stack nodes are slot
+classes, not dataclasses: each ``__init__`` stores its fields through the
+slots' setters, bound once at module level, and the shared base ``_Node``
+makes every later assignment or deletion raise ``FrozenInstanceError``
+and rebuilds a node from its ``__match_args__`` for ``repr``, pickle and
+copy.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass
 from types import GeneratorType
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -45,13 +50,37 @@ class ParseError(LamcError):
 # terms, stacks, processes
 
 
-class Term:
+class _Node:
+    """The base of terms and stacks: slots that nothing assigns or deletes
+    after ``__init__``, and ``__match_args__``, the fields that ``repr``,
+    ``match``, pickle and copy read."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return _repr(self)
+
+
+class Term(_Node):
     """Base class; equality and hashing are up to alpha-equivalence.
     ``==`` is one walk over both terms, on an explicit stack, that stops at
     the first difference and takes a closed subterm met as the same object
-    on both sides as equal without walking it; ``hash`` keys the term."""
+    on both sides as equal without walking it; ``hash`` keys the term.
+    A term is built only by its class's ``__init__``, which stores its
+    fields and ``fv``, its free variables computed from its children's,
+    in slots; nothing can assign or delete them afterwards."""
 
-    __slots__ = ()
+    __slots__ = ("fv",)
 
     def __eq__(self, other: object) -> bool:
         # alpha-equivalent terms have the same top constructor and free variables
@@ -97,9 +126,6 @@ class Term:
     def __hash__(self) -> int:
         return hash(alpha_key(self))
 
-    def __repr__(self) -> str:
-        return _repr(self)
-
     def __str__(self) -> str:
         return print_term(self)
 
@@ -107,89 +133,89 @@ class Term:
 _EMPTY_FV = frozenset()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Var(Term):
-    name: str
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fv", frozenset((self.name,)))
+    def __init__(self, name: str) -> None:
+        _var_name(self, name)
+        _set_fv(self, frozenset((name,)))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Lam(Term):
-    binder: str
-    body: Term
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("binder", "body")
 
-    def __post_init__(self) -> None:
-        fv = self.body.fv  # shared with the body when the binder is not free in it
-        if self.binder in fv:
-            fv = fv - {self.binder} if len(fv) > 1 else _EMPTY_FV
-        object.__setattr__(self, "fv", fv)
+    def __init__(self, binder: str, body: Term) -> None:
+        _lam_binder(self, binder)
+        _lam_body(self, body)
+        fv = body.fv  # shared with the body when the binder is not free in it
+        if binder in fv:
+            fv = fv - {binder} if len(fv) > 1 else _EMPTY_FV
+        _set_fv(self, fv)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("fn", "arg")
 
-    def __post_init__(self) -> None:
-        a, b = self.fn.fv, self.arg.fv  # shared with a child that has them all
-        object.__setattr__(self, "fv", a if b <= a else b if a <= b else a | b)
+    def __init__(self, fn: Term, arg: Term) -> None:
+        _app_fn(self, fn)
+        _app_arg(self, arg)
+        a, b = fn.fv, arg.fv  # shared with a child that has them all
+        _set_fv(self, a if b <= a else b if a <= b else a | b)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Inst(Term):
     """A named instruction (cc, s, rec, stop, print, or user-defined)."""
 
-    name: str
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fv", _EMPTY_FV)
+    def __init__(self, name: str) -> None:
+        _inst_name(self, name)
+        _set_fv(self, _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Numeral(Term):
     """The primitive numeral constant; pure data, no evaluation rule."""
 
-    n: int
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int) -> None:
+        if n < 0:
             raise ValueError("numerals are naturals")
-        object.__setattr__(self, "fv", _EMPTY_FV)
+        _numeral_n(self, n)
+        _set_fv(self, _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Kont(Term):
     """Continuation constant capturing a whole stack; runtime-only.  The
     saved stack is closed, so the constant is closed too."""
 
-    saved: "Stack"
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("saved",)
 
-    def __post_init__(self) -> None:
-        for t in self.saved:
+    def __init__(self, saved: Stack) -> None:
+        for t in saved:
             if t.fv:
                 raise ValueError(f"saved stacks are closed: free variable {min(t.fv)!r}")
-        object.__setattr__(self, "fv", _EMPTY_FV)
+        _kont_saved(self, saved)
+        _set_fv(self, _EMPTY_FV)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class HConst(Term):
     """A constant of the HA2 term language (pair, fst, snd, z0, sc, rec)."""
 
-    kind: str
-    fv: frozenset = field(init=False, repr=False)
+    __slots__ = __match_args__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in HA2_CONSTANTS:
-            raise ValueError(f"unknown constant {self.kind!r}")
-        object.__setattr__(self, "fv", _EMPTY_FV)
+    def __init__(self, kind: str) -> None:
+        if kind not in HA2_CONSTANTS:
+            raise ValueError(f"unknown constant {kind!r}")
+        _hconst_kind(self, kind)
+        _set_fv(self, _EMPTY_FV)
+
+
+# the slots' setters, through which each __init__ above stores its fields
+_set_fv, _var_name, _inst_name = Term.fv.__set__, Var.name.__set__, Inst.name.__set__
+_lam_binder, _lam_body = Lam.binder.__set__, Lam.body.__set__
+_app_fn, _app_arg = App.fn.__set__, App.arg.__set__
+_numeral_n, _kont_saved, _hconst_kind = Numeral.n.__set__, Kont.saved.__set__, HConst.kind.__set__
 
 
 def app(*terms: Term) -> Term:
@@ -215,7 +241,7 @@ def split_pair(t: Term) -> tuple[Term, Term] | None:
     return None
 
 
-class Stack:
+class Stack(_Node):
     """Equal stacks have equal tuples of tops."""
 
     __slots__ = ()
@@ -227,9 +253,6 @@ class Stack:
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return _repr(self)
 
     def __str__(self) -> str:
         return print_stack(self)
@@ -244,15 +267,19 @@ class Stack:
         return sum(1 for _ in self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Stack):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Push(Stack):
-    top: Term
-    rest: Stack
+    __slots__ = __match_args__ = ("top", "rest")
+
+    def __init__(self, top: Term, rest: Stack) -> None:
+        _push_top(self, top)
+        _push_rest(self, rest)
+
+
+_push_top, _push_rest = Push.top.__set__, Push.rest.__set__
 
 
 BOTTOM = Bottom()
@@ -278,19 +305,19 @@ class Process:
 Subject = Union[Term, Stack, Process]
 
 
-def _repr(node: Term | Stack) -> str:
-    """The dataclass text of a term or stack, on the trampoline."""
+def _repr(node: _Node) -> str:
+    """The constructor text of a term or stack, on the trampoline."""
     out: list[str] = []
     trampoline(_repr_parts(node, out))
     return "".join(out)
 
 
-def _repr_parts(node: Term | Stack, out: list[str]):
+def _repr_parts(node: _Node, out: list[str]):
     out.append(type(node).__qualname__ + "(")
-    for i, name in enumerate(f.name for f in fields(node) if f.repr):
+    for i, name in enumerate(node.__match_args__):
         out.append(f"{', ' if i else ''}{name}=")
         value = getattr(node, name)
-        if isinstance(value, (Term, Stack)):
+        if isinstance(value, _Node):
             yield _repr_parts(value, out)
         else:
             out.append(repr(value))

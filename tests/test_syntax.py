@@ -1,12 +1,22 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lamc.arith import EVar
+from lamc.demo import closed_realizer
+from lamc.extract import sigma01_wrapper
 from lamc.ha2 import hnumeral
+from lamc.machine import Halt, MachineError, TExpr, step
+from lamc.negtrans import cps_process
 from lamc.syntax import (
     App,
     BOTTOM,
+    Bottom,
+    HConst,
     Inst,
     Kont,
     Lam,
@@ -14,6 +24,8 @@ from lamc.syntax import (
     ParseError,
     Process,
     Push,
+    Stack,
+    Term,
     Var,
     extend_stack_bottom,
     free_vars,
@@ -296,6 +308,111 @@ class TestCorners:
         with pytest.raises(ValueError):
             Numeral(-1)
 
+
+
+def _nodes():
+    """One node of each class, with the text ``repr`` gives it."""
+    two = Push(Numeral(1), Push(Inst("stop"), BOTTOM))
+    return [
+        (Var("x"), "Var(name='x')"),
+        (Lam("x", Var("x")), "Lam(binder='x', body=Var(name='x'))"),
+        (App(Var("f"), Inst("s")), "App(fn=Var(name='f'), arg=Inst(name='s'))"),
+        (Inst("cc"), "Inst(name='cc')"),
+        (Numeral(7), "Numeral(n=7)"),
+        (Kont(two), "Kont(saved=Push(top=Numeral(n=1), rest=Push(top=Inst(name='stop'), rest=Bottom())))"),
+        (HConst("pair"), "HConst(kind='pair')"),
+        (TExpr(EVar("n")), "TExpr(expr=EVar(name='n'))"),
+        (Push(Numeral(1), BOTTOM), "Push(top=Numeral(n=1), rest=Bottom())"),
+        (Bottom(), "Bottom()"),
+    ]
+
+
+def _lamc_subclasses(base):
+    found, todo = set(), [base]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("lamc."):
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+class TestNodeClasses:
+    """Terms and stacks are slot classes, built one way and immutable; they
+    keep the repr, match, pickle and copy behaviour of frozen dataclasses."""
+
+    def test_repr_table(self):
+        for node, text in _nodes():
+            assert repr(node) == text
+
+    def test_fields_are_frozen(self):
+        for node, _ in _nodes():
+            names = node.__match_args__ + (("fv",) if isinstance(node, Term) else ())
+            for name in names:
+                before = getattr(node, name)
+                with pytest.raises(dataclasses.FrozenInstanceError) as err:
+                    setattr(node, name, Var("y"))
+                assert str(err.value) == f"cannot assign to field {name!r}"
+                with pytest.raises(dataclasses.FrozenInstanceError) as err:
+                    delattr(node, name)
+                assert str(err.value) == f"cannot delete field {name!r}"
+                assert getattr(node, name) is before
+            with pytest.raises(AttributeError):
+                node.extra = 1
+
+    def test_one_way_to_build_a_node(self):
+        terms, stacks = _lamc_subclasses(Term), _lamc_subclasses(Stack)
+        assert terms == {Var, Lam, App, Inst, Numeral, Kont, HConst, TExpr}
+        assert stacks == {Bottom, Push}
+        assert not any(dataclasses.is_dataclass(cls) for cls in terms | stacks)
+
+    def test_pickle_and_copy_round_trip(self):
+        realizer = closed_realizer(2)[0]
+        process = Process(realizer, Push(sigma01_wrapper(), BOTTOM))
+        subjects = [realizer, process, cps_process(process), stack_of(Numeral(3), realizer, Inst("stop")),
+                    Kont(Push(Numeral(1), Push(realizer, BOTTOM)))]
+        for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for x in subjects:
+                y = dup(x)
+                assert y == x
+                assert repr(y) == repr(x)
+                fv = (lambda s: s.head.fv) if isinstance(x, Process) else (lambda s: getattr(s, "fv", None))
+                assert fv(y) == fv(x)
+
+    def test_match_patterns_bind(self, cfg):
+        match stack_of(Numeral(3), Inst("stop"), Numeral(0)):
+            case Push(Numeral(n), Push(u, rest)):
+                assert (n, u, rest) == (3, Inst("stop"), Push(Numeral(0), BOTTOM))
+            case _:
+                pytest.fail("Push(Numeral(n), Push(u, rest)) did not bind")
+        tail = Push(Inst("stop"), BOTTOM)
+        for head, stack, rule, after in [
+            (App(Inst("s"), Numeral(3)), tail, "Push", Process(Inst("s"), Push(Numeral(3), tail))),
+            (Lam("x", Var("x")), Push(Numeral(1), BOTTOM), "Grab", Process(Numeral(1), BOTTOM)),
+            (Kont(tail), Push(Numeral(1), BOTTOM), "Resume", Process(Numeral(1), tail)),
+            (Inst("s"), Push(Numeral(3), tail), "s", Process(Inst("stop"), Push(Numeral(4), BOTTOM))),
+            (Inst("rec"), stack_of(Var("a"), Var("b"), Numeral(0)), "rec-0", Process(Var("a"), BOTTOM)),
+            (Inst("print"), Push(Numeral(5), tail), "print", Process(Inst("stop"), BOTTOM)),
+        ]:
+            result = step(Process(head, stack), cfg)
+            assert (result.rule, result.process) == (rule, after)
+        result = step(Process(Inst("rec"), stack_of(Var("a"), Var("b"), Numeral(2))), cfg)
+        again = App(App(App(Inst("rec"), Var("a")), Var("b")), Numeral(1))
+        assert (result.rule, result.process) == ("rec-s", Process(Var("b"), stack_of(Numeral(1), again)))
+        assert step(Process(Inst("stop"), Push(Numeral(9), BOTTOM)), cfg) == Halt("final-stop", 9)
+        assert step(Process(Numeral(2), tail), cfg) == Halt("stuck")
+        with pytest.raises(MachineError, match="free variable 'y' in head position"):
+            step(Process(Var("y"), tail), cfg)
+
+    def test_construction_errors(self):
+        for build, message in [
+            (lambda: Numeral(-1), "numerals are naturals"),
+            (lambda: HConst("foo"), "unknown constant 'foo'"),
+            (lambda: Kont(Push(Numeral(1), Push(Var("x"), BOTTOM))), "saved stacks are closed: free variable 'x'"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
 class TestSharedFrontEnd:
     """lambda-c and HA2 terms share the node classes, lexer, grammar and
