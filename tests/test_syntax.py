@@ -309,7 +309,6 @@ class TestCorners:
             Numeral(-1)
 
 
-
 def _nodes():
     """One node of each class, with the text ``repr`` gives it."""
     two = Push(Numeral(1), Push(Inst("stop"), BOTTOM))
@@ -376,8 +375,8 @@ class TestNodeClasses:
                 y = dup(x)
                 assert y == x
                 assert repr(y) == repr(x)
-                fv = (lambda s: s.head.fv) if isinstance(x, Process) else (lambda s: getattr(s, "fv", None))
-                assert fv(y) == fv(x)
+                top = (lambda s: s.head) if isinstance(x, Process) else (lambda s: s)
+                assert getattr(top(y), "fv", None) == getattr(top(x), "fv", None)
 
     def test_match_patterns_bind(self, cfg):
         match stack_of(Numeral(3), Inst("stop"), Numeral(0)):
@@ -413,6 +412,7 @@ class TestNodeClasses:
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+
 
 class TestSharedFrontEnd:
     """lambda-c and HA2 terms share the node classes, lexer, grammar and
