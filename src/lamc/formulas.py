@@ -532,13 +532,22 @@ def _relativized(f):
 def parse_formula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse a PA2+ formula; sugar expands to second-order encodings."""
     ts = _TokenStream(_lex(text))
-    return ts.finish(trampoline(_formula(ts, sig, True)))
+    return _single_arities(ts.finish(trampoline(_formula(ts, sig, True))))
 
 
 def parse_hformula(text: str, sig: PrimRecSignature) -> Formula:
     """Parse an HA2 formula (primitive /\\, exists, nat)."""
     ts = _TokenStream(_lex(text))
-    return ts.finish(trampoline(_formula(ts, sig, False)))
+    return _single_arities(ts.finish(trampoline(_formula(ts, sig, False))))
+
+
+def _single_arities(f):
+    """f, once each free predicate variable has one arity in it; a bound
+    one has one arity in its binder's scope (``_quantified``)."""
+    for name in sorted(f.fv):
+        if name[0].isupper():
+            _pred_arity(f, name)
+    return f
 
 
 def _formula(ts, sig, pa2: bool):
@@ -617,13 +626,18 @@ def _quantified(quantifier: str, binders: list[str], body, pa2: bool):
 
 
 def _pred_arity(f, name: str) -> int:
-    """Arity of a predicate variable from its first free occurrence."""
-    if name not in f.fv:
-        return 0
-    for g, bound in _subformulas(f):
-        if isinstance(g, PredVar) and g.name == name and name not in bound:
-            return len(g.args)
-    return 0
+    """Arity of a predicate variable at its free occurrences in f, which
+    must agree (0 when it has none)."""
+    arity = None
+    if name in f.fv:
+        for g, bound in _subformulas(f):
+            if isinstance(g, PredVar) and g.name == name and name not in bound:
+                if arity is not None and len(g.args) != arity:
+                    raise FormulaError(
+                        f"predicate variable {name!r} used at arities {arity} and {len(g.args)}"
+                    )
+                arity = len(g.args)
+    return arity or 0
 
 
 def _atom_formula(ts, sig, pa2: bool):

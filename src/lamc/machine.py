@@ -24,7 +24,6 @@ may be shared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
@@ -167,7 +166,7 @@ def macro_rule(name: str, term: Term) -> InstructionRule:
 class MachineConfig:
     rules: dict[str, tuple[InstructionRule, ...]] = field(default_factory=dict)
     sig: PrimRecSignature = field(default_factory=default_signature)
-    fuel: int | None = DEFAULT_FUEL
+    fuel: int = DEFAULT_FUEL
     sink: Callable[[int], None] | None = None
 
     @property
@@ -330,7 +329,7 @@ def iter_steps(p: Process, cfg: MachineConfig) -> Iterator[Next]:
     """Each step's ``Next`` from ``p``, lazily, until ``step`` halts or
     after ``cfg.fuel`` steps: the steps that ``run`` takes."""
     k = 0
-    while cfg.fuel is None or k < cfg.fuel:
+    while k < cfg.fuel:
         result = step(p, cfg)
         if isinstance(result, Halt):
             return
@@ -669,8 +668,7 @@ def run(p: Process, cfg: MachineConfig) -> RunOutcome:
     for t in reversed(terms):
         stack = ((_compile(t, (), memo), None), stack)
     rules = cfg.rules
-    sig, user_sink = cfg.sig, cfg.sink
-    limit = cfg.fuel if cfg.fuel is not None else math.inf
+    sig, user_sink, limit = cfg.sig, cfg.sink, cfg.fuel
     stats = dict.fromkeys(_BUILTIN_RULES, 0)
     printed: list[int] = []
     # the tags as locals, for the loop below: it is the machine's hot path

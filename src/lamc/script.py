@@ -66,7 +66,6 @@ from .syntax import (
     _TokenStream,
     _decimal,
     _nat_value,
-    free_vars,
     is_proof_like,
     print_process,
     print_term,
@@ -109,18 +108,12 @@ class PrimStmt:
 @dataclass(frozen=True)
 class DefineItem:
     name: str
-    term: Term | None = None
-    rules: tuple[InstructionRule, ...] = ()
+    rules: tuple[InstructionRule, ...]
 
 
 @dataclass(frozen=True)
 class DefineStmt:
     items: tuple[DefineItem, ...]
-
-
-@dataclass(frozen=True)
-class UseStmt:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ class SimulateStmt:
     fuel: int = SIMULATE_FUEL
 
 
-Statement = PrimStmt | DefineStmt | UseStmt | EvalStmt | ExtractStmt | TranslateStmt | SimulateStmt
+Statement = PrimStmt | DefineStmt | EvalStmt | ExtractStmt | TranslateStmt | SimulateStmt
 
 
 @dataclass(frozen=True)
@@ -200,7 +193,6 @@ class ScriptParser:
         self.sym_arities: dict[str, int] = {
             name: d.arity for name, d in self.base_sig.symbols.items()
         }
-        self.catalog = stdlib_catalog()
         # inside a Define: the tokens of names read before any item defined them
         self.forward: list[_Token] | None = None
 
@@ -322,17 +314,16 @@ class ScriptParser:
             self.inst_names.add(name)
             if self.ts.peek().text == "=":
                 self.ts.next()
-                term = self.term_parser().term(frozenset())
-                items.append(DefineItem(name, term=term))
+                rules = [macro_rule(name, self.term_parser().term(frozenset()))]
             elif self.ts.peek().text == "{":
                 self.ts.next()
-                rules: list[InstructionRule] = []
+                rules = []
                 while self.ts.peek().text != "}":
                     rules.append(self._rule(name))
                 self.ts.expect("}")
-                items.append(DefineItem(name, rules=tuple(rules)))
             else:
                 raise self.ts.error("expected '=' or '{' in Define")
+            items.append(DefineItem(name, tuple(rules)))
             if self.ts.peek().text == "and":
                 self.ts.next()
                 continue
@@ -386,14 +377,16 @@ class ScriptParser:
         self._semi()
         return InstructionRule(name, tuple(patterns), rhs_term, tuple(rhs_stack), guard)
 
-    def _stmt_use(self) -> UseStmt:
+    def _stmt_use(self) -> DefineStmt:
+        """``use name;``, read as ``Define name = <catalog term>;``."""
         self.ts.expect("use")
         tok = self.ts.next()
-        if tok.kind != "ident" or tok.text not in self.catalog:
+        named = stdlib_catalog().get(tok.text)
+        if tok.kind != "ident" or named is None:
             raise ParseError(f"unknown catalog term {tok.text!r}", tok.line, tok.col)
         self._semi()
         self.inst_names.add(tok.text)
-        return UseStmt(tok.text)
+        return DefineStmt((DefineItem(tok.text, (macro_rule(tok.text, named.term),)),))
 
     def _stmt_eval(self) -> EvalStmt:
         self.ts.expect("Eval")
@@ -437,9 +430,9 @@ class ScriptParser:
         raise ParseError("Translate expects term, formula or process", kind_tok.line, kind_tok.col)
 
     def _parse_formula_until_semi(self) -> Formula:
-        from .formulas import _formula
+        from .formulas import _formula, _single_arities
 
-        f = trampoline(_formula(self.ts, self.sig_view(), True))
+        f = _single_arities(trampoline(_formula(self.ts, self.sig_view(), True)))
         self._semi()
         return f
 
@@ -609,7 +602,6 @@ class ScriptRunner:
     def __init__(self, fuel: int | None = None, trace: bool = False):
         self.cfg = MachineConfig() if fuel is None else MachineConfig(fuel=fuel)
         self.trace = trace
-        self.catalog = stdlib_catalog()
         self.lines: list[str] = []
         self.doc: list[dict] = []
         self.codes: set[int] = set()
@@ -634,22 +626,11 @@ class ScriptRunner:
         self.cfg = replace(self.cfg, sig=sig)
 
     def _run_define(self, stmt: DefineStmt) -> None:
-        """Register the items in order, each knowing every item's name; a
-        repeated item is already defined when its turn comes."""
+        """Register the items' rules in order, each knowing every item's
+        name; a repeated item is already defined when its turn comes."""
         batch = {item.name for item in stmt.items}
-        cfg = self.cfg
         for item in stmt.items:
-            rules = item.rules
-            if item.term is not None:
-                if free_vars(item.term):
-                    raise ScriptError(f"Define {item.name}: term is not closed")
-                rules = [macro_rule(item.name, item.term)]
-            cfg = register_instruction(cfg, item.name, rules, batch=batch)
-        self.cfg = cfg
-
-    def _run_use(self, stmt: UseStmt) -> None:
-        named = self.catalog[stmt.name]
-        self.cfg = register_instruction(self.cfg, stmt.name, [macro_rule(stmt.name, named.term)])
+            self.cfg = register_instruction(self.cfg, item.name, item.rules, batch=batch)
 
     def _check_no_kont(self, subject, what: str) -> None:
         if not is_proof_like(subject):
@@ -693,8 +674,7 @@ def definitions_config(script: Script, fuel: int | None = None) -> MachineConfig
     """The configuration that the Prim, Define and use statements of a
     script set up; its other statements are not run."""
     runner = ScriptRunner(fuel=fuel)
-    definitions = (PrimStmt, DefineStmt, UseStmt)
-    runner.execute(Script(tuple(s for s in script.statements if isinstance(s, definitions))))
+    runner.execute(Script(tuple(s for s in script.statements if isinstance(s, (PrimStmt, DefineStmt)))))
     return runner.cfg
 
 

@@ -240,7 +240,7 @@ def test_le_term(sig: PrimRecSignature | None = None) -> Term:
 # the minimum principle
 
 
-def min_principle_realizers(test_le: Term | None = None) -> dict[str, Term]:
+def min_principle_realizers(test_le: Term) -> dict[str, Term]:
     """Hand-built universal realizers for the functional minimum principle.
 
     min_aux takes an implementation of f, a continuation for backtracking,
@@ -250,7 +250,6 @@ def min_principle_realizers(test_le: Term | None = None) -> dict[str, Term]:
     does better.  min_princ computes f(0), saves the continuation with one
     call/cc and starts min_aux at 0.
     """
-    test_le = test_le if test_le is not None else Inst("test_le")
     challenger = Lam(
         "m2",
         app(

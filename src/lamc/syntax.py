@@ -474,18 +474,13 @@ def is_closed(t: Term) -> bool:
 
 
 def is_proof_like(subject: Subject) -> bool:
-    """True when the subject contains no continuation constant."""
-    return next(_konts(subject), None) is None
-
-
-def _konts(subject: Subject) -> Iterator[Kont]:
-    """The continuation constants in subject outside any other one, left
-    to right (explicit stack: subjects can be deep)."""
+    """True when the subject contains no continuation constant (explicit
+    stack: subjects can be deep)."""
     todo = [subject]
     while todo:
         s = todo.pop()
         if type(s) is Kont:
-            yield s
+            return False
         elif type(s) is App:
             todo += (s.arg, s.fn)
         elif type(s) is Lam:
@@ -494,6 +489,7 @@ def _konts(subject: Subject) -> Iterator[Kont]:
             todo += (s.stack, s.head)
         elif type(s) is Push:
             todo += (s.rest, s.top)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from lamc.formulas import (
     formula_all_names,
     formula_free_vars,
     h_top,
-    _pred_arity,
 )
 from lamc.syntax import _TokenStream, _lex, fresh_name
 
@@ -265,12 +264,42 @@ def is_fully_relativized(f) -> bool:
 
 def parse_formula(text: str, sig):
     ts = _TokenStream(_lex(text))
-    return ts.finish(_formula(ts, sig, "pa2"))
+    return _single_arities(ts.finish(_formula(ts, sig, "pa2")))
 
 
 def parse_hformula(text: str, sig):
     ts = _TokenStream(_lex(text))
-    return ts.finish(_formula(ts, sig, "ha2"))
+    return _single_arities(ts.finish(_formula(ts, sig, "ha2")))
+
+
+def _single_arities(f):
+    for name in sorted({name for name, _ in _free_preds(f, frozenset())}):
+        _pred_arity(f, name)
+    return f
+
+
+def _free_preds(f, bound):
+    """The free predicate variable occurrences of f, left to right, as
+    (name, arity) pairs."""
+    match f:
+        case PredVar(name, args):
+            return [] if name in bound else [(name, len(args))]
+        case Imp(a, b) | And(a, b):
+            return _free_preds(a, bound) + _free_preds(b, bound)
+        case Brace(_, b):
+            return _free_preds(b, bound)
+        case All1(x, body) | Ex1(x, body) | All2(x, _, body) | Ex2(x, _, body):
+            return _free_preds(body, bound | {x})
+    return []
+
+
+def _pred_arity(f, name):
+    """The one arity of the free occurrences of name in f (0 when none)."""
+    arities = [a for n, a in _free_preds(f, frozenset()) if n == name]
+    for a in arities:
+        if a != arities[0]:
+            raise FormulaError(f"predicate variable {name!r} used at arities {arities[0]} and {a}")
+    return arities[0] if arities else 0
 
 
 def _formula(ts, sig, dialect):

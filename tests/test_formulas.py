@@ -214,6 +214,38 @@ class TestPrintParse:
         assert pf("{x} -> exists y. x = y", SIG) == pf("{x} -> (exists y. x = y)", SIG)
 
 
+PARSERS = pytest.mark.parametrize("parse", [parse_formula, parse_hformula], ids=["pa2", "ha2"])
+
+
+class TestPredicateArity:
+    @PARSERS
+    @pytest.mark.parametrize(
+        "text, arities",
+        [
+            ("forall X. X(0, 1) -> X(1)", "2 and 1"),
+            ("exists X. X(1) /\\ X(1, 2)", "1 and 2"),
+            ("forall y. X(y) -> X", "1 and 0"),
+            ("Y -> forall X. X(0) -> Y(1)", "0 and 1"),
+        ],
+        ids=["bound", "exists", "free", "free-under-binder"],
+    )
+    def test_two_arities_in_one_scope_are_refused(self, SIG, parse, text, arities):
+        with pytest.raises(FormulaError, match=rf"predicate variable '[XY]' used at arities {arities}$"):
+            parse(text, SIG)
+
+    @PARSERS
+    @pytest.mark.parametrize(
+        "text, arity",
+        [("(forall X. X(1)) -> forall X. X(1, 2)", 1), ("X(1) -> forall X. X(1, 2)", None)],
+        ids=["two-binders", "free-and-bound"],
+    )
+    def test_each_binder_has_its_own_arity(self, SIG, parse, text, arity):
+        f = parse(text, SIG)
+        assert f.b.arity == 2 and f.b.x == "X"
+        if arity is not None:
+            assert f.a.arity == arity
+
+
 # ---------------------------------------------------------------------------
 # the child map and the flat key against the recursive walks of
 # tests/formulas_reference.py

@@ -37,6 +37,7 @@ from lamc.formulas import (
     All1,
     All2,
     Ex1,
+    FormulaError,
     Imp,
     Null,
     PredVar,
@@ -96,11 +97,14 @@ SIG = default_signature()
 
 
 def _outcome(parse, text):
-    """What parse prints for text, or its ParseError's message and position."""
+    """What parse prints for text, its ParseError's message and position,
+    or its FormulaError's message."""
     try:
         return str(parse(text))
     except ParseError as exc:
         return ("ParseError", exc.message, exc.line, exc.col)
+    except FormulaError as exc:
+        return ("FormulaError", str(exc))
 
 
 def _mutants(rng, text, n=3):

@@ -8,6 +8,7 @@ from lamc.cli import main
 from lamc.demo import build_script, oracle_guesses
 from lamc.extract import ExtractionError
 from lamc.script import (
+    DefineItem,
     DefineStmt,
     EvalStmt,
     EXIT_FUEL,
@@ -16,16 +17,19 @@ from lamc.script import (
     EXIT_UNVERIFIED,
     ExtractStmt,
     PrimStmt,
+    Script,
     ScriptError,
+    ScriptRunner,
     SimulateStmt,
     TranslateStmt,
-    UseStmt,
     parse_script,
     run_script_text,
 )
 from lamc.ha2 import read_witness
 from lamc.negtrans import cps_process
-from lamc.syntax import ParseError, parse_process, print_process
+from lamc.machine import RuleError, macro_rule
+from lamc.stdlib import catalog
+from lamc.syntax import Lam, ParseError, Var, parse_process, print_process
 
 
 class TestParsing:
@@ -45,12 +49,26 @@ class TestParsing:
         assert kinds == [
             PrimStmt,
             DefineStmt,
-            UseStmt,
+            DefineStmt,
             EvalStmt,
             ExtractStmt,
             TranslateStmt,
             SimulateStmt,
         ]
+
+    def test_use_and_term_items_parse_into_macro_rules(self):
+        script = parse_script("use pair; Define I = \\x. x;")
+        assert [type(s) for s in script.statements] == [DefineStmt, DefineStmt]
+        [use_item], [term_item] = (s.items for s in script.statements)
+        assert use_item.rules == (macro_rule("pair", catalog()["pair"].term),)
+        assert term_item.rules == (macro_rule("I", Lam("x", Var("x"))),)
+
+    def test_open_macro_is_refused_at_registration(self):
+        # the parser reads every unbound name in a Define as an instruction,
+        # so only a hand-built item can be open
+        stmt = DefineStmt((DefineItem("f", (macro_rule("f", Var("y")),)),))
+        with pytest.raises(RuleError, match="f: unbound variable 'y' in rule right-hand side"):
+            ScriptRunner().execute(Script((stmt,)))
 
     def test_names_defined_before_use(self):
         with pytest.raises(ParseError, match="unbound"):
@@ -395,6 +413,15 @@ class TestCli:
         assert code == EXIT_OK
         assert "bot: exists x. null(neg(pred(x)))" in out
 
+    def test_predicate_variable_at_two_arities_is_one_error_line(self, tmp_path, capsys):
+        error = "error: predicate variable 'X' used at arities 2 and 1\n"
+        assert main(["translate", "--formula", "forall X. X(0, 1) -> X(1)"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", error)
+        path = tmp_path / "arity.lc"
+        path.write_text("Translate formula forall X. X(0, 1) -> X(1);")
+        assert main(["run", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", error)
+
     def test_simulate_subcommand(self, capsys):
         code = main(["simulate", "--process", r"(\x. x) (\y. y) * $", "--fuel", "10"])
         out = capsys.readouterr().out
@@ -412,18 +439,20 @@ class TestCli:
         assert "print" in out  # the plain build never fires print
 
     @pytest.mark.parametrize(
-        "text",
+        "text, name",
         [
-            r"Define a = \u. u #1 and a = \u. u #2; Eval a stop * $;",
-            r"Define a { u -> u #1 * ...; } and a { u -> u #2 * ...; }; Eval a stop * $;",
+            (r"Define a = \u. u #1 and a = \u. u #2; Eval a stop * $;", "a"),
+            (r"Define a { u -> u #1 * ...; } and a { u -> u #2 * ...; }; Eval a stop * $;", "a"),
+            ("use I; use I;", "I"),
+            (r"use I; Define I = \x. x;", "I"),
         ],
-        ids=["term-items", "rule-items"],
+        ids=["term-items", "rule-items", "use-use", "use-define"],
     )
-    def test_repeated_item_is_already_defined(self, tmp_path, capsys, text):
+    def test_repeated_item_is_already_defined(self, tmp_path, capsys, text, name):
         path = tmp_path / "repeated.lc"
         path.write_text(text)
         assert main(["run", str(path)]) == EXIT_PARSE
-        assert capsys.readouterr() == ("", "error: instruction 'a' is already defined\n")
+        assert capsys.readouterr() == ("", f"error: instruction {name!r} is already defined\n")
 
     def test_stats_out_of_fuel(self, tmp_path, capsys):
         omega = tmp_path / "omega.lc"
